@@ -31,11 +31,17 @@ def _emit(text: str, out: str | None):
 
 
 def _int_list(text: str) -> list[int]:
-    """Parse '2,3,4' or '2-7' (inclusive range)."""
+    """Parse '2,3,4' or '2-7' (inclusive range); empty or descending is an error."""
     if "-" in text and "," not in text:
         lo, _, hi = text.partition("-")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = list(range(int(lo), int(hi) + 1))
+        if not values:
+            raise ValueError(f"descending range {text!r}")
+        return values
+    values = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(f"empty list {text!r}")
+    return values
 
 
 def cmd_generate(args) -> int:

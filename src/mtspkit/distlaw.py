@@ -313,6 +313,8 @@ def _chunk_rng(seed, index):
 
 
 def _run_chunks(reps, seed, workers, draw):
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     spans = [(i, min(_CHUNK, reps - i * _CHUNK)) for i in range((reps + _CHUNK - 1) // _CHUNK)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -47,6 +47,10 @@ def euclidean_matrix(coords, rounding: str = "none") -> np.ndarray:
 
     ``rounding="integer"`` applies the TSPLIB nearest-integer convention
     ``floor(d + 0.5)`` to the off-diagonal entries only.
+
+    The squares ``dx*dx + dy*dy`` are summed in place over two n x n outer
+    differences, so the result is one n x n float64 matrix (32 MB at
+    n=2000) and the build needs one scratch matrix of the same size.
     """
     if rounding not in ("none", "integer"):
         raise ValueError(f"unknown rounding mode {rounding!r}")
@@ -55,12 +59,28 @@ def euclidean_matrix(coords, rounding: str = "none") -> np.ndarray:
         raise ValueError("coordinates must be an (n, 2) array")
     if pts.shape[0] < 3:
         raise ValueError("need at least 3 points")
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    dist = np.subtract.outer(pts[:, 0], pts[:, 0])
+    dist *= dist
+    dy = np.subtract.outer(pts[:, 1], pts[:, 1])
+    dy *= dy
+    dist += dy
+    np.sqrt(dist, out=dist)
     if rounding == "integer":
-        dist = np.floor(dist + 0.5)
+        dist += 0.5
+        np.floor(dist, out=dist)
     np.fill_diagonal(dist, INFINITY)
     return dist
+
+
+def _check_off_diagonal_finite(matrix: np.ndarray) -> None:
+    """Raise unless every off-diagonal entry is finite.
+
+    The diagonal must already hold the ``inf`` sentinel, so the check
+    reduces to counting exactly n non-finite entries.
+    """
+    n = matrix.shape[0]
+    if np.count_nonzero(np.isfinite(matrix)) != n * (n - 1):
+        raise ValueError("off-diagonal distances must be finite")
 
 
 @dataclass(frozen=True)
@@ -69,7 +89,10 @@ class Instance:
 
     ``coords`` is optional (explicit-matrix instances have none). When
     present, the matrix must agree with the coordinates under the stored
-    rounding mode.
+    rounding mode; the constructor re-derives the matrix to check that.
+    Coordinate loaders use :meth:`from_coords` instead, which builds the
+    matrix once and never re-derives it, so a coordinate instance costs
+    one n x n float64 matrix (32 MB at n=2000).
     """
 
     name: str
@@ -86,23 +109,44 @@ class Instance:
             raise ValueError("instance needs at least 3 nodes")
         if not np.all(np.isposinf(np.diagonal(matrix))):
             raise ValueError("matrix diagonal must be the infinity sentinel")
-        off = ~np.eye(n, dtype=bool)
-        if not np.all(np.isfinite(matrix[off])):
-            raise ValueError("off-diagonal distances must be finite")
-        if np.any(matrix[off] < 0):
+        _check_off_diagonal_finite(matrix)
+        if np.any(matrix < 0):
             raise ValueError("distances must be non-negative")
         coords = self.coords
         if coords is not None:
             coords = np.array(coords, dtype=np.float64)
             if coords.shape != (n, 2):
                 raise ValueError("coords must be an (n, 2) array")
+            # both diagonals are inf, which allclose counts as equal
             expected = euclidean_matrix(coords, self.rounding)
-            if not np.allclose(matrix[off], expected[off], rtol=1e-9, atol=1e-9):
+            if not np.allclose(matrix, expected, rtol=1e-9, atol=1e-9):
                 raise ValueError("matrix disagrees with coordinates")
             coords.flags.writeable = False
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "coords", coords)
+
+    @classmethod
+    def from_coords(cls, name: str, coords, rounding: str = "none") -> Instance:
+        """Build a coordinate instance, deriving its matrix exactly once.
+
+        Checks that the coordinates are an (n, 2) array of finite values
+        with n >= 3, and that no distance overflowed. The matrix comes
+        from :func:`euclidean_matrix`, so it agrees with the coordinates
+        by construction and is not re-derived.
+        """
+        pts = np.array(coords, dtype=np.float64)
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("coordinates must be finite")
+        matrix = euclidean_matrix(pts, rounding)  # checks the shape and n >= 3
+        _check_off_diagonal_finite(matrix)
+        pts.flags.writeable = False
+        matrix.flags.writeable = False
+        inst = object.__new__(cls)
+        for field, value in (("name", name), ("matrix", matrix),
+                             ("coords", pts), ("rounding", rounding)):
+            object.__setattr__(inst, field, value)
+        return inst
 
     @property
     def n(self) -> int:
@@ -208,7 +252,7 @@ def generate_uniform_instance(spec: GridSpec) -> Instance:
     rng = rng_from_seed(spec.seed)
     pts = rng.integers(1, spec.grid_max + 1, size=(spec.n, 2)).astype(np.float64)
     name = f"u{spec.n}g{spec.grid_max}s{spec.seed}"
-    return Instance(name, euclidean_matrix(pts), coords=pts)
+    return Instance.from_coords(name, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +336,7 @@ def parse_tsplib(text: str, rounding: str = "none") -> Instance:
     if weight_type == "EUC_2D":
         if coords is None:
             raise ParseError("EUC_2D file has no NODE_COORD_SECTION")
-        return Instance(name, euclidean_matrix(coords, rounding), coords=coords,
-                        rounding=rounding)
+        return Instance.from_coords(name, coords, rounding)
     if weights is None:
         raise ParseError("EXPLICIT file has no EDGE_WEIGHT_SECTION")
     return Instance(name, _expand_weights(weights, weight_format, dim))
@@ -425,7 +468,7 @@ def parse_coords_csv(text: str, name: str = "csv-instance") -> Instance:
             pts.append((float(row[0]), float(row[1])))
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric coordinate") from None
-    return Instance(name, euclidean_matrix(pts), coords=np.asarray(pts))
+    return Instance.from_coords(name, pts)
 
 
 def dumps_coords_csv(instance: Instance) -> str:

@@ -152,3 +152,24 @@ def test_exit_code_infeasible(capsys):
     )
     assert code == 2
     assert "infeasible" in err
+
+
+@pytest.mark.parametrize("m", ["5-2", ",", ""])
+def test_solve_rejects_empty_or_descending_fleet_sizes(capsys, m):
+    code, out, err = run(
+        capsys, "solve", "--instance", str(bundled_path("garn9")), "--m", m
+    )
+    assert code == 1
+    assert out == ""
+    assert "error" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_simulate_rejects_fewer_than_one_worker(capsys, workers):
+    code, out, err = run(
+        capsys, "simulate", "--kind", "min", "--reps", "100", "--seed", "1",
+        "--workers", workers,
+    )
+    assert code == 1
+    assert out == ""
+    assert "workers" in err

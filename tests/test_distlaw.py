@@ -309,6 +309,14 @@ def test_simulation_determinism_and_worker_invariance():
     assert mins.mean == simulate_min_dist(10, 50_000, IntegerRange(30), seed=5).mean
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_simulation_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match="workers"):
+        simulate_pair_dist(100, UnitInterval(), seed=0, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        simulate_min_dist(5, 100, UnitInterval(), seed=0, workers=workers)
+
+
 def test_unsupported_domains_raise():
     with pytest.raises(TypeError):
         simulate_min_dist(5, 100, Rectangle(1, 1), seed=0)

@@ -246,3 +246,156 @@ def test_instance_is_immutable(garn9):
         garn9.matrix[0, 1] = 0.0
     with pytest.raises(ValueError):
         garn9.coords[0, 0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# coordinate instances: one 2-D matrix build, no re-derivation
+
+
+def _tensor_matrix(coords, rounding="none"):
+    """Reference formula: reduce an (n, n, 2) difference tensor over its last axis."""
+    pts = np.asarray(coords, dtype=np.float64)
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    if rounding == "integer":
+        dist = np.floor(dist + 0.5)
+    np.fill_diagonal(dist, np.inf)
+    return dist
+
+
+def _coords_of_kind(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        return rng.integers(1, 101, size=(n, 2)).astype(np.float64)
+    if kind == "float":
+        return rng.random((n, 2)) * 1000.0
+    if kind == "negative":
+        return rng.normal(size=(n, 2)) * 1000.0
+    scale = {"huge": 1e150, "tiny": 1e-150}[kind]
+    return (rng.random((n, 2)) - 0.5) * scale
+
+
+@pytest.mark.parametrize("n", [3, 10, 51, 500, 2000])
+@pytest.mark.parametrize("kind", ["integer", "float", "negative", "huge", "tiny"])
+def test_euclidean_matrix_matches_tensor_formula(n, kind):
+    pts = _coords_of_kind(kind, n, seed=n)
+    for rounding in ("none", "integer"):
+        assert np.array_equal(euclidean_matrix(pts, rounding), _tensor_matrix(pts, rounding))
+
+
+def _tsplib_text(pts):
+    rows = "".join(f"{i} {x!r} {y!r}\n" for i, (x, y) in enumerate(pts.tolist(), start=1))
+    return (f"NAME : pts\nDIMENSION : {len(pts)}\nEDGE_WEIGHT_TYPE : EUC_2D\n"
+            f"NODE_COORD_SECTION\n{rows}EOF\n")
+
+
+def _csv_text(pts):
+    return "x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in pts.tolist())
+
+
+def _coordinate_loads():
+    pts = _coords_of_kind("float", 60, seed=3)
+    spec = GridSpec(80, 100, 11)
+    return [
+        (lambda: parse_tsplib(_tsplib_text(pts)), "none"),
+        (lambda: parse_tsplib(_tsplib_text(pts), rounding="integer"), "integer"),
+        (lambda: parse_coords_csv(_csv_text(pts), name="pts"), "none"),
+        (lambda: generate_uniform_instance(spec), "none"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_coordinate_loaders_match_generic_constructor(case):
+    load, rounding = _coordinate_loads()[case]
+    inst = load()
+    generic = Instance(inst.name, _tensor_matrix(inst.coords, rounding),
+                       coords=np.array(inst.coords), rounding=rounding)
+    assert inst.rounding == rounding
+    assert np.array_equal(inst.matrix, generic.matrix)
+    assert np.array_equal(inst.coords, generic.coords)
+    assert not inst.matrix.flags.writeable
+    assert not inst.coords.flags.writeable
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_coordinate_load_builds_matrix_once(monkeypatch, case):
+    from mtspkit import instance as instance_module
+
+    calls = []
+    original = instance_module.euclidean_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(instance_module, "euclidean_matrix", counting)
+    load, _ = _coordinate_loads()[case]
+    load()
+    assert len(calls) == 1
+
+
+def test_from_coords_copies_and_freezes():
+    pts = np.array([(0.0, 0.0), (3.0, 0.0), (0.0, 4.0)])
+    inst = Instance.from_coords("tri", pts)
+    pts[0, 0] = 9.0
+    assert inst.coords[0, 0] == 0.0
+    assert pts.flags.writeable
+    assert inst.matrix[1, 2] == 5.0
+    with pytest.raises(ValueError):
+        inst.matrix[0, 1] = 0.0
+    with pytest.raises(ValueError):
+        inst.coords[0, 0] = 1.0
+
+
+BAD_COORDS = {
+    "nan": ([(0.0, 0.0), (np.nan, 1.0), (2.0, 2.0)], "finite"),
+    "inf": ([(0.0, 0.0), (np.inf, 1.0), (2.0, 2.0)], "finite"),
+    "overflow": ([(0.0, 0.0), (1e200, 1e200), (-1e200, 0.0)], "finite"),
+    "too few": ([(0.0, 0.0), (1.0, 1.0)], "at least 3"),
+    "three columns": ([(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2.0, 2.0, 2.0)], r"\(n, 2\)"),
+    "flat": ([0.0, 1.0, 2.0, 3.0], r"\(n, 2\)"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("kind", sorted(BAD_COORDS))
+def test_from_coords_rejects_bad_coordinates(kind):
+    pts, fragment = BAD_COORDS[kind]
+    with pytest.raises(ValueError, match=fragment):
+        Instance.from_coords("bad", pts)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        ("x,y\n0,0\nnan,1\n2,2\n", ValueError),
+        ("x,y\n0,0\n1e200,1e200\n-1e200,0\n", ValueError),
+        ("x,y\n0,0\n1,1\n", ValueError),
+        ("x,y\n0,0,0\n1,1,1\n2,2,2\n", ParseError),
+    ],
+)
+def test_bad_coordinate_files_fail_loudly(tmp_path, capsys, text, error):
+    from mtspkit.cli import main
+
+    with pytest.raises(error):
+        parse_coords_csv(text)
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert main(["solve", "--instance", str(path), "--m", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in captured.err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_tsplib_coordinates_fail_loudly(tmp_path, capsys):
+    from mtspkit.cli import main
+
+    text = _tsplib_text(np.array([(0.0, 0.0), (1e200, 1e200), (-1e200, 0.0)]))
+    with pytest.raises(ValueError, match="finite"):
+        parse_tsplib(text)
+    path = tmp_path / "bad.tsp"
+    path.write_text(text)
+    assert main(["solve", "--instance", str(path), "--m", "2"]) == 1
+    assert "error" in capsys.readouterr().err
