@@ -19,6 +19,7 @@ of the seed no matter how many workers process the chunks.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -312,10 +313,19 @@ def _chunk_rng(seed, index):
     )
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_chunks(reps, seed, workers, draw):
     if workers < 1:
         raise ValueError("workers must be at least 1")
     spans = [(i, min(_CHUNK, reps - i * _CHUNK)) for i in range((reps + _CHUNK - 1) // _CHUNK)]
+    # results never depend on the worker count, so threads beyond the chunk
+    # or CPU count would only add start-up cost
+    workers = min(workers, len(spans), _usable_cpus())
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda s: draw(_chunk_rng(seed, s[0]), s[1]), spans))

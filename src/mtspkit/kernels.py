@@ -1,24 +1,32 @@
 """Hot construction kernels for the greedy route builders.
 
-Each kernel exists twice: an explicit-loop version compiled with numba's
-``@njit`` and a vectorised pure-numpy fallback. ``nearest_order`` and
-``closest_order`` dispatch on the ``MTSPKIT_NO_NUMBA`` environment flag;
-both paths return bit-identical results (asserted by the test suite) and
-are timed against each other in ``benchmarks/bench_heuristics.py``.
+There is one numpy kernel per heuristic. Each step of a kernel does a few
+contiguous whole-array operations on buffers allocated once per call:
 
-All kernels take a float64 distance matrix whose diagonal holds ``inf``
-(the never-selectable sentinel) and an int64 quota vector summing to
-``n - 1``. Besides the visit order they return the number of candidate
-(position, node) pairs examined, which the tests use to bound the scan
-work.
+* ``nearest_order`` adds a penalty vector (0 for open nodes, ``inf`` for
+  taken ones and the depot) to the current node's row, writing into one
+  reused row buffer, and takes that row's argmin.
+* ``closest_order`` keeps an (m, n) candidate array whose row k holds
+  vehicle k's penalised distances; a vehicle at its quota has a row of
+  ``inf``. One argmin over the whole array picks the (vehicle, node) pair;
+  row-major order breaks ties to the smallest vehicle, then the smallest
+  node. The chosen node's column is set to ``inf`` and only the moved
+  vehicle's row is rebuilt.
+
+Both kernels take a float64 distance matrix whose diagonal holds ``inf``
+(the never-selectable sentinel), whose other entries are neither NaN nor
+``-inf`` (``Instance`` guarantees both), and an int64 quota vector summing
+to ``n - 1``. Besides the visit order they return the number of candidate
+(position, node) pairs a full scan would examine, which the tests use to
+bound the scan work.
 """
+
+import math
 
 import numpy as np
 
-from ._accel import HAS_NUMBA, njit, numba_enabled
 
-
-def _nearest_loops(dist, quotas):
+def nearest_order(dist, quotas):
     """Sequential route building: always hop to the nearest unvisited node.
 
     Ties break to the smallest node index. Returns ``(order, scans)`` where
@@ -27,32 +35,29 @@ def _nearest_loops(dist, quotas):
     """
     n = dist.shape[0]
     order = np.empty(n - 1, np.int64)
-    taken = np.zeros(n, np.bool_)
+    penalty = np.zeros(n)
+    penalty[0] = np.inf
+    row = np.empty(n)
+    left = n - 1
     scans = 0
     pos = 0
-    for k in range(quotas.shape[0]):
+    for quota in quotas.tolist():
         here = 0
-        for _ in range(quotas[k]):
-            best = -1
-            best_d = np.inf
-            for t in range(1, n):
-                if taken[t]:
-                    continue
-                scans += 1
-                d = dist[here, t]
-                if d < best_d:
-                    best_d = d
-                    best = t
-            if best < 0 or not np.isfinite(best_d):
+        for _ in range(quota):
+            np.add(dist[here], penalty, out=row)
+            t = int(row.argmin())  # first minimum = smallest node index
+            if not math.isfinite(row[t]):
                 raise ValueError("argmin scan found no selectable node")
-            taken[best] = True
-            order[pos] = best
+            scans += left
+            left -= 1
+            penalty[t] = np.inf
+            order[pos] = t
             pos += 1
-            here = best
+            here = t
     return order, scans
 
 
-def _closest_loops(dist, quotas):
+def closest_order(dist, quotas):
     """Simultaneous route building: globally cheapest (vehicle, node) next.
 
     Vehicles at quota drop out of the scan. Ties break to the smallest
@@ -63,116 +68,27 @@ def _closest_loops(dist, quotas):
     m = quotas.shape[0]
     order = np.empty(n - 1, np.int64)
     vehicle = np.empty(n - 1, np.int64)
-    at = np.zeros(m, np.int64)
-    filled = np.zeros(m, np.int64)
-    taken = np.zeros(n, np.bool_)
+    room = quotas.tolist()
+    penalty = np.zeros(n)
+    penalty[0] = np.inf
+    cand = np.empty((m, n))
+    np.add(dist[0], penalty, out=cand)
+    cand[quotas <= 0] = np.inf
+    active = int(np.count_nonzero(quotas > 0))
     scans = 0
     for step in range(n - 1):
-        best_d = np.inf
-        best_k = -1
-        best_t = -1
-        for k in range(m):
-            if filled[k] >= quotas[k]:
-                continue
-            here = at[k]
-            for t in range(1, n):
-                if taken[t]:
-                    continue
-                scans += 1
-                d = dist[here, t]
-                if d < best_d:
-                    best_d = d
-                    best_k = k
-                    best_t = t
-        if best_t < 0 or not np.isfinite(best_d):
+        k, t = divmod(int(cand.argmin()), n)  # row-major: vehicle first, then node
+        if not math.isfinite(cand[k, t]):
             raise ValueError("argmin scan found no selectable node")
-        taken[best_t] = True
-        order[step] = best_t
-        vehicle[step] = best_k
-        at[best_k] = best_t
-        filled[best_k] += 1
-    return order, vehicle, scans
-
-
-if HAS_NUMBA:
-    _nearest_numba = njit(cache=True)(_nearest_loops)
-    _closest_numba = njit(cache=True)(_closest_loops)
-else:  # plain-python stand-ins keep the dispatch table total
-    _nearest_numba = _nearest_loops
-    _closest_numba = _closest_loops
-
-
-def _nearest_numpy(dist, quotas):
-    n = dist.shape[0]
-    order = np.empty(n - 1, np.int64)
-    blocked = np.zeros(n, bool)
-    blocked[0] = True
-    left = n - 1
-    scans = 0
-    pos = 0
-    for quota in quotas:
-        here = 0
-        for _ in range(quota):
-            row = np.where(blocked, np.inf, dist[here])
-            t = int(np.argmin(row))  # first minimum = smallest node index
-            if not np.isfinite(row[t]):
-                raise ValueError("argmin scan found no selectable node")
-            scans += left
-            blocked[t] = True
-            left -= 1
-            order[pos] = t
-            pos += 1
-            here = t
-    return order, scans
-
-
-def _closest_numpy(dist, quotas):
-    n = dist.shape[0]
-    m = len(quotas)
-    order = np.empty(n - 1, np.int64)
-    vehicle = np.empty(n - 1, np.int64)
-    at = np.zeros(m, np.int64)
-    filled = np.zeros(m, np.int64)
-    open_nodes = np.ones(n, bool)
-    open_nodes[0] = False
-    scans = 0
-    for step in range(n - 1):
-        active = np.flatnonzero(filled < quotas)
-        nodes = np.flatnonzero(open_nodes)
-        block = dist[at[active][:, None], nodes[None, :]]
-        flat = int(np.argmin(block))  # row-major: vehicle index first, then node
-        ki, ti = divmod(flat, nodes.size)
-        if not np.isfinite(block[ki, ti]):
-            raise ValueError("argmin scan found no selectable node")
-        scans += active.size * nodes.size
-        k = int(active[ki])
-        t = int(nodes[ti])
+        scans += active * (n - 1 - step)
         order[step] = t
         vehicle[step] = k
-        at[k] = t
-        filled[k] += 1
-        open_nodes[t] = False
+        penalty[t] = np.inf
+        cand[:, t] = np.inf
+        room[k] -= 1
+        if room[k]:
+            np.add(dist[t], penalty, out=cand[k])
+        else:
+            cand[k] = np.inf
+            active -= 1
     return order, vehicle, scans
-
-
-def nearest_order(dist, quotas):
-    if numba_enabled():
-        return _nearest_numba(dist, quotas)
-    return _nearest_numpy(dist, quotas)
-
-
-def closest_order(dist, quotas):
-    if numba_enabled():
-        return _closest_numba(dist, quotas)
-    return _closest_numpy(dist, quotas)
-
-
-def warm_up():
-    """Trigger JIT compilation on a toy matrix so timings stay honest."""
-    if not numba_enabled():
-        return
-    d = np.full((3, 3), 1.0)
-    np.fill_diagonal(d, np.inf)
-    q = np.array([1, 1], np.int64)
-    _nearest_numba(d, q)
-    _closest_numba(d, q)

@@ -1,6 +1,6 @@
 import pytest
 
-from mtspkit import kernels, load_bundled
+from mtspkit import load_bundled
 
 
 def pytest_addoption(parser):
@@ -17,12 +17,6 @@ def long_enabled(request):
     if not request.config.getoption("--long"):
         pytest.skip("pass --long to run the long reproduction suite")
     return True
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # keep JIT compilation out of the timed acceptance criteria
-    kernels.warm_up()
 
 
 @pytest.fixture(scope="session")

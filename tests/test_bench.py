@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,16 @@ def test_summary_csv_round_trip():
     assert again == rows
     with pytest.raises(ValueError):
         summary_from_csv("t,m,algorithm,mean,std,samples\n")
+
+
+def test_experiment_table_digest_is_locked():
+    # Locks the seeded heuristic table byte for byte: any change to the
+    # kernels, the instance generator or the CSV writer that moves one
+    # visit order or one printed digit changes this digest.
+    config = ExperimentConfig(sizes=(50, 100), m_values=(2, 3, 4), samples=3, base_seed=1)
+    text = summary_to_csv(run_experiment(config))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "5b43e071c77febd3a5d0d48669fe0cab670f57087331e001765c04cf2fe914e5"
 
 
 def test_compare_reference_instance(garn9):

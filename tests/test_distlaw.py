@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mtspkit import distlaw
 from mtspkit import (
     IntegerRange,
     Rectangle,
@@ -307,6 +308,23 @@ def test_simulation_determinism_and_worker_invariance():
     assert other.mean != base.mean
     mins = simulate_min_dist(10, 50_000, IntegerRange(30), seed=5, workers=3)
     assert mins.mean == simulate_min_dist(10, 50_000, IntegerRange(30), seed=5).mean
+
+
+class _NoThreads:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+
+@pytest.mark.parametrize("cpus,reps", [(1, 50_000), (4, 1_000)])
+def test_simulation_caps_workers_at_cpus_and_chunks(monkeypatch, cpus, reps):
+    # 50,000 repetitions make 4 chunks but 1 CPU; 1,000 make 1 chunk
+    serial = simulate_min_dist(10, reps, IntegerRange(30), seed=5, workers=1)
+    monkeypatch.setattr(distlaw, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(distlaw, "ThreadPoolExecutor", _NoThreads)
+    capped = simulate_min_dist(10, reps, IntegerRange(30), seed=5, workers=4)
+    assert capped.mean == serial.mean
+    assert np.array_equal(capped.counts, serial.counts)
+    assert np.array_equal(capped.bin_edges, serial.bin_edges)
 
 
 @pytest.mark.parametrize("workers", [0, -3])
