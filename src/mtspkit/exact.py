@@ -10,7 +10,12 @@ inequalities evaluated on the plan's induced arc/order variables.
 
 The solver is a combinatorial best-first branch-and-bound over partial
 route extensions rather than an LP relaxation; the linear model is the
-correctness semantics, not the search machinery.
+correctness semantics, not the search machinery. Each solve builds one
+neighbour table (``neighbour_order``): for every node, its ``(cost, w)``
+pairs to all other nodes in ascending order, as Python floats. Branching
+walks the active route end's row, and ``completion_bound`` takes each of
+its minima as the first still-allowed entry of a row, so the search does
+no numpy-scalar indexing per node.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ class ExactModel:
     min_customers: int
     max_customers: int
     warm_start: RoutePlan | None = None
-    max_route_distance: float | None = None
     max_total_distance: float | None = None
 
 
@@ -70,9 +74,10 @@ def build_model(
 ) -> ExactModel:
     """Assemble and validate the constraint system.
 
-    ``heuristic_cuts`` turns on the optional pruning caps derived from the
-    warm-start plan (per-route cap = its longest route, total cap = its
-    total); when no warm start is given the nearest-node plan is used.
+    ``heuristic_cuts`` caps the total distance of every search node at the
+    warm-start plan's total; when no warm start is given the nearest-node
+    plan is used. The cap never removes a plan cheaper than the warm start,
+    so an ``optimal`` status stays a proof over the full model.
     """
     n = instance.n
     if m < 1:
@@ -86,15 +91,12 @@ def build_model(
             f"window [{min_customers}, {max_customers}] with {m} routes cannot "
             f"cover {n - 1} customers"
         )
-    route_cap = total_cap = None
+    total_cap = None
     if heuristic_cuts:
         if warm_start is None:
             warm_start = nearest_node(instance, m)
-        route_cap = warm_start.max_route_distance
         total_cap = warm_start.total_distance
-    return ExactModel(
-        instance, m, min_customers, max_customers, warm_start, route_cap, total_cap
-    )
+    return ExactModel(instance, m, min_customers, max_customers, warm_start, total_cap)
 
 
 def check_solution(model: ExactModel, plan: RoutePlan):
@@ -167,34 +169,44 @@ def _linear_violations(model: ExactModel, plan: RoutePlan):
 # ---------------------------------------------------------------------------
 # branch and bound
 
-def completion_bound(dist, ends, counts, closed, unvisited, min_customers):
+def neighbour_order(matrix):
+    """Per-node neighbour table: ``order[v]`` lists ``(cost, w)`` for every
+    node ``w != v``, sorted by ``(cost, w)``. Costs are Python floats read
+    from ``matrix.tolist()``."""
+    return [
+        sorted((cost, w) for w, cost in enumerate(row) if w != v)
+        for v, row in enumerate(matrix.tolist())
+    ]
+
+
+def completion_bound(order, ends, counts, closed, unvisited, min_customers):
     """Admissible completion cost for a partial state (0-based nodes).
 
     Every unvisited customer still needs one outgoing arc (to another
     unvisited customer or the depot); every open route end needs one
     continuation (a customer, or the depot once the route reached the
     minimum). Summing each term's cheapest option never overestimates.
+
+    Each term is the first entry of the end node's ``neighbour_order`` row
+    that is still allowed, which is that term's exact minimum. Terms are
+    added in ``unvisited`` iteration order, then in route order.
     """
-    uv = unvisited
     bound = 0.0
-    for v in uv:
-        best = dist[v, 0]
-        for w in uv:
-            if w != v and dist[v, w] < best:
-                best = dist[v, w]
-        bound += best
+    for v in unvisited:
+        for cost, w in order[v]:
+            if w == 0 or w in unvisited:
+                bound += cost
+                break
     for k, end in enumerate(ends):
         if closed[k]:
             continue
-        best = np.inf
-        if counts[k] >= min_customers:
-            best = dist[end, 0]
-        for w in uv:
-            if dist[end, w] < best:
-                best = dist[end, w]
-        if not np.isfinite(best):
+        may_close = counts[k] >= min_customers
+        for cost, w in order[end]:
+            if w in unvisited or (w == 0 and may_close):
+                bound += cost
+                break
+        else:
             return np.inf  # open route below minimum with nothing left to visit
-        bound += best
     return bound
 
 
@@ -203,19 +215,26 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
 
     A search node holds m partially built routes. The route with the
     fewest customers (lowest index on ties) is active; branching appends
-    one unvisited customer (candidates in ascending arc cost) or closes
-    the route once it reached the minimum size. Routes are interchangeable,
-    so first customers are forced into ascending order across routes, which
-    prunes label-permuted duplicates only. Single-threaded and
+    one unvisited customer (candidates in ascending arc cost, read off the
+    end node's ``neighbour_order`` row) or closes the route once it reached
+    the minimum size. Routes are interchangeable, so first customers are
+    forced into ascending order across routes, which prunes label-permuted
+    duplicates only. The neighbour table is built once per solve; every
+    child's bound is ``completion_bound`` on it. Single-threaded and
     deterministic.
+
+    The clock starts before the table is built and is read on every popped
+    node, so a time-limited search stops at most one node expansion (under
+    2 ms at n=51) past ``time_limit``. Freeing the open nodes then takes
+    time in proportion to their number: on a 2-CPU Xeon VM about 0.02 s
+    after 0.2 s at n=51, and 0.1-0.25 s after 1-2 s at n=12-51.
+    ``wall_time`` includes both.
     """
     if time_limit is not None and time_limit <= 0:
         raise ValueError("time_limit must be positive")
-    dist = model.instance.matrix
     n = model.instance.n
     m = model.m
     kmin, kmax = model.min_customers, model.max_customers
-    route_cap = model.max_route_distance
     total_cap = model.max_total_distance
 
     incumbent_cost = np.inf
@@ -228,9 +247,10 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
         incumbent_routes = tuple(tuple(v - 1 for v in r[1:-1]) for r in model.warm_start.routes)
 
     start_time = time.perf_counter()
+    order = neighbour_order(model.instance.matrix)
+    to_depot = model.instance.matrix[:, 0].tolist()
     root = (
         0.0,                      # cost of fixed arcs
-        (0.0,) * m,               # per-route fixed cost
         ((),) * m,                # customer sequences (0-based)
         (0,) * m,                 # current end of each route (depot = 0)
         (False,) * m,             # closed flags
@@ -249,12 +269,11 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
             break
         best_bound_seen = max(best_bound_seen, bound)
         explored += 1
-        if time_limit is not None and explored % 256 == 0:
-            if time.perf_counter() - start_time > time_limit:
-                timed_out = True
-                break
+        if time_limit is not None and time.perf_counter() - start_time > time_limit:
+            timed_out = True
+            break
 
-        cost, route_costs, seqs, ends, closed, unvisited = state
+        cost, seqs, ends, closed, unvisited = state
         open_routes = [k for k in range(m) if not closed[k]]
         # feasibility of any completion under the size window
         if sum(kmax - len(seqs[k]) for k in open_routes) < len(unvisited):
@@ -274,17 +293,12 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
             floor = -1
             if not seqs[active] and active > 0:
                 floor = seqs[active - 1][0]  # label symmetry: first customers ascend
-            for node in sorted(unvisited, key=lambda v: (dist[end, v], v)):
-                if node <= floor:
-                    continue
-                arc = dist[end, node]
-                new_route_cost = route_costs[active] + arc
-                if route_cap is not None and new_route_cost > route_cap + _EPS:
+            for arc, node in order[end]:
+                if node <= floor or node not in unvisited:
                     continue
                 children.append(
                     (
                         cost + arc,
-                        _replace(route_costs, active, new_route_cost),
                         _replace(seqs, active, seqs[active] + (node,)),
                         _replace(ends, active, node),
                         closed,
@@ -292,37 +306,34 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
                     )
                 )
         if len(seqs[active]) >= kmin:
-            arc = dist[end, 0]
-            closing_route_cost = route_costs[active] + arc
-            if route_cap is None or closing_route_cost <= route_cap + _EPS:
-                children.append(
-                    (
-                        cost + arc,
-                        _replace(route_costs, active, closing_route_cost),
-                        seqs,
-                        _replace(ends, active, 0),
-                        _replace(closed, active, True),
-                        unvisited,
-                    )
+            children.append(
+                (
+                    cost + to_depot[end],
+                    seqs,
+                    _replace(ends, active, 0),
+                    _replace(closed, active, True),
+                    unvisited,
                 )
+            )
 
         for child in children:
             c_cost = child[0]
             if total_cap is not None and c_cost > total_cap + _EPS:
                 continue
-            c_closed, c_unvisited = child[4], child[5]
+            c_closed, c_unvisited = child[3], child[4]
             if all(c_closed) and not c_unvisited:
                 if c_cost < incumbent_cost - _EPS:
                     incumbent_cost = c_cost
-                    incumbent_routes = child[2]
+                    incumbent_routes = child[1]
                 continue
             child_bound = c_cost + completion_bound(
-                dist, child[3], [len(s) for s in child[2]], c_closed,
+                order, child[2], [len(s) for s in child[1]], c_closed,
                 c_unvisited, kmin,
             )
             if child_bound < incumbent_cost - _EPS:
                 heappush(heap, (child_bound, next(counter), child))
 
+    heap.clear()  # freeing the open nodes is part of the solve's time
     wall = time.perf_counter() - start_time
     if incumbent_routes is None:
         status = SolveStatus.FEASIBLE_TIME_LIMIT if timed_out else SolveStatus.INFEASIBLE

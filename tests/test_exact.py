@@ -1,9 +1,17 @@
+import hashlib
+import math
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mtspkit import (
     GridSpec,
     InfeasibleModelError,
+    Instance,
     RoutePlan,
     SolveStatus,
     balance_plan,
@@ -15,8 +23,9 @@ from mtspkit import (
     nearest_node,
     solve_exact,
 )
-from mtspkit.exact import completion_bound
-from mtspkit.instance import PlanError
+from mtspkit.bench import default_window
+from mtspkit.exact import completion_bound, neighbour_order
+from mtspkit.instance import PlanError, rng_from_seed
 
 
 def _window(inst, m, widen=0):
@@ -120,6 +129,71 @@ def test_heuristic_cuts_keep_reference_optimum(garn9):
     assert cut.objective == pytest.approx(plain.objective, rel=1e-9)
 
 
+def _subset_dp_optimum(dist, m, lo, hi):
+    """Optimum by dynamic programming over customer subsets: cheapest
+    depot-to-customer paths per (subset, last customer), closed into routes
+    of lo..hi customers, then split into m routes. Independent of both the
+    search and the brute-force enumeration, and fast enough for n = 10."""
+    d = dist.tolist()
+    k = len(d) - 1
+    full = 1 << k
+    path = [[math.inf] * k for _ in range(full)]  # bit j of the subset = customer j + 1
+    for j in range(k):
+        path[1 << j][j] = d[0][j + 1]
+    for mask in range(1, full):
+        for j, cost in enumerate(path[mask]):
+            if cost == math.inf:
+                continue
+            for t in range(k):
+                if not mask >> t & 1:
+                    ext = path[mask | 1 << t]
+                    ext[t] = min(ext[t], cost + d[j + 1][t + 1])
+    route = [math.inf] * full
+    for mask in range(1, full):
+        if lo <= bin(mask).count("1") <= hi:
+            route[mask] = min(path[mask][j] + d[j + 1][0] for j in range(k) if mask >> j & 1)
+    cover = route
+    for _ in range(m - 1):
+        nxt = [math.inf] * full
+        for mask in range(1, full):
+            low = mask & -mask
+            sub = mask
+            while sub:
+                if sub & low:  # the route holding the lowest customer, once per split
+                    nxt[mask] = min(nxt[mask], route[sub] + cover[mask ^ sub])
+                sub = (sub - 1) & mask
+        cover = nxt
+    return cover[full - 1]
+
+
+def test_subset_dp_oracle_matches_brute_force():
+    for seed in range(4):
+        sym = generate_uniform_instance(GridSpec(8, 100, 700 + seed))
+        mat = rng_from_seed(800 + seed).random((8, 8)) * 50
+        np.fill_diagonal(mat, np.inf)
+        for inst in (sym, Instance(f"asym{seed}", mat)):
+            for m in (1, 2, 3):
+                lo, hi = _window(inst, m, widen=1)
+                oracle = brute_force_oracle(inst, m, lo, hi)
+                dp = _subset_dp_optimum(inst.matrix, m, lo, hi)
+                assert dp == pytest.approx(oracle.objective, abs=1e-9)
+
+
+def test_heuristic_cuts_match_the_oracle():
+    # on 7 of these 40 runs a cap on every route at the warm start's longest
+    # route cuts off the optimum (worst: seed 4, n=10, m=3, 438.96 -> 485.45)
+    for seed in range(1, 11):
+        for n in (9, 10):
+            inst = generate_uniform_instance(GridSpec(n, 100, seed))
+            for m in (2, 3):
+                lo, hi = default_window(n, m)
+                cut = solve_exact(build_model(inst, m, lo, hi, heuristic_cuts=True))
+                assert cut.status is SolveStatus.OPTIMAL
+                assert cut.objective == pytest.approx(
+                    _subset_dp_optimum(inst.matrix, m, lo, hi), abs=1e-9
+                ), (seed, n, m)
+
+
 def test_solver_is_deterministic(garn9):
     a = solve_exact(build_model(garn9, 2, 2, 5))
     b = solve_exact(build_model(garn9, 2, 2, 5))
@@ -130,6 +204,49 @@ def test_solver_is_deterministic(garn9):
 def test_time_limit_validation(garn9):
     with pytest.raises(ValueError):
         solve_exact(build_model(garn9, 2, 2, 5), time_limit=0)
+
+
+def test_time_limit_holds_on_elapsed_time(eil51):
+    model = build_model(eil51, 2, 24, 25)
+    started = time.perf_counter()
+    result = solve_exact(model, time_limit=0.2)
+    elapsed = time.perf_counter() - started
+    assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
+    assert result.wall_time <= 0.2 + 0.1
+    assert elapsed <= 0.2 + 0.1
+
+
+def _lock_cases():
+    for n in (8, 9, 10):
+        rng = rng_from_seed(60 + n)
+        asym = rng.random((n, n)) * 50
+        ties = rng.integers(1, 6, size=(n, n)).astype(np.float64)
+        np.fill_diagonal(asym, np.inf)
+        np.fill_diagonal(ties, np.inf)
+        for inst in (
+            generate_uniform_instance(GridSpec(n, 100, 40 + n)),
+            Instance(f"asym{n}", asym),
+            Instance(f"ties{n}", ties),
+        ):
+            for m in (2, 3):
+                yield inst, m
+
+
+def test_search_is_locked():
+    # Locks the search itself: any change to the branching order, the bound's
+    # value or the pruning moves a node count or a route, and this digest.
+    digest = hashlib.sha256()
+    for inst, m in _lock_cases():
+        for warm in (None, nearest_node(inst, m)):
+            result = solve_exact(
+                build_model(inst, m, *default_window(inst.n, m), warm_start=warm)
+            )
+            record = (result.status.value, result.objective, result.nodes_explored,
+                      result.best.routes)
+            digest.update(repr(record).encode())
+    assert digest.hexdigest() == (
+        "154a0854a48a71d7f661a96231de0a3e879f01e0c5dbf5a4685462ebdbcee67c"
+    )
 
 
 def test_oracle_reference_and_guards(garn9):
@@ -215,6 +332,74 @@ def _enumerate_completions(dist, seqs, ends, closed, unvisited, lo, hi):
     return best
 
 
+def _reference_bound(dist, ends, counts, closed, unvisited, min_customers):
+    """The completion bound as a direct scan of the matrix: the formula the
+    neighbour-table bound must reproduce bit for bit."""
+    uv = unvisited
+    bound = 0.0
+    for v in uv:
+        best = dist[v, 0]
+        for w in uv:
+            if w != v and dist[v, w] < best:
+                best = dist[v, w]
+        bound += best
+    for k, end in enumerate(ends):
+        if closed[k]:
+            continue
+        best = np.inf
+        if counts[k] >= min_customers:
+            best = dist[end, 0]
+        for w in uv:
+            if dist[end, w] < best:
+                best = dist[end, w]
+        if not np.isfinite(best):
+            return np.inf  # open route below minimum with nothing left to visit
+        bound += best
+    return bound
+
+
+@st.composite
+def _bound_states(draw):
+    n = draw(st.integers(3, 12))
+    kind = draw(st.sampled_from(("float", "ties", "asym")))
+    if kind == "ties":
+        mat = draw(arrays(np.int64, (n, n), elements=st.integers(0, 4))).astype(np.float64)
+    else:
+        mat = draw(arrays(np.float64, (n, n), elements=st.floats(0, 1000)))
+    if kind != "asym":
+        mat = np.minimum(mat, mat.T)
+    np.fill_diagonal(mat, np.inf)
+    m = draw(st.integers(1, 3))
+    customers = draw(st.permutations(range(1, n)))
+    visited = draw(st.integers(0, n - 1))
+    seqs = [[] for _ in range(m)]
+    for v in customers[:visited]:
+        seqs[draw(st.integers(0, m - 1))].append(v)
+    closed = tuple(draw(st.booleans()) and bool(s) for s in seqs)
+    ends = tuple(0 if c or not s else s[-1] for s, c in zip(seqs, closed))
+    counts = [len(s) for s in seqs]
+    kmin = draw(st.integers(1, n - 1))
+    return mat, ends, counts, closed, frozenset(customers[visited:]), kmin
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bound_states())
+def test_completion_bound_matches_reference(state):
+    mat, ends, counts, closed, unvisited, kmin = state
+    expected = _reference_bound(mat, ends, counts, closed, unvisited, kmin)
+    got = completion_bound(neighbour_order(mat), ends, counts, closed, unvisited, kmin)
+    assert got == expected
+
+
+def test_neighbour_order_rows_are_sorted_pairs():
+    mat = np.array([[np.inf, 2.0, 1.0], [2.0, np.inf, 2.0], [1.0, 0.5, np.inf]])
+    assert neighbour_order(mat) == [
+        [(1.0, 2), (2.0, 1)],
+        [(2.0, 0), (2.0, 2)],
+        [(0.5, 1), (1.0, 0)],
+    ]
+
+
 def test_completion_bound_is_admissible():
     for seed in range(8):
         inst = generate_uniform_instance(GridSpec(7, 100, 300 + seed))
@@ -230,7 +415,7 @@ def test_completion_bound_is_admissible():
         ]
         for seqs, ends, closed, unvisited in states:
             bound = completion_bound(
-                dist, ends, [len(s) for s in seqs], closed, unvisited, lo
+                neighbour_order(dist), ends, [len(s) for s in seqs], closed, unvisited, lo
             )
             truth = _enumerate_completions(dist, seqs, ends, closed, unvisited, lo, hi)
             assert bound <= truth + 1e-9
