@@ -69,7 +69,6 @@ def cmd_solve(args) -> int:
             model = build_model(
                 inst, m, kmin, kmax,
                 warm_start=heuristics.nearest_node(inst, m),
-                heuristic_cuts=args.heuristic_cuts,
             )
             result = solve_exact(model, args.time_limit)
         if result.status is SolveStatus.INFEASIBLE or result.best is None:
@@ -187,14 +186,13 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--K", dest="min_customers", type=int, default=None)
         q.add_argument("--L", dest="max_customers", type=int, default=None)
         q.add_argument("--time-limit", type=float, default=None)
-        q.add_argument("--heuristic-cuts", action="store_true")
         q.add_argument("--rounding", choices=("none", "integer"), default="none")
         q.add_argument("--out")
         q.add_argument("--format", choices=("jsonl",), default="jsonl")
         q.set_defaults(func=cmd_solve)
 
     add_solve("solve", "route an instance with one algorithm")
-    add_solve("solve-exact", "branch-and-bound with optional cuts", "exact")
+    add_solve("solve-exact", "branch-and-bound from a nearest-node warm start", "exact")
 
     p = sub.add_parser("compare", help="side-by-side distances and % gaps")
     p.add_argument("--instances", nargs="+", required=True)

@@ -51,7 +51,6 @@ class ExactModel:
     min_customers: int
     max_customers: int
     warm_start: RoutePlan | None = None
-    max_total_distance: float | None = None
 
 
 @dataclass(frozen=True)
@@ -74,10 +73,10 @@ def build_model(
 ) -> ExactModel:
     """Assemble and validate the constraint system.
 
-    ``heuristic_cuts`` caps the total distance of every search node at the
-    warm-start plan's total; when no warm start is given the nearest-node
-    plan is used. The cap never removes a plan cheaper than the warm start,
-    so an ``optimal`` status stays a proof over the full model.
+    ``heuristic_cuts`` supplies the nearest-node plan as the warm start when
+    none is given. The warm start is the search's first incumbent, so every
+    node whose bound reaches its total is pruned; no plan cheaper than it is
+    ever removed, and an ``optimal`` status stays a proof over the full model.
     """
     n = instance.n
     if m < 1:
@@ -91,12 +90,9 @@ def build_model(
             f"window [{min_customers}, {max_customers}] with {m} routes cannot "
             f"cover {n - 1} customers"
         )
-    total_cap = None
-    if heuristic_cuts:
-        if warm_start is None:
-            warm_start = nearest_node(instance, m)
-        total_cap = warm_start.total_distance
-    return ExactModel(instance, m, min_customers, max_customers, warm_start, total_cap)
+    if heuristic_cuts and warm_start is None:
+        warm_start = nearest_node(instance, m)
+    return ExactModel(instance, m, min_customers, max_customers, warm_start)
 
 
 def check_solution(model: ExactModel, plan: RoutePlan):
@@ -224,18 +220,15 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     deterministic.
 
     The clock starts before the table is built and is read on every popped
-    node, so a time-limited search stops at most one node expansion (under
-    2 ms at n=51) past ``time_limit``. Freeing the open nodes then takes
-    time in proportion to their number: on a 2-CPU Xeon VM about 0.02 s
-    after 0.2 s at n=51, and 0.1-0.25 s after 1-2 s at n=12-51.
-    ``wall_time`` includes both.
+    node, so a time-limited search stops at most one node expansion past
+    ``time_limit``. ``wall_time`` also includes freeing the open nodes,
+    which takes time in proportion to their number.
     """
     if time_limit is not None and time_limit <= 0:
         raise ValueError("time_limit must be positive")
     n = model.instance.n
     m = model.m
     kmin, kmax = model.min_customers, model.max_customers
-    total_cap = model.max_total_distance
 
     incumbent_cost = np.inf
     incumbent_routes = None
@@ -318,8 +311,6 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
 
         for child in children:
             c_cost = child[0]
-            if total_cap is not None and c_cost > total_cap + _EPS:
-                continue
             c_closed, c_unvisited = child[3], child[4]
             if all(c_closed) and not c_unvisited:
                 if c_cost < incumbent_cost - _EPS:
