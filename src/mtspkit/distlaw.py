@@ -374,6 +374,12 @@ def simulate_min_dist(
 
     Draw order per repetition chunk: the single points, then the n-point
     clouds row by row.
+
+    Each chunk's differences are taken in place in the draws' own buffer.
+    On an ``IntegerRange`` they stay int64, where they are exact, and only
+    the per-repetition minimum is converted to float64. For every
+    ``high <= 2**53`` this equals converting the draws first; above that,
+    converting first would round the draws before subtracting.
     """
     if n < 1:
         raise ValueError("need at least one target point")
@@ -385,10 +391,12 @@ def simulate_min_dist(
             x = rng.random(count)
             ys = rng.random((count, n))
         elif isinstance(domain, IntegerRange):
-            x = rng.integers(1, domain.high + 1, count).astype(np.float64)
-            ys = rng.integers(1, domain.high + 1, (count, n)).astype(np.float64)
+            x = rng.integers(1, domain.high + 1, count)
+            ys = rng.integers(1, domain.high + 1, (count, n))
         else:
             raise TypeError(f"unsupported domain {domain!r}")
-        return np.abs(ys - x[:, None]).min(axis=1)
+        np.subtract(ys, x[:, None], out=ys)
+        np.abs(ys, out=ys)
+        return ys.min(axis=1).astype(np.float64, copy=False)
 
     return _histogram_result(_run_chunks(reps, seed, workers, draw), reps, seed)

@@ -59,11 +59,11 @@ def nearest_node(instance: Instance, m: int) -> RoutePlan:
     unvisited node, closing each route at the depot once its quota is met."""
     quotas = balance_plan(instance.n, m).quotas()
     order, _ = kernels.nearest_order(instance.matrix, quotas)
+    nodes = (order + 1).tolist()
     routes = []
     start = 0
-    for quota in quotas:
-        chunk = order[start : start + quota]
-        routes.append([1] + [int(v) + 1 for v in chunk] + [1])
+    for quota in quotas.tolist():
+        routes.append([1, *nodes[start : start + quota], 1])
         start += quota
     return evaluate_plan(instance, routes)
 
@@ -74,8 +74,8 @@ def closest_vehicle(instance: Instance, m: int) -> RoutePlan:
     quotas = balance_plan(instance.n, m).quotas()
     order, vehicle, _ = kernels.closest_order(instance.matrix, quotas)
     routes = [[1] for _ in range(m)]
-    for node, k in zip(order, vehicle):
-        routes[int(k)].append(int(node) + 1)
+    for node, k in zip((order + 1).tolist(), vehicle.tolist()):
+        routes[k].append(node)
     for r in routes:
         r.append(1)
     return evaluate_plan(instance, routes)

@@ -183,27 +183,41 @@ def evaluate_plan(instance: Instance, routes) -> RoutePlan:
 
     Rejects plans that skip or repeat a customer, revisit the depot
     mid-route, or fail to start and end every route at node 1.
+
+    Each route's customers are checked as a set; only a route that fails
+    that check is walked node by node, so the error names its first
+    offending node.
     """
     n = instance.n
     seen = set()
     clean = []
     for idx, route in enumerate(routes, start=1):
-        route = tuple(int(v) for v in route)
+        route = tuple(map(int, route))
         if len(route) < 3 or route[0] != 1 or route[-1] != 1:
             raise PlanError(
                 f"route {idx} must start and end at depot 1 and visit a customer"
             )
-        for v in route[1:-1]:
-            if v == 1:
-                raise PlanError(f"route {idx} revisits the depot")
-            if not 2 <= v <= n:
-                raise PlanError(f"route {idx} contains unknown node {v}")
-            if v in seen:
-                raise PlanError(f"node {v} visited more than once")
-            seen.add(v)
+        customers = route[1:-1]
+        visits = set(customers)
+        if (
+            len(visits) != len(customers)
+            or min(customers) < 2
+            or max(customers) > n
+            or not visits.isdisjoint(seen)
+        ):
+            # a defect is certain; walk the route to name its first node
+            for v in customers:
+                if v == 1:
+                    raise PlanError(f"route {idx} revisits the depot")
+                if not 2 <= v <= n:
+                    raise PlanError(f"route {idx} contains unknown node {v}")
+                if v in seen:
+                    raise PlanError(f"node {v} visited more than once")
+                seen.add(v)
+        seen |= visits
         clean.append(route)
-    missing = sorted(set(range(2, n + 1)) - seen)
-    if missing:
+    if len(seen) < n - 1:
+        missing = sorted(set(range(2, n + 1)) - seen)
         raise PlanError(f"nodes never visited: {missing}")
     per = []
     for route in clean:

@@ -11,6 +11,7 @@ from mtspkit import (
     load_bundled,
     load_reference_grid,
     nearest_node,
+    parse_tsplib,
     run_experiment,
 )
 from mtspkit import heuristics
@@ -26,6 +27,7 @@ from mtspkit.bench import (
     summary_to_csv,
     summary_to_markdown,
 )
+from mtspkit.instance import bundled_path
 
 TINY = ExperimentConfig(sizes=(20,), m_values=(2,), samples=2, base_seed=9)
 
@@ -108,6 +110,26 @@ def test_experiment_table_digest_is_locked():
     text = summary_to_csv(run_experiment(config))
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "5b43e071c77febd3a5d0d48669fe0cab670f57087331e001765c04cf2fe914e5"
+
+
+# sha256 of ``plan_to_jsonl`` over eil51, bays29 and eil76 (integer rounding)
+# at m = 2..4, recorded before the heuristics built routes from ``tolist()``
+_JSONL_DIGESTS = {
+    "nearest": "80060696cf728ac380efa20f96128a7cffe72a3898ea11332d45f0dc92455f8c",
+    "closest": "7fd8d2f74b45d4966a5333a4917486487e7a94e8b4bf6cfbf1f51e627ac36bd7",
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(_JSONL_DIGESTS))
+def test_plan_jsonl_digest_is_locked(algorithm):
+    records = []
+    for name in ("eil51", "bays29", "eil76"):
+        inst = parse_tsplib(bundled_path(name).read_text(), rounding="integer")
+        for m in (2, 3, 4):
+            plan = heuristics.ALGORITHMS[algorithm](inst, m)
+            records.append(plan_record(name, m, algorithm, plan))
+    digest = hashlib.sha256(plan_to_jsonl(records).encode()).hexdigest()
+    assert digest == _JSONL_DIGESTS[algorithm]
 
 
 def test_compare_reference_instance(garn9):

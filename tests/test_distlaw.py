@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -366,3 +367,73 @@ def test_summary_row_validation():
         SummaryRow(50, 2, "nearest", 1.0, 0.5, samples=1)
     with pytest.raises(ValueError):
         SummaryRow(50, 2, "nearest", 1.0, -0.5, samples=5)
+
+
+# ---------------------------------------------------------------------------
+# byte locks on the Monte Carlo outputs
+
+def _mc_lock_cases(workers):
+    # 40,000 repetitions make three chunks, so the threaded runs split work
+    return {
+        "min_int100": simulate_min_dist(50, 40_000, IntegerRange(100), seed=7, workers=workers),
+        "min_int30": simulate_min_dist(5, 40_000, IntegerRange(30), seed=8, workers=workers),
+        "min_unit": simulate_min_dist(10, 40_000, UnitInterval(), seed=9, workers=workers),
+        "pair_unit": simulate_pair_dist(40_000, UnitInterval(), seed=10, workers=workers),
+        "pair_int": simulate_pair_dist(40_000, IntegerRange(100), seed=11, workers=workers),
+        "pair_rect": simulate_pair_dist(40_000, Rectangle(2.0, 1.0), seed=12, workers=workers),
+    }
+
+
+# sha256 of ``repr(mean)`` plus ``to_csv()``, recorded before the integer
+# estimator moved to in-place int64 arithmetic
+_MC_DIGESTS = {
+    "min_int100": "620eeea6cb63f9538b801b174fa23b4144016a36f62cd725b7632486abe72df9",
+    "min_int30": "1a3180976c14fe0336701ac5f91a11894d8ae317a421511863eb58f1b067eab7",
+    "min_unit": "68849746433a699d1501ac40f5558628d0800e416b34da7d420aa0a14062028c",
+    "pair_unit": "2c41296ede038c3df552ed565850de2b8e48e288802310f2fb4b7502bdf4f7c2",
+    "pair_int": "b1113f49ad3e5431a52ccc6976e4d3b9df90b19bf2d7a40f1a2331694979b1a1",
+    "pair_rect": "1371593f1904847cfe2fa4f74ee23bcc4e078adcd4e0fe69cdd1c40d8208abfb",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_monte_carlo_outputs_are_locked(workers):
+    for name, result in _mc_lock_cases(workers).items():
+        text = f"{result.mean!r}\n" + result.to_csv()
+        assert hashlib.sha256(text.encode()).hexdigest() == _MC_DIGESTS[name], name
+
+
+def _float_min_dist(n, reps, high, seed):
+    # reference: the draws converted to float64 before subtracting, with
+    # the estimator's chunking and per-chunk seeds
+    parts = []
+    for chunk, start in enumerate(range(0, reps, distlaw._CHUNK)):
+        count = min(distlaw._CHUNK, reps - start)
+        rng = distlaw._chunk_rng(seed, chunk)
+        x = rng.integers(1, high + 1, count).astype(np.float64)
+        ys = rng.integers(1, high + 1, (count, n)).astype(np.float64)
+        parts.append(np.abs(ys - x[:, None]).min(axis=1))
+    return distlaw._histogram_result(np.concatenate(parts), reps, seed)
+
+
+def test_integer_min_dist_matches_float_formula_up_to_2_53():
+    reps = distlaw._CHUNK + 500  # two chunks
+    for high in (1, 100, 2**53):
+        new = simulate_min_dist(3, reps, IntegerRange(high), seed=21)
+        old = _float_min_dist(3, reps, high, seed=21)
+        assert new.mean == old.mean
+        assert new.to_csv() == old.to_csv()
+
+
+def test_integer_min_dist_is_exact_beyond_2_53():
+    # float64 cannot hold these draws; int64 differences stay exact and
+    # only the minimum is rounded once
+    high, n, reps, seed = 2**62, 4, 1_000, 22
+    rng = distlaw._chunk_rng(seed, 0)
+    x = rng.integers(1, high + 1, reps).tolist()
+    ys = rng.integers(1, high + 1, (reps, n)).tolist()
+    exact = np.array([float(min(abs(y - xi) for y in row)) for xi, row in zip(x, ys)])
+    expected = distlaw._histogram_result(exact, reps, seed)
+    result = simulate_min_dist(n, reps, IntegerRange(high), seed=seed)
+    assert result.mean == expected.mean
+    assert result.to_csv() == expected.to_csv()

@@ -10,7 +10,7 @@ from mtspkit import (
     generate_uniform_instance,
     nearest_node,
 )
-from mtspkit import kernels
+from mtspkit import heuristics, kernels
 from mtspkit.heuristics import BalancePlan
 
 
@@ -145,3 +145,22 @@ def test_heuristics_never_beat_the_oracle():
             best = brute_force_oracle(inst, m, bp.quota_lower, bp.quota_upper)
             assert nearest_node(inst, m).total_distance >= best.objective - 1e-9
             assert closest_vehicle(inst, m).total_distance >= best.objective - 1e-9
+
+
+@pytest.mark.parametrize("algorithm", sorted(heuristics.ALGORITHMS))
+def test_routes_hold_plain_ints(monkeypatch, garn9, algorithm):
+    # plain ints already at assembly, not only after evaluate_plan converts
+    assembled = []
+    evaluate = heuristics.evaluate_plan
+
+    def capture(instance, routes):
+        assembled.append(routes)
+        return evaluate(instance, routes)
+
+    monkeypatch.setattr(heuristics, "evaluate_plan", capture)
+    inst = generate_uniform_instance(GridSpec(40, 100, 5))
+    for instance in (garn9, inst):
+        for m in (1, 2, 3):
+            plan = heuristics.ALGORITHMS[algorithm](instance, m)
+            for routes in (assembled[-1], plan.routes):
+                assert all(type(v) is int for route in routes for v in route)

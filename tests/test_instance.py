@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtspkit import (
     GridSpec,
@@ -14,7 +16,7 @@ from mtspkit import (
     parse_coords_csv,
     parse_tsplib,
 )
-from mtspkit.instance import dumps_coords_csv
+from mtspkit.instance import RoutePlan, dumps_coords_csv
 
 TRIANGLE = """\
 NAME : tri
@@ -399,3 +401,121 @@ def test_overflowing_tsplib_coordinates_fail_loudly(tmp_path, capsys):
     path.write_text(text)
     assert main(["solve", "--instance", str(path), "--m", "2"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# route validation against the node-by-node reference
+
+def _reference_evaluate(instance, routes):
+    """``evaluate_plan`` as a plain walk over every node of every route."""
+    n = instance.n
+    seen = set()
+    clean = []
+    for idx, route in enumerate(routes, start=1):
+        route = tuple(int(v) for v in route)
+        if len(route) < 3 or route[0] != 1 or route[-1] != 1:
+            raise PlanError(
+                f"route {idx} must start and end at depot 1 and visit a customer"
+            )
+        for v in route[1:-1]:
+            if v == 1:
+                raise PlanError(f"route {idx} revisits the depot")
+            if not 2 <= v <= n:
+                raise PlanError(f"route {idx} contains unknown node {v}")
+            if v in seen:
+                raise PlanError(f"node {v} visited more than once")
+            seen.add(v)
+        clean.append(route)
+    missing = sorted(set(range(2, n + 1)) - seen)
+    if missing:
+        raise PlanError(f"nodes never visited: {missing}")
+    per = []
+    for route in clean:
+        hops = np.asarray(route, dtype=np.int64) - 1
+        per.append(float(instance.matrix[hops[:-1], hops[1:]].sum()))
+    return RoutePlan(tuple(clean), tuple(per), float(sum(per)))
+
+
+def _outcome(evaluate, instance, routes):
+    try:
+        return evaluate(instance, routes)
+    except PlanError as exc:
+        return f"PlanError: {exc}"
+
+
+def _assert_matches_reference(instance, routes):
+    expected = _outcome(_reference_evaluate, instance, routes)
+    assert _outcome(evaluate_plan, instance, routes) == expected
+    return expected
+
+
+_VALID = [[1, 6, 7, 8, 9, 1], [1, 5, 4, 3, 2, 1]]  # garn9, n = 9
+
+_DEFECTIVE = {
+    "depot revisit": [[1, 6, 1, 7, 8, 9, 1], [1, 5, 4, 3, 2, 1]],
+    "node 0": [[1, 6, 7, 8, 9, 0, 1], [1, 5, 4, 3, 2, 1]],
+    "node -1": [[1, 6, 7, 8, 9, 1], [1, -1, 5, 4, 3, 2, 1]],
+    "node n+1": [[1, 6, 7, 10, 8, 9, 1], [1, 5, 4, 3, 2, 1]],
+    "duplicate within a route": [[1, 6, 7, 8, 7, 9, 1], [1, 5, 4, 3, 2, 1]],
+    "duplicate across routes": [[1, 6, 7, 8, 9, 1], [1, 5, 4, 6, 3, 2, 1]],
+    "missing customers": [[1, 6, 7, 9, 1], [1, 5, 3, 2, 1]],
+    "no customer": [[1, 1], [1, 6, 7, 8, 9, 5, 4, 3, 2, 1]],
+    "depot revisit before unknown node": [[1, 6, 1, 12, 7, 8, 9, 1], _VALID[1]],
+    "unknown node before depot revisit": [[1, 6, 12, 1, 7, 8, 9, 1], _VALID[1]],
+    "duplicate before unknown node": [[1, 6, 7, 8, 9, 1], [1, 5, 6, 0, 4, 3, 2, 1]],
+    "unknown node before duplicate": [[1, 6, 7, 8, 9, 1], [1, 5, 0, 6, 4, 3, 2, 1]],
+    "in-route duplicate before cross-route one": [
+        [1, 6, 7, 8, 9, 1], [1, 5, 5, 7, 4, 3, 2, 1]
+    ],
+    "cross-route duplicate before in-route one": [
+        [1, 6, 7, 8, 9, 1], [1, 5, 7, 5, 4, 3, 2, 1]
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEFECTIVE))
+def test_evaluate_plan_names_the_reference_defect(garn9, name):
+    outcome = _assert_matches_reference(garn9, _DEFECTIVE[name])
+    assert isinstance(outcome, str), "the defective plan was accepted"
+
+
+def test_evaluate_plan_accepts_what_the_reference_accepts(garn9):
+    plans = [
+        _VALID,
+        [[1, 2, 3, 4, 5, 6, 7, 8, 9, 1]],
+        [[1, 9, 1], [1, 2, 3, 1], [1, 8, 7, 6, 5, 4, 1]],
+        [np.array([1, 6, 7, 8, 9, 1]), (1, 5, 4, 3, 2, 1)],
+        [[1, np.int64(6), np.int32(7), 8, 9, 1], [1.0, 5, 4, 3, 2, 1]],
+    ]
+    for routes in plans:
+        assert isinstance(_assert_matches_reference(garn9, routes), RoutePlan)
+
+
+@st.composite
+def _plans(draw):
+    n = draw(st.integers(3, 12))
+    customers = draw(st.permutations(list(range(2, n + 1))))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 2), max_size=min(3, n - 2))))
+    bounds = [0, *cuts, n - 1]
+    routes = [[1, *customers[a:b], 1] for a, b in zip(bounds, bounds[1:])]
+    # up to three edits, each an insertion, deletion or overwrite of one node
+    for _ in range(draw(st.integers(0, 3))):
+        route = routes[draw(st.integers(0, len(routes) - 1))]
+        pos = draw(st.integers(1, len(route) - 1))
+        kind = draw(st.sampled_from(["insert", "delete", "overwrite"]))
+        node = draw(st.integers(-1, n + 1))
+        if kind == "insert":
+            route.insert(pos, node)
+        elif kind == "delete" and len(route) > 2:
+            del route[pos - 1 if pos == len(route) - 1 else pos]
+        else:
+            route[pos - 1 if pos == len(route) - 1 else pos] = node
+    return n, routes
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plans())
+def test_evaluate_plan_matches_reference(case):
+    n, routes = case
+    inst = generate_uniform_instance(GridSpec(n, 100, n))
+    _assert_matches_reference(inst, routes)
