@@ -1,4 +1,4 @@
-"""Exact solving: constraint model, branch-and-bound, brute-force oracle.
+"""Exact solving: constraint model, branch-and-bound, subset DP oracle.
 
 The model mirrors the classic single-depot integer program with MTZ-style
 order variables: m routes leave and re-enter the depot, every customer is
@@ -16,6 +16,9 @@ pairs to all other nodes in ascending order, as Python floats. Branching
 walks the active route end's row, and ``completion_bound`` takes each of
 its minima as the first still-allowed entry of a row, so the search does
 no numpy-scalar indexing per node.
+
+``brute_force_oracle``, the ground truth the solver is checked against, is
+dynamic programming over customer subsets, limited to n <= 15.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from heapq import heappush, heappop
 import numpy as np
 
 from .instance import Instance, RoutePlan, evaluate_plan
-from .heuristics import nearest_node
 
 _EPS = 1e-9
 
@@ -69,14 +71,11 @@ def build_model(
     min_customers: int,
     max_customers: int,
     warm_start: RoutePlan | None = None,
-    heuristic_cuts: bool = False,
 ) -> ExactModel:
     """Assemble and validate the constraint system.
 
-    ``heuristic_cuts`` supplies the nearest-node plan as the warm start when
-    none is given. The warm start is the search's first incumbent, so every
-    node whose bound reaches its total is pruned; no plan cheaper than it is
-    ever removed, and an ``optimal`` status stays a proof over the full model.
+    ``warm_start`` becomes the search's first incumbent: it prunes every node
+    whose bound reaches its total but never a cheaper plan.
     """
     n = instance.n
     if m < 1:
@@ -90,8 +89,6 @@ def build_model(
             f"window [{min_customers}, {max_customers}] with {m} routes cannot "
             f"cover {n - 1} customers"
         )
-    if heuristic_cuts and warm_start is None:
-        warm_start = nearest_node(instance, m)
     return ExactModel(instance, m, min_customers, max_customers, warm_start)
 
 
@@ -268,15 +265,11 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
 
         cost, seqs, ends, closed, unvisited = state
         open_routes = [k for k in range(m) if not closed[k]]
-        # feasibility of any completion under the size window
+        # size-window feasibility; it also drops an all-closed state, which
+        # still has customers (a finished plan is never pushed)
         if sum(kmax - len(seqs[k]) for k in open_routes) < len(unvisited):
             continue
         if sum(max(kmin - len(seqs[k]), 0) for k in open_routes) > len(unvisited):
-            continue
-        if not open_routes:
-            if not unvisited and cost < incumbent_cost - _EPS:
-                incumbent_cost = cost
-                incumbent_routes = seqs
             continue
         active = min(open_routes, key=lambda k: (len(seqs[k]), k))
         end = ends[active]
@@ -348,72 +341,83 @@ def _replace(tup, idx, value):
 
 
 # ---------------------------------------------------------------------------
-# brute force
+# subset DP oracle
+
+ORACLE_MAX_N = 15
+
 
 def brute_force_oracle(
     instance: Instance, m: int, min_customers: int, max_customers: int
 ) -> ExactResult:
-    """Enumerate every feasible plan; only sane for tiny instances (n <= 11).
+    """Exact optimum by dynamic programming over customer subsets (n <= 15).
 
-    All permutations of the customers are split into m consecutive segments
-    with sizes inside the window; segment-label duplicates are skipped by
-    requiring segment heads in ascending order.
+    Held-Karp labels keep the cheapest depot-to-customer path per (subset,
+    last customer), with a back-pointer; subsets of ``min_customers`` to
+    ``max_customers`` customers close into routes. ``m - 1`` split rounds add
+    the route holding a subset's lowest customer, only to subsets the other
+    routes can complete. ``nodes_explored`` counts the path labels.
     """
     n = instance.n
-    if n > 11:
-        raise ValueError("brute force is limited to n <= 11")
-    model = build_model(instance, m, min_customers, max_customers)  # window check
-    dist = instance.matrix
-    customers = list(range(1, n))
-    sizes = [
-        comp
-        for comp in _compositions(n - 1, m)
-        if all(model.min_customers <= part <= model.max_customers for part in comp)
-    ]
-    if not sizes:
-        raise InfeasibleModelError("no route sizes fit the window")
-    best_cost = np.inf
-    best_routes = None
-    evaluated = 0
+    if n > ORACLE_MAX_N:
+        raise ValueError(f"the subset DP oracle is limited to n <= {ORACLE_MAX_N}")
+    build_model(instance, m, min_customers, max_customers)  # window check
+    lo, hi = min_customers, max_customers
     start_time = time.perf_counter()
-    for perm in itertools.permutations(customers):
-        for comp in sizes:
-            routes = []
-            offset = 0
-            heads_ascend = True
-            for part in comp:
-                seg = perm[offset : offset + part]
-                if routes and seg[0] < routes[-1][0]:
-                    heads_ascend = False
-                    break
-                routes.append(seg)
-                offset += part
-            if not heads_ascend:
+    d = instance.matrix.tolist()
+    k = n - 1  # bit j of a subset is customer j + 1 (0-based node j + 1)
+    full = (1 << k) - 1
+    bits = [[j for j in range(k) if mask >> j & 1] for mask in range(full + 1)]
+    path = [[np.inf] * k for _ in range(full + 1)]
+    back = [[-1] * k for _ in range(full + 1)]
+    route, last = [np.inf] * (full + 1), [-1] * (full + 1)  # cheapest closing per subset
+    for j in range(k):
+        path[1 << j][j] = d[0][j + 1]
+    for mask in range(1, full + 1):  # a subset's labels are final: it follows its parts
+        size = len(bits[mask])
+        if size > hi:
+            continue
+        for j in bits[mask]:
+            cost, dj = path[mask][j], d[j + 1]
+            if size >= lo and cost + dj[0] < route[mask]:
+                route[mask], last[mask] = cost + dj[0], j
+            if size < hi:
+                for t in bits[full ^ mask]:
+                    ext = mask | 1 << t
+                    if cost + dj[t + 1] < path[ext][t]:
+                        path[ext][t], back[ext][t] = cost + dj[t + 1], j
+    cover, picks = route, []
+    for r in range(2, m + 1):
+        nxt, pick = [np.inf] * (full + 1), {}
+        for mask in range(1, full + 1):
+            size = len(bits[mask])
+            if not (r * lo <= size <= r * hi and (m - r) * lo <= k - size <= (m - r) * hi):
                 continue
-            evaluated += 1
-            cost = 0.0
-            for seg in routes:
-                cost += dist[0, seg[0]]
-                for a, b in zip(seg[:-1], seg[1:]):
-                    cost += dist[a, b]
-                cost += dist[seg[-1], 0]
-            if cost < best_cost - _EPS:
-                best_cost = cost
-                best_routes = routes
+            low = mask & -mask
+            rest = sub = mask ^ low
+            while True:
+                c = route[sub | low] + cover[rest ^ sub]
+                if c < nxt[mask]:
+                    nxt[mask], pick[mask] = c, sub | low
+                if not sub:
+                    break
+                sub = (sub - 1) & rest
+        cover = nxt
+        picks.append(pick)
+    mask, masks = full, []
+    for pick in reversed(picks):
+        masks.append(pick[mask])
+        mask ^= pick[mask]
+    routes = []
+    for s in masks + [mask]:
+        seq, j = [], last[s]
+        while s:
+            seq.append(j + 2)
+            s, j = s ^ 1 << j, back[s][j]
+        routes.append((1, *reversed(seq), 1))
     wall = time.perf_counter() - start_time
-    plan = evaluate_plan(
-        instance, [(1, *[v + 1 for v in seg], 1) for seg in best_routes]
-    )
+    labels = sum(len(b) for b in bits if len(b) <= hi)
+    plan = evaluate_plan(instance, routes)
     return ExactResult(
         SolveStatus.OPTIMAL, plan, plan.total_distance, plan.total_distance,
-        evaluated, wall,
+        labels, wall,
     )
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first, *rest)

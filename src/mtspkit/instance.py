@@ -170,10 +170,6 @@ class RoutePlan:
     def m(self) -> int:
         return len(self.routes)
 
-    @property
-    def max_route_distance(self) -> float:
-        return max(self.per_route_distance)
-
     def customer_counts(self) -> tuple[int, ...]:
         return tuple(len(r) - 2 for r in self.routes)
 

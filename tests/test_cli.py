@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from mtspkit import parse_tsplib
+from mtspkit import SolveStatus, build_model, load_instance, parse_tsplib, solve_exact
+from mtspkit.bench import default_window
 from mtspkit.cli import main
+from mtspkit.exact import ORACLE_MAX_N
 from mtspkit.instance import bundled_path
 
 
@@ -72,6 +74,28 @@ def test_solve_oracle(capsys):
     )
     assert code == 0
     assert json.loads(text)["objective"] == pytest.approx(44.8, abs=0.05)
+
+
+def test_solve_oracle_up_to_its_cap(capsys, tmp_path):
+    path = tmp_path / "n13.tsp"
+    run(capsys, "generate", "--n", "13", "--seed", "1", "--out", str(path))
+    code, text, _ = run(
+        capsys, "solve", "--instance", str(path), "--m", "3", "--algorithm", "oracle"
+    )
+    assert code == 0
+    inst = load_instance(path)
+    proof = solve_exact(build_model(inst, 3, *default_window(13, 3)))
+    assert proof.status is SolveStatus.OPTIMAL
+    assert json.loads(text)["objective"] == pytest.approx(proof.objective, abs=1e-9)
+
+    path = tmp_path / "big.tsp"
+    run(capsys, "generate", "--n", str(ORACLE_MAX_N + 1), "--seed", "1", "--out", str(path))
+    code, out, err = run(
+        capsys, "solve", "--instance", str(path), "--m", "2", "--algorithm", "oracle"
+    )
+    assert code == 1
+    assert out == ""
+    assert f"n <= {ORACLE_MAX_N}" in err
 
 
 def test_compare_outputs(capsys, tmp_path):

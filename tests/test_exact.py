@@ -1,5 +1,5 @@
 import hashlib
-import math
+import itertools
 import time
 
 import numpy as np
@@ -24,7 +24,7 @@ from mtspkit import (
     solve_exact,
 )
 from mtspkit.bench import default_window
-from mtspkit.exact import completion_bound, neighbour_order
+from mtspkit.exact import ORACLE_MAX_N, completion_bound, neighbour_order
 from mtspkit.instance import PlanError, rng_from_seed
 
 
@@ -124,74 +124,104 @@ def test_invalid_warm_start_rejected(garn9):
 
 def test_heuristic_cuts_keep_reference_optimum(garn9):
     plain = solve_exact(build_model(garn9, 2, 2, 5))
-    cut = solve_exact(build_model(garn9, 2, 2, 5, heuristic_cuts=True))
+    cut = solve_exact(build_model(garn9, 2, 2, 5, warm_start=nearest_node(garn9, 2)))
     assert cut.status is SolveStatus.OPTIMAL
     assert cut.objective == pytest.approx(plain.objective, rel=1e-9)
 
 
-def _subset_dp_optimum(dist, m, lo, hi):
-    """Optimum by dynamic programming over customer subsets: cheapest
-    depot-to-customer paths per (subset, last customer), closed into routes
-    of lo..hi customers, then split into m routes. Independent of both the
-    search and the brute-force enumeration, and fast enough for n = 10."""
-    d = dist.tolist()
-    k = len(d) - 1
-    full = 1 << k
-    path = [[math.inf] * k for _ in range(full)]  # bit j of the subset = customer j + 1
-    for j in range(k):
-        path[1 << j][j] = d[0][j + 1]
-    for mask in range(1, full):
-        for j, cost in enumerate(path[mask]):
-            if cost == math.inf:
+def _enumeration_optimum(instance, m, min_customers, max_customers):
+    """Reference optimum by enumerating every feasible plan (n <= 9 here).
+
+    All permutations of the customers are split into m consecutive segments
+    with sizes inside the window; segment-label duplicates are skipped by
+    requiring segment heads in ascending order.
+    """
+    n = instance.n
+    model = build_model(instance, m, min_customers, max_customers)  # window check
+    dist = instance.matrix
+    customers = list(range(1, n))
+    sizes = [
+        comp
+        for comp in _compositions(n - 1, m)
+        if all(model.min_customers <= part <= model.max_customers for part in comp)
+    ]
+    if not sizes:
+        raise InfeasibleModelError("no route sizes fit the window")
+    best_cost = np.inf
+    best_routes = None
+    for perm in itertools.permutations(customers):
+        for comp in sizes:
+            routes = []
+            offset = 0
+            heads_ascend = True
+            for part in comp:
+                seg = perm[offset : offset + part]
+                if routes and seg[0] < routes[-1][0]:
+                    heads_ascend = False
+                    break
+                routes.append(seg)
+                offset += part
+            if not heads_ascend:
                 continue
-            for t in range(k):
-                if not mask >> t & 1:
-                    ext = path[mask | 1 << t]
-                    ext[t] = min(ext[t], cost + d[j + 1][t + 1])
-    route = [math.inf] * full
-    for mask in range(1, full):
-        if lo <= bin(mask).count("1") <= hi:
-            route[mask] = min(path[mask][j] + d[j + 1][0] for j in range(k) if mask >> j & 1)
-    cover = route
-    for _ in range(m - 1):
-        nxt = [math.inf] * full
-        for mask in range(1, full):
-            low = mask & -mask
-            sub = mask
-            while sub:
-                if sub & low:  # the route holding the lowest customer, once per split
-                    nxt[mask] = min(nxt[mask], route[sub] + cover[mask ^ sub])
-                sub = (sub - 1) & mask
-        cover = nxt
-    return cover[full - 1]
+            cost = 0.0
+            for seg in routes:
+                cost += dist[0, seg[0]]
+                for a, b in zip(seg[:-1], seg[1:]):
+                    cost += dist[a, b]
+                cost += dist[seg[-1], 0]
+            if cost < best_cost - 1e-9:
+                best_cost = cost
+                best_routes = routes
+    return evaluate_plan(
+        instance, [(1, *[v + 1 for v in seg], 1) for seg in best_routes]
+    )
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first, *rest)
 
 
 def test_subset_dp_oracle_matches_brute_force():
-    for seed in range(4):
-        sym = generate_uniform_instance(GridSpec(8, 100, 700 + seed))
-        mat = rng_from_seed(800 + seed).random((8, 8)) * 50
+    # the library oracle against the enumeration: n 5, 7 and 9, symmetric and
+    # asymmetric, m 1-3; widened windows at n 5 and 7, where enumerating them
+    # takes milliseconds rather than the ~1 s of an n=9, m=3 one
+    for n in (5, 7, 9):
+        sym = generate_uniform_instance(GridSpec(n, 100, 700 + n))
+        mat = rng_from_seed(800 + n).random((n, n)) * 50
         np.fill_diagonal(mat, np.inf)
-        for inst in (sym, Instance(f"asym{seed}", mat)):
+        for inst in (sym, Instance(f"asym{n}", mat)):
             for m in (1, 2, 3):
-                lo, hi = _window(inst, m, widen=1)
-                oracle = brute_force_oracle(inst, m, lo, hi)
-                dp = _subset_dp_optimum(inst.matrix, m, lo, hi)
-                assert dp == pytest.approx(oracle.objective, abs=1e-9)
+                for widen in (0, 1) if n < 9 else (0,):
+                    lo, hi = _window(inst, m, widen=widen)
+                    oracle = brute_force_oracle(inst, m, lo, hi)
+                    reference = _enumeration_optimum(inst, m, lo, hi)
+                    assert oracle.status is SolveStatus.OPTIMAL
+                    assert oracle.objective == pytest.approx(
+                        reference.total_distance, abs=1e-9
+                    ), (n, m, lo, hi)
+                    ok, violations = check_solution(build_model(inst, m, lo, hi), oracle.best)
+                    assert ok, violations
 
 
 def test_nearest_node_start_matches_the_oracle():
-    # heuristic_cuts starts from the nearest-node plan; on 7 of these 40 runs
-    # a cap on every route at that plan's longest route would cut off the
-    # optimum (worst: seed 4, n=10, m=3, 438.96 -> 485.45)
+    # on 7 of these 40 runs a cap on every route at the nearest-node plan's
+    # longest route would cut off the optimum (worst: seed 4, n=10, m=3,
+    # 438.96 -> 485.45)
     for seed in range(1, 11):
         for n in (9, 10):
             inst = generate_uniform_instance(GridSpec(n, 100, seed))
             for m in (2, 3):
                 lo, hi = default_window(n, m)
-                result = solve_exact(build_model(inst, m, lo, hi, heuristic_cuts=True))
+                warm = nearest_node(inst, m)
+                result = solve_exact(build_model(inst, m, lo, hi, warm_start=warm))
                 assert result.status is SolveStatus.OPTIMAL
                 assert result.objective == pytest.approx(
-                    _subset_dp_optimum(inst.matrix, m, lo, hi), abs=1e-9
+                    brute_force_oracle(inst, m, lo, hi).objective, abs=1e-9
                 ), (seed, n, m)
 
 
@@ -217,6 +247,25 @@ def test_time_limit_holds_on_elapsed_time(eil51):
     # it is wall-clock time, so a heavily loaded host can use it up
     assert result.wall_time <= 0.2 + 0.1
     assert elapsed <= 0.2 + 0.1
+
+
+def test_bounds_hold_where_the_search_stops_proving():
+    # n 12-14 from the nearest-node start under a short limit, where the
+    # symmetric runs usually stop unproven: bound and incumbent must still
+    # bracket the oracle's optimum
+    for i, (n, m) in enumerate([(12, 3), (13, 2), (14, 2), (14, 3)]):
+        mat = rng_from_seed(40 + i).random((n, n)) * 100
+        np.fill_diagonal(mat, np.inf)
+        for inst in (generate_uniform_instance(GridSpec(n, 100, 30 + i)), Instance("asym", mat)):
+            lo, hi = default_window(n, m)
+            model = build_model(inst, m, lo, hi, warm_start=nearest_node(inst, m))
+            result = solve_exact(model, time_limit=0.3)
+            optimum = brute_force_oracle(inst, m, lo, hi).objective
+            assert result.lower_bound <= optimum + 1e-9, (n, m, inst.name)
+            assert optimum <= result.objective + 1e-9, (n, m, inst.name)
+            if result.status is SolveStatus.OPTIMAL:
+                assert result.objective == pytest.approx(optimum, abs=1e-9)
+                assert result.lower_bound == result.objective
 
 
 def _lock_cases():
@@ -256,9 +305,9 @@ def test_oracle_reference_and_guards(garn9):
     result = brute_force_oracle(garn9, 2, 4, 4)
     assert result.status is SolveStatus.OPTIMAL
     assert result.objective == pytest.approx(44.8, abs=0.05)
-    with pytest.raises(ValueError, match="n <= 11"):
-        big = generate_uniform_instance(GridSpec(12, 100, 0))
-        brute_force_oracle(big, 2, 5, 6)
+    with pytest.raises(ValueError, match=f"n <= {ORACLE_MAX_N}"):
+        big = generate_uniform_instance(GridSpec(ORACLE_MAX_N + 1, 100, 0))
+        brute_force_oracle(big, 2, *default_window(big.n, 2))
     with pytest.raises(InfeasibleModelError):
         brute_force_oracle(garn9, 4, 3, 3)
 
