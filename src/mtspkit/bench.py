@@ -101,13 +101,25 @@ def run_experiment(config: ExperimentConfig) -> list[SummaryRow]:
     return rows
 
 
-def summary_to_csv(rows: list[SummaryRow]) -> str:
+def _csv(header, records) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SUMMARY_COLUMNS)
-    for r in rows:
-        writer.writerow([r.t, r.m, r.algorithm, repr(r.mean), repr(r.std), r.samples])
+    writer.writerow(header)
+    writer.writerows(records)
     return out.getvalue()
+
+
+def _markdown(header, records) -> str:
+    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    lines += ["| " + " | ".join(map(str, r)) + " |" for r in records]
+    return "\n".join(lines) + "\n"
+
+
+def summary_to_csv(rows: list[SummaryRow]) -> str:
+    return _csv(
+        SUMMARY_COLUMNS,
+        ([r.t, r.m, r.algorithm, repr(r.mean), repr(r.std), r.samples] for r in rows),
+    )
 
 
 def summary_from_csv(text: str) -> list[SummaryRow]:
@@ -135,21 +147,22 @@ def summary_to_markdown(rows: list[SummaryRow]) -> str:
     ms = sorted({r.m for r in rows})
     algs = list(dict.fromkeys(r.algorithm for r in rows))
     cells = {(r.t, r.m, r.algorithm): r for r in rows}
-    head = "| nodes | algorithm | " + " | ".join(f"m={m}" for m in ms) + " |"
-    sep = "|" + "---|" * (len(ms) + 2)
-    lines = [head, sep]
-    for t in sizes:
-        for alg in algs:
-            bits = []
-            for m in ms:
-                row = cells.get((t, m, alg))
-                bits.append("" if row is None else f"{row.mean:,.1f} ± {row.std:.1f}")
-            lines.append(f"| {t} | {alg} | " + " | ".join(bits) + " |")
-    return "\n".join(lines) + "\n"
+
+    def cell(t, m, alg):
+        row = cells.get((t, m, alg))
+        return "" if row is None else f"{row.mean:,.1f} ± {row.std:.1f}"
+
+    return _markdown(
+        ["nodes", "algorithm", *(f"m={m}" for m in ms)],
+        ([t, alg, *(cell(t, m, alg) for m in ms)] for t in sizes for alg in algs),
+    )
 
 
 # ---------------------------------------------------------------------------
 # named-instance comparison (exact vs heuristics)
+
+ALGORITHMS = (*heuristics.ALGORITHMS, "exact", "oracle")
+
 
 @dataclass(frozen=True)
 class ComparisonRow:
@@ -167,6 +180,32 @@ def default_window(n: int, m: int) -> tuple[int, int]:
     return max(upper - 1, 1), upper
 
 
+def solve(
+    instance: Instance, m: int, algorithm: str,
+    window: tuple[int, int] | None = None, time_limit: float | None = None,
+) -> tuple[RoutePlan | None, ExactResult | None]:
+    """Run one algorithm of :data:`ALGORITHMS` for one fleet size.
+
+    A heuristic returns ``(plan, None)``. ``exact`` (branch and bound,
+    warm-started from the nearest-node plan) and ``oracle`` (the subset DP)
+    search ``window`` or :func:`default_window`; they return
+    ``(result.best, result)``, whose plan is ``None`` if none was found.
+    """
+    if algorithm in heuristics.ALGORITHMS:
+        return heuristics.ALGORITHMS[algorithm](instance, m), None
+    kmin, kmax = window or default_window(instance.n, m)
+    if algorithm == "exact":
+        model = build_model(
+            instance, m, kmin, kmax, warm_start=heuristics.nearest_node(instance, m)
+        )
+        result = solve_exact(model, time_limit)
+    elif algorithm == "oracle":
+        result = brute_force_oracle(instance, m, kmin, kmax)
+    else:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return result.best, result
+
+
 def compare_instances(
     instances: list[Instance],
     m_values: list[int],
@@ -177,8 +216,8 @@ def compare_instances(
     """Distance per algorithm and pairwise percentage gaps per (instance, m).
 
     The gap for an ordered pair (A, B) of the algorithm list is
-    ``100 * (dist_B - dist_A) / dist_A``. Exact runs warm-start from the
-    nearest-node plan.
+    ``100 * (dist_B - dist_A) / dist_A``. Each run goes through
+    :func:`solve`; exact and oracle runs also record their status.
     """
     rows = []
     for inst in instances:
@@ -186,21 +225,10 @@ def compare_instances(
             distances: dict[str, float] = {}
             statuses: dict[str, str] = {}
             for alg in algorithms:
-                if alg in heuristics.ALGORITHMS:
-                    distances[alg] = heuristics.ALGORITHMS[alg](inst, m).total_distance
-                    continue
-                kmin, kmax = window if window else default_window(inst.n, m)
-                if alg == "exact":
-                    model = build_model(
-                        inst, m, kmin, kmax, warm_start=heuristics.nearest_node(inst, m)
-                    )
-                    result = solve_exact(model, time_limit)
-                elif alg == "oracle":
-                    result = brute_force_oracle(inst, m, kmin, kmax)
-                else:
-                    raise ValueError(f"unknown algorithm {alg!r}")
-                distances[alg] = result.objective
-                statuses[alg] = result.status.value
+                plan, result = solve(inst, m, alg, window, time_limit)
+                distances[alg] = plan.total_distance if result is None else result.objective
+                if result is not None:
+                    statuses[alg] = result.status.value
             gaps = {}
             for i, a in enumerate(algorithms):
                 for b in algorithms[i + 1 :]:
@@ -209,45 +237,39 @@ def compare_instances(
     return rows
 
 
+def _comparison_table(rows, dist_head, gap_head, dist_fmt, gap_fmt):
+    """Distances, gaps, then a ``status_<alg>`` column per exact or oracle run."""
+    algs = list(rows[0].distances)
+    gap_keys = list(rows[0].gaps)
+    status_keys = list(rows[0].statuses)
+    header = (
+        ["instance", "m"]
+        + [dist_head + a for a in algs]
+        + [gap_head + g for g in gap_keys]
+        + ["status_" + a for a in status_keys]
+    )
+    records = (
+        [r.instance, r.m]
+        + [dist_fmt(r.distances[a]) for a in algs]
+        + [gap_fmt(r.gaps[g]) for g in gap_keys]
+        + [r.statuses[a] for a in status_keys]
+        for r in rows
+    )
+    return header, records
+
+
 def comparison_to_csv(rows: list[ComparisonRow]) -> str:
     if not rows:
         return ""
-    algs = list(rows[0].distances)
-    gap_keys = list(rows[0].gaps)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["instance", "m"]
-        + [f"dist_{a}" for a in algs]
-        + [f"gap_pct_{g}" for g in gap_keys]
-    )
-    for r in rows:
-        writer.writerow(
-            [r.instance, r.m]
-            + [repr(r.distances[a]) for a in algs]
-            + [repr(r.gaps[g]) for g in gap_keys]
-        )
-    return out.getvalue()
+    return _csv(*_comparison_table(rows, "dist_", "gap_pct_", repr, repr))
 
 
 def comparison_to_markdown(rows: list[ComparisonRow]) -> str:
     if not rows:
         return ""
-    algs = list(rows[0].distances)
-    gap_keys = list(rows[0].gaps)
-    head = (
-        "| instance | m | "
-        + " | ".join(algs)
-        + (" | " if gap_keys else "")
-        + " | ".join(f"%{g}" for g in gap_keys)
-        + " |"
+    return _markdown(
+        *_comparison_table(rows, "", "%", "{:,.1f}".format, "{:.1f}".format)
     )
-    lines = [head, "|" + "---|" * (2 + len(algs) + len(gap_keys))]
-    for r in rows:
-        bits = [f"{r.distances[a]:,.1f}" for a in algs]
-        bits += [f"{r.gaps[g]:.1f}" for g in gap_keys]
-        lines.append(f"| {r.instance} | {r.m} | " + " | ".join(bits) + " |")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -302,35 +324,32 @@ def law_pipeline(rows: list[SummaryRow]) -> LawReport:
 
 
 def law_report_to_csv(report: LawReport) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["t", "m", "algorithm", "observed", "predicted", "deviation_pct"])
-    for p in report.predictions:
-        writer.writerow(
+    return _csv(
+        ["t", "m", "algorithm", "observed", "predicted", "deviation_pct"],
+        (
             [p.t, p.m, p.algorithm, repr(p.observed), repr(p.predicted),
              repr(p.deviation_pct)]
-        )
-    return out.getvalue()
+            for p in report.predictions
+        ),
+    )
 
 
 def law_report_to_markdown(report: LawReport) -> str:
-    lines = []
-    for alg, (delta, std) in report.deltas.items():
-        fit = report.fits[alg]
-        lines.append(
-            f"* {alg}: increment per salesman = {delta:.2f} (std {std:.1f}); "
-            f"m=2 fit s = {fit.c:.1f} t^{fit.p:.3f}; "
-            f"max |deviation| = {report.max_deviation_pct[alg]:.2f}%"
-        )
-    lines.append("")
-    lines.append("| t | m | algorithm | observed | predicted | deviation % |")
-    lines.append("|---|---|---|---|---|---|")
-    for p in report.predictions:
-        lines.append(
-            f"| {p.t} | {p.m} | {p.algorithm} | {p.observed:,.1f} "
-            f"| {p.predicted:,.1f} | {p.deviation_pct:+.2f} |"
-        )
-    return "\n".join(lines) + "\n"
+    bullets = "".join(
+        f"* {alg}: increment per salesman = {delta:.2f} (std {std:.1f}); "
+        f"m=2 fit s = {report.fits[alg].c:.1f} t^{report.fits[alg].p:.3f}; "
+        f"max |deviation| = {report.max_deviation_pct[alg]:.2f}%\n"
+        for alg, (delta, std) in report.deltas.items()
+    )
+    table = _markdown(
+        ["t", "m", "algorithm", "observed", "predicted", "deviation %"],
+        (
+            [p.t, p.m, p.algorithm, f"{p.observed:,.1f}", f"{p.predicted:,.1f}",
+             f"{p.deviation_pct:+.2f}"]
+            for p in report.predictions
+        ),
+    )
+    return bullets + "\n" + table
 
 
 # ---------------------------------------------------------------------------

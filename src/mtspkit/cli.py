@@ -1,7 +1,10 @@
 """Command-line interface.
 
 Subcommands: generate, solve, solve-exact, compare, experiment, law,
-simulate. Exit codes: 0 success, 1 input error, 2 infeasibility.
+simulate. Exit codes: 0 success, 1 input or usage error, 2 infeasibility.
+``--K``/``--L`` (the route-size window of exact and oracle runs) are given
+together or not at all; without them each fleet size gets
+``bench.default_window``.
 """
 
 from __future__ import annotations
@@ -10,8 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import bench, distlaw, heuristics
-from .exact import InfeasibleModelError, SolveStatus, brute_force_oracle, build_model, solve_exact
+from . import bench, distlaw
+from .exact import InfeasibleModelError
 from .instance import (
     GridSpec,
     ParseError,
@@ -44,6 +47,14 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+def _window(args) -> tuple[int, int] | None:
+    """The ``--K``/``--L`` window, or None for the default one."""
+    window = (args.min_customers, args.max_customers)
+    if window.count(None) == 1:
+        raise ValueError("--K and --L must be given together")
+    return None if None in window else window
+
+
 def cmd_generate(args) -> int:
     inst = generate_uniform_instance(GridSpec(args.n, args.grid_max, args.seed))
     text = dumps_coords_csv(inst) if args.format == "csv" else dumps_tsplib(inst)
@@ -52,31 +63,15 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    window = _window(args)
     inst = load_instance(args.instance, rounding=args.rounding)
     records = []
     for m in _int_list(args.m):
-        if args.algorithm in heuristics.ALGORITHMS:
-            plan = heuristics.ALGORITHMS[args.algorithm](inst, m)
-            records.append(bench.plan_record(inst.name, m, args.algorithm, plan))
-            continue
-        kmin = args.min_customers
-        kmax = args.max_customers
-        if kmin is None or kmax is None:
-            kmin, kmax = bench.default_window(inst.n, m)
-        if args.algorithm == "oracle":
-            result = brute_force_oracle(inst, m, kmin, kmax)
-        else:
-            model = build_model(
-                inst, m, kmin, kmax,
-                warm_start=heuristics.nearest_node(inst, m),
-            )
-            result = solve_exact(model, args.time_limit)
-        if result.status is SolveStatus.INFEASIBLE or result.best is None:
+        plan, result = bench.solve(inst, m, args.algorithm, window, args.time_limit)
+        if plan is None:
             print(f"{inst.name} m={m}: no feasible plan found", file=sys.stderr)
             return 2
-        records.append(
-            bench.plan_record(inst.name, m, args.algorithm, result.best, result)
-        )
+        records.append(bench.plan_record(inst.name, m, args.algorithm, plan, result))
     _emit(bench.plan_to_jsonl(records), args.out)
     return 0
 
@@ -88,11 +83,7 @@ def cmd_compare(args) -> int:
         _int_list(args.m),
         [a.strip() for a in args.algorithms.split(",")],
         time_limit=args.time_limit,
-        window=(
-            (args.min_customers, args.max_customers)
-            if args.min_customers is not None and args.max_customers is not None
-            else None
-        ),
+        window=_window(args),
     )
     text = (
         bench.comparison_to_markdown(rows)
@@ -156,8 +147,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like other input errors; 2 means infeasible."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mtspkit",
         description="Balanced mTSP heuristics, exact solving and distance laws",
     )
@@ -175,11 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         q = sub.add_parser(name, help=help_text)
         q.add_argument("--instance", required=True)
         if fixed_algorithm is None:
-            q.add_argument(
-                "--algorithm",
-                choices=("nearest", "closest", "exact", "oracle"),
-                default="nearest",
-            )
+            q.add_argument("--algorithm", choices=bench.ALGORITHMS, default="nearest")
         else:
             q.set_defaults(algorithm=fixed_algorithm)
         q.add_argument("--m", required=True, help="fleet size(s), e.g. 2 or 2,3,5 or 2-5")
@@ -194,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_solve("solve", "route an instance with one algorithm")
     add_solve("solve-exact", "branch-and-bound from a nearest-node warm start", "exact")
 
-    p = sub.add_parser("compare", help="side-by-side distances and % gaps")
+    p = sub.add_parser("compare", help="side-by-side distances and %% gaps")
     p.add_argument("--instances", nargs="+", required=True)
     p.add_argument("--m", required=True)
     p.add_argument("--algorithms", default="nearest,closest")

@@ -343,26 +343,21 @@ def _histogram_result(values, reps, seed):
 def simulate_pair_dist(reps: int, domain, seed: int, workers: int = 1) -> MonteCarloResult:
     """Sampled distance between two uniform points of the domain.
 
-    Draw order per repetition chunk: first point(s), then second point(s).
+    On ``UnitInterval`` and ``IntegerRange`` this is
+    :func:`simulate_min_dist` with one target point, whose draws are the
+    same. On a ``Rectangle`` the draw order per repetition chunk is: first
+    points, then second points.
     """
+    if not isinstance(domain, Rectangle):
+        return simulate_min_dist(1, reps, domain, seed, workers)
     if reps < 1:
         raise ValueError("need at least one repetition")
+    span = np.array([domain.width, domain.height])
 
     def draw(rng, count):
-        if isinstance(domain, UnitInterval):
-            x = rng.random(count)
-            y = rng.random(count)
-            return np.abs(x - y)
-        if isinstance(domain, IntegerRange):
-            x = rng.integers(1, domain.high + 1, count)
-            y = rng.integers(1, domain.high + 1, count)
-            return np.abs(x - y).astype(np.float64)
-        if isinstance(domain, Rectangle):
-            span = np.array([domain.width, domain.height])
-            x = rng.random((count, 2)) * span
-            y = rng.random((count, 2)) * span
-            return np.sqrt(((x - y) ** 2).sum(axis=1))
-        raise TypeError(f"unsupported domain {domain!r}")
+        x = rng.random((count, 2)) * span
+        y = rng.random((count, 2)) * span
+        return np.sqrt(((x - y) ** 2).sum(axis=1))
 
     return _histogram_result(_run_chunks(reps, seed, workers, draw), reps, seed)
 

@@ -326,9 +326,13 @@ def parse_tsplib(text: str, rounding: str = "none") -> Instance:
                 raise ParseError(
                     f"line {lineno}: EDGE_WEIGHT_SECTION without EDGE_WEIGHT_FORMAT"
                 )
-            weights, i = _read_numbers(
-                lines, i, _weight_count(weight_format, dim), lineno
-            )
+            rows, cols = _weight_layout(weight_format, dim)
+            values, i = _read_numbers(lines, i, len(rows), lineno)
+            weights = np.zeros((dim, dim))
+            weights[rows, cols] = values
+            if weight_format != "FULL_MATRIX":  # triangular formats are mirrored
+                weights[cols, rows] = values
+            np.fill_diagonal(weights, INFINITY)
         elif key == "DISPLAY_DATA_SECTION":
             # plotting helper rows; read past them, never interpreted
             if dim is None:
@@ -349,7 +353,7 @@ def parse_tsplib(text: str, rounding: str = "none") -> Instance:
         return Instance.from_coords(name, coords, rounding)
     if weights is None:
         raise ParseError("EXPLICIT file has no EDGE_WEIGHT_SECTION")
-    return Instance(name, _expand_weights(weights, weight_format, dim))
+    return Instance(name, weights)
 
 
 def _parse_int(token: str, lineno: int) -> int:
@@ -409,35 +413,14 @@ def _read_numbers(lines, i, count, section_lineno):
     return vals, i
 
 
-def _weight_count(fmt: str, n: int) -> int:
+def _weight_layout(fmt: str, n: int):
+    """Row and column indices of an EDGE_WEIGHT_SECTION's values, in file order."""
     if fmt == "FULL_MATRIX":
-        return n * n
-    if fmt in ("UPPER_DIAG_ROW", "LOWER_DIAG_ROW"):
-        return n * (n + 1) // 2
-    return n * (n - 1) // 2
-
-
-def _expand_weights(vals, fmt, n) -> np.ndarray:
-    mat = np.zeros((n, n))
-    it = iter(vals)
-    if fmt == "FULL_MATRIX":
-        mat = np.array(vals).reshape(n, n)
-    elif fmt in ("UPPER_ROW", "UPPER_DIAG_ROW"):
-        with_diag = "DIAG" in fmt
-        for r in range(n):
-            for c in range(r if with_diag else r + 1, n):
-                v = next(it)
-                if c != r:
-                    mat[r, c] = mat[c, r] = v
-    else:  # LOWER_ROW, LOWER_DIAG_ROW
-        with_diag = "DIAG" in fmt
-        for r in range(n):
-            for c in range(0, r + 1 if with_diag else r):
-                v = next(it)
-                if c != r:
-                    mat[r, c] = mat[c, r] = v
-    np.fill_diagonal(mat, INFINITY)
-    return mat
+        return divmod(np.arange(n * n), n)
+    diag = "DIAG" in fmt
+    if fmt.startswith("UPPER"):
+        return np.triu_indices(n, 0 if diag else 1)
+    return np.tril_indices(n, 0 if diag else -1)
 
 
 def dumps_tsplib(instance: Instance) -> str:

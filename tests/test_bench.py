@@ -14,8 +14,9 @@ from mtspkit import (
     parse_tsplib,
     run_experiment,
 )
-from mtspkit import heuristics
+from mtspkit import InfeasibleModelError, heuristics
 from mtspkit.bench import (
+    ALGORITHMS,
     comparison_to_csv,
     comparison_to_markdown,
     default_window,
@@ -23,6 +24,7 @@ from mtspkit.bench import (
     law_report_to_markdown,
     plan_record,
     plan_to_jsonl,
+    solve,
     summary_from_csv,
     summary_to_csv,
     summary_to_markdown,
@@ -132,6 +134,40 @@ def test_plan_jsonl_digest_is_locked(algorithm):
     assert digest == _JSONL_DIGESTS[algorithm]
 
 
+# sha256 of the comparison, law and summary renderings, recorded before the
+# writers shared one CSV and one markdown helper; the comparison covers
+# eil51, bays29 and eil76 (integer rounding) at m = 2..4, heuristics only
+_RENDER_DIGESTS = {
+    "comparison_csv": "37d6255d21605741355bb17348bcf8b68fea4327884046a1baf250b0ceeaefa1",
+    "comparison_markdown": "ce03dbb61ae44f6bbddb74a22f1fa6ce73f77d85d963fce859c62472ed3fce23",
+    "law_csv": "a7bb0428eb593b2ffe5d8f7b784498eb4be1477bdc2e449ccecbd2e7eeaca9eb",
+    "law_markdown": "e607b9d1001f115c61d6680d14b6708a2156cab56a0c8488ee0bbbf09299465e",
+    "summary_markdown": "53492f7600f5d148627e82ed8ff50ebe3b29480789cf1784c2d45ffa554ab7a7",
+}
+
+
+def _rendering(output):
+    if output.startswith("comparison"):
+        instances = [
+            parse_tsplib(bundled_path(name).read_text(), rounding="integer")
+            for name in ("eil51", "bays29", "eil76")
+        ]
+        rows = compare_instances(instances, [2, 3, 4], ["nearest", "closest"])
+        writer = comparison_to_csv if output.endswith("csv") else comparison_to_markdown
+        return writer(rows)
+    if output.startswith("law"):
+        report = law_pipeline(load_reference_grid())
+        writer = law_report_to_csv if output.endswith("csv") else law_report_to_markdown
+        return writer(report)
+    return summary_to_markdown(load_reference_grid())
+
+
+@pytest.mark.parametrize("output", sorted(_RENDER_DIGESTS))
+def test_rendering_digest_is_locked(output):
+    digest = hashlib.sha256(_rendering(output).encode()).hexdigest()
+    assert digest == _RENDER_DIGESTS[output]
+
+
 def test_compare_reference_instance(garn9):
     rows = compare_instances([garn9], [2], ["exact", "nearest", "closest"], time_limit=60)
     assert len(rows) == 1
@@ -167,6 +203,41 @@ def test_comparison_rendering(garn9):
     )
     md = comparison_to_markdown(rows)
     assert "| garn9 | 2 |" in md
+
+
+def test_comparison_reports_exact_and_oracle_statuses(garn9, eil51):
+    rows = compare_instances([garn9], [2], ["nearest", "exact", "oracle"], time_limit=60)
+    csv_lines = comparison_to_csv(rows).splitlines()
+    assert csv_lines[0].endswith(",status_exact,status_oracle")
+    assert csv_lines[1].endswith(",optimal,optimal")
+    md_lines = comparison_to_markdown(rows).splitlines()
+    assert md_lines[0].endswith("| status_exact | status_oracle |")
+    assert md_lines[2].endswith("| optimal | optimal |")
+    # a time-limited incumbent must not read as a proof
+    rows = compare_instances([eil51], [2], ["nearest", "exact"], time_limit=0.05)
+    assert comparison_to_csv(rows).splitlines()[1].endswith(",feasible_time_limit")
+    assert comparison_to_markdown(rows).splitlines()[2].endswith(
+        "| feasible_time_limit |"
+    )
+
+
+def test_solve_dispatches_every_algorithm(garn9):
+    assert ALGORITHMS == ("nearest", "closest", "exact", "oracle")
+    for alg in ("nearest", "closest"):
+        plan, result = solve(garn9, 2, alg)
+        assert result is None
+        assert plan == heuristics.ALGORITHMS[alg](garn9, 2)
+    for alg in ("exact", "oracle"):
+        plan, result = solve(garn9, 2, alg, time_limit=60)
+        assert result.status.value == "optimal"
+        assert plan is result.best
+        assert set(plan.customer_counts()) <= {3, 4}  # default_window(9, 2)
+    # a window too tight for 8 customers reaches both searches
+    for alg in ("exact", "oracle"):
+        with pytest.raises(InfeasibleModelError):
+            solve(garn9, 2, alg, window=(3, 3))
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        solve(garn9, 2, "sweep")
 
 
 def test_default_window_matches_balanced_quotas():

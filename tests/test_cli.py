@@ -197,3 +197,43 @@ def test_simulate_rejects_fewer_than_one_worker(capsys, workers):
     assert code == 1
     assert out == ""
     assert "workers" in err
+
+
+@pytest.mark.parametrize("flag", ["--K", "--L"])
+def test_window_bounds_go_together(capsys, flag):
+    garn9 = str(bundled_path("garn9"))
+    for argv in (
+        ["solve", "--instance", garn9, "--m", "2", "--algorithm", "oracle"],
+        ["compare", "--instances", garn9, "--m", "2", "--algorithms", "oracle"],
+    ):
+        code, out, err = run(capsys, *argv, flag, "3")
+        assert code == 1
+        assert out == ""
+        assert "--K and --L must be given together" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["--nope"],
+        ["solve", "--m", "2"],
+        ["solve", "--instance", "x.tsp", "--m", "2", "--algorithm", "bogus"],
+        ["compare", "--m", "2"],
+        ["simulate", "--kind", "pair", "--seed", "x"],
+    ],
+)
+def test_usage_errors_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["compare", "--help"], ["solve", "-h"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out

@@ -71,6 +71,50 @@ def test_parse_triangular_formats(fmt):
     assert inst.matrix[1, 2] == inst.matrix[2, 1] == 23
 
 
+def _weights_by_loops(vals, fmt, n):
+    """Reference reading of an EDGE_WEIGHT_SECTION, one value at a time in
+    file order; returns the matrix and the number of values it consumed."""
+    it = iter(vals)
+    mat = np.zeros((n, n))
+    if fmt == "FULL_MATRIX":
+        mat = np.array(vals[: n * n]).reshape(n, n)
+        used = n * n
+    else:
+        with_diag = "DIAG" in fmt
+        used = 0
+        for r in range(n):
+            if fmt.startswith("UPPER"):
+                cols = range(r if with_diag else r + 1, n)
+            else:
+                cols = range(0, r + 1 if with_diag else r)
+            for c in cols:
+                v = next(it)
+                used += 1
+                if c != r:
+                    mat[r, c] = mat[c, r] = v
+    np.fill_diagonal(mat, np.inf)
+    return mat, used
+
+
+@pytest.mark.parametrize(
+    "fmt", ["FULL_MATRIX", "UPPER_ROW", "LOWER_ROW", "UPPER_DIAG_ROW", "LOWER_DIAG_ROW"]
+)
+@pytest.mark.parametrize("n", [3, 4, 7, 30, 100])
+def test_weight_formats_match_the_loop_reading(fmt, n):
+    vals = [float(v) for v in np.random.default_rng(n).integers(1, 1000, n * n)]
+    expected, used = _weights_by_loops(vals, fmt, n)
+    tokens = [str(int(v)) for v in vals[:used]]
+    body = "\n".join(" ".join(tokens[i : i + 10]) for i in range(0, used, 10))
+    text = (
+        f"NAME : w{n}\nDIMENSION : {n}\nEDGE_WEIGHT_TYPE : EXPLICIT\n"
+        f"EDGE_WEIGHT_FORMAT : {fmt}\nEDGE_WEIGHT_SECTION\n{body}\nEOF\n"
+    )
+    assert np.array_equal(parse_tsplib(text).matrix, expected)
+    short = text.replace(f"{body}\n", body.rsplit(" ", 1)[0] + "\n")
+    with pytest.raises(ParseError, match=f"of {used} values"):
+        parse_tsplib(short)
+
+
 def test_parse_skips_display_data_section():
     text = (
         "NAME : small\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EXPLICIT\n"
