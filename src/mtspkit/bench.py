@@ -26,7 +26,14 @@ from .distlaw import (
     fit_power_law,
     predict_mtsp_distance,
 )
-from .exact import ExactResult, brute_force_oracle, build_model, solve_exact
+from .exact import (
+    ExactResult,
+    InfeasibleModelError,
+    SolveStatus,
+    brute_force_oracle,
+    build_model,
+    solve_exact,
+)
 from .instance import GridSpec, Instance, RoutePlan, derive_seed, generate_uniform_instance
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -216,8 +223,10 @@ def compare_instances(
     """Distance per algorithm and pairwise percentage gaps per (instance, m).
 
     The gap for an ordered pair (A, B) of the algorithm list is
-    ``100 * (dist_B - dist_A) / dist_A``. Each run goes through
-    :func:`solve`; exact and oracle runs also record their status.
+    ``100 * (dist_B - dist_A) / dist_A``, and ``nan`` when either distance
+    is infinite. Each run goes through :func:`solve`; exact and oracle runs
+    also record their status. A window that cannot cover the customers
+    makes only its own cell ``infeasible``, with distance ``inf``.
     """
     rows = []
     for inst in instances:
@@ -225,14 +234,22 @@ def compare_instances(
             distances: dict[str, float] = {}
             statuses: dict[str, str] = {}
             for alg in algorithms:
-                plan, result = solve(inst, m, alg, window, time_limit)
+                try:
+                    plan, result = solve(inst, m, alg, window, time_limit)
+                except InfeasibleModelError:
+                    distances[alg] = np.inf
+                    statuses[alg] = SolveStatus.INFEASIBLE.value
+                    continue
                 distances[alg] = plan.total_distance if result is None else result.objective
                 if result is not None:
                     statuses[alg] = result.status.value
             gaps = {}
             for i, a in enumerate(algorithms):
                 for b in algorithms[i + 1 :]:
-                    gaps[f"{a}_vs_{b}"] = 100.0 * (distances[b] - distances[a]) / distances[a]
+                    da, db = distances[a], distances[b]
+                    gaps[f"{a}_vs_{b}"] = (
+                        100.0 * (db - da) / da if np.isfinite(da + db) else np.nan
+                    )
             rows.append(ComparisonRow(inst.name, m, distances, gaps, statuses))
     return rows
 

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import bench, distlaw
-from .exact import InfeasibleModelError
+from .exact import InfeasibleModelError, SolveStatus
 from .instance import (
     GridSpec,
     ParseError,
@@ -63,17 +63,26 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    """One record per fleet size that has a plan; any without one exits 2
+    after the others are written."""
     window = _window(args)
     inst = load_instance(args.instance, rounding=args.rounding)
     records = []
+    code = 0
     for m in _int_list(args.m):
-        plan, result = bench.solve(inst, m, args.algorithm, window, args.time_limit)
+        try:
+            plan, result = bench.solve(inst, m, args.algorithm, window, args.time_limit)
+        except InfeasibleModelError as exc:
+            plan, reason = None, f"infeasible: {exc}"
+        else:
+            reason = "no feasible plan found"
         if plan is None:
-            print(f"{inst.name} m={m}: no feasible plan found", file=sys.stderr)
-            return 2
+            print(f"{inst.name} m={m}: {reason}", file=sys.stderr)
+            code = 2
+            continue
         records.append(bench.plan_record(inst.name, m, args.algorithm, plan, result))
     _emit(bench.plan_to_jsonl(records), args.out)
-    return 0
+    return code
 
 
 def cmd_compare(args) -> int:
@@ -91,7 +100,8 @@ def cmd_compare(args) -> int:
         else bench.comparison_to_csv(rows)
     )
     _emit(text, args.out)
-    return 0
+    infeasible = SolveStatus.INFEASIBLE.value
+    return 2 if any(infeasible in row.statuses.values() for row in rows) else 0
 
 
 def cmd_experiment(args) -> int:

@@ -10,12 +10,15 @@ inequalities evaluated on the plan's induced arc/order variables.
 
 The solver is a combinatorial best-first branch-and-bound over partial
 route extensions rather than an LP relaxation; the linear model is the
-correctness semantics, not the search machinery. Each solve builds one
-neighbour table (``neighbour_order``): for every node, its ``(cost, w)``
-pairs to all other nodes in ascending order, as Python floats. Branching
-walks the active route end's row, and ``completion_bound`` takes each of
-its minima as the first still-allowed entry of a row, so the search does
-no numpy-scalar indexing per node.
+correctness semantics, not the search machinery. A search state holds the
+unvisited customers as one int bitmask (bit v is 0-based node v) and the
+route sizes as a tuple. Each solve builds one neighbour table
+(``neighbour_order``): for every node, its ``(cost, w)`` pairs to all other
+nodes in ascending order, as Python floats. Branching walks the active
+route end's row. ``completion_bound`` reads the same rows tagged with
+``1 << w`` (``bound_rows``) and memoises, per solve, the sum of its
+customer terms for each unvisited mask, so the search does no set or
+numpy-scalar work per node.
 
 ``brute_force_oracle``, the ground truth the solver is checked against, is
 dynamic programming over customer subsets, limited to n <= 15.
@@ -172,7 +175,18 @@ def neighbour_order(matrix):
     ]
 
 
-def completion_bound(order, ends, counts, closed, unvisited, min_customers):
+def bound_rows(order):
+    """The table ``completion_bound`` reads: ``(rows, customers)``.
+
+    ``rows[v]`` is ``order[v]`` with each node ``w`` tagged as its bit
+    ``1 << w`` (the depot's bit is 1); ``customers`` lists ``(1 << v,
+    rows[v])`` for every customer ``v`` in ascending order.
+    """
+    rows = [[(cost, 1 << w) for cost, w in row] for row in order]
+    return rows, [(1 << v, rows[v]) for v in range(1, len(rows))]
+
+
+def completion_bound(table, memo, ends, counts, closed, unvisited, min_customers):
     """Admissible completion cost for a partial state (0-based nodes).
 
     Every unvisited customer still needs one outgoing arc (to another
@@ -180,22 +194,33 @@ def completion_bound(order, ends, counts, closed, unvisited, min_customers):
     continuation (a customer, or the depot once the route reached the
     minimum). Summing each term's cheapest option never overestimates.
 
-    Each term is the first entry of the end node's ``neighbour_order`` row
-    that is still allowed, which is that term's exact minimum. Terms are
-    added in ``unvisited`` iteration order, then in route order.
+    ``table`` is ``bound_rows``'s and ``unvisited`` a bitmask over its bits.
+    Each term is the first entry of the node's row whose bit is allowed,
+    which is that term's exact minimum; a customer's scan ends at the depot
+    entry at the latest. The customer terms are added in ascending customer
+    index and their sum is kept in ``memo`` under the mask, then the open
+    routes' terms are added in route order. The bound is therefore a
+    function of the state alone; ``memo`` must belong to ``table`` (one per
+    solve).
     """
-    bound = 0.0
-    for v in unvisited:
-        for cost, w in order[v]:
-            if w == 0 or w in unvisited:
-                bound += cost
-                break
+    rows, customers = table
+    bound = memo.get(unvisited)
+    if bound is None:
+        bound = 0.0
+        allowed = unvisited | 1  # the depot always ends a customer's scan
+        for vbit, row in customers:
+            if unvisited & vbit:
+                for cost, bit in row:
+                    if allowed & bit:
+                        bound += cost
+                        break
+        memo[unvisited] = bound
     for k, end in enumerate(ends):
         if closed[k]:
             continue
-        may_close = counts[k] >= min_customers
-        for cost, w in order[end]:
-            if w in unvisited or (w == 0 and may_close):
+        allowed = unvisited | (counts[k] >= min_customers)  # depot once closable
+        for cost, bit in rows[end]:
+            if allowed & bit:
                 bound += cost
                 break
         else:
@@ -206,20 +231,25 @@ def completion_bound(order, ends, counts, closed, unvisited, min_customers):
 def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResult:
     """Best-first branch and bound over partial route extensions.
 
-    A search node holds m partially built routes. The route with the
-    fewest customers (lowest index on ties) is active; branching appends
-    one unvisited customer (candidates in ascending arc cost, read off the
-    end node's ``neighbour_order`` row) or closes the route once it reached
-    the minimum size. Routes are interchangeable, so first customers are
-    forced into ascending order across routes, which prunes label-permuted
-    duplicates only. The neighbour table is built once per solve; every
-    child's bound is ``completion_bound`` on it. Single-threaded and
+    A search node holds m partially built routes, their sizes, and the
+    unvisited customers as an int bitmask. The route with the fewest
+    customers (lowest index on ties) is active; branching appends one
+    unvisited customer (candidates in ascending arc cost, read off the end
+    node's ``neighbour_order`` row) or closes the route once it reached the
+    minimum size. Routes are interchangeable, so first customers are forced
+    into ascending order across routes, which prunes label-permuted
+    duplicates only. The neighbour table, its bit-tagged rows and the memo
+    of the bound's customer terms are built once per solve; every child's
+    bound is ``completion_bound`` on them, summed in a fixed order, so node
+    counts do not depend on set iteration order. Single-threaded and
     deterministic.
 
     The clock starts before the table is built and is read on every popped
     node, so a time-limited search stops at most one node expansion past
     ``time_limit``. ``wall_time`` also includes freeing the open nodes,
-    which takes time in proportion to their number.
+    which takes time in proportion to their number; a capped search holds
+    as many as it could open within the limit, so the cheaper a node, the
+    longer the freeing.
     """
     if time_limit is not None and time_limit <= 0:
         raise ValueError("time_limit must be positive")
@@ -238,13 +268,16 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
 
     start_time = time.perf_counter()
     order = neighbour_order(model.instance.matrix)
+    table = bound_rows(order)
+    memo = {}  # unvisited mask -> summed customer terms of the bound
     to_depot = model.instance.matrix[:, 0].tolist()
     root = (
         0.0,                      # cost of fixed arcs
         ((),) * m,                # customer sequences (0-based)
         (0,) * m,                 # current end of each route (depot = 0)
+        (0,) * m,                 # customers on each route
         (False,) * m,             # closed flags
-        frozenset(range(1, n)),   # unvisited customers
+        (1 << n) - 2,             # unvisited customers: bits 1..n-1
     )
     counter = itertools.count()
     heap = [(0.0, next(counter), root)]
@@ -263,56 +296,65 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
             timed_out = True
             break
 
-        cost, seqs, ends, closed, unvisited = state
-        open_routes = [k for k in range(m) if not closed[k]]
-        # size-window feasibility; it also drops an all-closed state, which
-        # still has customers (a finished plan is never pushed)
-        if sum(kmax - len(seqs[k]) for k in open_routes) < len(unvisited):
+        cost, seqs, ends, counts, closed, unvisited = state
+        left = unvisited.bit_count()
+        # size-window feasibility, and the active route: the open one with
+        # the fewest customers, lowest index on ties. An all-closed state
+        # still has customers (a finished plan is never pushed), so it fails.
+        room = short = 0
+        active = -1
+        for k in range(m):
+            if not closed[k]:
+                count = counts[k]
+                room += kmax - count
+                short += max(kmin - count, 0)
+                if active < 0 or count < counts[active]:
+                    active = k
+        if room < left or short > left:
             continue
-        if sum(max(kmin - len(seqs[k]), 0) for k in open_routes) > len(unvisited):
-            continue
-        active = min(open_routes, key=lambda k: (len(seqs[k]), k))
         end = ends[active]
+        size = counts[active]
 
         children = []
-        if len(seqs[active]) < kmax and unvisited:
+        if size < kmax and unvisited:
             floor = -1
-            if not seqs[active] and active > 0:
+            if not size and active > 0:
                 floor = seqs[active - 1][0]  # label symmetry: first customers ascend
+            grown = _replace(counts, active, size + 1)
             for arc, node in order[end]:
-                if node <= floor or node not in unvisited:
+                if node <= floor or not unvisited >> node & 1:
                     continue
                 children.append(
                     (
                         cost + arc,
                         _replace(seqs, active, seqs[active] + (node,)),
                         _replace(ends, active, node),
+                        grown,
                         closed,
-                        unvisited - {node},
+                        unvisited ^ 1 << node,
                     )
                 )
-        if len(seqs[active]) >= kmin:
+        if size >= kmin:
             children.append(
                 (
                     cost + to_depot[end],
                     seqs,
                     _replace(ends, active, 0),
+                    counts,
                     _replace(closed, active, True),
                     unvisited,
                 )
             )
 
         for child in children:
-            c_cost = child[0]
-            c_closed, c_unvisited = child[3], child[4]
+            c_cost, c_seqs, c_ends, c_counts, c_closed, c_unvisited = child
             if all(c_closed) and not c_unvisited:
                 if c_cost < incumbent_cost - _EPS:
                     incumbent_cost = c_cost
-                    incumbent_routes = child[1]
+                    incumbent_routes = c_seqs
                 continue
             child_bound = c_cost + completion_bound(
-                order, child[2], [len(s) for s in child[1]], c_closed,
-                c_unvisited, kmin,
+                table, memo, c_ends, c_counts, c_closed, c_unvisited, kmin
             )
             if child_bound < incumbent_cost - _EPS:
                 heappush(heap, (child_bound, next(counter), child))

@@ -178,6 +178,35 @@ def test_exit_code_infeasible(capsys):
     assert "infeasible" in err
 
 
+def test_compare_keeps_feasible_cells_beside_an_infeasible_one(capsys):
+    # K=2, L=3 covers 8 customers with 4 routes but not with 2
+    code, text, err = run(
+        capsys, "compare", "--instances", str(bundled_path("garn9")), "--m", "4,2",
+        "--algorithms", "nearest,oracle", "--K", "2", "--L", "3",
+    )
+    assert code == 2
+    lines = text.splitlines()
+    assert lines[0] == (
+        "instance,m,dist_nearest,dist_oracle,gap_pct_nearest_vs_oracle,status_oracle"
+    )
+    assert lines[1].startswith("garn9,4,") and lines[1].endswith(",optimal")
+    assert lines[2].startswith("garn9,2,") and lines[2].endswith(",inf,nan,infeasible")
+    assert len(lines) == 3
+    assert err == ""
+
+
+def test_solve_keeps_the_fleet_sizes_it_solved(capsys, tmp_path):
+    out = tmp_path / "plans.jsonl"
+    code, _, err = run(
+        capsys, "solve", "--instance", str(bundled_path("garn9")), "--m", "4,2,3",
+        "--algorithm", "exact", "--K", "2", "--L", "3", "--out", str(out),
+    )
+    assert code == 2
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(r["m"], r["status"]) for r in records] == [(4, "optimal"), (3, "optimal")]
+    assert "garn9 m=2: infeasible: window [2, 3]" in err
+
+
 @pytest.mark.parametrize("m", ["5-2", ",", ""])
 def test_solve_rejects_empty_or_descending_fleet_sizes(capsys, m):
     code, out, err = run(

@@ -1,6 +1,10 @@
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import mtspkit
 from mtspkit import (
     GridSpec,
     InfeasibleModelError,
@@ -24,7 +29,7 @@ from mtspkit import (
     solve_exact,
 )
 from mtspkit.bench import default_window
-from mtspkit.exact import ORACLE_MAX_N, completion_bound, neighbour_order
+from mtspkit.exact import ORACLE_MAX_N, bound_rows, completion_bound, neighbour_order
 from mtspkit.instance import PlanError, rng_from_seed
 
 
@@ -297,7 +302,7 @@ def test_search_is_locked():
                       result.best.routes)
             digest.update(repr(record).encode())
     assert digest.hexdigest() == (
-        "154a0854a48a71d7f661a96231de0a3e879f01e0c5dbf5a4685462ebdbcee67c"
+        "48fced4cb85d335050332e0f2562cd1729c380677a3b9697eb30a14a76abfa07"
     )
 
 
@@ -387,9 +392,9 @@ def _enumerate_completions(dist, seqs, ends, closed, unvisited, lo, hi):
 def _reference_bound(dist, ends, counts, closed, unvisited, min_customers):
     """The completion bound as a direct scan of the matrix: the formula the
     neighbour-table bound must reproduce bit for bit."""
-    uv = unvisited
+    uv = {v for v in range(len(dist)) if unvisited >> v & 1}
     bound = 0.0
-    for v in uv:
+    for v in sorted(uv):
         best = dist[v, 0]
         for w in uv:
             if w != v and dist[v, w] < best:
@@ -431,7 +436,7 @@ def _bound_states(draw):
     ends = tuple(0 if c or not s else s[-1] for s, c in zip(seqs, closed))
     counts = [len(s) for s in seqs]
     kmin = draw(st.integers(1, n - 1))
-    return mat, ends, counts, closed, frozenset(customers[visited:]), kmin
+    return mat, ends, counts, closed, sum(1 << v for v in customers[visited:]), kmin
 
 
 @settings(max_examples=300, deadline=None)
@@ -439,8 +444,52 @@ def _bound_states(draw):
 def test_completion_bound_matches_reference(state):
     mat, ends, counts, closed, unvisited, kmin = state
     expected = _reference_bound(mat, ends, counts, closed, unvisited, kmin)
-    got = completion_bound(neighbour_order(mat), ends, counts, closed, unvisited, kmin)
+    got = completion_bound(
+        bound_rows(neighbour_order(mat)), {}, ends, counts, closed, unvisited, kmin
+    )
     assert got == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bound_states())
+def test_completion_bound_memo_keeps_the_bits(state):
+    # a memo filled by other states of the same table (every mask one
+    # customer away, and this mask with one open route at the depot) must
+    # not change a single bit of the bound
+    mat, ends, counts, closed, unvisited, kmin = state
+    table = bound_rows(neighbour_order(mat))
+    fresh = completion_bound(table, {}, ends, counts, closed, unvisited, kmin)
+    memo = {}
+    for v in range(1, len(mat)):
+        completion_bound(table, memo, (v,), (1,), (False,), unvisited ^ 1 << v, 1)
+    completion_bound(table, memo, (0,), (0,), (False,), unvisited, 1)
+    got = completion_bound(table, memo, ends, counts, closed, unvisited, kmin)
+    assert got.hex() == fresh.hex()
+
+
+_SOLVE_ONE = """
+import sys
+from mtspkit import GridSpec, build_model, generate_uniform_instance, solve_exact
+inst = generate_uniform_instance(GridSpec(10, 100, int(sys.argv[1])))
+r = solve_exact(build_model(inst, 2, 4, 5))
+print(repr((r.status.value, r.best, r.objective, r.lower_bound, r.nodes_explored)))
+"""
+
+
+def test_bound_memo_is_per_solve():
+    # instance B right after instance A (same n, m and window) must match B
+    # solved in a fresh interpreter: a memo that outlived its solve would
+    # score B's unvisited masks with A's customer terms
+    env = dict(os.environ, PYTHONPATH=str(Path(mtspkit.__file__).parents[1]))
+    alone = subprocess.run(
+        [sys.executable, "-c", _SOLVE_ONE, "72"],
+        capture_output=True, text=True, check=True, env=env,
+    ).stdout
+    solve_exact(build_model(generate_uniform_instance(GridSpec(10, 100, 71)), 2, 4, 5))
+    b = generate_uniform_instance(GridSpec(10, 100, 72))
+    r = solve_exact(build_model(b, 2, 4, 5))
+    after = repr((r.status.value, r.best, r.objective, r.lower_bound, r.nodes_explored))
+    assert after == alone.strip()
 
 
 def test_neighbour_order_rows_are_sorted_pairs():
@@ -467,7 +516,8 @@ def test_completion_bound_is_admissible():
         ]
         for seqs, ends, closed, unvisited in states:
             bound = completion_bound(
-                neighbour_order(dist), ends, [len(s) for s in seqs], closed, unvisited, lo
+                bound_rows(neighbour_order(dist)), {}, ends, [len(s) for s in seqs],
+                closed, sum(1 << v for v in unvisited), lo,
             )
             truth = _enumerate_completions(dist, seqs, ends, closed, unvisited, lo, hi)
             assert bound <= truth + 1e-9
