@@ -131,6 +131,9 @@ def summary_to_csv(rows: list[SummaryRow]) -> str:
 
 def summary_from_csv(text: str) -> list[SummaryRow]:
     reader = csv.DictReader(io.StringIO(text))
+    missing = [c for c in SUMMARY_COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"summary CSV lacks column(s): {', '.join(missing)}")
     rows = []
     for rec in reader:
         rows.append(
@@ -224,9 +227,10 @@ def compare_instances(
 
     The gap for an ordered pair (A, B) of the algorithm list is
     ``100 * (dist_B - dist_A) / dist_A``, and ``nan`` when either distance
-    is infinite. Each run goes through :func:`solve`; exact and oracle runs
-    also record their status. A window that cannot cover the customers
-    makes only its own cell ``infeasible``, with distance ``inf``.
+    is infinite or ``dist_A`` is 0. Each run goes through :func:`solve`;
+    exact and oracle runs also record their status. A window that cannot
+    cover the customers makes only its own cell ``infeasible``, with
+    distance ``inf``.
     """
     rows = []
     for inst in instances:
@@ -248,7 +252,7 @@ def compare_instances(
                 for b in algorithms[i + 1 :]:
                     da, db = distances[a], distances[b]
                     gaps[f"{a}_vs_{b}"] = (
-                        100.0 * (db - da) / da if np.isfinite(da + db) else np.nan
+                        100.0 * (db - da) / da if da and np.isfinite(da + db) else np.nan
                     )
             rows.append(ComparisonRow(inst.name, m, distances, gaps, statuses))
     return rows

@@ -1,12 +1,12 @@
 """Exact solving: constraint model, branch-and-bound, subset DP oracle.
 
-The model mirrors the classic single-depot integer program with MTZ-style
-order variables: m routes leave and re-enter the depot, every customer is
-entered and left exactly once, each route carries between ``min_customers``
-and ``max_customers`` customers, and (when ``min_customers > 2``) no route
-may consist of a single out-and-back customer. ``check_solution`` verifies
-a plan both through those counting rules and through the literal linear
-inequalities evaluated on the plan's induced arc/order variables.
+The model is the node-balanced MTZ program of Kara & Bektas (2006) with
+the route-size window [K, L] = [``min_customers``, ``max_customers``]:
+degree rows (m routes leave and re-enter the depot, every customer is
+entered and left exactly once), upper and lower window rows, MTZ order
+rows and, for K >= 2, the two-node row x[1, i] + x[i, 1] <= 1.
+``check_solution`` is its one statement: it evaluates those rows, each
+family as one whole-array expression, on a plan's induced x/u variables.
 
 The solver is a combinatorial best-first branch-and-bound over partial
 route extensions rather than an LP relaxation; the linear model is the
@@ -96,70 +96,49 @@ def build_model(
 
 
 def check_solution(model: ExactModel, plan: RoutePlan):
-    """Return ``(ok, violations)`` for a plan against the model.
+    """Return ``(ok, violations)`` for a plan against the model's literal rows.
 
     Structural defects (bad depot usage, repeated or missing nodes) raise
-    ``PlanError``; model-constraint violations are collected and returned.
+    ``PlanError``. The plan then induces the model's variables: ``x[i, j]``
+    is 1 for each hop and ``u[i]`` is customer i's 1-based position in its
+    route. Each row family (degree, upper and lower window, MTZ order,
+    two-node for K >= 2) is one whole-array expression over them; a failing
+    family yields one message per route it fails on, naming the route and
+    its size. On a structurally valid plan the rows hold exactly when there
+    are m routes of K..L customers.
     """
     plan = evaluate_plan(model.instance, plan.routes)  # structural rejection
+    n, upper, lower = model.instance.n, model.max_customers, model.min_customers
+    tour = np.concatenate([r[:-1] for r in plan.routes] + [(1,)]) - 1  # 0-based
+    x = np.zeros((n, n), dtype=np.int64)
+    x[tour[:-1], tour[1:]] = 1
+    route = np.cumsum(tour == 0)  # 1-based route index along the tour
+    depots = np.flatnonzero(tour == 0)
+    u = np.zeros(n, dtype=np.int64)
+    u[tour] = np.arange(tour.size) - depots[route - 1]
+    route_of = np.zeros(n, dtype=np.int64)
+    route_of[tour] = route
+    sizes = np.diff(depots) - 1
+
+    # per customer i: x[1, i] (first on its route), x[i, 1] (last), u[i], x[i, :]
+    first, last, uc, xc = x[0, 1:], x[1:, 0], u[1:], x[1:, 1:]
     violations = []
-    if plan.m != model.m:
+    if first.sum() != model.m or last.sum() != model.m:
         violations.append(f"plan has {plan.m} routes, model requires {model.m}")
-    for idx, count in enumerate(plan.customer_counts(), start=1):
-        if count < model.min_customers:
-            violations.append(
-                f"route {idx} visits {count} customers, below minimum "
-                f"{model.min_customers}"
-            )
-        if count > model.max_customers:
-            violations.append(
-                f"route {idx} visits {count} customers, above maximum "
-                f"{model.max_customers}"
-            )
-        if model.min_customers > 2 and count == 1:
-            violations.append(f"route {idx} is a forbidden two-node tour")
-    violations.extend(_linear_violations(model, plan))
+    # an MTZ row with i == j reads 0 <= upper - 1, so the full square is safe
+    order = uc[:, None] - uc + upper * xc + (upper - 2) * xc.T > upper - 1
+    families = (  # per customer: does a row of the family fail at it?
+        ("not entered and left exactly once",  # holds on every structural plan
+         (x[:, 1:].sum(0) != 1) | (x[1:].sum(1) != 1)),
+        (f"above maximum {upper}",
+         (uc + (upper - 2) * first - last > upper - 1) | order.any(1)),
+        (f"below minimum {lower}", uc + first + (2 - lower) * last < 2),
+        ("a forbidden two-node tour", (first + last > 1) & (lower >= 2)),
+    )
+    for words, fails in families:  # np.unique would import numpy.ma (~20 ms)
+        for r in np.flatnonzero(np.bincount(route_of[1:][fails])).tolist():
+            violations.append(f"route {r} visits {sizes[r - 1]} customers, {words}")
     return not violations, violations
-
-
-def _linear_violations(model: ExactModel, plan: RoutePlan):
-    """Evaluate the linear inequalities on the plan's induced variables.
-
-    Arc variables x[i][j] are 1 exactly for consecutive route hops; order
-    variables carry each customer's 1-based position within its route.
-    Redundant with the counting checks for any structurally valid plan, but
-    kept as the literal reading of the model.
-    """
-    if plan.m != model.m:
-        return []  # counting check already reported; degree sums would be noise
-    n = model.instance.n
-    upper = model.max_customers
-    lower = model.min_customers
-    x = np.zeros((n + 1, n + 1), dtype=np.int64)
-    u = np.zeros(n + 1, dtype=np.int64)
-    for route in plan.routes:
-        for a, b in zip(route[:-1], route[1:]):
-            x[a, b] += 1
-        for position, node in enumerate(route[1:-1], start=1):
-            u[node] = position
-    out = []
-    if x[1, 2:].sum() != model.m or x[2:, 1].sum() != model.m:
-        out.append("depot degree differs from m")
-    for j in range(2, n + 1):
-        if x[:, j].sum() != 1 or x[j, :].sum() != 1:
-            out.append(f"node {j} not entered and left exactly once")
-    for i in range(2, n + 1):
-        if u[i] + (upper - 2) * x[1, i] - x[i, 1] > upper - 1:
-            out.append(f"route-size upper bound violated at node {i}")
-        if u[i] + x[1, i] + (2 - lower) * x[i, 1] < 2:
-            out.append(f"route-size lower bound violated at node {i}")
-        if lower > 2 and x[1, i] + x[i, 1] > 1:
-            out.append(f"two-node tour through node {i}")
-    for i in range(2, n + 1):
-        for j in range(2, n + 1):
-            if i != j and u[i] - u[j] + upper * x[i, j] + (upper - 2) * x[j, i] > upper - 1:
-                out.append(f"order inconsistency on arc ({i}, {j})")
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,26 @@ def test_experiment_and_law_round_trip(capsys, tmp_path):
     assert len(text.strip().splitlines()) == 9
 
 
+def test_law_rejects_a_csv_without_a_column(capsys, tmp_path):
+    rows_file = tmp_path / "rows.csv"
+    rows_file.write_text("t,m,algorithm,mean,samples\n50,2,nearest,611.2,30\n")
+    code, text, err = run(capsys, "law", "--rows", str(rows_file))
+    assert code == 1
+    assert text == ""
+    assert err == "error: summary CSV lacks column(s): std\n"
+
+
+def test_compare_on_coincident_points_writes_nan_gaps(capsys, tmp_path):
+    same = tmp_path / "same.csv"
+    same.write_text("x,y\n" + "5,5\n" * 6)
+    code, text, err = run(
+        capsys, "compare", "--instances", str(same), "--m", "2",
+        "--algorithms", "nearest,oracle",
+    )
+    assert code == 0 and err == ""
+    assert text.splitlines()[1] == "same,2,0.0,0.0,nan,optimal"
+
+
 def test_law_defaults_to_bundled_grid(capsys):
     code, text, _ = run(capsys, "law", "--format", "markdown")
     assert code == 0

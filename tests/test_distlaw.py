@@ -297,6 +297,34 @@ def test_min_dist_tracks_the_law():
     assert result.mean == pytest.approx(law, rel=0.05)
 
 
+def _min_dist_moments(n, domain):
+    """Exact E[D] and E[D^2] of the minimum distance D from one point to n."""
+    if isinstance(domain, UnitInterval):
+        return (
+            (n + 3) / (2 * (n + 1) * (n + 2)),
+            (n + 7) / (2 * (n + 1) * (n + 2) * (n + 3)),
+        )
+    high = domain.high
+    x = np.arange(1, high + 1)[:, None]
+    d = np.arange(1, high)
+    within = np.minimum(high, x + d - 1) - np.maximum(1, x - d + 1) + 1  # |x - y| < d
+    tail = (((high - within) / high) ** n).mean(axis=0)  # P(D >= d)
+    return tail.sum(), ((2 * d - 1) * tail).sum()
+
+
+@pytest.mark.parametrize(
+    "n, domain",
+    [(5, UnitInterval()), (50, UnitInterval()), (5, IntegerRange(30)), (50, IntegerRange(100))],
+    ids=["unit-5", "unit-50", "int30-5", "int100-50"],
+)
+def test_min_dist_mean_matches_the_exact_expectation(n, domain):
+    reps = 1 << 16
+    mean, second = _min_dist_moments(n, domain)
+    result = simulate_min_dist(n, reps, domain, seed=1)
+    se = math.sqrt((second - mean * mean) / reps)
+    assert abs(result.mean - mean) < 4 * se
+
+
 def test_simulation_determinism_and_worker_invariance():
     base = simulate_pair_dist(80_000, UnitInterval(), seed=5)
     again = simulate_pair_dist(80_000, UnitInterval(), seed=5)

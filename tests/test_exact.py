@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 import mtspkit
 from mtspkit import (
+    ExactModel,
     GridSpec,
     InfeasibleModelError,
     Instance,
@@ -95,6 +96,43 @@ def test_check_solution_rejects_structural_garbage(garn9):
     twice = RoutePlan(((1, 2, 2, 3, 4, 1), (1, 5, 6, 7, 8, 9, 1)), (0.0, 0.0), 0.0)
     with pytest.raises(PlanError):
         check_solution(model, twice)
+
+
+def test_check_solution_two_node_row_applies_from_k_2(garn9):
+    # the K >= 2 two-node row is the only row a one-customer route fails at K = 2
+    plan = evaluate_plan(garn9, [[1, 2, 1], [1, 3, 4, 5, 6, 7, 8, 9, 1]])
+    ok, violations = check_solution(ExactModel(garn9, 2, 2, 7), plan)
+    assert not ok
+    assert violations == ["route 1 visits 1 customers, a forbidden two-node tour"]
+    assert check_solution(ExactModel(garn9, 2, 1, 7), plan) == (True, [])
+
+
+@st.composite
+def _plans_and_models(draw):
+    """A structurally valid plan and a model with any m and 1 <= K <= L <= n-1."""
+    n = draw(st.integers(3, 12))
+    customers = draw(st.permutations(range(2, n + 1)))
+    cuts = draw(st.sets(st.integers(1, n - 2), max_size=n - 2))
+    bounds = [0, *sorted(cuts), n - 1]
+    routes = [[1, *customers[a:b], 1] for a, b in zip(bounds, bounds[1:])]
+    m = draw(st.sampled_from([len(routes), draw(st.integers(1, n - 1))]))
+    lower = draw(st.integers(1, n - 1))
+    upper = draw(st.integers(lower, n - 1))
+    inst = generate_uniform_instance(GridSpec(n, 100, draw(st.integers(0, 99))))
+    return evaluate_plan(inst, routes), ExactModel(inst, m, lower, upper)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_plans_and_models())
+def test_check_solution_rows_match_the_counting_rule(case):
+    plan, model = case
+    counting = plan.m == model.m and all(
+        model.min_customers <= count <= model.max_customers
+        for count in plan.customer_counts()
+    )
+    ok, violations = check_solution(model, plan)
+    assert ok == counting, violations
+    assert ok == (violations == [])
 
 
 def test_solve_exact_reference_instance(garn9):
