@@ -193,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--time-limit", type=float, default=None)
         q.add_argument("--rounding", choices=("none", "integer"), default="none")
         q.add_argument("--out")
-        q.add_argument("--format", choices=("jsonl",), default="jsonl")
         q.set_defaults(func=cmd_solve)
 
     add_solve("solve", "route an instance with one algorithm")

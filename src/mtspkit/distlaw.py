@@ -81,7 +81,8 @@ def delta_estimate(table: list[SummaryRow]):
 
     ``table`` must hold one algorithm's rows over a full grid
     S x {2..max_m}; the increments are ``s[t, m] - s[t, m-1]`` for every
-    t and every m >= 3.
+    t and every m >= 3. Fewer than two increments have no sample std, so
+    they raise ``ValueError``.
     """
     if not table:
         raise ValueError("empty summary table")
@@ -100,6 +101,10 @@ def delta_estimate(table: list[SummaryRow]):
                 raise ValueError(f"missing grid cell (t={t}, m={m})")
             if m >= 3:
                 diffs.append(cells[t, m] - cells[t, m - 1])
+    if len(diffs) < 2:
+        raise ValueError(
+            f"need at least two consecutive-m increments, got {len(diffs)}"
+        )
     diffs = np.asarray(diffs)
     return float(diffs.mean()), float(diffs.std(ddof=1))
 

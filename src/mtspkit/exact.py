@@ -10,15 +10,15 @@ family as one whole-array expression, on a plan's induced x/u variables.
 
 The solver is a combinatorial best-first branch-and-bound over partial
 route extensions rather than an LP relaxation; the linear model is the
-correctness semantics, not the search machinery. A search state holds the
-unvisited customers as one int bitmask (bit v is 0-based node v) and the
-route sizes as a tuple. Each solve builds one neighbour table
-(``neighbour_order``): for every node, its ``(cost, w)`` pairs to all other
-nodes in ascending order, as Python floats. Branching walks the active
-route end's row. ``completion_bound`` reads the same rows tagged with
-``1 << w`` (``bound_rows``) and memoises, per solve, the sum of its
-customer terms for each unvisited mask, so the search does no set or
-numpy-scalar work per node.
+correctness semantics, not the search machinery. A search state is
+``(cost, seqs, closed, unvisited)``, with the unvisited customers as one
+int bitmask (bit v is 0-based node v); a route's end and size are read off
+its sequence. Each solve builds one neighbour table (``neighbour_table``):
+for every node, its ``(cost, 1 << w)`` pairs to all other nodes in
+ascending ``(cost, w)`` order, as Python floats. Branching walks the active
+route end's row, and ``completion_bound`` reads the same rows and
+memoises, per solve, the sum of its customer terms for each unvisited
+mask, so the search does no set or numpy-scalar work per node.
 
 ``brute_force_oracle``, the ground truth the solver is checked against, is
 dynamic programming over customer subsets, limited to n <= 15.
@@ -144,28 +144,22 @@ def check_solution(model: ExactModel, plan: RoutePlan):
 # ---------------------------------------------------------------------------
 # branch and bound
 
-def neighbour_order(matrix):
-    """Per-node neighbour table: ``order[v]`` lists ``(cost, w)`` for every
-    node ``w != v``, sorted by ``(cost, w)``. Costs are Python floats read
-    from ``matrix.tolist()``."""
-    return [
-        sorted((cost, w) for w, cost in enumerate(row) if w != v)
+def neighbour_table(matrix):
+    """The one per-solve table branching and bound read: ``(rows, customers)``.
+
+    ``rows[v]`` lists ``(cost, 1 << w)`` for every node ``w != v``, sorted by
+    ``(cost, w)``; costs are Python floats read from ``matrix.tolist()`` and
+    the depot's bit is 1. ``customers`` lists ``(1 << v, rows[v])`` for every
+    customer ``v`` in ascending order.
+    """
+    rows = [
+        sorted((cost, 1 << w) for w, cost in enumerate(row) if w != v)
         for v, row in enumerate(matrix.tolist())
     ]
-
-
-def bound_rows(order):
-    """The table ``completion_bound`` reads: ``(rows, customers)``.
-
-    ``rows[v]`` is ``order[v]`` with each node ``w`` tagged as its bit
-    ``1 << w`` (the depot's bit is 1); ``customers`` lists ``(1 << v,
-    rows[v])`` for every customer ``v`` in ascending order.
-    """
-    rows = [[(cost, 1 << w) for cost, w in row] for row in order]
     return rows, [(1 << v, rows[v]) for v in range(1, len(rows))]
 
 
-def completion_bound(table, memo, ends, counts, closed, unvisited, min_customers):
+def completion_bound(table, memo, seqs, closed, unvisited, min_customers):
     """Admissible completion cost for a partial state (0-based nodes).
 
     Every unvisited customer still needs one outgoing arc (to another
@@ -173,14 +167,14 @@ def completion_bound(table, memo, ends, counts, closed, unvisited, min_customers
     continuation (a customer, or the depot once the route reached the
     minimum). Summing each term's cheapest option never overestimates.
 
-    ``table`` is ``bound_rows``'s and ``unvisited`` a bitmask over its bits.
-    Each term is the first entry of the node's row whose bit is allowed,
-    which is that term's exact minimum; a customer's scan ends at the depot
-    entry at the latest. The customer terms are added in ascending customer
-    index and their sum is kept in ``memo`` under the mask, then the open
-    routes' terms are added in route order. The bound is therefore a
-    function of the state alone; ``memo`` must belong to ``table`` (one per
-    solve).
+    ``table`` is ``neighbour_table``'s and ``unvisited`` a bitmask over its
+    bits; an open route ends at ``seq[-1]``, or the depot while empty. Each
+    term is the first entry of the node's row whose bit is allowed, which is
+    that term's exact minimum; a customer's scan ends at the depot entry at
+    the latest. The customer terms are added in ascending customer index and
+    their sum is kept in ``memo`` under the mask, then the open routes'
+    terms are added in route order. The bound is therefore a function of the
+    state alone; ``memo`` must belong to ``table`` (one per solve).
     """
     rows, customers = table
     bound = memo.get(unvisited)
@@ -194,11 +188,11 @@ def completion_bound(table, memo, ends, counts, closed, unvisited, min_customers
                         bound += cost
                         break
         memo[unvisited] = bound
-    for k, end in enumerate(ends):
-        if closed[k]:
+    for seq, done in zip(seqs, closed):
+        if done:
             continue
-        allowed = unvisited | (counts[k] >= min_customers)  # depot once closable
-        for cost, bit in rows[end]:
+        allowed = unvisited | (len(seq) >= min_customers)  # depot once closable
+        for cost, bit in rows[seq[-1] if seq else 0]:
             if allowed & bit:
                 bound += cost
                 break
@@ -210,17 +204,19 @@ def completion_bound(table, memo, ends, counts, closed, unvisited, min_customers
 def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResult:
     """Best-first branch and bound over partial route extensions.
 
-    A search node holds m partially built routes, their sizes, and the
-    unvisited customers as an int bitmask. The route with the fewest
-    customers (lowest index on ties) is active; branching appends one
-    unvisited customer (candidates in ascending arc cost, read off the end
-    node's ``neighbour_order`` row) or closes the route once it reached the
-    minimum size. Routes are interchangeable, so first customers are forced
-    into ascending order across routes, which prunes label-permuted
-    duplicates only. The neighbour table, its bit-tagged rows and the memo
-    of the bound's customer terms are built once per solve; every child's
-    bound is ``completion_bound`` on them, summed in a fixed order, so node
-    counts do not depend on set iteration order. Single-threaded and
+    A search state is ``(cost, seqs, closed, unvisited)``: the fixed arcs'
+    cost, m partially built customer sequences, their closed flags and the
+    unvisited customers as an int bitmask. A route ends at its last
+    customer (the depot while empty) and its size is its length. The route
+    with the fewest customers (lowest index on ties) is active; branching
+    appends one unvisited customer (candidates in ascending arc cost, read
+    off the end node's ``neighbour_table`` row) or closes the route once it
+    reached the minimum size. Routes are interchangeable, so first customers
+    are forced into ascending order across routes, which prunes
+    label-permuted duplicates only. The table and the memo of the bound's
+    customer terms are built once per solve; each child is bounded by
+    ``completion_bound`` on them as it is made, summed in a fixed order, so
+    node counts do not depend on set iteration order. Single-threaded and
     deterministic.
 
     The clock starts before the table is built and is read on every popped
@@ -246,18 +242,13 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
         incumbent_routes = tuple(tuple(v - 1 for v in r[1:-1]) for r in model.warm_start.routes)
 
     start_time = time.perf_counter()
-    order = neighbour_order(model.instance.matrix)
-    table = bound_rows(order)
+    table = neighbour_table(model.instance.matrix)
+    rows = table[0]
     memo = {}  # unvisited mask -> summed customer terms of the bound
     to_depot = model.instance.matrix[:, 0].tolist()
-    root = (
-        0.0,                      # cost of fixed arcs
-        ((),) * m,                # customer sequences (0-based)
-        (0,) * m,                 # current end of each route (depot = 0)
-        (0,) * m,                 # customers on each route
-        (False,) * m,             # closed flags
-        (1 << n) - 2,             # unvisited customers: bits 1..n-1
-    )
+    # cost of fixed arcs, customer sequences (0-based), closed flags, and the
+    # unvisited customers: bits 1..n-1
+    root = (0.0, ((),) * m, (False,) * m, (1 << n) - 2)
     counter = itertools.count()
     heap = [(0.0, next(counter), root)]
     explored = 0
@@ -275,7 +266,7 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
             timed_out = True
             break
 
-        cost, seqs, ends, counts, closed, unvisited = state
+        cost, seqs, closed, unvisited = state
         left = unvisited.bit_count()
         # size-window feasibility, and the active route: the open one with
         # the fewest customers, lowest index on ties. An all-closed state
@@ -284,58 +275,44 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
         active = -1
         for k in range(m):
             if not closed[k]:
-                count = counts[k]
+                count = len(seqs[k])
                 room += kmax - count
                 short += max(kmin - count, 0)
-                if active < 0 or count < counts[active]:
-                    active = k
+                if active < 0 or count < size:
+                    active, size = k, count
         if room < left or short > left:
             continue
-        end = ends[active]
-        size = counts[active]
+        seq = seqs[active]
+        end = seq[-1] if seq else 0
 
-        children = []
-        if size < kmax and unvisited:
-            floor = -1
-            if not size and active > 0:
-                floor = seqs[active - 1][0]  # label symmetry: first customers ascend
-            grown = _replace(counts, active, size + 1)
-            for arc, node in order[end]:
-                if node <= floor or not unvisited >> node & 1:
-                    continue
-                children.append(
-                    (
-                        cost + arc,
-                        _replace(seqs, active, seqs[active] + (node,)),
-                        _replace(ends, active, node),
-                        grown,
-                        closed,
-                        unvisited ^ 1 << node,
+        candidates = unvisited
+        if not size and active > 0:  # label symmetry: first customers ascend
+            candidates &= -2 << seqs[active - 1][0]
+        if size < kmax and candidates:
+            for arc, bit in rows[end]:
+                if candidates & bit:
+                    grown = _replace(seqs, active, seq + (bit.bit_length() - 1,))
+                    rest = unvisited ^ bit
+                    child_cost = cost + arc
+                    child_bound = child_cost + completion_bound(
+                        table, memo, grown, closed, rest, kmin
                     )
-                )
+                    if child_bound < incumbent_cost - _EPS:
+                        child = (child_cost, grown, closed, rest)
+                        heappush(heap, (child_bound, next(counter), child))
         if size >= kmin:
-            children.append(
-                (
-                    cost + to_depot[end],
-                    seqs,
-                    _replace(ends, active, 0),
-                    counts,
-                    _replace(closed, active, True),
-                    unvisited,
-                )
-            )
-
-        for child in children:
-            c_cost, c_seqs, c_ends, c_counts, c_closed, c_unvisited = child
-            if all(c_closed) and not c_unvisited:
-                if c_cost < incumbent_cost - _EPS:
-                    incumbent_cost = c_cost
-                    incumbent_routes = c_seqs
+            shut = _replace(closed, active, True)
+            child_cost = cost + to_depot[end]
+            if not unvisited and all(shut):
+                if child_cost < incumbent_cost - _EPS:
+                    incumbent_cost = child_cost
+                    incumbent_routes = seqs
                 continue
-            child_bound = c_cost + completion_bound(
-                table, memo, c_ends, c_counts, c_closed, c_unvisited, kmin
+            child_bound = child_cost + completion_bound(
+                table, memo, seqs, shut, unvisited, kmin
             )
             if child_bound < incumbent_cost - _EPS:
+                child = (child_cost, seqs, shut, unvisited)
                 heappush(heap, (child_bound, next(counter), child))
 
     heap.clear()  # freeing the open nodes is part of the solve's time

@@ -443,7 +443,9 @@ def dumps_tsplib(instance: Instance) -> str:
 # ---------------------------------------------------------------------------
 # CSV coordinates (header "x,y"; row 1 is the depot)
 
-def parse_coords_csv(text: str, name: str = "csv-instance") -> Instance:
+def parse_coords_csv(
+    text: str, name: str = "csv-instance", rounding: str = "none"
+) -> Instance:
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -461,7 +463,7 @@ def parse_coords_csv(text: str, name: str = "csv-instance") -> Instance:
             pts.append((float(row[0]), float(row[1])))
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric coordinate") from None
-    return Instance.from_coords(name, pts)
+    return Instance.from_coords(name, pts, rounding)
 
 
 def dumps_coords_csv(instance: Instance) -> str:
@@ -477,7 +479,7 @@ def load_instance(path, rounding: str = "none") -> Instance:
     path = Path(path)
     text = path.read_text()
     if path.suffix.lower() == ".csv":
-        return parse_coords_csv(text, name=path.stem)
+        return parse_coords_csv(text, name=path.stem, rounding=rounding)
     return parse_tsplib(text, rounding=rounding)
 
 

@@ -17,7 +17,7 @@ import pytest
 
 import mtspkit as mk
 from mtspkit import heuristics
-from mtspkit.exact import bound_rows, completion_bound, neighbour_order
+from mtspkit.exact import completion_bound, neighbour_table
 from mtspkit.instance import bundled_path
 
 
@@ -307,8 +307,7 @@ def test_criterion_9_property_suites(garn9):
             ]
             for seqs, ends, closed, unvisited in states:
                 bound = completion_bound(
-                    bound_rows(neighbour_order(dist)), {}, ends, [len(s) for s in seqs],
-                    closed, sum(1 << v for v in unvisited), 2,
+                    neighbour_table(dist), {}, seqs, closed, sum(1 << v for v in unvisited), 2
                 )
                 truth = _min_completion(dist, seqs, ends, closed, unvisited, 2, 4)
                 assert bound <= truth + 1e-9

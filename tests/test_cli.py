@@ -136,6 +136,35 @@ def test_law_rejects_a_csv_without_a_column(capsys, tmp_path):
     assert err == "error: summary CSV lacks column(s): std\n"
 
 
+
+def test_law_rejects_a_summary_with_one_fleet_size(capsys, tmp_path):
+    rows_file = tmp_path / "rows.csv"
+    code, _, _ = run(
+        capsys, "experiment", "--sizes", "20,30", "--m", "2",
+        "--samples", "2", "--seed", "5", "--out", str(rows_file),
+    )
+    assert code == 0
+    code, text, err = run(capsys, "law", "--rows", str(rows_file))
+    assert code == 1
+    assert text == ""
+    assert err == "error: need at least two consecutive-m increments, got 0\n"
+
+
+def test_solve_rounds_a_csv_instance(capsys, tmp_path):
+    # the same coordinates as CSV and as TSPLIB give the same rounded total
+    totals = {}
+    for fmt, suffix in (("csv", "csv"), ("tsplib", "tsp")):
+        path = tmp_path / f"u12.{suffix}"
+        run(capsys, "generate", "--n", "12", "--seed", "3", "--format", fmt,
+            "--out", str(path))
+        for rounding in ("none", "integer"):
+            code, text, _ = run(capsys, "solve", "--instance", str(path), "--m", "2",
+                                "--rounding", rounding)
+            assert code == 0
+            totals[fmt, rounding] = json.loads(text)["total_distance"]
+    assert totals["csv", "integer"] == totals["tsplib", "integer"] == 490.0
+    assert totals["csv", "none"] == totals["tsplib", "none"] != 490.0
+
 def test_compare_on_coincident_points_writes_nan_gaps(capsys, tmp_path):
     same = tmp_path / "same.csv"
     same.write_text("x,y\n" + "5,5\n" * 6)

@@ -72,6 +72,15 @@ def test_delta_requires_full_single_algorithm_grid():
         delta_estimate(mixed)
 
 
+
+def test_delta_needs_two_increments():
+    # one fleet size has no increment, one increment has no sample std
+    only_two = [SummaryRow(t, 2, "closest", 100.0 + t, 1.0, 5) for t in (50, 100)]
+    one_step = [SummaryRow(50, m, "closest", 100.0 * m, 1.0, 5) for m in (2, 3)]
+    for rows in (only_two, one_step):
+        with pytest.raises(ValueError, match="two consecutive-m increments"):
+            delta_estimate(rows)
+
 def test_extrapolation():
     assert extrapolate_m(1578.0, 2, 90.4) == pytest.approx(1578.0)
     assert extrapolate_m(1568.9, 6, 90.4) == pytest.approx(1930.5, abs=1e-9)

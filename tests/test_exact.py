@@ -30,7 +30,7 @@ from mtspkit import (
     solve_exact,
 )
 from mtspkit.bench import default_window
-from mtspkit.exact import ORACLE_MAX_N, bound_rows, completion_bound, neighbour_order
+from mtspkit.exact import ORACLE_MAX_N, completion_bound, neighbour_table
 from mtspkit.instance import PlanError, rng_from_seed
 
 
@@ -471,20 +471,19 @@ def _bound_states(draw):
     for v in customers[:visited]:
         seqs[draw(st.integers(0, m - 1))].append(v)
     closed = tuple(draw(st.booleans()) and bool(s) for s in seqs)
-    ends = tuple(0 if c or not s else s[-1] for s, c in zip(seqs, closed))
-    counts = [len(s) for s in seqs]
     kmin = draw(st.integers(1, n - 1))
-    return mat, ends, counts, closed, sum(1 << v for v in customers[visited:]), kmin
+    seqs = tuple(tuple(s) for s in seqs)
+    return mat, seqs, closed, sum(1 << v for v in customers[visited:]), kmin
 
 
 @settings(max_examples=300, deadline=None)
 @given(_bound_states())
 def test_completion_bound_matches_reference(state):
-    mat, ends, counts, closed, unvisited, kmin = state
+    mat, seqs, closed, unvisited, kmin = state
+    ends = tuple(0 if c or not s else s[-1] for s, c in zip(seqs, closed))
+    counts = [len(s) for s in seqs]
     expected = _reference_bound(mat, ends, counts, closed, unvisited, kmin)
-    got = completion_bound(
-        bound_rows(neighbour_order(mat)), {}, ends, counts, closed, unvisited, kmin
-    )
+    got = completion_bound(neighbour_table(mat), {}, seqs, closed, unvisited, kmin)
     assert got == expected
 
 
@@ -494,14 +493,14 @@ def test_completion_bound_memo_keeps_the_bits(state):
     # a memo filled by other states of the same table (every mask one
     # customer away, and this mask with one open route at the depot) must
     # not change a single bit of the bound
-    mat, ends, counts, closed, unvisited, kmin = state
-    table = bound_rows(neighbour_order(mat))
-    fresh = completion_bound(table, {}, ends, counts, closed, unvisited, kmin)
+    mat, seqs, closed, unvisited, kmin = state
+    table = neighbour_table(mat)
+    fresh = completion_bound(table, {}, seqs, closed, unvisited, kmin)
     memo = {}
     for v in range(1, len(mat)):
-        completion_bound(table, memo, (v,), (1,), (False,), unvisited ^ 1 << v, 1)
-    completion_bound(table, memo, (0,), (0,), (False,), unvisited, 1)
-    got = completion_bound(table, memo, ends, counts, closed, unvisited, kmin)
+        completion_bound(table, memo, ((v,),), (False,), unvisited ^ 1 << v, 1)
+    completion_bound(table, memo, ((),), (False,), unvisited, 1)
+    got = completion_bound(table, memo, seqs, closed, unvisited, kmin)
     assert got.hex() == fresh.hex()
 
 
@@ -530,13 +529,15 @@ def test_bound_memo_is_per_solve():
     assert after == alone.strip()
 
 
-def test_neighbour_order_rows_are_sorted_pairs():
+def test_neighbour_table_rows_are_sorted_pairs():
     mat = np.array([[np.inf, 2.0, 1.0], [2.0, np.inf, 2.0], [1.0, 0.5, np.inf]])
-    assert neighbour_order(mat) == [
-        [(1.0, 2), (2.0, 1)],
-        [(2.0, 0), (2.0, 2)],
-        [(0.5, 1), (1.0, 0)],
+    rows, customers = neighbour_table(mat)
+    assert rows == [
+        [(1.0, 1 << 2), (2.0, 1 << 1)],
+        [(2.0, 1 << 0), (2.0, 1 << 2)],
+        [(0.5, 1 << 1), (1.0, 1 << 0)],
     ]
+    assert customers == [(1 << 1, rows[1]), (1 << 2, rows[2])]
 
 
 def test_completion_bound_is_admissible():
@@ -554,8 +555,7 @@ def test_completion_bound_is_admissible():
         ]
         for seqs, ends, closed, unvisited in states:
             bound = completion_bound(
-                bound_rows(neighbour_order(dist)), {}, ends, [len(s) for s in seqs],
-                closed, sum(1 << v for v in unvisited), lo,
+                neighbour_table(dist), {}, seqs, closed, sum(1 << v for v in unvisited), lo
             )
             truth = _enumerate_completions(dist, seqs, ends, closed, unvisited, lo, hi)
             assert bound <= truth + 1e-9

@@ -13,6 +13,7 @@ from mtspkit import (
     evaluate_plan,
     generate_uniform_instance,
     load_bundled,
+    load_instance,
     parse_coords_csv,
     parse_tsplib,
 )
@@ -264,6 +265,19 @@ def test_csv_round_trip(garn9):
     with pytest.raises(ParseError, match="line 3"):
         parse_coords_csv("x,y\n1,2\n3,oops\n4,5\n")
 
+
+
+def test_csv_load_keeps_the_rounding(tmp_path):
+    # the same coordinates as CSV and as TSPLIB give the same rounded matrix
+    gen = generate_uniform_instance(GridSpec(12, 100, 3))
+    path = tmp_path / "u12.csv"
+    path.write_text(dumps_coords_csv(gen))
+    tsplib = parse_tsplib(dumps_tsplib(gen), rounding="integer")
+    for inst in (load_instance(path, rounding="integer"),
+                 parse_coords_csv(path.read_text(), rounding="integer")):
+        assert inst.rounding == "integer"
+        assert np.array_equal(inst.matrix, tsplib.matrix)
+    assert not np.array_equal(load_instance(path).matrix, tsplib.matrix)
 
 def test_instance_validation():
     good = np.full((3, 3), 1.0)
