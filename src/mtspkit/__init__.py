@@ -1,8 +1,9 @@
 """Balanced multiple-travelling-salesman toolkit.
 
-Greedy construction heuristics (nearest node, closest vehicle), an exact
-branch-and-bound solver for the node-balanced mTSP, and closed-form
-distance laws with Monte Carlo validation.
+Greedy construction heuristics (nearest node, closest vehicle), exact
+solving of the node-balanced mTSP (a subset DP up to n = 15, a
+branch-and-bound above it), and closed-form distance laws with Monte Carlo
+validation.
 """
 
 from .instance import (

@@ -27,6 +27,7 @@ from .distlaw import (
     predict_mtsp_distance,
 )
 from .exact import (
+    ORACLE_MAX_N,
     ExactResult,
     InfeasibleModelError,
     SolveStatus,
@@ -59,6 +60,12 @@ class ExperimentConfig:
             raise ValueError("need at least one instance size")
         if not self.m_values:
             raise ValueError("need at least one fleet size")
+        for name, axis in (
+            ("sizes", self.sizes), ("m_values", self.m_values),
+            ("algorithms", self.algorithms),
+        ):
+            if len(set(axis)) != len(axis):
+                raise ValueError(f"{name} repeats a value: {list(axis)}")
         unknown = set(self.algorithms) - set(heuristics.ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
@@ -171,7 +178,7 @@ def summary_to_markdown(rows: list[SummaryRow]) -> str:
 # ---------------------------------------------------------------------------
 # named-instance comparison (exact vs heuristics)
 
-ALGORITHMS = (*heuristics.ALGORITHMS, "exact", "oracle")
+ALGORITHMS = (*heuristics.ALGORITHMS, "exact")
 
 
 @dataclass(frozen=True)
@@ -196,23 +203,26 @@ def solve(
 ) -> tuple[RoutePlan | None, ExactResult | None]:
     """Run one algorithm of :data:`ALGORITHMS` for one fleet size.
 
-    A heuristic returns ``(plan, None)``. ``exact`` (branch and bound,
-    warm-started from the nearest-node plan) and ``oracle`` (the subset DP)
-    search ``window`` or :func:`default_window`; they return
-    ``(result.best, result)``, whose plan is ``None`` if none was found.
+    A heuristic returns ``(plan, None)``. ``exact`` searches ``window`` or
+    :func:`default_window`: by the subset DP when ``instance.n <=
+    ORACLE_MAX_N``, by branch and bound from the nearest-node warm start
+    above that. A time-limited DP returns the nearest-node plan too. It
+    returns ``(result.best, result)``, whose plan is ``None`` if none was
+    found; ``result.backend`` names the algorithm that ran.
     """
     if algorithm in heuristics.ALGORITHMS:
         return heuristics.ALGORITHMS[algorithm](instance, m), None
+    if algorithm != "exact":
+        raise ValueError(f"unknown algorithm {algorithm!r}")
     kmin, kmax = window or default_window(instance.n, m)
-    if algorithm == "exact":
+    if instance.n <= ORACLE_MAX_N:
+        result = brute_force_oracle(instance, m, kmin, kmax, time_limit=time_limit)
+    else:
+        build_model(instance, m, kmin, kmax)  # window check first, as in the DP
         model = build_model(
             instance, m, kmin, kmax, warm_start=heuristics.nearest_node(instance, m)
         )
         result = solve_exact(model, time_limit)
-    elif algorithm == "oracle":
-        result = brute_force_oracle(instance, m, kmin, kmax)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
     return result.best, result
 
 
@@ -228,7 +238,7 @@ def compare_instances(
     The gap for an ordered pair (A, B) of the algorithm list is
     ``100 * (dist_B - dist_A) / dist_A``, and ``nan`` when either distance
     is infinite or ``dist_A`` is 0. Each run goes through :func:`solve`;
-    exact and oracle runs also record their status. A window that cannot
+    exact runs also record their status. A window that cannot
     cover the customers makes only its own cell ``infeasible``, with
     distance ``inf``.
     """
@@ -259,7 +269,7 @@ def compare_instances(
 
 
 def _comparison_table(rows, dist_head, gap_head, dist_fmt, gap_fmt):
-    """Distances, gaps, then a ``status_<alg>`` column per exact or oracle run."""
+    """Distances, gaps, then a ``status_<alg>`` column per exact run."""
     algs = list(rows[0].distances)
     gap_keys = list(rows[0].gaps)
     status_keys = list(rows[0].statuses)
@@ -394,6 +404,7 @@ def plan_record(
     if result is not None:
         rec.update(
             status=result.status.value,
+            backend=result.backend,
             objective=result.objective,
             lower_bound=result.lower_bound,
             nodes_explored=result.nodes_explored,

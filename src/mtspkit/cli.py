@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Subcommands: generate, solve, solve-exact, compare, experiment, law,
-simulate. Exit codes: 0 success, 1 input or usage error, 2 infeasibility.
-``--K``/``--L`` (the route-size window of exact and oracle runs) are given
-together or not at all; without them each fleet size gets
-``bench.default_window``.
+Subcommands: generate, solve, compare, experiment, law, simulate. Exit
+codes: 0 success, 1 input or usage error, 2 infeasibility. ``--K``/``--L``
+(the route-size window of exact runs) are given together or not at all;
+without them each fleet size gets ``bench.default_window``. Every run goes
+through ``bench.solve``, which picks the exact backend by instance size.
 """
 
 from __future__ import annotations
@@ -180,23 +180,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("tsplib", "csv"), default="tsplib")
     p.set_defaults(func=cmd_generate)
 
-    def add_solve(name, help_text, fixed_algorithm=None):
-        q = sub.add_parser(name, help=help_text)
-        q.add_argument("--instance", required=True)
-        if fixed_algorithm is None:
-            q.add_argument("--algorithm", choices=bench.ALGORITHMS, default="nearest")
-        else:
-            q.set_defaults(algorithm=fixed_algorithm)
-        q.add_argument("--m", required=True, help="fleet size(s), e.g. 2 or 2,3,5 or 2-5")
-        q.add_argument("--K", dest="min_customers", type=int, default=None)
-        q.add_argument("--L", dest="max_customers", type=int, default=None)
-        q.add_argument("--time-limit", type=float, default=None)
-        q.add_argument("--rounding", choices=("none", "integer"), default="none")
-        q.add_argument("--out")
-        q.set_defaults(func=cmd_solve)
-
-    add_solve("solve", "route an instance with one algorithm")
-    add_solve("solve-exact", "branch-and-bound from a nearest-node warm start", "exact")
+    p = sub.add_parser("solve", help="route an instance with one algorithm")
+    p.add_argument("--instance", required=True)
+    p.add_argument("--algorithm", choices=bench.ALGORITHMS, default="nearest")
+    p.add_argument("--m", required=True, help="fleet size(s), e.g. 2 or 2,3,5 or 2-5")
+    p.add_argument("--K", dest="min_customers", type=int, default=None)
+    p.add_argument("--L", dest="max_customers", type=int, default=None)
+    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--rounding", choices=("none", "integer"), default="none")
+    p.add_argument("--out")
+    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("compare", help="side-by-side distances and %% gaps")
     p.add_argument("--instances", nargs="+", required=True)

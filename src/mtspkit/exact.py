@@ -1,4 +1,8 @@
-"""Exact solving: constraint model, branch-and-bound, subset DP oracle.
+"""Exact solving: constraint model, subset DP, branch-and-bound.
+
+``bench.solve`` runs the subset DP (``brute_force_oracle``) up to its cap
+``ORACLE_MAX_N`` and the branch-and-bound (``solve_exact``) above it; both
+return an ``ExactResult`` that names its ``backend``.
 
 The model is the node-balanced MTZ program of Kara & Bektas (2006) with
 the route-size window [K, L] = [``min_customers``, ``max_customers``]:
@@ -8,7 +12,7 @@ rows and, for K >= 2, the two-node row x[1, i] + x[i, 1] <= 1.
 ``check_solution`` is its one statement: it evaluates those rows, each
 family as one whole-array expression, on a plan's induced x/u variables.
 
-The solver is a combinatorial best-first branch-and-bound over partial
+The branch-and-bound is a combinatorial best-first search over partial
 route extensions rather than an LP relaxation; the linear model is the
 correctness semantics, not the search machinery. A search state is
 ``(cost, seqs, closed, unvisited)``, with the unvisited customers as one
@@ -20,8 +24,10 @@ route end's row, and ``completion_bound`` reads the same rows and
 memoises, per solve, the sum of its customer terms for each unvisited
 mask, so the search does no set or numpy-scalar work per node.
 
-``brute_force_oracle``, the ground truth the solver is checked against, is
-dynamic programming over customer subsets, limited to n <= 15.
+``brute_force_oracle`` is dynamic programming over customer subsets,
+limited to n <= 15. It is also the ground truth the branch-and-bound is
+checked against, and under a time limit it falls back to the warm start
+above the branch-and-bound's root bound.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from heapq import heappush, heappop
 
 import numpy as np
 
+from .heuristics import nearest_node
 from .instance import Instance, RoutePlan, evaluate_plan
 
 _EPS = 1e-9
@@ -60,12 +67,17 @@ class ExactModel:
 
 @dataclass(frozen=True)
 class ExactResult:
+    """One exact run. ``backend`` names the algorithm that ran:
+    ``"subset_dp"`` (``nodes_explored`` counts path labels) or
+    ``"branch_and_bound"`` (it counts search nodes)."""
+
     status: SolveStatus
     best: RoutePlan | None
     objective: float
     lower_bound: float
     nodes_explored: int
     wall_time: float
+    backend: str = "branch_and_bound"
 
 
 def build_model(
@@ -339,13 +351,14 @@ def _replace(tup, idx, value):
 
 
 # ---------------------------------------------------------------------------
-# subset DP oracle
+# subset DP
 
 ORACLE_MAX_N = 15
 
 
 def brute_force_oracle(
-    instance: Instance, m: int, min_customers: int, max_customers: int
+    instance: Instance, m: int, min_customers: int, max_customers: int, *,
+    time_limit: float | None = None,
 ) -> ExactResult:
     """Exact optimum by dynamic programming over customer subsets (n <= 15).
 
@@ -353,24 +366,39 @@ def brute_force_oracle(
     last customer), with a back-pointer; subsets of ``min_customers`` to
     ``max_customers`` customers close into routes. ``m - 1`` split rounds add
     the route holding a subset's lowest customer, only to subsets the other
-    routes can complete. ``nodes_explored`` counts the path labels.
+    routes can complete. ``nodes_explored`` counts the path labels built.
+
+    The clock starts before the tables are built and is read every 256
+    subsets of the label loop and on every subset a split round works on,
+    so a run stops shortly after ``time_limit``, or after the table build
+    if the limit ends inside it. Once ``time_limit`` has passed, the run
+    returns the nearest-node plan, which fits every feasible window, as
+    ``feasible_time_limit``, with the branch-and-bound root's
+    ``completion_bound`` as its lower bound.
     """
     n = instance.n
     if n > ORACLE_MAX_N:
         raise ValueError(f"the subset DP oracle is limited to n <= {ORACLE_MAX_N}")
     build_model(instance, m, min_customers, max_customers)  # window check
+    if time_limit is not None and time_limit <= 0:
+        raise ValueError("time_limit must be positive")
     lo, hi = min_customers, max_customers
     start_time = time.perf_counter()
+    deadline = np.inf if time_limit is None else start_time + time_limit
     d = instance.matrix.tolist()
     k = n - 1  # bit j of a subset is customer j + 1 (0-based node j + 1)
     full = (1 << k) - 1
-    bits = [[j for j in range(k) if mask >> j & 1] for mask in range(full + 1)]
+    bits = [[]]  # bits[mask]: the subset's customers, ascending
+    for j in range(k):
+        bits += [b + [j] for b in bits]
     path = [[np.inf] * k for _ in range(full + 1)]
     back = [[-1] * k for _ in range(full + 1)]
     route, last = [np.inf] * (full + 1), [-1] * (full + 1)  # cheapest closing per subset
     for j in range(k):
         path[1 << j][j] = d[0][j + 1]
     for mask in range(1, full + 1):  # a subset's labels are final: it follows its parts
+        if not mask & 255 and time.perf_counter() > deadline:
+            return _dp_time_limit(instance, m, lo, start_time, _labels(bits[:mask], hi))
         size = len(bits[mask])
         if size > hi:
             continue
@@ -390,6 +418,8 @@ def brute_force_oracle(
             size = len(bits[mask])
             if not (r * lo <= size <= r * hi and (m - r) * lo <= k - size <= (m - r) * hi):
                 continue
+            if time.perf_counter() > deadline:
+                return _dp_time_limit(instance, m, lo, start_time, _labels(bits, hi))
             low = mask & -mask
             rest = sub = mask ^ low
             while True:
@@ -413,9 +443,28 @@ def brute_force_oracle(
             s, j = s ^ 1 << j, back[s][j]
         routes.append((1, *reversed(seq), 1))
     wall = time.perf_counter() - start_time
-    labels = sum(len(b) for b in bits if len(b) <= hi)
     plan = evaluate_plan(instance, routes)
     return ExactResult(
         SolveStatus.OPTIMAL, plan, plan.total_distance, plan.total_distance,
-        labels, wall,
+        _labels(bits, hi), wall, "subset_dp",
+    )
+
+
+def _labels(bits, max_customers):
+    """Path labels of the listed subsets: one per customer of each subset
+    of at most ``max_customers`` customers."""
+    return sum(len(b) for b in bits if len(b) <= max_customers)
+
+
+def _dp_time_limit(instance, m, min_customers, start_time, labels) -> ExactResult:
+    """The subset DP's result once its limit passed: the nearest-node plan
+    above the root ``completion_bound``."""
+    bound = completion_bound(
+        neighbour_table(instance.matrix), {}, ((),) * m, (False,) * m,
+        (1 << instance.n) - 2, min_customers,
+    )
+    plan = nearest_node(instance, m)
+    return ExactResult(
+        SolveStatus.FEASIBLE_TIME_LIMIT, plan, plan.total_distance, bound, labels,
+        time.perf_counter() - start_time, "subset_dp",
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -180,15 +181,19 @@ def evaluate_plan(instance: Instance, routes) -> RoutePlan:
     Rejects plans that skip or repeat a customer, revisit the depot
     mid-route, or fail to start and end every route at node 1.
 
-    Each route's customers are checked as a set; only a route that fails
-    that check is walked node by node, so the error names its first
-    offending node.
+    Node labels must be integers (Python or numpy); a float such as 2.7 is
+    rejected, never truncated. Each route's customers are checked as a set;
+    only a route that fails that check is walked node by node, so the error
+    names its first offending node.
     """
     n = instance.n
     seen = set()
     clean = []
     for idx, route in enumerate(routes, start=1):
-        route = tuple(map(int, route))
+        try:
+            route = tuple(map(operator.index, route))
+        except TypeError:
+            raise PlanError(f"route {idx} holds a non-integer node label") from None
         if len(route) < 3 or route[0] != 1 or route[-1] != 1:
             raise PlanError(
                 f"route {idx} must start and end at depot 1 and visit a customer"

@@ -14,7 +14,18 @@ from mtspkit import (
     parse_tsplib,
     run_experiment,
 )
-from mtspkit import InfeasibleModelError, heuristics
+from mtspkit import (
+    GridSpec,
+    InfeasibleModelError,
+    SolveStatus,
+    bench,
+    brute_force_oracle,
+    build_model,
+    generate_uniform_instance,
+    heuristics,
+    solve_exact,
+)
+from mtspkit.exact import ORACLE_MAX_N
 from mtspkit.bench import (
     ALGORITHMS,
     comparison_to_csv,
@@ -43,6 +54,16 @@ def test_config_validation():
         ExperimentConfig(m_values=())
     with pytest.raises(ValueError):
         ExperimentConfig(algorithms=("sweep",))
+
+
+@pytest.mark.parametrize(
+    "axis",
+    [{"sizes": (20, 20)}, {"m_values": (2, 3, 2)}, {"algorithms": ("nearest",) * 2}],
+)
+def test_config_rejects_repeated_axis_values(axis):
+    # a repeated value would pool two copies of each sample into one cell
+    with pytest.raises(ValueError, match="repeats a value"):
+        ExperimentConfig(**{"samples": 3, "algorithms": ("nearest",), **axis})
 
 
 def test_experiment_solve_count(monkeypatch):
@@ -205,14 +226,14 @@ def test_comparison_rendering(garn9):
     assert "| garn9 | 2 |" in md
 
 
-def test_comparison_reports_exact_and_oracle_statuses(garn9, eil51):
-    rows = compare_instances([garn9], [2], ["nearest", "exact", "oracle"], time_limit=60)
+def test_comparison_reports_exact_statuses(garn9, eil51):
+    rows = compare_instances([garn9], [2], ["nearest", "exact"], time_limit=60)
     csv_lines = comparison_to_csv(rows).splitlines()
-    assert csv_lines[0].endswith(",status_exact,status_oracle")
-    assert csv_lines[1].endswith(",optimal,optimal")
+    assert csv_lines[0].endswith(",gap_pct_nearest_vs_exact,status_exact")
+    assert csv_lines[1].endswith(",optimal")
     md_lines = comparison_to_markdown(rows).splitlines()
-    assert md_lines[0].endswith("| status_exact | status_oracle |")
-    assert md_lines[2].endswith("| optimal | optimal |")
+    assert md_lines[0].endswith("| %nearest_vs_exact | status_exact |")
+    assert md_lines[2].endswith("| optimal |")
     # a time-limited incumbent must not read as a proof
     rows = compare_instances([eil51], [2], ["nearest", "exact"], time_limit=0.05)
     assert comparison_to_csv(rows).splitlines()[1].endswith(",feasible_time_limit")
@@ -221,23 +242,62 @@ def test_comparison_reports_exact_and_oracle_statuses(garn9, eil51):
     )
 
 
-def test_solve_dispatches_every_algorithm(garn9):
-    assert ALGORITHMS == ("nearest", "closest", "exact", "oracle")
+def test_solve_dispatches_every_algorithm(garn9, eil51):
+    assert ALGORITHMS == ("nearest", "closest", "exact")
     for alg in ("nearest", "closest"):
         plan, result = solve(garn9, 2, alg)
         assert result is None
         assert plan == heuristics.ALGORITHMS[alg](garn9, 2)
-    for alg in ("exact", "oracle"):
-        plan, result = solve(garn9, 2, alg, time_limit=60)
-        assert result.status.value == "optimal"
-        assert plan is result.best
-        assert set(plan.customer_counts()) <= {3, 4}  # default_window(9, 2)
-    # a window too tight for 8 customers reaches both searches
-    for alg in ("exact", "oracle"):
-        with pytest.raises(InfeasibleModelError):
-            solve(garn9, 2, alg, window=(3, 3))
-    with pytest.raises(ValueError, match="unknown algorithm"):
-        solve(garn9, 2, "sweep")
+    plan, result = solve(garn9, 2, "exact", time_limit=60)
+    assert result.status.value == "optimal"
+    assert result.backend == "subset_dp"
+    assert plan is result.best
+    assert set(plan.customer_counts()) <= {3, 4}  # default_window(9, 2)
+    assert plan == brute_force_oracle(garn9, 2, 3, 4).best
+    # a window too tight for the customers, or more routes than customers,
+    # is infeasible on both backends
+    for inst in (garn9, eil51):
+        for m, window in ((2, (3, 3)), (inst.n, None)):
+            with pytest.raises(InfeasibleModelError):
+                solve(inst, m, "exact", window=window)
+    for alg in ("sweep", "oracle"):
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            solve(garn9, 2, alg)
+
+
+def test_exact_backend_follows_the_instance_size(monkeypatch):
+    assert ORACLE_MAX_N == 15
+    small, large = (
+        generate_uniform_instance(GridSpec(n, 100, 1)) for n in (15, 16)
+    )
+    plan, result = solve(small, 3, "exact", time_limit=30)
+    assert result.backend == "subset_dp"
+    assert result.status is SolveStatus.OPTIMAL
+    oracle = brute_force_oracle(small, 3, *default_window(small.n, 3))
+    assert plan.routes == oracle.best.routes
+    assert result.objective == oracle.objective
+    assert result.nodes_explored == oracle.nodes_explored  # path labels
+    # the limit reaches the DP (2-3 s on this window), which falls back to
+    # the nearest-node plan
+    plan, result = solve(small, 7, "exact", window=(1, 8), time_limit=0.05)
+    assert result.backend == "subset_dp"
+    assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
+    assert plan == nearest_node(small, 7)
+    # above the cap: the branch-and-bound, from the same warm start and window
+    models = []
+
+    def spy(model, time_limit=None):
+        models.append((model, time_limit))
+        return solve_exact(model, time_limit)
+
+    monkeypatch.setattr(bench, "solve_exact", spy)
+    plan, result = solve(large, 3, "exact", time_limit=0.3)
+    warm = nearest_node(large, 3)
+    window = default_window(large.n, 3)
+    assert models == [(build_model(large, 3, *window, warm_start=warm), 0.3)]
+    assert result.backend == "branch_and_bound"
+    assert result.status.value in ("optimal", "feasible_time_limit")
+    assert result.lower_bound <= result.objective <= warm.total_distance
 
 
 def test_default_window_matches_balanced_quotas():

@@ -55,47 +55,56 @@ def test_solve_multiple_fleet_sizes(capsys):
     assert [json.loads(l)["m"] for l in lines] == [2, 4]
 
 
-def test_solve_exact_alias(capsys):
-    code, text, _ = run(
-        capsys, "solve-exact", "--instance", str(bundled_path("garn9")),
-        "--m", "2", "--K", "2", "--L", "5", "--time-limit", "60",
-    )
-    assert code == 0
-    rec = json.loads(text)
-    assert rec["algorithm"] == "exact"
-    assert rec["status"] == "optimal"
-    assert rec["objective"] == pytest.approx(44.8, abs=0.05)
-
-
-def test_solve_oracle(capsys):
-    code, text, _ = run(
-        capsys, "solve", "--instance", str(bundled_path("garn9")),
-        "--m", "2", "--algorithm", "oracle", "--K", "4", "--L", "4",
-    )
-    assert code == 0
-    assert json.loads(text)["objective"] == pytest.approx(44.8, abs=0.05)
+def test_solve_exact(capsys):
+    for window, limit in ((["--K", "2", "--L", "5"], ["--time-limit", "60"]),
+                          (["--K", "4", "--L", "4"], [])):
+        code, text, _ = run(
+            capsys, "solve", "--instance", str(bundled_path("garn9")),
+            "--m", "2", "--algorithm", "exact", *window, *limit,
+        )
+        assert code == 0
+        rec = json.loads(text)
+        assert rec["algorithm"] == "exact"
+        assert rec["status"] == "optimal"
+        assert rec["backend"] == "subset_dp"
+        assert rec["objective"] == pytest.approx(44.8, abs=0.05)
 
 
 def test_solve_oracle_up_to_its_cap(capsys, tmp_path):
     path = tmp_path / "n13.tsp"
     run(capsys, "generate", "--n", "13", "--seed", "1", "--out", str(path))
     code, text, _ = run(
-        capsys, "solve", "--instance", str(path), "--m", "3", "--algorithm", "oracle"
+        capsys, "solve", "--instance", str(path), "--m", "3", "--algorithm", "exact"
     )
     assert code == 0
     inst = load_instance(path)
     proof = solve_exact(build_model(inst, 3, *default_window(13, 3)))
     assert proof.status is SolveStatus.OPTIMAL
-    assert json.loads(text)["objective"] == pytest.approx(proof.objective, abs=1e-9)
+    rec = json.loads(text)
+    assert rec["backend"] == "subset_dp"
+    assert rec["objective"] == pytest.approx(proof.objective, abs=1e-9)
 
+    # one node above the cap the branch-and-bound runs and says so
     path = tmp_path / "big.tsp"
     run(capsys, "generate", "--n", str(ORACLE_MAX_N + 1), "--seed", "1", "--out", str(path))
+    code, text, err = run(
+        capsys, "solve", "--instance", str(path), "--m", "2", "--algorithm", "exact",
+        "--time-limit", "0.5",
+    )
+    assert code == 0 and err == ""
+    rec = json.loads(text)
+    assert rec["backend"] == "branch_and_bound"
+    assert rec["status"] in ("optimal", "feasible_time_limit")
+    assert rec["lower_bound"] <= rec["objective"]
+
+
+def test_experiment_rejects_a_repeated_axis_value(capsys):
     code, out, err = run(
-        capsys, "solve", "--instance", str(path), "--m", "2", "--algorithm", "oracle"
+        capsys, "experiment", "--sizes", "20", "--m", "2,2", "--samples", "3",
     )
     assert code == 1
     assert out == ""
-    assert f"n <= {ORACLE_MAX_N}" in err
+    assert "m_values repeats a value: [2, 2]" in err
 
 
 def test_compare_outputs(capsys, tmp_path):
@@ -170,7 +179,7 @@ def test_compare_on_coincident_points_writes_nan_gaps(capsys, tmp_path):
     same.write_text("x,y\n" + "5,5\n" * 6)
     code, text, err = run(
         capsys, "compare", "--instances", str(same), "--m", "2",
-        "--algorithms", "nearest,oracle",
+        "--algorithms", "nearest,exact",
     )
     assert code == 0 and err == ""
     assert text.splitlines()[1] == "same,2,0.0,0.0,nan,optimal"
@@ -231,12 +240,12 @@ def test_compare_keeps_feasible_cells_beside_an_infeasible_one(capsys):
     # K=2, L=3 covers 8 customers with 4 routes but not with 2
     code, text, err = run(
         capsys, "compare", "--instances", str(bundled_path("garn9")), "--m", "4,2",
-        "--algorithms", "nearest,oracle", "--K", "2", "--L", "3",
+        "--algorithms", "nearest,exact", "--K", "2", "--L", "3",
     )
     assert code == 2
     lines = text.splitlines()
     assert lines[0] == (
-        "instance,m,dist_nearest,dist_oracle,gap_pct_nearest_vs_oracle,status_oracle"
+        "instance,m,dist_nearest,dist_exact,gap_pct_nearest_vs_exact,status_exact"
     )
     assert lines[1].startswith("garn9,4,") and lines[1].endswith(",optimal")
     assert lines[2].startswith("garn9,2,") and lines[2].endswith(",inf,nan,infeasible")
@@ -281,8 +290,8 @@ def test_simulate_rejects_fewer_than_one_worker(capsys, workers):
 def test_window_bounds_go_together(capsys, flag):
     garn9 = str(bundled_path("garn9"))
     for argv in (
-        ["solve", "--instance", garn9, "--m", "2", "--algorithm", "oracle"],
-        ["compare", "--instances", garn9, "--m", "2", "--algorithms", "oracle"],
+        ["solve", "--instance", garn9, "--m", "2", "--algorithm", "exact"],
+        ["compare", "--instances", garn9, "--m", "2", "--algorithms", "exact"],
     ):
         code, out, err = run(capsys, *argv, flag, "3")
         assert code == 1
@@ -300,6 +309,9 @@ def test_window_bounds_go_together(capsys, flag):
         ["solve", "--instance", "x.tsp", "--m", "2", "--algorithm", "bogus"],
         ["compare", "--m", "2"],
         ["simulate", "--kind", "pair", "--seed", "x"],
+        # the subset DP runs as `exact`; neither old spelling selects it
+        ["solve", "--instance", "x.tsp", "--m", "2", "--algorithm", "oracle"],
+        ["solve-exact", "--instance", "x.tsp", "--m", "2"],
     ],
 )
 def test_usage_errors_exit_1(capsys, argv):

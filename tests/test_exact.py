@@ -355,6 +355,29 @@ def test_oracle_reference_and_guards(garn9):
         brute_force_oracle(garn9, 4, 3, 3)
 
 
+def test_oracle_time_limit_holds():
+    inst = generate_uniform_instance(GridSpec(15, 100, 7))
+    root = completion_bound(
+        neighbour_table(inst.matrix), {}, ((),) * 7, (False,) * 7, (1 << 15) - 2, 1
+    )
+    started = time.perf_counter()
+    result = brute_force_oracle(inst, 7, 1, 8, time_limit=0.2)
+    elapsed = time.perf_counter() - started
+    assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
+    assert result.backend == "subset_dp"
+    warm = nearest_node(inst, 7)
+    assert result.best == warm and result.objective == warm.total_distance
+    assert result.lower_bound == root
+    # the whole run takes 2-3 s; the clock is read every 256 subsets of the
+    # label loop and on every subset a split round works on, so the overshoot
+    # is the table build before the first read (15-40 ms on a 2-CPU VM)
+    assert result.wall_time <= elapsed <= 0.2 + 0.1
+    assert 0 < result.nodes_explored <= 81368  # labels built of the full run's
+    for limit in (0, -0.5):
+        with pytest.raises(ValueError, match="time_limit must be positive"):
+            brute_force_oracle(inst, 7, 1, 8, time_limit=limit)
+
+
 def test_oracle_single_hamiltonian_tour():
     mat = np.array(
         [

@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,6 +241,14 @@ def test_evaluate_plan_rejections(garn9):
         evaluate_plan(garn9, [[6, 7, 8, 9, 1], [1, 5, 4, 3, 2, 1]])
     with pytest.raises(PlanError, match="revisits"):
         evaluate_plan(garn9, [[1, 6, 1, 7, 8, 9, 1], [1, 5, 4, 3, 2, 1]])
+    # a float label is rejected, never truncated to a node (2.7 is not node 2)
+    for routes in (
+        [(1, 2.7, 3, 4, 5, 1), (1, 6, 7, 8, 9, 1)],
+        [(1, 2, 3, 4, 5, 1), (1.0, 6, 7, 8, 9, 1)],
+        [(1, 2, 3, 4, 5, 1), (1, 6, np.float64(7), 8, 9, 1)],
+    ):
+        with pytest.raises(PlanError, match="route [12] holds a non-integer"):
+            evaluate_plan(garn9, routes)
 
 
 def test_tsplib_round_trip(eil51):
@@ -470,7 +480,10 @@ def _reference_evaluate(instance, routes):
     seen = set()
     clean = []
     for idx, route in enumerate(routes, start=1):
-        route = tuple(int(v) for v in route)
+        try:
+            route = tuple(operator.index(v) for v in route)
+        except TypeError:
+            raise PlanError(f"route {idx} holds a non-integer node label") from None
         if len(route) < 3 or route[0] != 1 or route[-1] != 1:
             raise PlanError(
                 f"route {idx} must start and end at depot 1 and visit a customer"
@@ -543,7 +556,7 @@ def test_evaluate_plan_accepts_what_the_reference_accepts(garn9):
         [[1, 2, 3, 4, 5, 6, 7, 8, 9, 1]],
         [[1, 9, 1], [1, 2, 3, 1], [1, 8, 7, 6, 5, 4, 1]],
         [np.array([1, 6, 7, 8, 9, 1]), (1, 5, 4, 3, 2, 1)],
-        [[1, np.int64(6), np.int32(7), 8, 9, 1], [1.0, 5, 4, 3, 2, 1]],
+        [[1, np.int64(6), np.int32(7), 8, 9, 1], [np.uint8(1), 5, 4, 3, 2, 1]],
     ]
     for routes in plans:
         assert isinstance(_assert_matches_reference(garn9, routes), RoutePlan)
