@@ -52,6 +52,7 @@ from .distlaw import (
     grid_line_distance,
     grid_scale,
     grid_tsp_distance,
+    min_dist_exact,
     min_dist_expectation,
     predict_mtsp_distance,
     simulate_min_dist,

@@ -238,9 +238,10 @@ def compare_instances(
     The gap for an ordered pair (A, B) of the algorithm list is
     ``100 * (dist_B - dist_A) / dist_A``, and ``nan`` when either distance
     is infinite or ``dist_A`` is 0. Each run goes through :func:`solve`;
-    exact runs also record their status. A window that cannot
-    cover the customers makes only its own cell ``infeasible``, with
-    distance ``inf``.
+    exact runs also record their status. A cell with no feasible plan gets
+    distance ``inf`` and spoils no other cell: an exact window that cannot
+    cover the customers (status ``infeasible``), or a heuristic asked for
+    more routes than there are customers.
     """
     rows = []
     for inst in instances:
@@ -248,6 +249,9 @@ def compare_instances(
             distances: dict[str, float] = {}
             statuses: dict[str, str] = {}
             for alg in algorithms:
+                if alg in heuristics.ALGORITHMS and m > inst.n - 1:
+                    distances[alg] = np.inf
+                    continue
                 try:
                     plan, result = solve(inst, m, alg, window, time_limit)
                 except InfeasibleModelError:

@@ -10,11 +10,12 @@ through ``bench.solve``, which picks the exact backend by instance size.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from . import bench, distlaw
-from .exact import InfeasibleModelError, SolveStatus
+from .exact import InfeasibleModelError
 from .instance import (
     GridSpec,
     ParseError,
@@ -100,8 +101,7 @@ def cmd_compare(args) -> int:
         else bench.comparison_to_csv(rows)
     )
     _emit(text, args.out)
-    infeasible = SolveStatus.INFEASIBLE.value
-    return 2 if any(infeasible in row.statuses.values() for row in rows) else 0
+    return 2 if any(math.isinf(d) for row in rows for d in row.distances.values()) else 0
 
 
 def cmd_experiment(args) -> int:

@@ -285,6 +285,28 @@ class Rectangle:
             raise ValueError("rectangle sides must be positive")
 
 
+def min_dist_exact(n: int, domain) -> float:
+    """Exact expected minimum distance D from one uniform point to n others.
+
+    On :class:`UnitInterval` it is ``(n + 3) / (2 (n + 1) (n + 2))``. On
+    :class:`IntegerRange` ``{1..h}`` it is the tail sum ``sum_d P(D >= d)``
+    over d = 1..h-1, where ``P(D >= d | x)`` is the n-th power of the share
+    of the h values at distance d or more from x. The integer form builds
+    an h x (h - 1) table.
+    """
+    if n < 1:
+        raise ValueError("need at least one target point")
+    if isinstance(domain, UnitInterval):
+        return (n + 3) / (2 * (n + 1) * (n + 2))
+    if not isinstance(domain, IntegerRange):
+        raise TypeError(f"unsupported domain {domain!r}")
+    high = domain.high
+    x = np.arange(1, high + 1)[:, None]
+    d = np.arange(1, high)
+    within = np.minimum(high, x + d - 1) - np.maximum(1, x - d + 1) + 1  # |x - y| < d
+    return float((((high - within) / high) ** n).mean(axis=0).sum())
+
+
 @dataclass(frozen=True)
 class MonteCarloResult:
     mean: float

@@ -43,32 +43,56 @@ class PlanError(ValueError):
     """A route plan violates the structural requirements."""
 
 
+# Bytes per row block of the distance build: a block and its scratch stay in
+# cache through every pass. Measured over n = 50-2000 against fixed blocks of
+# 16-64 rows and budgets of 128-512 kB, this budget was fastest or tied.
+_BLOCK_BYTES = 256_000
+
+
+def _block_rows(n: int) -> int:
+    """Rows per block of an n-point build: all n rows up to n = 178."""
+    return max(1, min(n, _BLOCK_BYTES // (8 * n)))
+
+
 def euclidean_matrix(coords, rounding: str = "none") -> np.ndarray:
     """Pairwise Euclidean distances with an ``inf`` diagonal.
 
     ``rounding="integer"`` applies the TSPLIB nearest-integer convention
     ``floor(d + 0.5)`` to the off-diagonal entries only.
 
-    The squares ``dx*dx + dy*dy`` are summed in place over two n x n outer
-    differences, so the result is one n x n float64 matrix (32 MB at
-    n=2000) and the build needs one scratch matrix of the same size.
+    The matrix is filled in blocks of rows of about 256 kB each (the whole
+    matrix up to n = 178, 16 rows at n = 2000). In a block, the x
+    differences are written into the result and squared in place, the y
+    differences are squared in one reused block-sized scratch buffer and
+    added, then ``sqrt`` and the rounding run in place. Every entry is
+    ``dx*dx + dy*dy`` in that order, and the build allocates only the
+    n x n float64 result (32 MB at n=2000) plus one block.
     """
     if rounding not in ("none", "integer"):
         raise ValueError(f"unknown rounding mode {rounding!r}")
     pts = np.asarray(coords, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("coordinates must be an (n, 2) array")
-    if pts.shape[0] < 3:
+    n = pts.shape[0]
+    if n < 3:
         raise ValueError("need at least 3 points")
-    dist = np.subtract.outer(pts[:, 0], pts[:, 0])
-    dist *= dist
-    dy = np.subtract.outer(pts[:, 1], pts[:, 1])
-    dy *= dy
-    dist += dy
-    np.sqrt(dist, out=dist)
-    if rounding == "integer":
-        dist += 0.5
-        np.floor(dist, out=dist)
+    x = np.ascontiguousarray(pts[:, 0])
+    y = np.ascontiguousarray(pts[:, 1])
+    rows = _block_rows(n)
+    dist = np.empty((n, n))
+    scratch = np.empty((rows, n))
+    for i0 in range(0, n, rows):
+        block = dist[i0 : i0 + rows]
+        dy = scratch[: len(block)]
+        np.subtract.outer(x[i0 : i0 + rows], x, out=block)
+        block *= block
+        np.subtract.outer(y[i0 : i0 + rows], y, out=dy)
+        dy *= dy
+        block += dy
+        np.sqrt(block, out=block)
+        if rounding == "integer":
+            block += 0.5
+            np.floor(block, out=block)
     np.fill_diagonal(dist, INFINITY)
     return dist
 

@@ -253,6 +253,27 @@ def test_compare_keeps_feasible_cells_beside_an_infeasible_one(capsys):
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "algorithms, m9_tail",
+    [("nearest,exact", "inf,inf,nan,infeasible"), ("nearest,closest", "inf,inf,nan")],
+    ids=["with-exact", "heuristics-only"],
+)
+def test_compare_keeps_feasible_cells_beside_a_heuristic_with_too_many_routes(
+    capsys, algorithms, m9_tail
+):
+    # garn9 has 8 customers: no heuristic can balance them over 9 routes
+    code, text, err = run(
+        capsys, "compare", "--instances", str(bundled_path("garn9")), "--m", "2,9",
+        "--algorithms", algorithms,
+    )
+    assert code == 2
+    lines = text.splitlines()
+    assert len(lines) == 3
+    assert lines[1].startswith("garn9,2,") and "inf" not in lines[1]
+    assert lines[2] == "garn9,9," + m9_tail
+    assert err == ""
+
+
 def test_solve_keeps_the_fleet_sizes_it_solved(capsys, tmp_path):
     out = tmp_path / "plans.jsonl"
     code, _, err = run(

@@ -22,6 +22,7 @@ from mtspkit import (
     grid_scale,
     grid_tsp_distance,
     load_reference_grid,
+    min_dist_exact,
     min_dist_expectation,
     predict_mtsp_distance,
     simulate_min_dist,
@@ -307,18 +308,22 @@ def test_min_dist_tracks_the_law():
 
 
 def _min_dist_moments(n, domain):
-    """Exact E[D] and E[D^2] of the minimum distance D from one point to n."""
+    """E[D] from the library and the exact E[D^2] of the minimum distance D."""
+    mean = min_dist_exact(n, domain)
     if isinstance(domain, UnitInterval):
-        return (
-            (n + 3) / (2 * (n + 1) * (n + 2)),
-            (n + 7) / (2 * (n + 1) * (n + 2) * (n + 3)),
-        )
+        return mean, (n + 7) / (2 * (n + 1) * (n + 2) * (n + 3))
     high = domain.high
     x = np.arange(1, high + 1)[:, None]
     d = np.arange(1, high)
     within = np.minimum(high, x + d - 1) - np.maximum(1, x - d + 1) + 1  # |x - y| < d
     tail = (((high - within) / high) ** n).mean(axis=0)  # P(D >= d)
-    return tail.sum(), ((2 * d - 1) * tail).sum()
+    return mean, ((2 * d - 1) * tail).sum()
+
+
+@pytest.mark.parametrize("n, deviation_pct", [(5, -5.2), (50, 1.6), (200, 9.0), (1000, 18.3)])
+def test_min_dist_fit_deviation_from_the_exact_expectation(n, deviation_pct):
+    exact = min_dist_exact(n, UnitInterval())
+    assert 100 * (min_dist_expectation(n) / exact - 1) == pytest.approx(deviation_pct, abs=0.05)
 
 
 @pytest.mark.parametrize(

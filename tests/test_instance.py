@@ -1,4 +1,5 @@
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from mtspkit import (
     parse_coords_csv,
     parse_tsplib,
 )
-from mtspkit.instance import RoutePlan, dumps_coords_csv
+from mtspkit.instance import RoutePlan, _block_rows, dumps_coords_csv
 
 TRIANGLE = """\
 NAME : tri
@@ -345,12 +346,35 @@ def _coords_of_kind(kind, n, seed):
     return (rng.random((n, 2)) - 0.5) * scale
 
 
-@pytest.mark.parametrize("n", [3, 10, 51, 500, 2000])
+# Row-block edges of the build: n = 178 is one block exactly, n = 179 one
+# block plus one row, n = 253 two blocks plus a last block of one row.
+_BLOCK_EDGE_SIZES = [178, 179, 253]
+
+
+def test_block_edge_sizes_sit_on_the_block_edges():
+    assert _block_rows(178) == 178
+    assert _block_rows(179) == 178
+    assert divmod(253, _block_rows(253)) == (2, 1)
+
+
+@pytest.mark.parametrize("n", [3, 10, 51, *_BLOCK_EDGE_SIZES, 500, 2000])
 @pytest.mark.parametrize("kind", ["integer", "float", "negative", "huge", "tiny"])
 def test_euclidean_matrix_matches_tensor_formula(n, kind):
     pts = _coords_of_kind(kind, n, seed=n)
     for rounding in ("none", "integer"):
-        assert np.array_equal(euclidean_matrix(pts, rounding), _tensor_matrix(pts, rounding))
+        built = euclidean_matrix(pts, rounding)
+        assert built.tobytes() == _tensor_matrix(pts, rounding).tobytes()
+
+
+def test_euclidean_matrix_allocates_the_result_and_one_block():
+    pts = _coords_of_kind("float", 2000, seed=1)
+    tracemalloc.start()
+    try:
+        matrix = euclidean_matrix(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * matrix.nbytes
 
 
 def _tsplib_text(pts):
