@@ -1,7 +1,7 @@
 """Balanced multiple-travelling-salesman toolkit.
 
 Greedy construction heuristics (nearest node, closest vehicle), exact
-solving of the node-balanced mTSP (a subset DP up to n = 15, a
+solving of the node-balanced mTSP (a subset DP up to n = 16, a
 branch-and-bound above it), and closed-form distance laws with Monte Carlo
 validation.
 """

@@ -2,10 +2,9 @@
 
 Cell seeds derive from the config seed alone (never from scheduling), so
 the emitted tables are byte-identical across runs and safe to parallelise
-per cell. By default the same sampled instance is reused across every
-fleet size and algorithm of a cell row, which keeps the consecutive-m
-distance increments paired; ``shared_instances=False`` switches to
-independent draws per (algorithm, m).
+per cell. The same sampled instance is reused across every fleet size and
+algorithm of a cell row, which keeps the consecutive-m distance increments
+paired.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ class ExperimentConfig:
     grid_max: int = 100
     base_seed: int = 1
     algorithms: tuple[str, ...] = ("nearest", "closest")
-    shared_instances: bool = True
 
     def __post_init__(self):
         if self.samples < 2:
@@ -74,10 +72,8 @@ class ExperimentConfig:
 def run_experiment(config: ExperimentConfig) -> list[SummaryRow]:
     """Sample the configured grid and aggregate per-cell statistics.
 
-    Cell (t, sample) reuses one instance across all m and algorithms when
-    ``shared_instances`` is set; otherwise each (algorithm, m) redraws with
-    a seed derived from (t, sample, algorithm index, m). Standard deviation
-    is the sample (n-1) estimator.
+    Cell (t, sample) reuses one instance across all m and algorithms.
+    Standard deviation is the sample (n-1) estimator.
     """
     totals: dict[tuple[int, int, str], list[float]] = {
         (t, m, alg): []
@@ -87,18 +83,12 @@ def run_experiment(config: ExperimentConfig) -> list[SummaryRow]:
     }
     for t in config.sizes:
         for sample in range(config.samples):
-            shared = None
-            if config.shared_instances:
-                shared = generate_uniform_instance(
-                    GridSpec(t, config.grid_max, derive_seed(config.base_seed, t, sample))
-                )
-            for alg_idx, alg in enumerate(config.algorithms):
+            inst = generate_uniform_instance(
+                GridSpec(t, config.grid_max, derive_seed(config.base_seed, t, sample))
+            )
+            for alg in config.algorithms:
                 solver = heuristics.ALGORITHMS[alg]
                 for m in config.m_values:
-                    inst = shared
-                    if inst is None:
-                        seed = derive_seed(config.base_seed, t, sample, alg_idx, m)
-                        inst = generate_uniform_instance(GridSpec(t, config.grid_max, seed))
                     totals[t, m, alg].append(solver(inst, m).total_distance)
     rows = []
     for t in config.sizes:
@@ -218,7 +208,6 @@ def solve(
     if instance.n <= ORACLE_MAX_N:
         result = brute_force_oracle(instance, m, kmin, kmax, time_limit=time_limit)
     else:
-        build_model(instance, m, kmin, kmax)  # window check first, as in the DP
         model = build_model(
             instance, m, kmin, kmax, warm_start=heuristics.nearest_node(instance, m)
         )
@@ -238,10 +227,10 @@ def compare_instances(
     The gap for an ordered pair (A, B) of the algorithm list is
     ``100 * (dist_B - dist_A) / dist_A``, and ``nan`` when either distance
     is infinite or ``dist_A`` is 0. Each run goes through :func:`solve`;
-    exact runs also record their status. A cell with no feasible plan gets
-    distance ``inf`` and spoils no other cell: an exact window that cannot
-    cover the customers (status ``infeasible``), or a heuristic asked for
-    more routes than there are customers.
+    exact runs also record their status. A cell whose run raises
+    ``InfeasibleModelError`` gets distance ``inf`` and spoils no other cell:
+    an exact window that cannot cover the customers (status ``infeasible``),
+    or a heuristic asked for more routes than there are customers.
     """
     rows = []
     for inst in instances:
@@ -249,14 +238,12 @@ def compare_instances(
             distances: dict[str, float] = {}
             statuses: dict[str, str] = {}
             for alg in algorithms:
-                if alg in heuristics.ALGORITHMS and m > inst.n - 1:
-                    distances[alg] = np.inf
-                    continue
                 try:
                     plan, result = solve(inst, m, alg, window, time_limit)
                 except InfeasibleModelError:
                     distances[alg] = np.inf
-                    statuses[alg] = SolveStatus.INFEASIBLE.value
+                    if alg == "exact":
+                        statuses[alg] = SolveStatus.INFEASIBLE.value
                     continue
                 distances[alg] = plan.total_distance if result is None else result.objective
                 if result is not None:

@@ -112,7 +112,6 @@ def cmd_experiment(args) -> int:
         grid_max=args.grid_max,
         base_seed=args.seed,
         algorithms=tuple(a.strip() for a in args.algorithms.split(",")),
-        shared_instances=not args.independent_draws,
     )
     rows = bench.run_experiment(config)
     text = (
@@ -210,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-max", type=int, default=100)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--algorithms", default="nearest,closest")
-    p.add_argument("--independent-draws", action="store_true")
     p.add_argument("--out")
     p.add_argument("--format", choices=("csv", "markdown"), default="csv")
     p.set_defaults(func=cmd_experiment)

@@ -25,9 +25,11 @@ memoises, per solve, the sum of its customer terms for each unvisited
 mask, so the search does no set or numpy-scalar work per node.
 
 ``brute_force_oracle`` is dynamic programming over customer subsets,
-limited to n <= 15. It is also the ground truth the branch-and-bound is
-checked against, and under a time limit it falls back to the warm start
-above the branch-and-bound's root bound.
+limited to n <= 16, on numpy arrays indexed by subset mask: one label
+layer per subset size, then split rounds over the closable routes that
+hold a subset's lowest customer. It is also the ground truth the
+branch-and-bound is checked against, and under a time limit it falls
+back to the warm start above the branch-and-bound's root bound.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from heapq import heappush, heappop
 
 import numpy as np
 
-from .heuristics import nearest_node
+from .heuristics import InfeasibleModelError, nearest_node
 from .instance import Instance, RoutePlan, evaluate_plan
 
 _EPS = 1e-9
@@ -50,10 +52,6 @@ class SolveStatus(Enum):
     OPTIMAL = "optimal"
     FEASIBLE_TIME_LIMIT = "feasible_time_limit"
     INFEASIBLE = "infeasible"
-
-
-class InfeasibleModelError(ValueError):
-    """The balance window cannot cover the customers: m*K > n-1 or m*L < n-1."""
 
 
 @dataclass(frozen=True)
@@ -353,28 +351,32 @@ def _replace(tup, idx, value):
 # ---------------------------------------------------------------------------
 # subset DP
 
-ORACLE_MAX_N = 15
+ORACLE_MAX_N = 16
 
 
 def brute_force_oracle(
     instance: Instance, m: int, min_customers: int, max_customers: int, *,
     time_limit: float | None = None,
 ) -> ExactResult:
-    """Exact optimum by dynamic programming over customer subsets (n <= 15).
+    """Exact optimum by dynamic programming over customer subsets, n <= ``ORACLE_MAX_N``.
 
-    Held-Karp labels keep the cheapest depot-to-customer path per (subset,
-    last customer), with a back-pointer; subsets of ``min_customers`` to
-    ``max_customers`` customers close into routes. ``m - 1`` split rounds add
-    the route holding a subset's lowest customer, only to subsets the other
-    routes can complete. ``nodes_explored`` counts the path labels built.
+    Subset masks index numpy arrays (bit j is customer j + 1). ``path[S, t]``
+    is the cheapest depot-to-customer path through S ending at t, and
+    ``back[S, t]`` the customer before t on it; they are filled one subset
+    size at a time, each (size, t) step one ``argmin`` over the labels of
+    ``S ^ 1 << t``, whose first minimum keeps the lowest predecessor on
+    ties. Subsets of ``min_customers`` to ``max_customers`` customers close
+    into routes. ``m - 1`` split rounds then give each subset the other
+    routes can complete its cheapest cover: the closable route R holding
+    the subset's lowest customer plus the cover of the rest, over R in
+    descending mask order, so ties keep the largest R. ``nodes_explored``
+    counts the path labels built.
 
-    The clock starts before the tables are built and is read every 256
-    subsets of the label loop and on every subset a split round works on,
-    so a run stops shortly after ``time_limit``, or after the table build
-    if the limit ends inside it. Once ``time_limit`` has passed, the run
-    returns the nearest-node plan, which fits every feasible window, as
-    ``feasible_time_limit``, with the branch-and-bound root's
-    ``completion_bound`` as its lower bound.
+    The clock starts before the tables are built and is read on every
+    (size, t) label step and on every subset a split round works on. Once
+    ``time_limit`` has passed, the run returns the nearest-node plan, which
+    fits every feasible window, as ``feasible_time_limit``, with the
+    branch-and-bound root's ``completion_bound`` as its lower bound.
     """
     n = instance.n
     if n > ORACLE_MAX_N:
@@ -385,75 +387,64 @@ def brute_force_oracle(
     lo, hi = min_customers, max_customers
     start_time = time.perf_counter()
     deadline = np.inf if time_limit is None else start_time + time_limit
-    d = instance.matrix.tolist()
-    k = n - 1  # bit j of a subset is customer j + 1 (0-based node j + 1)
+    d = instance.matrix
+    k = n - 1  # bit j of a subset mask is customer j + 1 (0-based node j + 1)
     full = (1 << k) - 1
-    bits = [[]]  # bits[mask]: the subset's customers, ascending
-    for j in range(k):
-        bits += [b + [j] for b in bits]
-    path = [[np.inf] * k for _ in range(full + 1)]
-    back = [[-1] * k for _ in range(full + 1)]
-    route, last = [np.inf] * (full + 1), [-1] * (full + 1)  # cheapest closing per subset
-    for j in range(k):
-        path[1 << j][j] = d[0][j + 1]
-    for mask in range(1, full + 1):  # a subset's labels are final: it follows its parts
-        if not mask & 255 and time.perf_counter() > deadline:
-            return _dp_time_limit(instance, m, lo, start_time, _labels(bits[:mask], hi))
-        size = len(bits[mask])
-        if size > hi:
-            continue
-        for j in bits[mask]:
-            cost, dj = path[mask][j], d[j + 1]
-            if size >= lo and cost + dj[0] < route[mask]:
-                route[mask], last[mask] = cost + dj[0], j
-            if size < hi:
-                for t in bits[full ^ mask]:
-                    ext = mask | 1 << t
-                    if cost + dj[t + 1] < path[ext][t]:
-                        path[ext][t], back[ext][t] = cost + dj[t + 1], j
-    cover, picks = route, []
-    for r in range(2, m + 1):
-        nxt, pick = [np.inf] * (full + 1), {}
-        for mask in range(1, full + 1):
-            size = len(bits[mask])
-            if not (r * lo <= size <= r * hi and (m - r) * lo <= k - size <= (m - r) * hi):
-                continue
+    masks = np.arange(full + 1)
+    size = np.zeros(1, dtype=np.int64)  # size[mask]: the subset's customers
+    for _ in range(k):
+        size = np.concatenate([size, size + 1])
+    path = np.full((full + 1, k), np.inf)
+    back = np.full((full + 1, k), -1, dtype=np.int8)
+    path[1 << np.arange(k), np.arange(k)] = d[0, 1:]
+    for s in range(2, hi + 1):
+        layer = masks[size == s]
+        for t in range(k):
             if time.perf_counter() > deadline:
-                return _dp_time_limit(instance, m, lo, start_time, _labels(bits, hi))
-            low = mask & -mask
-            rest = sub = mask ^ low
-            while True:
-                c = route[sub | low] + cover[rest ^ sub]
-                if c < nxt[mask]:
-                    nxt[mask], pick[mask] = c, sub | low
-                if not sub:
-                    break
-                sub = (sub - 1) & rest
+                labels = int(size[size < s].sum())
+                return _dp_time_limit(instance, m, lo, start_time, labels)
+            sets = layer[layer & 1 << t > 0]
+            cost = path[sets ^ 1 << t] + d[1:, t + 1]
+            back[sets, t] = cost.argmin(1)
+            path[sets, t] = cost.min(1)
+    labels = int(size[size <= hi].sum())
+    close = path + d[1:, 0]
+    last = close.argmin(1)
+    route = np.where((lo <= size) & (size <= hi), close.min(1), np.inf)
+    closable = masks[np.isfinite(route)][::-1]  # descending: ties keep the largest
+    owns = {1 << j: closable[closable & -closable == 1 << j] for j in range(k)}
+    cover, picks, rest = route, [], k - size
+    for r in range(2, m + 1):  # cover[mask]: the cheapest r routes covering mask
+        nxt, pick = np.full(full + 1, np.inf), {}
+        works = (r * lo <= size) & (size <= r * hi)
+        works &= ((m - r) * lo <= rest) & (rest <= (m - r) * hi)
+        for mask in masks[works].tolist():
+            if time.perf_counter() > deadline:
+                return _dp_time_limit(instance, m, lo, start_time, labels)
+            held = owns[mask & -mask]
+            held = held[(held & mask) == held]  # the routes inside mask
+            cost = route[held] + cover[mask ^ held]
+            best = cost.argmin()
+            nxt[mask], pick[mask] = cost[best], int(held[best])
         cover = nxt
         picks.append(pick)
-    mask, masks = full, []
+    mask, chosen = full, []
     for pick in reversed(picks):
-        masks.append(pick[mask])
+        chosen.append(pick[mask])
         mask ^= pick[mask]
     routes = []
-    for s in masks + [mask]:
-        seq, j = [], last[s]
+    for s in chosen + [mask]:
+        seq, j = [], int(last[s])
         while s:
             seq.append(j + 2)
-            s, j = s ^ 1 << j, back[s][j]
+            s, j = s ^ 1 << j, int(back[s, j])
         routes.append((1, *reversed(seq), 1))
     wall = time.perf_counter() - start_time
     plan = evaluate_plan(instance, routes)
     return ExactResult(
         SolveStatus.OPTIMAL, plan, plan.total_distance, plan.total_distance,
-        _labels(bits, hi), wall, "subset_dp",
+        labels, wall, "subset_dp",
     )
-
-
-def _labels(bits, max_customers):
-    """Path labels of the listed subsets: one per customer of each subset
-    of at most ``max_customers`` customers."""
-    return sum(len(b) for b in bits if len(b) <= max_customers)
 
 
 def _dp_time_limit(instance, m, min_customers, start_time, labels) -> ExactResult:

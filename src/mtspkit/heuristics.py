@@ -19,6 +19,11 @@ from . import kernels
 from .instance import Instance, RoutePlan, evaluate_plan
 
 
+class InfeasibleModelError(ValueError):
+    """No plan fits the fleet: more routes than customers, or a window with
+    m*K > n-1 or m*L < n-1."""
+
+
 @dataclass(frozen=True)
 class BalancePlan:
     """Customer quotas for m salesmen over n - 1 customers."""
@@ -47,7 +52,7 @@ def balance_plan(n: int, m: int) -> BalancePlan:
     if m < 1:
         raise ValueError("need at least one salesman")
     if m > n - 1:
-        raise ValueError(f"{m} salesmen but only {n - 1} customers")
+        raise InfeasibleModelError(f"{m} salesmen but only {n - 1} customers")
     lower = (n - 1) // m
     upper = -((n - 1) // -m)
     larger = (n - 1) - m * lower

@@ -286,6 +286,22 @@ def test_solve_keeps_the_fleet_sizes_it_solved(capsys, tmp_path):
     assert "garn9 m=2: infeasible: window [2, 3]" in err
 
 
+@pytest.mark.parametrize("algorithm", ["nearest", "closest"])
+def test_solve_keeps_the_fleet_sizes_beside_one_with_too_many_routes(
+    capsys, tmp_path, algorithm
+):
+    # garn9 has 8 customers: no heuristic can balance them over 9 routes
+    out = tmp_path / "plans.jsonl"
+    code, _, err = run(
+        capsys, "solve", "--instance", str(bundled_path("garn9")), "--m", "2,9,3",
+        "--algorithm", algorithm, "--out", str(out),
+    )
+    assert code == 2
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["m"] for r in records] == [2, 3]
+    assert "garn9 m=9: infeasible:" in err
+
+
 @pytest.mark.parametrize("m", ["5-2", ",", ""])
 def test_solve_rejects_empty_or_descending_fleet_sizes(capsys, m):
     code, out, err = run(

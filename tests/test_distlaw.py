@@ -246,7 +246,18 @@ def test_pair_distance_unit_interval():
 
 def test_pair_distance_integer_range():
     result = simulate_pair_dist(100_000, IntegerRange(100), seed=42)
-    assert result.mean == pytest.approx(33.17, abs=0.5)
+    assert result.mean == pytest.approx(min_dist_exact(1, IntegerRange(100)), abs=0.5)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 10, 100])
+def test_integer_pair_expectation_is_the_closed_form(h):
+    # the minimum distance to one other point is the pair distance
+    expected = (h * h - 1) / (3 * h)
+    assert min_dist_exact(1, IntegerRange(h)) == pytest.approx(expected, rel=1e-12)
+
+
+def test_unit_pair_expectation_is_a_third():
+    assert min_dist_exact(1, UnitInterval()) == expected_pair_distance_interval(1)
 
 
 def test_pair_distance_degenerate_range():
