@@ -183,6 +183,8 @@ class ComparisonRow:
 def default_window(n: int, m: int) -> tuple[int, int]:
     """Route-size window used for exact runs unless overridden:
     the tightest balanced one, ``L = ceil((n-1)/m)`` and ``K = max(L-1, 1)``."""
+    if m < 1:
+        raise ValueError("need at least one salesman")
     upper = -((n - 1) // -m)
     return max(upper - 1, 1), upper
 

@@ -35,16 +35,21 @@ def _emit(text: str, out: str | None):
 
 
 def _int_list(text: str) -> list[int]:
-    """Parse '2,3,4' or '2-7' (inclusive range); empty or descending is an error."""
-    if "-" in text and "," not in text:
-        lo, _, hi = text.partition("-")
-        values = list(range(int(lo), int(hi) + 1))
-        if not values:
-            raise ValueError(f"descending range {text!r}")
-        return values
-    values = [int(tok) for tok in text.split(",") if tok.strip()]
+    """Parse '2,3,4' or '2-7' (inclusive range); empty, descending or
+    unreadable text is an error that names the text."""
+    ranged = "-" in text and "," not in text
+    try:
+        if ranged:
+            lo, _, hi = text.partition("-")
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(
+            f"cannot read {text!r} as integers: give a list like '2,3,4' or a range like '2-7'"
+        ) from None
     if not values:
-        raise ValueError(f"empty list {text!r}")
+        raise ValueError(f"{'descending range' if ranged else 'empty list'} {text!r}")
     return values
 
 

@@ -79,8 +79,8 @@ def closest_vehicle(instance: Instance, m: int) -> RoutePlan:
     quotas = balance_plan(instance.n, m).quotas()
     order, vehicle, _ = kernels.closest_order(instance.matrix, quotas)
     routes = [[1] for _ in range(m)]
-    for node, k in zip((order + 1).tolist(), vehicle.tolist()):
-        routes[k].append(node)
+    for t, k in zip(order, vehicle):
+        routes[k].append(t + 1)
     for r in routes:
         r.append(1)
     return evaluate_plan(instance, routes)

@@ -312,6 +312,35 @@ def test_solve_rejects_empty_or_descending_fleet_sizes(capsys, m):
     assert "error" in err
 
 
+@pytest.mark.parametrize("m", ["-1", "2-", "a"])
+def test_solve_names_unreadable_fleet_sizes(capsys, m):
+    code, out, err = run(
+        capsys, "solve", "--instance", str(bundled_path("garn9")), "--m", m
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot read {m!r} as integers")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--instance", str(bundled_path("garn9")), "--m", "0",
+         "--algorithm", "exact"],
+        ["compare", "--instances", str(bundled_path("garn9")), "--m", "0",
+         "--algorithms", "exact"],
+    ],
+    ids=["solve", "compare"],
+)
+def test_exact_rejects_zero_salesmen(capsys, argv):
+    # the default window divides by m, so m = 0 must be caught before it
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: need at least one salesman\n"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_simulate_rejects_fewer_than_one_worker(capsys, workers):
     code, out, err = run(

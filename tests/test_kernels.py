@@ -95,16 +95,29 @@ def _quotas(n, m):
     return np.array([lower + 1] * extra + [lower] * (m - extra), np.int64)
 
 
+def _outcome(build, mat, quotas):
+    """``build``'s return value, or None when it finds no selectable node."""
+    try:
+        return build(mat, quotas)
+    except ValueError as exc:
+        assert "no selectable node" in str(exc)
+        return None
+
+
 def _assert_kernels_match_oracle(mat, quotas):
-    order, scans = kernels.nearest_order(mat, quotas)
-    ref_order, ref_scans = _nearest_loops(mat, quotas)
-    assert np.array_equal(order, ref_order)
-    assert scans == ref_scans
-    order, vehicle, scans = kernels.closest_order(mat, quotas)
-    ref_order, ref_vehicle, ref_scans = _closest_loops(mat, quotas)
-    assert np.array_equal(order, ref_order)
-    assert np.array_equal(vehicle, ref_vehicle)
-    assert scans == ref_scans
+    """Each kernel returns what its loop oracle returns, ``scans`` included,
+    or both raise "no selectable node"."""
+    for kernel, oracle in (
+        (kernels.nearest_order, _nearest_loops),
+        (kernels.closest_order, _closest_loops),
+    ):
+        got = _outcome(kernel, mat, quotas)
+        want = _outcome(oracle, mat, quotas)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
@@ -121,6 +134,10 @@ def _tie_heavy_cases(draw):
     mat = draw(arrays(np.int64, (n, n), elements=st.integers(0, 4))).astype(np.float64)
     if draw(st.booleans()):
         mat = np.minimum(mat, mat.T)
+    if draw(st.booleans()):
+        # +inf off the diagonal is allowed; a walk that meets only inf stops
+        holes = draw(arrays(np.int64, (n, n), elements=st.integers(0, 7))) == 0
+        mat[holes] = np.inf
     np.fill_diagonal(mat, np.inf)
     return mat, _quotas(n, m)
 
@@ -138,3 +155,34 @@ def test_all_sentinel_rows_error():
         kernels.nearest_order(mat, quotas)
     with pytest.raises(ValueError, match="no selectable node"):
         kernels.closest_order(mat, quotas)
+
+
+def test_a_dead_end_customer_stops_the_walk_midway():
+    # customer 1 is the depot's nearest node and reaches no other customer
+    mat = np.array([
+        [np.inf, 1.0, 2.0, 3.0, 4.0],
+        [1.0, np.inf, np.inf, np.inf, np.inf],
+        [2.0, 1.0, np.inf, 1.0, 1.0],
+        [3.0, 1.0, 1.0, np.inf, 1.0],
+        [4.0, 1.0, 1.0, 1.0, np.inf],
+    ])
+    quotas = _quotas(5, 1)
+    for build in (kernels.nearest_order, _nearest_loops):
+        with pytest.raises(ValueError, match="no selectable node"):
+            build(mat, quotas)
+
+
+def test_dead_end_customers_stop_every_vehicle_midway():
+    # vehicle 0 takes customer 1, vehicle 1 then takes customer 2; neither
+    # customer reaches another one, so the third step finds nothing
+    mat = np.array([
+        [np.inf, 1.0, 2.0, np.inf, np.inf],
+        [1.0, np.inf, np.inf, np.inf, np.inf],
+        [2.0, np.inf, np.inf, np.inf, np.inf],
+        [3.0, 1.0, 1.0, np.inf, 1.0],
+        [4.0, 1.0, 1.0, 1.0, np.inf],
+    ])
+    quotas = _quotas(5, 2)
+    for build in (kernels.closest_order, _closest_loops):
+        with pytest.raises(ValueError, match="no selectable node"):
+            build(mat, quotas)
