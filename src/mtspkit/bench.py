@@ -201,7 +201,12 @@ def solve(
     above that. A time-limited DP returns the nearest-node plan too. It
     returns ``(result.best, result)``, whose plan is ``None`` if none was
     found; ``result.backend`` names the algorithm that ran.
+
+    ``time_limit``, if given, must be positive (``inf`` is no limit) for
+    every algorithm, although only ``exact`` reads it.
     """
+    if time_limit is not None and not time_limit > 0:  # NaN too
+        raise ValueError("time_limit must be positive")
     if algorithm in heuristics.ALGORITHMS:
         return heuristics.ALGORITHMS[algorithm](instance, m), None
     if algorithm != "exact":
@@ -232,8 +237,11 @@ def compare_instances(
     exact runs also record their status. A cell whose run raises
     ``InfeasibleModelError`` gets distance ``inf`` and spoils no other cell:
     an exact window that cannot cover the customers (status ``infeasible``),
-    or a heuristic asked for more routes than there are customers.
+    or a heuristic asked for more routes than there are customers. An
+    algorithm named twice is a ``ValueError``.
     """
+    if len(set(algorithms)) != len(algorithms):
+        raise ValueError(f"algorithms repeats a value: {list(algorithms)}")
     rows = []
     for inst in instances:
         for m in m_values:

@@ -29,7 +29,7 @@ limited to n <= 16, on numpy arrays indexed by subset mask: one label
 layer per subset size, then split rounds over the closable routes that
 hold a subset's lowest customer. It is also the ground truth the
 branch-and-bound is checked against, and under a time limit it falls
-back to the warm start above the branch-and-bound's root bound.
+back to the nearest-node plan above a root bound it computes itself.
 """
 
 from __future__ import annotations
@@ -236,7 +236,7 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     as many as it could open within the limit, so the cheaper a node, the
     longer the freeing.
     """
-    if time_limit is not None and time_limit <= 0:
+    if time_limit is not None and not time_limit > 0:  # NaN too
         raise ValueError("time_limit must be positive")
     n = model.instance.n
     m = model.m
@@ -375,14 +375,15 @@ def brute_force_oracle(
     The clock starts before the tables are built and is read on every
     (size, t) label step and on every subset a split round works on. Once
     ``time_limit`` has passed, the run returns the nearest-node plan, which
-    fits every feasible window, as ``feasible_time_limit``, with the
-    branch-and-bound root's ``completion_bound`` as its lower bound.
+    fits every feasible window, as ``feasible_time_limit``. Its lower bound
+    is each customer's cheapest outgoing arc plus, for each of the m
+    routes, the depot's cheapest arc to a customer.
     """
     n = instance.n
     if n > ORACLE_MAX_N:
         raise ValueError(f"the subset DP oracle is limited to n <= {ORACLE_MAX_N}")
     build_model(instance, m, min_customers, max_customers)  # window check
-    if time_limit is not None and time_limit <= 0:
+    if time_limit is not None and not time_limit > 0:  # NaN too
         raise ValueError("time_limit must be positive")
     lo, hi = min_customers, max_customers
     start_time = time.perf_counter()
@@ -402,7 +403,7 @@ def brute_force_oracle(
         for t in range(k):
             if time.perf_counter() > deadline:
                 labels = int(size[size < s].sum())
-                return _dp_time_limit(instance, m, lo, start_time, labels)
+                return _dp_time_limit(instance, m, start_time, labels)
             sets = layer[layer & 1 << t > 0]
             cost = path[sets ^ 1 << t] + d[1:, t + 1]
             back[sets, t] = cost.argmin(1)
@@ -420,7 +421,7 @@ def brute_force_oracle(
         works &= ((m - r) * lo <= rest) & (rest <= (m - r) * hi)
         for mask in masks[works].tolist():
             if time.perf_counter() > deadline:
-                return _dp_time_limit(instance, m, lo, start_time, labels)
+                return _dp_time_limit(instance, m, start_time, labels)
             held = owns[mask & -mask]
             held = held[(held & mask) == held]  # the routes inside mask
             cost = route[held] + cover[mask ^ held]
@@ -447,13 +448,19 @@ def brute_force_oracle(
     )
 
 
-def _dp_time_limit(instance, m, min_customers, start_time, labels) -> ExactResult:
+def _dp_time_limit(instance, m, start_time, labels) -> ExactResult:
     """The subset DP's result once its limit passed: the nearest-node plan
-    above the root ``completion_bound``."""
-    bound = completion_bound(
-        neighbour_table(instance.matrix), {}, ((),) * m, (False,) * m,
-        (1 << instance.n) - 2, min_customers,
-    )
+    above the root bound. Every customer leaves by one arc and every route
+    leaves the depot by one; the cheapest of each are added in ascending
+    customer order, then once per route, as Python floats (``sum`` would
+    round differently from Python 3.12 on)."""
+    d = instance.matrix
+    bound = 0.0
+    for cost in d[1:].min(1).tolist():
+        bound += cost
+    depot = float(d[0, 1:].min())
+    for _ in range(m):
+        bound += depot
     plan = nearest_node(instance, m)
     return ExactResult(
         SolveStatus.FEASIBLE_TIME_LIMIT, plan, plan.total_distance, bound, labels,

@@ -112,66 +112,60 @@ def _check_off_diagonal_finite(matrix: np.ndarray) -> None:
 class Instance:
     """An mTSP instance; immutable after construction.
 
-    ``coords`` is optional (explicit-matrix instances have none). When
-    present, the matrix must agree with the coordinates under the stored
-    rounding mode; the constructor re-derives the matrix to check that.
-    Coordinate loaders use :meth:`from_coords` instead, which builds the
-    matrix once and never re-derives it, so a coordinate instance costs
-    one n x n float64 matrix (32 MB at n=2000).
+    Give a distance ``matrix``, ``coords``, or both. ``rounding`` is
+    ``"none"`` or ``"integer"`` (see :func:`euclidean_matrix`); it is
+    checked for every instance. From coordinates alone the constructor
+    checks that they are finite, builds the matrix once with
+    :func:`euclidean_matrix` and checks that no distance overflowed, so a
+    coordinate instance costs one n x n float64 matrix (32 MB at n=2000).
+    A given matrix must be square with n >= 3, an ``inf`` diagonal and
+    finite non-negative off-diagonal entries; with coordinates as well, it
+    must agree with them under ``rounding``, which the constructor
+    re-derives the matrix to check. Both arrays are copied and frozen.
     """
 
     name: str
-    matrix: np.ndarray
+    matrix: np.ndarray | None = None
     coords: np.ndarray | None = None
     rounding: str = "none"
 
     def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("distance matrix must be square")
-        n = matrix.shape[0]
-        if n < 3:
-            raise ValueError("instance needs at least 3 nodes")
-        if not np.all(np.isposinf(np.diagonal(matrix))):
-            raise ValueError("matrix diagonal must be the infinity sentinel")
-        _check_off_diagonal_finite(matrix)
-        if np.any(matrix < 0):
-            raise ValueError("distances must be non-negative")
+        if self.rounding not in ("none", "integer"):
+            raise ValueError(f"unknown rounding mode {self.rounding!r}")
         coords = self.coords
         if coords is not None:
             coords = np.array(coords, dtype=np.float64)
-            if coords.shape != (n, 2):
-                raise ValueError("coords must be an (n, 2) array")
-            # both diagonals are inf, which allclose counts as equal
-            expected = euclidean_matrix(coords, self.rounding)
-            if not np.allclose(matrix, expected, rtol=1e-9, atol=1e-9):
-                raise ValueError("matrix disagrees with coordinates")
+        if self.matrix is None:
+            if coords is None:
+                raise ValueError("instance needs a distance matrix or coordinates")
+            if not np.all(np.isfinite(coords)):
+                raise ValueError("coordinates must be finite")
+            matrix = euclidean_matrix(coords, self.rounding)  # checks (n, 2), n >= 3
+            _check_off_diagonal_finite(matrix)  # no distance overflowed
+        else:
+            matrix = np.array(self.matrix, dtype=np.float64)
+            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+                raise ValueError("distance matrix must be square")
+            n = matrix.shape[0]
+            if n < 3:
+                raise ValueError("instance needs at least 3 nodes")
+            if not np.all(np.isposinf(np.diagonal(matrix))):
+                raise ValueError("matrix diagonal must be the infinity sentinel")
+            _check_off_diagonal_finite(matrix)
+            if np.any(matrix < 0):
+                raise ValueError("distances must be non-negative")
+            if coords is not None:
+                if coords.shape != (n, 2):
+                    raise ValueError("coords must be an (n, 2) array")
+                # both diagonals are inf, which allclose counts as equal
+                expected = euclidean_matrix(coords, self.rounding)
+                if not np.allclose(matrix, expected, rtol=1e-9, atol=1e-9):
+                    raise ValueError("matrix disagrees with coordinates")
+        if coords is not None:
             coords.flags.writeable = False
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "coords", coords)
-
-    @classmethod
-    def from_coords(cls, name: str, coords, rounding: str = "none") -> Instance:
-        """Build a coordinate instance, deriving its matrix exactly once.
-
-        Checks that the coordinates are an (n, 2) array of finite values
-        with n >= 3, and that no distance overflowed. The matrix comes
-        from :func:`euclidean_matrix`, so it agrees with the coordinates
-        by construction and is not re-derived.
-        """
-        pts = np.array(coords, dtype=np.float64)
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("coordinates must be finite")
-        matrix = euclidean_matrix(pts, rounding)  # checks the shape and n >= 3
-        _check_off_diagonal_finite(matrix)
-        pts.flags.writeable = False
-        matrix.flags.writeable = False
-        inst = object.__new__(cls)
-        for field, value in (("name", name), ("matrix", matrix),
-                             ("coords", pts), ("rounding", rounding)):
-            object.__setattr__(inst, field, value)
-        return inst
 
     @property
     def n(self) -> int:
@@ -291,7 +285,7 @@ def generate_uniform_instance(spec: GridSpec) -> Instance:
     rng = rng_from_seed(spec.seed)
     pts = rng.integers(1, spec.grid_max + 1, size=(spec.n, 2)).astype(np.float64)
     name = f"u{spec.n}g{spec.grid_max}s{spec.seed}"
-    return Instance.from_coords(name, pts)
+    return Instance(name, coords=pts)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +373,7 @@ def parse_tsplib(text: str, rounding: str = "none") -> Instance:
     if weight_type == "EUC_2D":
         if coords is None:
             raise ParseError("EUC_2D file has no NODE_COORD_SECTION")
-        return Instance.from_coords(name, coords, rounding)
+        return Instance(name, coords=coords, rounding=rounding)
     if weights is None:
         raise ParseError("EXPLICIT file has no EDGE_WEIGHT_SECTION")
     return Instance(name, weights)
@@ -492,7 +486,7 @@ def parse_coords_csv(
             pts.append((float(row[0]), float(row[1])))
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric coordinate") from None
-    return Instance.from_coords(name, pts, rounding)
+    return Instance(name, coords=pts, rounding=rounding)
 
 
 def dumps_coords_csv(instance: Instance) -> str:

@@ -341,6 +341,43 @@ def test_exact_rejects_zero_salesmen(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--m", "2", "--time-limit", "-1"],
+        ["solve", "--m", "2", "--algorithm", "closest", "--time-limit", "0"],
+        ["solve", "--m", "2", "--algorithm", "exact", "--time-limit", "nan"],
+        ["compare", "--m", "2", "--algorithms", "nearest", "--time-limit", "-1"],
+        ["compare", "--m", "2", "--algorithms", "exact", "--time-limit", "nan"],
+    ],
+)
+def test_every_algorithm_rejects_a_non_positive_time_limit(capsys, argv):
+    where = "--instance" if argv[0] == "solve" else "--instances"
+    code, out, err = run(capsys, *argv, where, str(bundled_path("garn9")))
+    assert code == 1
+    assert out == ""
+    assert err == "error: time_limit must be positive\n"
+
+
+def test_solve_takes_an_infinite_time_limit(capsys):
+    code, text, _ = run(
+        capsys, "solve", "--instance", str(bundled_path("garn9")), "--m", "2",
+        "--algorithm", "exact", "--time-limit", "inf",
+    )
+    assert code == 0
+    assert json.loads(text)["status"] == "optimal"
+
+
+def test_compare_rejects_a_repeated_algorithm(capsys):
+    code, out, err = run(
+        capsys, "compare", "--instances", str(bundled_path("garn9")), "--m", "2",
+        "--algorithms", "nearest,nearest",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: algorithms repeats a value: ['nearest', 'nearest']\n"
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_simulate_rejects_fewer_than_one_worker(capsys, workers):
     code, out, err = run(

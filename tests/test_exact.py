@@ -280,6 +280,23 @@ def test_time_limit_validation(garn9):
         solve_exact(build_model(garn9, 2, 2, 5), time_limit=0)
 
 
+@pytest.mark.parametrize("limit", [0.0, -1.0, float("nan")])
+def test_exact_backends_reject_a_non_positive_time_limit(garn9, limit):
+    model = build_model(garn9, 2, 2, 5)
+    with pytest.raises(ValueError, match="time_limit must be positive"):
+        solve_exact(model, time_limit=limit)
+    with pytest.raises(ValueError, match="time_limit must be positive"):
+        brute_force_oracle(garn9, 2, 2, 5, time_limit=limit)
+
+
+def test_exact_backends_take_an_infinite_time_limit(garn9):
+    proved = brute_force_oracle(garn9, 2, 2, 5)
+    for result in (solve_exact(build_model(garn9, 2, 2, 5), time_limit=float("inf")),
+                   brute_force_oracle(garn9, 2, 2, 5, time_limit=float("inf"))):
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.objective == pytest.approx(proved.objective, abs=1e-9)
+
+
 def test_time_limit_holds_on_elapsed_time(eil51):
     model = build_model(eil51, 2, 24, 25)
     started = time.perf_counter()

@@ -430,7 +430,7 @@ def test_coordinate_load_builds_matrix_once(monkeypatch, case):
 
 def test_from_coords_copies_and_freezes():
     pts = np.array([(0.0, 0.0), (3.0, 0.0), (0.0, 4.0)])
-    inst = Instance.from_coords("tri", pts)
+    inst = Instance("tri", coords=pts)
     pts[0, 0] = 9.0
     assert inst.coords[0, 0] == 0.0
     assert pts.flags.writeable
@@ -439,6 +439,24 @@ def test_from_coords_copies_and_freezes():
         inst.matrix[0, 1] = 0.0
     with pytest.raises(ValueError):
         inst.coords[0, 0] = 1.0
+
+
+def test_constructor_needs_a_matrix_or_coordinates():
+    with pytest.raises(ValueError, match="matrix or coordinates"):
+        Instance("x")
+
+
+def test_constructor_checks_the_rounding_of_a_matrix_instance():
+    matrix = euclidean_matrix([(0.0, 0.0), (3.0, 0.0), (0.0, 4.0)])
+    with pytest.raises(ValueError, match="unknown rounding mode"):
+        Instance("x", matrix, rounding="bogus")
+
+
+@pytest.mark.parametrize("rounding", ["none", "integer"])
+def test_coordinate_instance_matrix_is_euclidean_matrix(rounding):
+    pts = generate_uniform_instance(GridSpec(40, 100, 5)).coords * 0.37
+    inst = Instance("pts", coords=pts, rounding=rounding)
+    assert inst.matrix.tobytes() == euclidean_matrix(pts, rounding).tobytes()
 
 
 BAD_COORDS = {
@@ -456,7 +474,7 @@ BAD_COORDS = {
 def test_from_coords_rejects_bad_coordinates(kind):
     pts, fragment = BAD_COORDS[kind]
     with pytest.raises(ValueError, match=fragment):
-        Instance.from_coords("bad", pts)
+        Instance("bad", coords=pts)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
