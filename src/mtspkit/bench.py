@@ -198,9 +198,9 @@ def solve(
     A heuristic returns ``(plan, None)``. ``exact`` searches ``window`` or
     :func:`default_window`: by the subset DP when ``instance.n <=
     ORACLE_MAX_N``, by branch and bound from the nearest-node warm start
-    above that. A time-limited DP returns the nearest-node plan too. It
-    returns ``(result.best, result)``, whose plan is ``None`` if none was
-    found; ``result.backend`` names the algorithm that ran.
+    above that. A DP that runs out of time returns the nearest-node plan
+    too, so every exact run returns ``(result.best, result)`` with a plan;
+    ``result.backend`` names the algorithm that ran.
 
     ``time_limit``, if given, must be positive (``inf`` is no limit) for
     every algorithm, although only ``exact`` reads it.

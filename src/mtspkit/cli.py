@@ -78,12 +78,8 @@ def cmd_solve(args) -> int:
     for m in _int_list(args.m):
         try:
             plan, result = bench.solve(inst, m, args.algorithm, window, args.time_limit)
-        except InfeasibleModelError as exc:
-            plan, reason = None, f"infeasible: {exc}"
-        else:
-            reason = "no feasible plan found"
-        if plan is None:
-            print(f"{inst.name} m={m}: {reason}", file=sys.stderr)
+        except InfeasibleModelError as exc:  # every run that returns has a plan
+            print(f"{inst.name} m={m}: infeasible: {exc}", file=sys.stderr)
             code = 2
             continue
         records.append(bench.plan_record(inst.name, m, args.algorithm, plan, result))

@@ -27,9 +27,11 @@ mask, so the search does no set or numpy-scalar work per node.
 ``brute_force_oracle`` is dynamic programming over customer subsets,
 limited to n <= 16, on numpy arrays indexed by subset mask: one label
 layer per subset size, then split rounds over the closable routes that
-hold a subset's lowest customer. It is also the ground truth the
-branch-and-bound is checked against, and under a time limit it falls
-back to the nearest-node plan above a root bound it computes itself.
+hold a subset's lowest customer. The arrays hold costs only; the plan is
+read back by re-deriving each choice with the same ``argmin``. It is also
+the ground truth the branch-and-bound is checked against, and under a
+time limit it falls back to the nearest-node plan above a root bound it
+computes itself.
 """
 
 from __future__ import annotations
@@ -234,7 +236,9 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     ``time_limit``. ``wall_time`` also includes freeing the open nodes,
     which takes time in proportion to their number; a capped search holds
     as many as it could open within the limit, so the cheaper a node, the
-    longer the freeing.
+    longer the freeing. A search that runs out of time before it holds a
+    plan (no warm start) returns the nearest-node plan, as the subset DP
+    does, above the best bound it reached.
     """
     if time_limit is not None and not time_limit > 0:  # NaN too
         raise ValueError("time_limit must be positive")
@@ -326,10 +330,12 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
                 heappush(heap, (child_bound, next(counter), child))
 
     heap.clear()  # freeing the open nodes is part of the solve's time
+    if incumbent_routes is None and timed_out:  # no plan yet: the DP's fallback
+        fallback = nearest_node(model.instance, m).routes
+        incumbent_routes = tuple(tuple(v - 1 for v in r[1:-1]) for r in fallback)
     wall = time.perf_counter() - start_time
     if incumbent_routes is None:
-        status = SolveStatus.FEASIBLE_TIME_LIMIT if timed_out else SolveStatus.INFEASIBLE
-        return ExactResult(status, None, np.inf, best_bound_seen, explored, wall)
+        return ExactResult(SolveStatus.INFEASIBLE, None, np.inf, best_bound_seen, explored, wall)
     plan = evaluate_plan(
         model.instance, [(1, *[v + 1 for v in seq], 1) for seq in incumbent_routes]
     )
@@ -360,17 +366,19 @@ def brute_force_oracle(
 ) -> ExactResult:
     """Exact optimum by dynamic programming over customer subsets, n <= ``ORACLE_MAX_N``.
 
-    Subset masks index numpy arrays (bit j is customer j + 1). ``path[S, t]``
-    is the cheapest depot-to-customer path through S ending at t, and
-    ``back[S, t]`` the customer before t on it; they are filled one subset
-    size at a time, each (size, t) step one ``argmin`` over the labels of
-    ``S ^ 1 << t``, whose first minimum keeps the lowest predecessor on
-    ties. Subsets of ``min_customers`` to ``max_customers`` customers close
-    into routes. ``m - 1`` split rounds then give each subset the other
-    routes can complete its cheapest cover: the closable route R holding
-    the subset's lowest customer plus the cover of the rest, over R in
-    descending mask order, so ties keep the largest R. ``nodes_explored``
-    counts the path labels built.
+    Subset masks index numpy arrays (bit j is customer j + 1) that hold
+    costs only. ``path[S, t]``, the cheapest depot-to-customer path through
+    S ending at t, is filled one subset size at a time, each (size, t) step
+    one ``min`` over the labels of ``S ^ 1 << t``. Subsets of
+    ``min_customers`` to ``max_customers`` customers close into routes.
+    ``m - 1`` split rounds then give each subset the other routes can
+    complete its cheapest cover by r routes, ``covers[r - 1][S]``: the
+    closable route R holding the subset's lowest customer plus the cover of
+    the rest, over R in descending mask order. ``nodes_explored`` counts
+    the path labels built. The plan is read back from the full mask by
+    re-deriving each choice, every route R and then every closing customer
+    and predecessor, by ``argmin`` over the same floats; its first minimum
+    keeps the lowest predecessor and closing customer and the largest R.
 
     The clock starts before the tables are built and is read on every
     (size, t) label step and on every subset a split round works on. Once
@@ -396,7 +404,6 @@ def brute_force_oracle(
     for _ in range(k):
         size = np.concatenate([size, size + 1])
     path = np.full((full + 1, k), np.inf)
-    back = np.full((full + 1, k), -1, dtype=np.int8)
     path[1 << np.arange(k), np.arange(k)] = d[0, 1:]
     for s in range(2, hi + 1):
         layer = masks[size == s]
@@ -405,18 +412,14 @@ def brute_force_oracle(
                 labels = int(size[size < s].sum())
                 return _dp_time_limit(instance, m, start_time, labels)
             sets = layer[layer & 1 << t > 0]
-            cost = path[sets ^ 1 << t] + d[1:, t + 1]
-            back[sets, t] = cost.argmin(1)
-            path[sets, t] = cost.min(1)
+            path[sets, t] = (path[sets ^ 1 << t] + d[1:, t + 1]).min(1)
     labels = int(size[size <= hi].sum())
-    close = path + d[1:, 0]
-    last = close.argmin(1)
-    route = np.where((lo <= size) & (size <= hi), close.min(1), np.inf)
+    route = np.where((lo <= size) & (size <= hi), (path + d[1:, 0]).min(1), np.inf)
     closable = masks[np.isfinite(route)][::-1]  # descending: ties keep the largest
     owns = {1 << j: closable[closable & -closable == 1 << j] for j in range(k)}
-    cover, picks, rest = route, [], k - size
-    for r in range(2, m + 1):  # cover[mask]: the cheapest r routes covering mask
-        nxt, pick = np.full(full + 1, np.inf), {}
+    covers, rest = [route], k - size  # covers[r - 1][mask]: the cheapest r routes
+    for r in range(2, m + 1):
+        cover = np.full(full + 1, np.inf)
         works = (r * lo <= size) & (size <= r * hi)
         works &= ((m - r) * lo <= rest) & (rest <= (m - r) * hi)
         for mask in masks[works].tolist():
@@ -424,21 +427,22 @@ def brute_force_oracle(
                 return _dp_time_limit(instance, m, start_time, labels)
             held = owns[mask & -mask]
             held = held[(held & mask) == held]  # the routes inside mask
-            cost = route[held] + cover[mask ^ held]
-            best = cost.argmin()
-            nxt[mask], pick[mask] = cost[best], int(held[best])
-        cover = nxt
-        picks.append(pick)
+            cost = route[held] + covers[-1][mask ^ held]
+            cover[mask] = cost[cost.argmin()]  # cost.min() is slower on short rows
+        covers.append(cover)
     mask, chosen = full, []
-    for pick in reversed(picks):
-        chosen.append(pick[mask])
-        mask ^= pick[mask]
+    for cover in reversed(covers[:-1]):  # re-derive each round's route
+        held = owns[mask & -mask]
+        held = held[(held & mask) == held]
+        chosen.append(int(held[(route[held] + cover[mask ^ held]).argmin()]))
+        mask ^= chosen[-1]
     routes = []
-    for s in chosen + [mask]:
-        seq, j = [], int(last[s])
+    for s in chosen + [mask]:  # re-derive the closing customer, then each predecessor
+        seq, j = [], int((path[s] + d[1:, 0]).argmin())
         while s:
             seq.append(j + 2)
-            s, j = s ^ 1 << j, int(back[s, j])
+            s ^= 1 << j
+            j = int((path[s] + d[1:, j + 1]).argmin())
         routes.append((1, *reversed(seq), 1))
     wall = time.perf_counter() - start_time
     plan = evaluate_plan(instance, routes)

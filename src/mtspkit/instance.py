@@ -108,7 +108,7 @@ def _check_off_diagonal_finite(matrix: np.ndarray) -> None:
         raise ValueError("off-diagonal distances must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
     """An mTSP instance; immutable after construction.
 
@@ -122,6 +122,8 @@ class Instance:
     finite non-negative off-diagonal entries; with coordinates as well, it
     must agree with them under ``rounding``, which the constructor
     re-derives the matrix to check. Both arrays are copied and frozen.
+    Instances compare and hash by identity: two loads of one file are
+    unequal.
     """
 
     name: str

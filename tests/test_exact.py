@@ -309,6 +309,19 @@ def test_time_limit_holds_on_elapsed_time(eil51):
     assert elapsed <= 0.2 + 0.1
 
 
+def test_time_limit_before_a_first_plan_returns_the_nearest_node_plan():
+    # without a warm start, a 1 ms search at n = 30 stops long before it
+    # completes a plan; it returns the subset DP's fallback plan instead
+    inst = generate_uniform_instance(GridSpec(30, 100, 3))
+    model = build_model(inst, 3, *default_window(inst.n, 3))
+    result = solve_exact(model, time_limit=0.001)
+    assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
+    assert result.best == nearest_node(inst, 3)
+    assert result.objective == result.best.total_distance
+    assert check_solution(model, result.best)[0]
+    assert result.lower_bound <= result.objective
+
+
 def test_bounds_hold_where_the_search_stops_proving():
     # n 12-14 from the nearest-node start under a short limit, where the
     # symmetric runs usually stop unproven: bound and incumbent must still
@@ -376,6 +389,28 @@ def test_subset_dp_is_locked():
                     digest.update(repr(record).encode())
     assert digest.hexdigest() == (
         "08785ee2f18c44a28f69251693dca71b8b1e038419c749dc55b92fbeceba0956"
+    )
+
+
+def test_subset_dp_is_locked_on_asymmetric_instances():
+    # The grid lock is symmetric, so it cannot tell d[i, j] from d[j, i].
+    # Directed integer costs 0-4 give ties in every table and a different
+    # optimum for a reversed route, so reading a transposed arc or keeping
+    # another tie moves a route, and this digest.
+    digest = hashlib.sha256()
+    for n in range(5, 12):
+        for seed in range(3):
+            mat = rng_from_seed(1600 + 10 * n + seed).integers(0, 5, (n, n))
+            mat = mat.astype(np.float64)
+            np.fill_diagonal(mat, np.inf)
+            inst = Instance(f"asym{n}-{seed}", mat)
+            for m in range(1, min(4, n - 1) + 1):
+                for window in (default_window(n, m), (1, n - m)):
+                    result = brute_force_oracle(inst, m, *window)
+                    record = (result.objective, result.best.routes, result.nodes_explored)
+                    digest.update(repr(record).encode())
+    assert digest.hexdigest() == (
+        "19976dbd0ed719d71b0d2a6da0dba9631e14ac21e30b0eed99f954ed3b691bf9"
     )
 
 

@@ -319,6 +319,12 @@ def test_instance_is_immutable(garn9):
         garn9.coords[0, 0] = 0.0
 
 
+def test_instances_compare_and_hash_by_identity(garn9):
+    assert garn9 == garn9
+    assert {garn9} == {garn9} and hash(garn9) == hash(garn9)
+    assert load_bundled("garn9") != load_bundled("garn9")
+
+
 # ---------------------------------------------------------------------------
 # coordinate instances: one 2-D matrix build, no re-derivation
 
