@@ -392,10 +392,13 @@ def simulate_min_dist(
     clouds row by row.
 
     Each chunk's differences are taken in place in the draws' own buffer.
-    On an ``IntegerRange`` they stay int64, where they are exact, and only
-    the per-repetition minimum is converted to float64. For every
+    On an ``IntegerRange`` they stay integers, where they are exact, and
+    only the per-repetition minimum is converted to float64. For every
     ``high <= 2**53`` this equals converting the draws first; above that,
-    converting first would round the draws before subtracting.
+    converting first would round the draws before subtracting. Draws are
+    int32 for ``high < 2**31`` (half the buffer) and int64 above; numpy
+    draws both from one 32-bit sampler for ranges up to ``2**32``, so the
+    stream does not depend on the dtype.
     """
     if n < 1:
         raise ValueError("need at least one target point")
@@ -407,8 +410,9 @@ def simulate_min_dist(
             x = rng.random(count)
             ys = rng.random((count, n))
         elif isinstance(domain, IntegerRange):
-            x = rng.integers(1, domain.high + 1, count)
-            ys = rng.integers(1, domain.high + 1, (count, n))
+            dtype = np.int32 if domain.high < 2**31 else np.int64
+            x = rng.integers(1, domain.high + 1, count, dtype=dtype)
+            ys = rng.integers(1, domain.high + 1, (count, n), dtype=dtype)
         else:
             raise TypeError(f"unsupported domain {domain!r}")
         np.subtract(ys, x[:, None], out=ys)

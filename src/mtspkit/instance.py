@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,7 +46,8 @@ class PlanError(ValueError):
 
 # Bytes per row block of the distance build: a block and its scratch stay in
 # cache through every pass. Measured over n = 50-2000 against fixed blocks of
-# 16-64 rows and budgets of 128-512 kB, this budget was fastest or tied.
+# 16-64 rows and budgets of 128-512 kB, this budget was fastest or tied; with
+# the contiguous-operand fill it was again, against 64 kB-1 MB at n = 500-2000.
 _BLOCK_BYTES = 256_000
 
 
@@ -61,12 +63,15 @@ def euclidean_matrix(coords, rounding: str = "none") -> np.ndarray:
     ``floor(d + 0.5)`` to the off-diagonal entries only.
 
     The matrix is filled in blocks of rows of about 256 kB each (the whole
-    matrix up to n = 178, 16 rows at n = 2000). In a block, the x
-    differences are written into the result and squared in place, the y
-    differences are squared in one reused block-sized scratch buffer and
-    added, then ``sqrt`` and the rounding run in place. Every entry is
-    ``dx*dx + dy*dy`` in that order, and the build allocates only the
-    n x n float64 result (32 MB at n=2000) plus one block.
+    matrix up to n = 178, 16 rows at n = 2000). In a block, each row is
+    set to ``x`` and then has its own point's x subtracted, so row i holds
+    ``x[j] - x[i]``, the exact negation of ``x[i] - x[j]``; both steps read
+    contiguous operands, which numpy runs faster than the broadcast loop
+    behind ``np.subtract.outer``. The x differences are squared in place,
+    the y differences are formed the same way in one reused block-sized
+    scratch buffer, squared and added, then ``sqrt`` and the rounding run
+    in place. Every entry is ``dx*dx + dy*dy`` in that order, and the build
+    allocates only the n x n float64 result (32 MB at n=2000) plus one block.
     """
     if rounding not in ("none", "integer"):
         raise ValueError(f"unknown rounding mode {rounding!r}")
@@ -84,9 +89,11 @@ def euclidean_matrix(coords, rounding: str = "none") -> np.ndarray:
     for i0 in range(0, n, rows):
         block = dist[i0 : i0 + rows]
         dy = scratch[: len(block)]
-        np.subtract.outer(x[i0 : i0 + rows], x, out=block)
+        block[...] = x
+        block -= x[i0 : i0 + rows, None]
         block *= block
-        np.subtract.outer(y[i0 : i0 + rows], y, out=dy)
+        dy[...] = y
+        dy -= y[i0 : i0 + rows, None]
         dy *= dy
         block += dy
         np.sqrt(block, out=block)
@@ -95,6 +102,26 @@ def euclidean_matrix(coords, rounding: str = "none") -> np.ndarray:
             np.floor(block, out=block)
     np.fill_diagonal(dist, INFINITY)
     return dist
+
+
+def _distance_bound(coords: np.ndarray, rounding: str) -> float:
+    """An upper bound on every entry :func:`euclidean_matrix` builds from ``coords``.
+
+    The bound is the distance across the coordinates' bounding box, taken
+    with the build's own operations in its order: ``sx = max x - min x``,
+    ``sqrt(sx*sx + sy*sy)``, then ``floor(b + 0.5)`` if rounded. Every
+    entry's ``|dx|`` is at most ``sx`` and IEEE rounding is monotone, so no
+    entry exceeds the bound, and a finite bound proves that no distance
+    overflowed. Takes finite (n, 2) coordinates; O(n).
+    """
+    x = coords[:, 0]
+    y = coords[:, 1]
+    sx = float(x.max()) - float(x.min())
+    sy = float(y.max()) - float(y.min())
+    bound = math.sqrt(sx * sx + sy * sy)
+    if rounding == "integer":
+        bound = float(np.floor(bound + 0.5))
+    return bound
 
 
 def _check_off_diagonal_finite(matrix: np.ndarray) -> None:
@@ -118,6 +145,10 @@ class Instance:
     checks that they are finite, builds the matrix once with
     :func:`euclidean_matrix` and checks that no distance overflowed, so a
     coordinate instance costs one n x n float64 matrix (32 MB at n=2000).
+    The overflow check is O(n): no entry exceeds the distance across the
+    coordinates' bounding box (:func:`_distance_bound`), so when that is
+    finite no entry can be infinite. Only when it overflows (coordinate
+    spans near 1e154 and beyond) are all n x n entries scanned.
     A given matrix must be square with n >= 3, an ``inf`` diagonal and
     finite non-negative off-diagonal entries; with coordinates as well, it
     must agree with them under ``rounding``, which the constructor
@@ -143,7 +174,8 @@ class Instance:
             if not np.all(np.isfinite(coords)):
                 raise ValueError("coordinates must be finite")
             matrix = euclidean_matrix(coords, self.rounding)  # checks (n, 2), n >= 3
-            _check_off_diagonal_finite(matrix)  # no distance overflowed
+            if not math.isfinite(_distance_bound(coords, self.rounding)):
+                _check_off_diagonal_finite(matrix)  # some distance may have overflowed
         else:
             matrix = np.array(self.matrix, dtype=np.float64)
             if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -389,7 +421,9 @@ def _parse_int(token: str, lineno: int) -> int:
 
 
 def _read_coords(lines, i, dim):
-    pts = np.full((dim, 2), np.nan)
+    # rows may come in any order: collect them, then store all in one step
+    rows = []
+    xy = []
     for _ in range(dim):
         if i >= len(lines):
             raise ParseError(f"line {len(lines)}: expected {dim} coordinate rows")
@@ -402,9 +436,12 @@ def _read_coords(lines, i, dim):
         if not 1 <= idx <= dim:
             raise ParseError(f"line {lineno}: node index {idx} outside 1..{dim}")
         try:
-            pts[idx - 1] = (float(parts[1]), float(parts[2]))
+            xy.append((float(parts[1]), float(parts[2])))
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric coordinate") from None
+        rows.append(idx - 1)
+    pts = np.full((dim, 2), np.nan)
+    pts[rows] = xy
     if np.isnan(pts).any():
         raise ParseError(f"line {i}: some node indices missing from coordinates")
     return pts, i

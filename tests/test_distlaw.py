@@ -478,6 +478,28 @@ def test_integer_min_dist_matches_float_formula_up_to_2_53():
         assert new.to_csv() == old.to_csv()
 
 
+@pytest.mark.parametrize("high,dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
+def test_integer_draw_dtype_leaves_the_stream_unchanged(monkeypatch, high, dtype):
+    drawn = []
+    chunk_rng = distlaw._chunk_rng
+
+    class Recording:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def integers(self, *args, dtype):
+            drawn.append(np.dtype(dtype))
+            return self.rng.integers(*args, dtype=dtype)
+
+    monkeypatch.setattr(distlaw, "_chunk_rng", lambda seed, i: Recording(chunk_rng(seed, i)))
+    result = simulate_min_dist(3, 500, IntegerRange(high), seed=23)
+    monkeypatch.undo()
+    assert drawn == [np.dtype(dtype)] * 2
+    old = _float_min_dist(3, 500, high, seed=23)  # int64 draws
+    assert result.mean == old.mean
+    assert result.to_csv() == old.to_csv()
+
+
 def test_integer_min_dist_is_exact_beyond_2_53():
     # float64 cannot hold these draws; int64 differences stay exact and
     # only the minimum is rounded once

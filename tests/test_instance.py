@@ -1,3 +1,4 @@
+import math
 import operator
 import tracemalloc
 
@@ -20,7 +21,7 @@ from mtspkit import (
     parse_coords_csv,
     parse_tsplib,
 )
-from mtspkit.instance import RoutePlan, _block_rows, dumps_coords_csv
+from mtspkit.instance import RoutePlan, _block_rows, _distance_bound, dumps_coords_csv
 
 TRIANGLE = """\
 NAME : tri
@@ -432,6 +433,62 @@ def test_coordinate_load_builds_matrix_once(monkeypatch, case):
     load, _ = _coordinate_loads()[case]
     load()
     assert len(calls) == 1
+
+
+def test_coordinate_rows_may_come_in_any_order():
+    pts = _coords_of_kind("float", 60, seed=5)
+    in_order = _tsplib_text(pts).splitlines(keepends=True)
+    rows = in_order[4:-1]
+    order = np.random.default_rng(5).permutation(len(rows))
+    shuffled = "".join(in_order[:4] + [rows[k] for k in order] + in_order[-1:])
+    a, b = parse_tsplib("".join(in_order)), parse_tsplib(shuffled)
+    assert a.coords.tobytes() == b.coords.tobytes()
+    assert a.matrix.tobytes() == b.matrix.tobytes()
+
+
+def test_duplicate_coordinate_index_reports_the_missing_node():
+    with pytest.raises(ParseError, match="line 8: some node indices missing"):
+        parse_tsplib(TRIANGLE.replace("3 0 4\n", "2 0 4\n"))
+
+
+@pytest.mark.parametrize("kind", ["integer", "float", "negative", "huge", "tiny"])
+def test_distance_bound_is_the_largest_entry_when_the_box_corners_are_points(kind):
+    pts = _coords_of_kind(kind, 200, seed=4)
+    pts = np.vstack([pts, pts.min(axis=0), pts.max(axis=0)])
+    for rounding in ("none", "integer"):
+        off = euclidean_matrix(pts, rounding)
+        np.fill_diagonal(off, 0.0)
+        assert off.max() == _distance_bound(pts, rounding)
+
+
+# The span bound overflows but no distance does, so only the full scan can
+# accept these points: every pair is at most 1.2e154 apart, while the
+# bounding box's diagonal squared is 2.08e308.
+SPAN_OVERFLOW = np.array([(0.0, 0.0), (1.2e154, 0.0), (6e153, 8e153)])
+
+
+@pytest.mark.parametrize("rounding", ["none", "integer"])
+def test_overflowing_span_bound_alone_rejects_nothing(rounding):
+    assert _distance_bound(SPAN_OVERFLOW, rounding) == math.inf
+    inst = Instance("wide", coords=SPAN_OVERFLOW, rounding=rounding)
+    assert inst.matrix.tobytes() == _tensor_matrix(SPAN_OVERFLOW, rounding).tobytes()
+
+
+@pytest.mark.parametrize("kind,scans", [("huge but bounded", 0), ("span overflow", 1)])
+def test_full_finiteness_scan_runs_only_when_the_span_bound_overflows(monkeypatch, kind, scans):
+    from mtspkit import instance as instance_module
+
+    calls = []
+    original = instance_module._check_off_diagonal_finite
+
+    def counting(matrix):
+        calls.append(1)
+        return original(matrix)
+
+    monkeypatch.setattr(instance_module, "_check_off_diagonal_finite", counting)
+    pts = {"huge but bounded": _coords_of_kind("huge", 300, seed=6), "span overflow": SPAN_OVERFLOW}[kind]
+    Instance("pts", coords=pts)
+    assert len(calls) == scans
 
 
 def test_from_coords_copies_and_freezes():
