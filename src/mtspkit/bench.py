@@ -255,7 +255,7 @@ def compare_instances(
                     if alg == "exact":
                         statuses[alg] = SolveStatus.INFEASIBLE.value
                     continue
-                distances[alg] = plan.total_distance if result is None else result.objective
+                distances[alg] = plan.total_distance
                 if result is not None:
                     statuses[alg] = result.status.value
             gaps = {}

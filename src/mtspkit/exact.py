@@ -29,9 +29,18 @@ limited to n <= 16, on numpy arrays indexed by subset mask: one label
 layer per subset size, then split rounds over the closable routes that
 hold a subset's lowest customer. The arrays hold costs only; the plan is
 read back by re-deriving each choice with the same ``argmin``. It is also
-the ground truth the branch-and-bound is checked against, and under a
-time limit it falls back to the nearest-node plan above a root bound it
-computes itself.
+the ground truth the branch-and-bound is checked against.
+
+Every exact run, on either backend, ends in ``_finish``, which states the
+result's invariants once. ``best`` is always a plan that passes
+``check_solution``: the run's routes priced by ``evaluate_plan``, or the
+nearest-node plan when a run stopped by its time limit holds none.
+``objective == best.total_distance``. A proven run is ``optimal`` with
+``lower_bound == objective``; a stopped one is ``feasible_time_limit``
+with the bound its search reached, which never exceeds the objective.
+``wall_time`` is read once, after pricing. A window that cannot cover
+the customers raises ``InfeasibleModelError`` before any search, so no
+exact run returns ``infeasible``.
 """
 
 from __future__ import annotations
@@ -69,15 +78,20 @@ class ExactModel:
 class ExactResult:
     """One exact run. ``backend`` names the algorithm that ran:
     ``"subset_dp"`` (``nodes_explored`` counts path labels) or
-    ``"branch_and_bound"`` (it counts search nodes)."""
+    ``"branch_and_bound"`` (it counts search nodes).
+
+    ``best`` is always a feasible plan and ``objective`` its total. An
+    ``OPTIMAL`` run is proven, with ``lower_bound == objective``; a
+    ``FEASIBLE_TIME_LIMIT`` run stopped at its limit, with ``lower_bound
+    <= objective``."""
 
     status: SolveStatus
-    best: RoutePlan | None
+    best: RoutePlan
     objective: float
     lower_bound: float
     nodes_explored: int
     wall_time: float
-    backend: str = "branch_and_bound"
+    backend: str
 
 
 def build_model(
@@ -238,7 +252,9 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     as many as it could open within the limit, so the cheaper a node, the
     longer the freeing. A search that runs out of time before it holds a
     plan (no warm start) returns the nearest-node plan, as the subset DP
-    does, above the best bound it reached.
+    does, above the best bound it reached. A search that runs to the end
+    always holds a plan: ``build_model`` admits only windows that cover
+    the customers, and every arc is finite.
     """
     if time_limit is not None and not time_limit > 0:  # NaN too
         raise ValueError("time_limit must be positive")
@@ -247,13 +263,13 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     kmin, kmax = model.min_customers, model.max_customers
 
     incumbent_cost = np.inf
-    incumbent_routes = None
+    incumbent_routes = None  # 1-based, as evaluate_plan takes them
     if model.warm_start is not None:
         ok, violations = check_solution(model, model.warm_start)
         if not ok:
             raise ValueError(f"warm start violates the model: {violations[0]}")
         incumbent_cost = model.warm_start.total_distance
-        incumbent_routes = tuple(tuple(v - 1 for v in r[1:-1]) for r in model.warm_start.routes)
+        incumbent_routes = model.warm_start.routes
 
     start_time = time.perf_counter()
     table = neighbour_table(model.instance.matrix)
@@ -320,7 +336,7 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
             if not unvisited and all(shut):
                 if child_cost < incumbent_cost - _EPS:
                     incumbent_cost = child_cost
-                    incumbent_routes = seqs
+                    incumbent_routes = [(1, *[v + 1 for v in s], 1) for s in seqs]
                 continue
             child_bound = child_cost + completion_bound(
                 table, memo, seqs, shut, unvisited, kmin
@@ -330,24 +346,9 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
                 heappush(heap, (child_bound, next(counter), child))
 
     heap.clear()  # freeing the open nodes is part of the solve's time
-    if incumbent_routes is None and timed_out:  # no plan yet: the DP's fallback
-        fallback = nearest_node(model.instance, m).routes
-        incumbent_routes = tuple(tuple(v - 1 for v in r[1:-1]) for r in fallback)
-    wall = time.perf_counter() - start_time
-    if incumbent_routes is None:
-        return ExactResult(SolveStatus.INFEASIBLE, None, np.inf, best_bound_seen, explored, wall)
-    plan = evaluate_plan(
-        model.instance, [(1, *[v + 1 for v in seq], 1) for seq in incumbent_routes]
-    )
-    if timed_out:
-        return ExactResult(
-            SolveStatus.FEASIBLE_TIME_LIMIT, plan, plan.total_distance,
-            best_bound_seen, explored, wall,
-        )
-    return ExactResult(
-        SolveStatus.OPTIMAL, plan, plan.total_distance, plan.total_distance,
-        explored, wall,
-    )
+    bound = best_bound_seen if timed_out else None
+    return _finish(model.instance, m, "branch_and_bound", incumbent_routes, bound,
+                   explored, start_time)
 
 
 def _replace(tup, idx, value):
@@ -383,9 +384,8 @@ def brute_force_oracle(
     The clock starts before the tables are built and is read on every
     (size, t) label step and on every subset a split round works on. Once
     ``time_limit`` has passed, the run returns the nearest-node plan, which
-    fits every feasible window, as ``feasible_time_limit``. Its lower bound
-    is each customer's cheapest outgoing arc plus, for each of the m
-    routes, the depot's cheapest arc to a customer.
+    fits every feasible window, as ``feasible_time_limit`` above
+    ``_root_bound``.
     """
     n = instance.n
     if n > ORACLE_MAX_N:
@@ -410,7 +410,8 @@ def brute_force_oracle(
         for t in range(k):
             if time.perf_counter() > deadline:
                 labels = int(size[size < s].sum())
-                return _dp_time_limit(instance, m, start_time, labels)
+                return _finish(instance, m, "subset_dp", None, _root_bound(d, m),
+                               labels, start_time)
             sets = layer[layer & 1 << t > 0]
             path[sets, t] = (path[sets ^ 1 << t] + d[1:, t + 1]).min(1)
     labels = int(size[size <= hi].sum())
@@ -424,7 +425,8 @@ def brute_force_oracle(
         works &= ((m - r) * lo <= rest) & (rest <= (m - r) * hi)
         for mask in masks[works].tolist():
             if time.perf_counter() > deadline:
-                return _dp_time_limit(instance, m, start_time, labels)
+                return _finish(instance, m, "subset_dp", None, _root_bound(d, m),
+                               labels, start_time)
             held = owns[mask & -mask]
             held = held[(held & mask) == held]  # the routes inside mask
             cost = route[held] + covers[-1][mask ^ held]
@@ -444,29 +446,36 @@ def brute_force_oracle(
             s ^= 1 << j
             j = int((path[s] + d[1:, j + 1]).argmin())
         routes.append((1, *reversed(seq), 1))
-    wall = time.perf_counter() - start_time
-    plan = evaluate_plan(instance, routes)
-    return ExactResult(
-        SolveStatus.OPTIMAL, plan, plan.total_distance, plan.total_distance,
-        labels, wall, "subset_dp",
-    )
+    return _finish(instance, m, "subset_dp", routes, None, labels, start_time)
 
 
-def _dp_time_limit(instance, m, start_time, labels) -> ExactResult:
-    """The subset DP's result once its limit passed: the nearest-node plan
-    above the root bound. Every customer leaves by one arc and every route
-    leaves the depot by one; the cheapest of each are added in ascending
-    customer order, then once per route, as Python floats (``sum`` would
-    round differently from Python 3.12 on)."""
-    d = instance.matrix
+def _root_bound(d, m) -> float:
+    """The subset DP's lower bound once its limit passed. Every customer
+    leaves by one arc and every route leaves the depot by one; the cheapest
+    of each are added in ascending customer order, then once per route, as
+    Python floats (``sum`` would round differently from Python 3.12 on)."""
     bound = 0.0
     for cost in d[1:].min(1).tolist():
         bound += cost
     depot = float(d[0, 1:].min())
     for _ in range(m):
         bound += depot
-    plan = nearest_node(instance, m)
-    return ExactResult(
-        SolveStatus.FEASIBLE_TIME_LIMIT, plan, plan.total_distance, bound, labels,
-        time.perf_counter() - start_time, "subset_dp",
-    )
+    return bound
+
+
+# ---------------------------------------------------------------------------
+# the one ending
+
+def _finish(instance, m, backend, routes, bound, nodes, start_time) -> ExactResult:
+    """End an exact run. ``routes`` (1-based, depot first and last) are
+    priced by ``evaluate_plan``; a run that holds none takes the nearest-node
+    plan. ``bound`` is ``None`` for a proven run, which is ``optimal`` at its
+    objective; otherwise the run stopped at its time limit with that bound.
+    The clock is read once, after pricing."""
+    plan = nearest_node(instance, m) if routes is None else evaluate_plan(instance, routes)
+    if bound is None:
+        status, bound = SolveStatus.OPTIMAL, plan.total_distance
+    else:
+        status = SolveStatus.FEASIBLE_TIME_LIMIT
+    return ExactResult(status, plan, plan.total_distance, bound, nodes,
+                       time.perf_counter() - start_time, backend)

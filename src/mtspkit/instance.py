@@ -440,10 +440,12 @@ def _read_coords(lines, i, dim):
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric coordinate") from None
         rows.append(idx - 1)
-    pts = np.full((dim, 2), np.nan)
-    pts[rows] = xy
-    if np.isnan(pts).any():
+    # dim in-range indices cover 1..dim unless one repeats; the values'
+    # finiteness is the constructor's check
+    if len(set(rows)) != dim:
         raise ParseError(f"line {i}: some node indices missing from coordinates")
+    pts = np.empty((dim, 2))
+    pts[rows] = xy
     return pts, i
 
 

@@ -227,6 +227,18 @@ def test_exit_code_input_error(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tsplib_coordinate_exits_1(capsys, tmp_path, value):
+    bad = tmp_path / "bad.tsp"
+    bad.write_text(
+        "NAME : tri\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\n"
+        f"NODE_COORD_SECTION\n1 0 0\n2 {value} 0\n3 0 4\nEOF\n"
+    )
+    code, out, err = run(capsys, "solve", "--instance", str(bad), "--m", "2")
+    assert code == 1 and out == ""
+    assert err == "error: coordinates must be finite\n"
+
+
 def test_exit_code_infeasible(capsys):
     code, _, err = run(
         capsys, "solve", "--instance", str(bundled_path("garn9")),

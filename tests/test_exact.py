@@ -322,6 +322,64 @@ def test_time_limit_before_a_first_plan_returns_the_nearest_node_plan():
     assert result.lower_bound <= result.objective
 
 
+def _every_ending():
+    """One case per way an exact run ends: (label, model, run, backend)."""
+    garn9 = mtspkit.load_bundled("garn9")
+    small = build_model(garn9, 2, 2, 5)
+    wide = build_model(generate_uniform_instance(GridSpec(15, 100, 7)), 7, 1, 8)  # ~1 s
+    late = build_model(generate_uniform_instance(GridSpec(30, 100, 3)), 3, 9, 10)
+    eil51 = mtspkit.load_bundled("eil51")
+    warm = build_model(eil51, 2, 24, 25, warm_start=nearest_node(eil51, 2))
+    return [
+        ("dp proven", small, lambda: brute_force_oracle(garn9, 2, 2, 5), "subset_dp"),
+        ("dp stopped", wide,
+         lambda: brute_force_oracle(wide.instance, 7, 1, 8, time_limit=0.01), "subset_dp"),
+        ("b&b proven", small, lambda: solve_exact(small), "branch_and_bound"),
+        ("b&b stopped, warm start", warm,
+         lambda: solve_exact(warm, time_limit=0.05), "branch_and_bound"),
+        ("b&b stopped, no plan yet", late,
+         lambda: solve_exact(late, time_limit=0.001), "branch_and_bound"),
+    ]
+
+
+def test_every_exact_ending_keeps_the_result_invariants():
+    statuses = []
+    for label, model, run, backend in _every_ending():
+        result = run()
+        assert check_solution(model, result.best) == (True, []), label
+        assert result.objective == result.best.total_distance, label
+        assert result.lower_bound <= result.objective, label
+        assert (result.status is SolveStatus.OPTIMAL) == (
+            result.lower_bound == result.objective
+        ), label
+        assert result.backend == backend, label
+        statuses.append(result.status)
+    optimal, stopped = SolveStatus.OPTIMAL, SolveStatus.FEASIBLE_TIME_LIMIT
+    assert statuses == [optimal, stopped, optimal, stopped, stopped]
+
+
+def test_search_without_a_warm_start_proves_every_feasible_window():
+    # no window build_model admits leaves a full search without a plan: n 3-7,
+    # the tie-heavy 6-grid and directed integer costs 0-4, every m, K and L
+    runs = 0
+    for n in range(3, 8):
+        mat = rng_from_seed(1700 + n).integers(0, 5, (n, n)).astype(np.float64)
+        np.fill_diagonal(mat, np.inf)
+        for inst in (generate_uniform_instance(GridSpec(n, 6, n)), Instance(f"asym{n}", mat)):
+            for m, lo, hi in itertools.product(range(1, n), repeat=3):
+                if lo > hi or not m * lo <= n - 1 <= m * hi:
+                    continue
+                model = build_model(inst, m, lo, hi)
+                result = solve_exact(model)
+                assert result.status is SolveStatus.OPTIMAL, (inst.name, m, lo, hi)
+                assert check_solution(model, result.best)[0]
+                assert result.objective == pytest.approx(
+                    brute_force_oracle(inst, m, lo, hi).objective, abs=1e-9
+                ), (inst.name, m, lo, hi)
+                runs += 1
+    assert runs == 2 * 97  # 97 feasible (m, K, L) per matrix family
+
+
 def test_bounds_hold_where_the_search_stops_proving():
     # n 12-14 from the nearest-node start under a short limit, where the
     # symmetric runs usually stop unproven: bound and incumbent must still

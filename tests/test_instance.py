@@ -451,6 +451,19 @@ def test_duplicate_coordinate_index_reports_the_missing_node():
         parse_tsplib(TRIANGLE.replace("3 0 4\n", "2 0 4\n"))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_tsplib_coordinate_is_named_as_such(value):
+    # a NaN must not pass for a missing node index: every non-finite value
+    # meets the constructor's check, as in a CSV file
+    text = TRIANGLE.replace("2 3 0\n", f"2 {value} 0\n")
+    for rounding in ("none", "integer"):
+        with pytest.raises(ValueError, match="coordinates must be finite") as info:
+            parse_tsplib(text, rounding)
+        assert not isinstance(info.value, ParseError)
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        parse_coords_csv(f"x,y\n0,0\n{value},0\n0,4\n")
+
+
 @pytest.mark.parametrize("kind", ["integer", "float", "negative", "huge", "tiny"])
 def test_distance_bound_is_the_largest_entry_when_the_box_corners_are_points(kind):
     pts = _coords_of_kind(kind, 200, seed=4)

@@ -1,6 +1,7 @@
 """Long-running reproduction suite; enable with ``pytest --long``.
 
-Covers the full experiment grid (30 samples, sizes 50..500, m 2..7) and
+Covers the full experiment grid (30 samples, sizes 50..500, m 2..7), the
+heuristics' gaps to exact optima on small seeded instances, and
 best-effort exact runs on the medium benchmark instances. The exact runs
 assert published optima only when the search finishes inside the time
 budget (``MTSPKIT_LONG_TIME_LIMIT`` seconds, default 300); otherwise they
@@ -42,6 +43,41 @@ def test_full_grid_statistics(long_enabled):
     cells = {(r.t, r.m, r.algorithm): r.mean for r in rows}
     assert 725 <= cells[50, 2, "closest"] <= 840
     assert 2409 <= cells[500, 7, "nearest"] <= 2648
+
+
+def test_heuristic_gaps_to_the_exact_optimum(long_enabled):
+    # 30 seeded 100-grid instances per n, default windows, every exact run a
+    # subset DP proof. A gap is the heuristic's mean total above the exact
+    # one; delta is the mean distance each extra vehicle adds, m 2 -> 5.
+    algs, ms = ["nearest", "closest", "exact"], [2, 3, 4, 5]
+    lines = ["| n | " + " | ".join(f"m={m}" for m in ms) + " | delta "
+             + " / ".join(algs) + " |"]
+    for n in (11, 16):
+        instances = [
+            mk.generate_uniform_instance(mk.GridSpec(n, 100, mk.derive_seed(2024, n, s)))
+            for s in range(30)
+        ]
+        rows = mk.compare_instances(instances, ms, algs)
+        for r in rows:
+            assert r.statuses["exact"] == "optimal"
+            # an equal plan read in another order may total one ulp less
+            best = min(r.distances["nearest"], r.distances["closest"])
+            assert best >= r.distances["exact"] - 1e-9
+        means = {
+            (m, alg): sum(r.distances[alg] for r in rows if r.m == m) / len(instances)
+            for m in ms for alg in algs
+        }
+        cells = []
+        for m in ms:
+            gaps = []
+            for alg in algs[:2]:
+                gaps.append(100 * (means[m, alg] - means[m, "exact"]) / means[m, "exact"])
+                assert 0 <= gaps[-1] <= 25, (n, m, alg)
+            cells.append(" / ".join(f"{g:.1f}" for g in gaps) + "%")
+        deltas = [(means[ms[-1], alg] - means[ms[0], alg]) / (ms[-1] - ms[0]) for alg in algs]
+        lines.append(f"| {n} | " + " | ".join(cells) + " | "
+                     + " / ".join(f"{d:.1f}" for d in deltas) + " |")
+    print("\n".join(["gaps nearest / closest to the exact optimum:", *lines]))
 
 
 @pytest.mark.parametrize(
