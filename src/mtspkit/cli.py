@@ -34,6 +34,11 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _emit_table(args, rows, to_csv, to_markdown):
+    """Write ``rows`` in the ``--format`` of a table subcommand."""
+    _emit((to_markdown if args.format == "markdown" else to_csv)(rows), args.out)
+
+
 def _int_list(text: str) -> list[int]:
     """Parse '2,3,4' or '2-7' (inclusive range); empty, descending or
     unreadable text is an error that names the text."""
@@ -96,12 +101,7 @@ def cmd_compare(args) -> int:
         time_limit=args.time_limit,
         window=_window(args),
     )
-    text = (
-        bench.comparison_to_markdown(rows)
-        if args.format == "markdown"
-        else bench.comparison_to_csv(rows)
-    )
-    _emit(text, args.out)
+    _emit_table(args, rows, bench.comparison_to_csv, bench.comparison_to_markdown)
     return 2 if any(math.isinf(d) for row in rows for d in row.distances.values()) else 0
 
 
@@ -115,12 +115,7 @@ def cmd_experiment(args) -> int:
         algorithms=tuple(a.strip() for a in args.algorithms.split(",")),
     )
     rows = bench.run_experiment(config)
-    text = (
-        bench.summary_to_markdown(rows)
-        if args.format == "markdown"
-        else bench.summary_to_csv(rows)
-    )
-    _emit(text, args.out)
+    _emit_table(args, rows, bench.summary_to_csv, bench.summary_to_markdown)
     return 0
 
 
@@ -130,12 +125,7 @@ def cmd_law(args) -> int:
     else:
         rows = bench.load_reference_grid()
     report = bench.law_pipeline(rows)
-    text = (
-        bench.law_report_to_markdown(report)
-        if args.format == "markdown"
-        else bench.law_report_to_csv(report)
-    )
-    _emit(text, args.out)
+    _emit_table(args, report, bench.law_report_to_csv, bench.law_report_to_markdown)
     return 0
 
 
@@ -172,55 +162,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="write a uniform random grid instance")
+    # option groups shared by several subcommands
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    table = argparse.ArgumentParser(add_help=False, parents=[out])
+    table.add_argument("--format", choices=("csv", "markdown"), default="csv")
+    runs = argparse.ArgumentParser(add_help=False)
+    runs.add_argument("--K", dest="min_customers", type=int, default=None)
+    runs.add_argument("--L", dest="max_customers", type=int, default=None)
+    runs.add_argument("--time-limit", type=float, default=None)
+    runs.add_argument("--rounding", choices=("none", "integer"), default="none")
+
+    def command(name, func, summary, *parents):
+        p = sub.add_parser(name, parents=parents, help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("generate", cmd_generate, "write a uniform random grid instance", out)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--grid-max", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out")
     p.add_argument("--format", choices=("tsplib", "csv"), default="tsplib")
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("solve", help="route an instance with one algorithm")
+    p = command("solve", cmd_solve, "route an instance with one algorithm", runs, out)
     p.add_argument("--instance", required=True)
     p.add_argument("--algorithm", choices=bench.ALGORITHMS, default="nearest")
     p.add_argument("--m", required=True, help="fleet size(s), e.g. 2 or 2,3,5 or 2-5")
-    p.add_argument("--K", dest="min_customers", type=int, default=None)
-    p.add_argument("--L", dest="max_customers", type=int, default=None)
-    p.add_argument("--time-limit", type=float, default=None)
-    p.add_argument("--rounding", choices=("none", "integer"), default="none")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("compare", help="side-by-side distances and %% gaps")
+    p = command("compare", cmd_compare, "side-by-side distances and %% gaps", runs, table)
     p.add_argument("--instances", nargs="+", required=True)
     p.add_argument("--m", required=True)
     p.add_argument("--algorithms", default="nearest,closest")
-    p.add_argument("--K", dest="min_customers", type=int, default=None)
-    p.add_argument("--L", dest="max_customers", type=int, default=None)
-    p.add_argument("--time-limit", type=float, default=None)
-    p.add_argument("--rounding", choices=("none", "integer"), default="none")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("csv", "markdown"), default="csv")
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("experiment", help="seeded heuristic grid statistics")
+    p = command("experiment", cmd_experiment, "seeded heuristic grid statistics", table)
     p.add_argument("--sizes", default="50,100,150,200,250,300,350,400,450,500")
     p.add_argument("--m", default="2-7")
     p.add_argument("--samples", type=int, default=30)
     p.add_argument("--grid-max", type=int, default=100)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--algorithms", default="nearest,closest")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("csv", "markdown"), default="csv")
-    p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("law", help="distance-law report from a summary CSV")
+    p = command("law", cmd_law, "distance-law report from a summary CSV", table)
     p.add_argument("--rows", help="summary CSV; defaults to the bundled reference grid")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("csv", "markdown"), default="csv")
-    p.set_defaults(func=cmd_law)
 
-    p = sub.add_parser("simulate", help="Monte Carlo distance estimators")
+    p = command("simulate", cmd_simulate, "Monte Carlo distance estimators", out)
     p.add_argument("--kind", choices=("pair", "min"), required=True)
     p.add_argument("--domain", choices=("unit", "integers", "rect"), default="unit")
     p.add_argument("--grid-max", type=int, default=100)
@@ -230,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=100_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_simulate)
 
     return parser
 

@@ -237,6 +237,10 @@ def evaluate_plan(instance: Instance, routes) -> RoutePlan:
     rejected, never truncated. Each route's customers are checked as a set;
     only a route that fails that check is walked node by node, so the error
     names its first offending node.
+
+    The total adds the route costs in route order, one float at a time:
+    ``sum`` compensates rounding from Python 3.12 on, which would make the
+    total depend on the Python version.
     """
     n = instance.n
     seen = set()
@@ -273,10 +277,12 @@ def evaluate_plan(instance: Instance, routes) -> RoutePlan:
         missing = sorted(set(range(2, n + 1)) - seen)
         raise PlanError(f"nodes never visited: {missing}")
     per = []
+    total = 0.0
     for route in clean:
         hops = np.asarray(route, dtype=np.int64) - 1
         per.append(float(instance.matrix[hops[:-1], hops[1:]].sum()))
-    return RoutePlan(tuple(clean), tuple(per), float(sum(per)))
+        total += per[-1]
+    return RoutePlan(tuple(clean), tuple(per), total)
 
 
 # ---------------------------------------------------------------------------
@@ -325,20 +331,40 @@ def generate_uniform_instance(spec: GridSpec) -> Instance:
 # ---------------------------------------------------------------------------
 # TSPLIB subset
 
+# The header grammar: each keyword and the values it admits (empty: any
+# value). A keyword may appear once, except COMMENT; the three keys in
+# _REQUIRED must appear, and every *_SECTION must follow DIMENSION.
+_KEYWORDS = {
+    "NAME": (),
+    "COMMENT": (),
+    "TYPE": (),
+    "DIMENSION": (),
+    "EDGE_WEIGHT_TYPE": ("EUC_2D", "EXPLICIT"),
+    "EDGE_WEIGHT_FORMAT": _WEIGHT_FORMATS,
+    "NODE_COORD_SECTION": (),
+    "EDGE_WEIGHT_SECTION": (),
+    "DISPLAY_DATA_SECTION": (),
+}
+_REQUIRED = ("NAME", "DIMENSION", "EDGE_WEIGHT_TYPE")
+
+
 def parse_tsplib(text: str, rounding: str = "none") -> Instance:
     """Parse the TSPLIB subset: EUC_2D coordinates or EXPLICIT weights.
 
     Supported weight formats: FULL_MATRIX, UPPER_ROW, LOWER_ROW,
     UPPER_DIAG_ROW, LOWER_DIAG_ROW. Triangular formats are mirrored;
     FULL_MATRIX is taken as given (asymmetric matrices are legal).
+
+    The header keywords are those of ``_KEYWORDS``. An unknown keyword, a
+    value the keyword does not admit, a repeated keyword other than
+    COMMENT, a section before DIMENSION, a missing NAME, DIMENSION or
+    EDGE_WEIGHT_TYPE, and an EDGE_WEIGHT_SECTION in an EUC_2D file each
+    raise :class:`ParseError`; DISPLAY_DATA_SECTION rows are read past.
     """
     lines = text.splitlines()
-    name = None
-    dim = None
-    weight_type = None
-    weight_format = None
-    coords = None
-    weights = None
+    values = {}  # keyword -> its value
+    where = {}  # keyword -> the line it was last read on
+    dim = coords = weights = None
 
     i = 0
     while i < len(lines):
@@ -347,70 +373,56 @@ def parse_tsplib(text: str, rounding: str = "none") -> Instance:
         i += 1
         if not raw:
             continue
-        key, colon, value = raw.partition(":")
+        key, _, value = raw.partition(":")
         key = key.strip().upper()
         value = value.strip()
         if key == "EOF":
             break
-        if key == "NAME":
-            name = value
-        elif key in ("COMMENT", "TYPE"):
-            continue
-        elif key == "DIMENSION":
+        if key not in _KEYWORDS:
+            raise ParseError(f"line {lineno}: unrecognised keyword {key!r}")
+        if key in where and key != "COMMENT":
+            raise ParseError(f"line {lineno}: {key} repeated from line {where[key]}")
+        if _KEYWORDS[key] and value not in _KEYWORDS[key]:
+            raise ParseError(f"line {lineno}: unsupported {key} {value!r}")
+        if key.endswith("_SECTION") and dim is None:
+            raise ParseError(f"line {lineno}: {key} before DIMENSION")
+        values[key] = value
+        where[key] = lineno
+        if key == "DIMENSION":
             dim = _parse_int(value, lineno)
             if dim < 3:
                 raise ParseError(f"line {lineno}: DIMENSION must be at least 3")
-        elif key == "EDGE_WEIGHT_TYPE":
-            if value not in ("EUC_2D", "EXPLICIT"):
-                raise ParseError(
-                    f"line {lineno}: unsupported EDGE_WEIGHT_TYPE {value!r}"
-                )
-            weight_type = value
-        elif key == "EDGE_WEIGHT_FORMAT":
-            if value not in _WEIGHT_FORMATS:
-                raise ParseError(
-                    f"line {lineno}: unsupported EDGE_WEIGHT_FORMAT {value!r}"
-                )
-            weight_format = value
         elif key == "NODE_COORD_SECTION":
-            if dim is None:
-                raise ParseError(f"line {lineno}: NODE_COORD_SECTION before DIMENSION")
             coords, i = _read_coords(lines, i, dim)
         elif key == "EDGE_WEIGHT_SECTION":
-            if dim is None:
-                raise ParseError(f"line {lineno}: EDGE_WEIGHT_SECTION before DIMENSION")
+            weight_format = values.get("EDGE_WEIGHT_FORMAT")
             if weight_format is None:
                 raise ParseError(
                     f"line {lineno}: EDGE_WEIGHT_SECTION without EDGE_WEIGHT_FORMAT"
                 )
             rows, cols = _weight_layout(weight_format, dim)
-            values, i = _read_numbers(lines, i, len(rows), lineno)
+            numbers, i = _read_numbers(lines, i, len(rows))
             weights = np.zeros((dim, dim))
-            weights[rows, cols] = values
+            weights[rows, cols] = numbers
             if weight_format != "FULL_MATRIX":  # triangular formats are mirrored
-                weights[cols, rows] = values
+                weights[cols, rows] = numbers
             np.fill_diagonal(weights, INFINITY)
         elif key == "DISPLAY_DATA_SECTION":
-            # plotting helper rows; read past them, never interpreted
-            if dim is None:
-                raise ParseError(f"line {lineno}: DISPLAY_DATA_SECTION before DIMENSION")
-            i += dim
-        else:
-            raise ParseError(f"line {lineno}: unrecognised keyword {key!r}")
+            i += dim  # plotting helper rows; read past them, never interpreted
 
-    if name is None:
-        raise ParseError("missing required key NAME")
-    if dim is None:
-        raise ParseError("missing required key DIMENSION")
-    if weight_type is None:
-        raise ParseError("missing required key EDGE_WEIGHT_TYPE")
-    if weight_type == "EUC_2D":
+    for key in _REQUIRED:
+        if key not in values:
+            raise ParseError(f"missing required key {key}")
+    if values["EDGE_WEIGHT_TYPE"] == "EUC_2D":
+        if weights is not None:
+            line = where["EDGE_WEIGHT_SECTION"]
+            raise ParseError(f"line {line}: EDGE_WEIGHT_SECTION in an EUC_2D file")
         if coords is None:
             raise ParseError("EUC_2D file has no NODE_COORD_SECTION")
-        return Instance(name, coords=coords, rounding=rounding)
+        return Instance(values["NAME"], coords=coords, rounding=rounding)
     if weights is None:
         raise ParseError("EXPLICIT file has no EDGE_WEIGHT_SECTION")
-    return Instance(name, weights)
+    return Instance(values["NAME"], weights)
 
 
 def _parse_int(token: str, lineno: int) -> int:
@@ -449,16 +461,12 @@ def _read_coords(lines, i, dim):
     return pts, i
 
 
-def _read_numbers(lines, i, count, section_lineno):
+def _read_numbers(lines, i, count):
     vals = []
     while len(vals) < count:
-        if i >= len(lines):
-            raise ParseError(
-                f"line {len(lines)}: EDGE_WEIGHT_SECTION ended after "
-                f"{len(vals)} of {count} values"
-            )
-        lineno = i + 1
-        tokens = lines[i].split()
+        # the end of the text reads as an EOF on its last line
+        tokens = lines[i].split() if i < len(lines) else ["EOF"]
+        lineno = min(i + 1, len(lines))
         if tokens and tokens[0].upper() == "EOF":
             raise ParseError(
                 f"line {lineno}: EDGE_WEIGHT_SECTION ended after "

@@ -1,9 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from mtspkit import SolveStatus, build_model, load_instance, parse_tsplib, solve_exact
+from mtspkit import cli
 from mtspkit.bench import default_window
 from mtspkit.cli import main
 from mtspkit.exact import ORACLE_MAX_N
@@ -239,6 +241,25 @@ def test_non_finite_tsplib_coordinate_exits_1(capsys, tmp_path, value):
     assert err == "error: coordinates must be finite\n"
 
 
+@pytest.mark.parametrize(
+    "tail,message",
+    [
+        ("DIMENSION : 5\n", "line 8: DIMENSION repeated from line 2"),
+        ("EDGE_WEIGHT_FORMAT : UPPER_ROW\nEDGE_WEIGHT_SECTION\n3 4\n5\n",
+         "line 9: EDGE_WEIGHT_SECTION in an EUC_2D file"),
+    ],
+)
+def test_solve_exits_1_on_a_tsplib_file_that_says_too_much(capsys, tmp_path, tail, message):
+    bad = tmp_path / "bad.tsp"
+    bad.write_text(
+        "NAME : tri\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\n"
+        f"NODE_COORD_SECTION\n1 0 0\n2 3 0\n3 0 4\n{tail}EOF\n"
+    )
+    code, out, err = run(capsys, "solve", "--instance", str(bad), "--m", "2")
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_exit_code_infeasible(capsys):
     code, _, err = run(
         capsys, "solve", "--instance", str(bundled_path("garn9")),
@@ -442,3 +463,75 @@ def test_help_exits_0(capsys, argv):
         main(argv)
     assert exc.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+# Each subcommand's minimal argv, the namespace it parses to and the option
+# strings and choice sets its --help lists: a lock on every flag, dest,
+# default and choice of the command line.
+_CLI_LOCK = {
+    "generate": (
+        ["--n", "5", "--seed", "1"],
+        {"n": 5, "grid_max": 100, "seed": 1, "out": None, "format": "tsplib",
+         "func": cli.cmd_generate},
+        {"--n", "--grid-max", "--seed", "--out", "--format"},
+        {"{tsplib,csv}"},
+    ),
+    "solve": (
+        ["--instance", "x.tsp", "--m", "2"],
+        {"instance": "x.tsp", "algorithm": "nearest", "m": "2", "min_customers": None,
+         "max_customers": None, "time_limit": None, "rounding": "none", "out": None,
+         "func": cli.cmd_solve},
+        {"--instance", "--algorithm", "--m", "--K", "--L", "--time-limit", "--rounding",
+         "--out"},
+        {"{nearest,closest,exact}", "{none,integer}"},
+    ),
+    "compare": (
+        ["--instances", "x.tsp", "--m", "2"],
+        {"instances": ["x.tsp"], "m": "2", "algorithms": "nearest,closest",
+         "min_customers": None, "max_customers": None, "time_limit": None,
+         "rounding": "none", "out": None, "format": "csv", "func": cli.cmd_compare},
+        {"--instances", "--m", "--algorithms", "--K", "--L", "--time-limit",
+         "--rounding", "--out", "--format"},
+        {"{csv,markdown}", "{none,integer}"},
+    ),
+    "experiment": (
+        [],
+        {"sizes": "50,100,150,200,250,300,350,400,450,500", "m": "2-7", "samples": 30,
+         "grid_max": 100, "seed": 1, "algorithms": "nearest,closest", "out": None,
+         "format": "csv", "func": cli.cmd_experiment},
+        {"--sizes", "--m", "--samples", "--grid-max", "--seed", "--algorithms", "--out",
+         "--format"},
+        {"{csv,markdown}"},
+    ),
+    "law": (
+        [],
+        {"rows": None, "out": None, "format": "csv", "func": cli.cmd_law},
+        {"--rows", "--out", "--format"},
+        {"{csv,markdown}"},
+    ),
+    "simulate": (
+        ["--kind", "pair", "--seed", "1"],
+        {"kind": "pair", "domain": "unit", "grid_max": 100, "rect_width": 1.0,
+         "rect_height": 1.0, "n": 50, "reps": 100_000, "seed": 1, "workers": 1,
+         "out": None, "func": cli.cmd_simulate},
+        {"--kind", "--domain", "--grid-max", "--rect-width", "--rect-height", "--n",
+         "--reps", "--seed", "--workers", "--out"},
+        {"{pair,min}", "{unit,integers,rect}"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CLI_LOCK))
+def test_cli_grammar_is_locked(capsys, monkeypatch, command):
+    argv, namespace, options, choices = _CLI_LOCK[command]
+    assert vars(cli.build_parser().parse_args([command, *argv])) == {
+        "command": command, **namespace
+    }
+    monkeypatch.setenv("COLUMNS", "200")  # wide enough that no option string wraps
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    listed = set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", text))
+    assert listed == options | {"-h", "--help"}
+    assert set(re.findall(r"\{[^}]*\}", text)) == choices

@@ -169,6 +169,75 @@ def test_parse_errors_carry_line_numbers(text, fragment):
         parse_tsplib(text)
 
 
+_EXPLICIT_HEAD = (
+    "NAME : x\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EXPLICIT\nEDGE_WEIGHT_FORMAT : UPPER_ROW\n"
+)
+
+
+@pytest.mark.parametrize(
+    "key,text,line,first",
+    [
+        ("NAME", TRIANGLE.replace("TYPE : TSP", "TYPE : TSP\nNAME : again"), 3, 1),
+        ("TYPE", TRIANGLE.replace("DIMENSION", "TYPE : TSP\nDIMENSION"), 3, 2),
+        # three coordinate rows, then a larger DIMENSION
+        ("DIMENSION", TRIANGLE.replace("EOF", "DIMENSION : 5\nEOF"), 9, 3),
+        (
+            "EDGE_WEIGHT_TYPE",
+            TRIANGLE.replace("NODE_COORD", "EDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD"),
+            5,
+            4,
+        ),
+        (
+            "NODE_COORD_SECTION",
+            TRIANGLE.replace("EOF", "NODE_COORD_SECTION\n1 0 0\n2 6 0\n3 0 8\nEOF"),
+            9,
+            5,
+        ),
+        (
+            "EDGE_WEIGHT_FORMAT",
+            _EXPLICIT_HEAD + "EDGE_WEIGHT_FORMAT : FULL_MATRIX\n",
+            5,
+            4,
+        ),
+        (
+            "EDGE_WEIGHT_SECTION",
+            _EXPLICIT_HEAD + "EDGE_WEIGHT_SECTION\n1 2\n3\n" * 2 + "EOF\n",
+            8,
+            5,
+        ),
+        (
+            "DISPLAY_DATA_SECTION",
+            TRIANGLE.replace("EOF", "DISPLAY_DATA_SECTION\n1 0 0\n2 0 0\n3 0 0\n" * 2 + "EOF"),
+            13,
+            9,
+        ),
+    ],
+)
+def test_repeated_keyword_names_its_line(key, text, line, first):
+    with pytest.raises(ParseError) as info:
+        parse_tsplib(text)
+    assert str(info.value) == f"line {line}: {key} repeated from line {first}"
+
+
+def test_repeated_comment_is_read_past():
+    text = TRIANGLE.replace("TYPE : TSP", "COMMENT : one\nCOMMENT : two\nTYPE : TSP")
+    assert np.array_equal(parse_tsplib(text).matrix, parse_tsplib(TRIANGLE).matrix)
+
+
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_edge_weights_in_a_euc_2d_file_are_rejected(where):
+    weights = "EDGE_WEIGHT_FORMAT : UPPER_ROW\nEDGE_WEIGHT_SECTION\n3 4\n5\n"
+    if where == "before":
+        text = TRIANGLE.replace("NODE_COORD", weights + "NODE_COORD")
+        line = 6
+    else:
+        text = TRIANGLE.replace("EOF", weights + "EOF")
+        line = 10
+    with pytest.raises(ParseError) as info:
+        parse_tsplib(text)
+    assert str(info.value) == f"line {line}: EDGE_WEIGHT_SECTION in an EUC_2D file"
+
+
 def test_euclidean_matrix_values(garn9):
     mat = euclidean_matrix(garn9.coords)
     assert mat[0, 5] == pytest.approx(np.sqrt(5), abs=1e-12)  # nodes 1 and 6
@@ -226,6 +295,16 @@ def test_evaluate_plan_reference_totals(garn9):
     assert plan.per_route_distance[1] == pytest.approx(21.6, abs=0.05)
     assert plan.total_distance == pytest.approx(44.8, abs=0.05)
     assert plan.total_distance == pytest.approx(sum(plan.per_route_distance), rel=1e-9)
+
+
+def test_evaluate_plan_total_is_a_left_fold_over_the_routes():
+    # ten routes of 0.1 each: a left fold reads 0.9999999999999999, while
+    # sum() compensates its rounding to 1.0 from Python 3.12 on
+    matrix = np.full((11, 11), 0.05)
+    np.fill_diagonal(matrix, np.inf)
+    plan = evaluate_plan(Instance("tenths", matrix), [(1, k, 1) for k in range(2, 12)])
+    assert plan.per_route_distance == (0.1,) * 10
+    assert plan.total_distance == 0.9999999999999999
 
 
 def test_evaluate_plan_out_and_back():
