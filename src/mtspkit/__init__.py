@@ -56,7 +56,6 @@ from .distlaw import (
     min_dist_expectation,
     predict_mtsp_distance,
     simulate_min_dist,
-    simulate_pair_dist,
 )
 from .bench import (
     ComparisonRow,

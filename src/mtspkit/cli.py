@@ -136,12 +136,7 @@ def cmd_simulate(args) -> int:
         domain = distlaw.IntegerRange(args.grid_max)
     else:
         domain = distlaw.Rectangle(args.rect_width, args.rect_height)
-    if args.kind == "pair":
-        result = distlaw.simulate_pair_dist(args.reps, domain, args.seed, args.workers)
-    else:
-        result = distlaw.simulate_min_dist(
-            args.n, args.reps, domain, args.seed, args.workers
-        )
+    result = distlaw.simulate_min_dist(args.n, args.reps, domain, args.seed, args.workers)
     print(f"mean = {result.mean!r} over {result.reps} repetitions", file=sys.stderr)
     _emit(result.to_csv(), args.out)
     return 0
@@ -205,13 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("law", cmd_law, "distance-law report from a summary CSV", table)
     p.add_argument("--rows", help="summary CSV; defaults to the bundled reference grid")
 
-    p = command("simulate", cmd_simulate, "Monte Carlo distance estimators", out)
-    p.add_argument("--kind", choices=("pair", "min"), required=True)
+    p = command("simulate", cmd_simulate, "Monte Carlo minimum distance to n points", out)
     p.add_argument("--domain", choices=("unit", "integers", "rect"), default="unit")
     p.add_argument("--grid-max", type=int, default=100)
     p.add_argument("--rect-width", type=float, default=1.0)
     p.add_argument("--rect-height", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=50, help="target points for --kind min")
+    p.add_argument("--n", type=int, default=50, help="target points; 1 gives the pair distance")
     p.add_argument("--reps", type=int, default=100_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)

@@ -1,4 +1,4 @@
-"""Closed-form distance laws and the Monte Carlo estimators validating them.
+"""Closed-form distance laws and the Monte Carlo estimator validating them.
 
 The reference constants below describe expected heuristic tour lengths for
 uniformly random nodes on the 100x100 integer grid. They are published
@@ -275,7 +275,7 @@ class IntegerRange:
 
 @dataclass(frozen=True)
 class Rectangle:
-    """Uniform points in a width x height rectangle (pair distances only)."""
+    """Uniform points in a width x height rectangle."""
 
     width: float
     height: float
@@ -361,44 +361,29 @@ def _histogram_result(values, reps, seed):
     return MonteCarloResult(float(values.mean()), edges, counts, reps, seed)
 
 
-def simulate_pair_dist(reps: int, domain, seed: int, workers: int = 1) -> MonteCarloResult:
-    """Sampled distance between two uniform points of the domain.
-
-    On ``UnitInterval`` and ``IntegerRange`` this is
-    :func:`simulate_min_dist` with one target point, whose draws are the
-    same. On a ``Rectangle`` the draw order per repetition chunk is: first
-    points, then second points.
-    """
-    if not isinstance(domain, Rectangle):
-        return simulate_min_dist(1, reps, domain, seed, workers)
-    if reps < 1:
-        raise ValueError("need at least one repetition")
-    span = np.array([domain.width, domain.height])
-
-    def draw(rng, count):
-        x = rng.random((count, 2)) * span
-        y = rng.random((count, 2)) * span
-        return np.sqrt(((x - y) ** 2).sum(axis=1))
-
-    return _histogram_result(_run_chunks(reps, seed, workers, draw), reps, seed)
-
-
 def simulate_min_dist(
     n: int, reps: int, domain, seed: int, workers: int = 1
 ) -> MonteCarloResult:
     """Sampled minimum distance from one point to n points of the domain.
 
-    Draw order per repetition chunk: the single points, then the n-point
-    clouds row by row.
+    With ``n = 1`` this is the distance between two uniform points.
 
-    Each chunk's differences are taken in place in the draws' own buffer.
-    On an ``IntegerRange`` they stay integers, where they are exact, and
-    only the per-repetition minimum is converted to float64. For every
-    ``high <= 2**53`` this equals converting the draws first; above that,
-    converting first would round the draws before subtracting. Draws are
-    int32 for ``high < 2**31`` (half the buffer) and int64 above; numpy
-    draws both from one 32-bit sampler for ranges up to ``2**32``, so the
-    stream does not depend on the dtype.
+    Draw order per repetition chunk: the single points, then the n-point
+    clouds row by row. A ``Rectangle`` point is one ``(x, y)`` row of
+    ``random`` scaled by the sides: ``(count, 2)`` single points, then
+    ``(count, n, 2)`` clouds.
+
+    Each chunk's differences are taken in place in the clouds' own
+    buffer. A ``Rectangle``'s are squared there and summed into the x
+    plane as ``dx**2 + dy**2``, and only each repetition's least sum is
+    rooted. On an ``IntegerRange``
+    they stay integers, where they are exact, and only the per-repetition
+    minimum is converted to float64. For every ``high <= 2**53`` this
+    equals converting the draws first; above that, converting first would
+    round the draws before subtracting. Draws are int32 for
+    ``high < 2**31`` (half the buffer) and int64 above; numpy draws both
+    from one 32-bit sampler for ranges up to ``2**32``, so the stream does
+    not depend on the dtype.
     """
     if n < 1:
         raise ValueError("need at least one target point")
@@ -413,6 +398,18 @@ def simulate_min_dist(
             dtype = np.int32 if domain.high < 2**31 else np.int64
             x = rng.integers(1, domain.high + 1, count, dtype=dtype)
             ys = rng.integers(1, domain.high + 1, (count, n), dtype=dtype)
+        elif isinstance(domain, Rectangle):
+            span = np.array([domain.width, domain.height])
+            x = rng.random((count, 2)) * span
+            ys = rng.random((count, n, 2))
+            ys *= span
+            ys -= x[:, None]
+            np.square(ys, out=ys)
+            squared = ys[..., 0]  # dx**2 + dy**2, summed into the x plane
+            squared += ys[..., 1]
+            # sqrt is monotone and correctly rounded: the root of the least
+            # squared distance is the least distance
+            return np.sqrt(squared.min(axis=1))
         else:
             raise TypeError(f"unsupported domain {domain!r}")
         np.subtract(ys, x[:, None], out=ys)

@@ -360,6 +360,10 @@ def parse_tsplib(text: str, rounding: str = "none") -> Instance:
     COMMENT, a section before DIMENSION, a missing NAME, DIMENSION or
     EDGE_WEIGHT_TYPE, and an EDGE_WEIGHT_SECTION in an EUC_2D file each
     raise :class:`ParseError`; DISPLAY_DATA_SECTION rows are read past.
+    An EXPLICIT file's distances are its weights: a NODE_COORD_SECTION
+    there holds display coordinates, which are checked like any other
+    coordinate rows and then dropped (``coords`` is None), even where they
+    disagree with the weights.
     """
     lines = text.splitlines()
     values = {}  # keyword -> its value
@@ -400,13 +404,10 @@ def parse_tsplib(text: str, rounding: str = "none") -> Instance:
                 raise ParseError(
                     f"line {lineno}: EDGE_WEIGHT_SECTION without EDGE_WEIGHT_FORMAT"
                 )
-            rows, cols = _weight_layout(weight_format, dim)
-            numbers, i = _read_numbers(lines, i, len(rows))
-            weights = np.zeros((dim, dim))
-            weights[rows, cols] = numbers
-            if weight_format != "FULL_MATRIX":  # triangular formats are mirrored
-                weights[cols, rows] = numbers
-            np.fill_diagonal(weights, INFINITY)
+            # the header only promises the values: read them before
+            # allocating anything of the size it states
+            numbers, i = _read_numbers(lines, i, _weight_count(weight_format, dim))
+            weights = _weight_matrix(weight_format, dim, numbers)
         elif key == "DISPLAY_DATA_SECTION":
             i += dim  # plotting helper rows; read past them, never interpreted
 
@@ -485,14 +486,28 @@ def _read_numbers(lines, i, count):
     return vals, i
 
 
-def _weight_layout(fmt: str, n: int):
-    """Row and column indices of an EDGE_WEIGHT_SECTION's values, in file order."""
+def _weight_count(fmt: str, n: int) -> int:
+    """How many values an EDGE_WEIGHT_SECTION of the format holds."""
     if fmt == "FULL_MATRIX":
-        return divmod(np.arange(n * n), n)
-    diag = "DIAG" in fmt
-    if fmt.startswith("UPPER"):
-        return np.triu_indices(n, 0 if diag else 1)
-    return np.tril_indices(n, 0 if diag else -1)
+        return n * n
+    return n * (n + 1) // 2 if "DIAG" in fmt else n * (n - 1) // 2
+
+
+def _weight_matrix(fmt: str, n: int, numbers) -> np.ndarray:
+    """The n x n matrix of an EDGE_WEIGHT_SECTION's values, read in file order."""
+    if fmt == "FULL_MATRIX":
+        weights = np.array(numbers).reshape(n, n)
+    else:
+        skip = 0 if "DIAG" in fmt else 1
+        if fmt.startswith("UPPER"):
+            rows, cols = np.triu_indices(n, skip)
+        else:
+            rows, cols = np.tril_indices(n, -skip)
+        weights = np.zeros((n, n))
+        weights[rows, cols] = numbers
+        weights[cols, rows] = numbers  # triangular formats are mirrored
+    np.fill_diagonal(weights, INFINITY)
+    return weights
 
 
 def dumps_tsplib(instance: Instance) -> str:

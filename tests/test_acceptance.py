@@ -183,9 +183,9 @@ def test_criterion_5_closed_form_point_checks():
 def test_criterion_6_monte_carlo_means():
     with criterion(6, "Monte Carlo estimators land on the laws"):
         start = time.perf_counter()
-        pair_unit = mk.simulate_pair_dist(100_000, mk.UnitInterval(), seed=20)
+        pair_unit = mk.simulate_min_dist(1, 100_000, mk.UnitInterval(), seed=20)
         assert pair_unit.mean == pytest.approx(1 / 3, abs=0.005)
-        pair_int = mk.simulate_pair_dist(100_000, mk.IntegerRange(100), seed=21)
+        pair_int = mk.simulate_min_dist(1, 100_000, mk.IntegerRange(100), seed=21)
         assert pair_int.mean == pytest.approx(33.17, abs=0.5)
         min_unit = mk.simulate_min_dist(50, 100_000, mk.UnitInterval(), seed=22)
         assert min_unit.mean == pytest.approx(0.01, rel=0.10)
@@ -263,8 +263,8 @@ def test_criterion_9_property_suites(garn9):
             mk.generate_uniform_instance(spec).coords,
         )
         assert (
-            mk.simulate_pair_dist(10_000, mk.UnitInterval(), seed=5).mean
-            == mk.simulate_pair_dist(10_000, mk.UnitInterval(), seed=5).mean
+            mk.simulate_min_dist(1, 10_000, mk.UnitInterval(), seed=5).mean
+            == mk.simulate_min_dist(1, 10_000, mk.UnitInterval(), seed=5).mean
         )
         assert (
             mk.simulate_min_dist(5, 10_000, mk.IntegerRange(9), seed=5).mean

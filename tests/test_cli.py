@@ -196,14 +196,14 @@ def test_law_defaults_to_bundled_grid(capsys):
 def test_simulate(capsys, tmp_path):
     out = tmp_path / "hist.csv"
     code, _, err = run(
-        capsys, "simulate", "--kind", "pair", "--reps", "20000",
+        capsys, "simulate", "--n", "1", "--reps", "20000",
         "--seed", "2", "--out", str(out),
     )
     assert code == 0
     assert "mean = " in err
     assert out.read_text().splitlines()[0] == "bin_lo,bin_hi,count"
     code, _, err = run(
-        capsys, "simulate", "--kind", "min", "--domain", "integers",
+        capsys, "simulate", "--domain", "integers",
         "--grid-max", "100", "--n", "50", "--reps", "20000", "--seed", "2",
     )
     assert code == 0
@@ -258,6 +258,18 @@ def test_solve_exits_1_on_a_tsplib_file_that_says_too_much(capsys, tmp_path, tai
     code, out, err = run(capsys, "solve", "--instance", str(bad), "--m", "2")
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_malformed_display_coordinates_of_an_explicit_file_exit_1(capsys, tmp_path):
+    bad = tmp_path / "bad.tsp"
+    bad.write_text(
+        "NAME : small\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EXPLICIT\n"
+        "EDGE_WEIGHT_FORMAT : UPPER_ROW\nEDGE_WEIGHT_SECTION\n1 2\n3\n"
+        "NODE_COORD_SECTION\n1 0 0\n2 50\n3 0 70\nEOF\n"
+    )
+    code, out, err = run(capsys, "solve", "--instance", str(bad), "--m", "2")
+    assert code == 1 and out == ""
+    assert err == "error: line 10: coordinate row needs 'index x y'\n"
 
 
 def test_exit_code_infeasible(capsys):
@@ -414,7 +426,7 @@ def test_compare_rejects_a_repeated_algorithm(capsys):
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_simulate_rejects_fewer_than_one_worker(capsys, workers):
     code, out, err = run(
-        capsys, "simulate", "--kind", "min", "--reps", "100", "--seed", "1",
+        capsys, "simulate", "--reps", "100", "--seed", "1",
         "--workers", workers,
     )
     assert code == 1
@@ -444,10 +456,12 @@ def test_window_bounds_go_together(capsys, flag):
         ["solve", "--m", "2"],
         ["solve", "--instance", "x.tsp", "--m", "2", "--algorithm", "bogus"],
         ["compare", "--m", "2"],
-        ["simulate", "--kind", "pair", "--seed", "x"],
+        ["simulate", "--seed", "x"],
         # the subset DP runs as `exact`; neither old spelling selects it
         ["solve", "--instance", "x.tsp", "--m", "2", "--algorithm", "oracle"],
         ["solve-exact", "--instance", "x.tsp", "--m", "2"],
+        # a pair distance is --n 1; the kind switch is gone
+        ["simulate", "--kind", "pair", "--seed", "1"],
     ],
 )
 def test_usage_errors_exit_1(capsys, argv):
@@ -510,13 +524,13 @@ _CLI_LOCK = {
         {"{csv,markdown}"},
     ),
     "simulate": (
-        ["--kind", "pair", "--seed", "1"],
-        {"kind": "pair", "domain": "unit", "grid_max": 100, "rect_width": 1.0,
+        ["--seed", "1"],
+        {"domain": "unit", "grid_max": 100, "rect_width": 1.0,
          "rect_height": 1.0, "n": 50, "reps": 100_000, "seed": 1, "workers": 1,
          "out": None, "func": cli.cmd_simulate},
-        {"--kind", "--domain", "--grid-max", "--rect-width", "--rect-height", "--n",
+        {"--domain", "--grid-max", "--rect-width", "--rect-height", "--n",
          "--reps", "--seed", "--workers", "--out"},
-        {"{pair,min}", "{unit,integers,rect}"},
+        {"{unit,integers,rect}"},
     ),
 }
 

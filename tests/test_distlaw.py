@@ -26,7 +26,6 @@ from mtspkit import (
     min_dist_expectation,
     predict_mtsp_distance,
     simulate_min_dist,
-    simulate_pair_dist,
 )
 from mtspkit.distlaw import MonteCarloResult
 from mtspkit.instance import rng_from_seed
@@ -231,13 +230,13 @@ def test_two_corner_depot_tour_length():
 # Monte Carlo twins
 
 def test_interval_monte_carlo_matches_closed_form():
-    result = simulate_pair_dist(1_000_000, UnitInterval(), seed=8)
+    result = simulate_min_dist(1, 1_000_000, UnitInterval(), seed=8)
     se = 0.2357 / math.sqrt(1_000_000)  # std of |x - y| on the unit square
     assert abs(result.mean - expected_pair_distance_interval(1.0)) < 3 * se
 
 
 def test_pair_distance_unit_interval():
-    result = simulate_pair_dist(100_000, UnitInterval(), seed=42)
+    result = simulate_min_dist(1, 100_000, UnitInterval(), seed=42)
     assert result.mean == pytest.approx(1 / 3, abs=0.005)
     # triangular shape: counts fall monotonically once rebinned coarsely
     coarse = result.counts.reshape(10, 10).sum(axis=1)
@@ -245,7 +244,7 @@ def test_pair_distance_unit_interval():
 
 
 def test_pair_distance_integer_range():
-    result = simulate_pair_dist(100_000, IntegerRange(100), seed=42)
+    result = simulate_min_dist(1, 100_000, IntegerRange(100), seed=42)
     assert result.mean == pytest.approx(min_dist_exact(1, IntegerRange(100)), abs=0.5)
 
 
@@ -261,22 +260,44 @@ def test_unit_pair_expectation_is_a_third():
 
 
 def test_pair_distance_degenerate_range():
-    result = simulate_pair_dist(1000, IntegerRange(1), seed=0)
+    result = simulate_min_dist(1, 1000, IntegerRange(1), seed=0)
     assert result.mean == 0.0
     assert result.counts[0] == 1000
 
 
 def test_pair_distance_rectangle_matches_closed_form():
     expected = expected_pair_distance_rectangle(3, 4)
-    result = simulate_pair_dist(1_000_000, Rectangle(3, 4), seed=9)
+    result = simulate_min_dist(1, 1_000_000, Rectangle(3, 4), seed=9)
     # 3 standard errors; distances in a 3x4 box have std below the diameter
     se = 5.0 / math.sqrt(1_000_000)
     assert abs(result.mean - expected) < 3 * se
 
 
+def test_rectangle_min_dist_matches_a_python_oracle():
+    # one chunk: the single points, then the 7-point clouds, each (x, y)
+    # scaled by the sides; every distance taken one float at a time
+    n, reps, seed = 7, 3000, 13
+    rng = distlaw._chunk_rng(seed, 0)
+    singles = rng.random((reps, 2)).tolist()
+    clouds = rng.random((reps, n, 2)).tolist()
+    values = []
+    for (x, y), cloud in zip(singles, clouds):
+        best = math.inf
+        for u, v in cloud:
+            dx = u * 3.0 - x * 3.0
+            dy = v * 2.0 - y * 2.0
+            best = min(best, math.sqrt(dx * dx + dy * dy))
+        values.append(best)
+    oracle = distlaw._histogram_result(np.array(values), reps, seed)
+    result = simulate_min_dist(n, reps, Rectangle(3.0, 2.0), seed)
+    assert result.mean == oracle.mean
+    assert np.array_equal(result.counts, oracle.counts)
+    assert np.array_equal(result.bin_edges, oracle.bin_edges)
+
+
 def test_square_monte_carlo_matches_closed_form():
     expected = expected_pair_distance_square(math.sqrt(2) * 100)
-    result = simulate_pair_dist(1_000_000, Rectangle(100, 100), seed=10)
+    result = simulate_min_dist(1, 1_000_000, Rectangle(100, 100), seed=10)
     se = 100 * math.sqrt(2) / math.sqrt(1_000_000)
     assert abs(result.mean - expected) < 3 * se
 
@@ -351,14 +372,14 @@ def test_min_dist_mean_matches_the_exact_expectation(n, domain):
 
 
 def test_simulation_determinism_and_worker_invariance():
-    base = simulate_pair_dist(80_000, UnitInterval(), seed=5)
-    again = simulate_pair_dist(80_000, UnitInterval(), seed=5)
+    base = simulate_min_dist(1, 80_000, UnitInterval(), seed=5)
+    again = simulate_min_dist(1, 80_000, UnitInterval(), seed=5)
     assert base.mean == again.mean
     assert np.array_equal(base.counts, again.counts)
-    threaded = simulate_pair_dist(80_000, UnitInterval(), seed=5, workers=4)
+    threaded = simulate_min_dist(1, 80_000, UnitInterval(), seed=5, workers=4)
     assert threaded.mean == base.mean
     assert np.array_equal(threaded.counts, base.counts)
-    other = simulate_pair_dist(80_000, UnitInterval(), seed=6)
+    other = simulate_min_dist(1, 80_000, UnitInterval(), seed=6)
     assert other.mean != base.mean
     mins = simulate_min_dist(10, 50_000, IntegerRange(30), seed=5, workers=3)
     assert mins.mean == simulate_min_dist(10, 50_000, IntegerRange(30), seed=5).mean
@@ -384,24 +405,24 @@ def test_simulation_caps_workers_at_cpus_and_chunks(monkeypatch, cpus, reps):
 @pytest.mark.parametrize("workers", [0, -3])
 def test_simulation_rejects_fewer_than_one_worker(workers):
     with pytest.raises(ValueError, match="workers"):
-        simulate_pair_dist(100, UnitInterval(), seed=0, workers=workers)
+        simulate_min_dist(1, 100, UnitInterval(), seed=0, workers=workers)
     with pytest.raises(ValueError, match="workers"):
         simulate_min_dist(5, 100, UnitInterval(), seed=0, workers=workers)
 
 
 def test_unsupported_domains_raise():
     with pytest.raises(TypeError):
-        simulate_min_dist(5, 100, Rectangle(1, 1), seed=0)
+        simulate_min_dist(5, 100, (1.0, 1.0), seed=0)
     with pytest.raises(TypeError):
-        simulate_pair_dist(100, "unit", seed=0)
+        simulate_min_dist(1, 100, "unit", seed=0)
     with pytest.raises(ValueError):
-        simulate_pair_dist(0, UnitInterval(), seed=0)
+        simulate_min_dist(1, 0, UnitInterval(), seed=0)
     with pytest.raises(ValueError):
         simulate_min_dist(0, 10, UnitInterval(), seed=0)
 
 
 def test_histogram_invariants_and_csv():
-    result = simulate_pair_dist(12_345, UnitInterval(), seed=3)
+    result = simulate_min_dist(1, 12_345, UnitInterval(), seed=3)
     assert int(result.counts.sum()) == 12_345
     assert result.bin_edges[0] <= result.mean <= result.bin_edges[-1]
     assert len(result.bin_edges) == len(result.counts) + 1
@@ -431,9 +452,9 @@ def _mc_lock_cases(workers):
         "min_int100": simulate_min_dist(50, 40_000, IntegerRange(100), seed=7, workers=workers),
         "min_int30": simulate_min_dist(5, 40_000, IntegerRange(30), seed=8, workers=workers),
         "min_unit": simulate_min_dist(10, 40_000, UnitInterval(), seed=9, workers=workers),
-        "pair_unit": simulate_pair_dist(40_000, UnitInterval(), seed=10, workers=workers),
-        "pair_int": simulate_pair_dist(40_000, IntegerRange(100), seed=11, workers=workers),
-        "pair_rect": simulate_pair_dist(40_000, Rectangle(2.0, 1.0), seed=12, workers=workers),
+        "pair_unit": simulate_min_dist(1, 40_000, UnitInterval(), seed=10, workers=workers),
+        "pair_int": simulate_min_dist(1, 40_000, IntegerRange(100), seed=11, workers=workers),
+        "pair_rect": simulate_min_dist(1, 40_000, Rectangle(2.0, 1.0), seed=12, workers=workers),
     }
 
 

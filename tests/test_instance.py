@@ -120,6 +120,41 @@ def test_weight_formats_match_the_loop_reading(fmt, n):
         parse_tsplib(short)
 
 
+@pytest.mark.parametrize(
+    "fmt,promised", [("FULL_MATRIX", 2000 * 2000), ("UPPER_ROW", 2000 * 1999 // 2)]
+)
+def test_truncated_weight_section_allocates_only_what_it_read(fmt, promised):
+    # a ~110-byte file whose header promises millions of values
+    text = (
+        "NAME : big\nDIMENSION : 2000\nEDGE_WEIGHT_TYPE : EXPLICIT\n"
+        f"EDGE_WEIGHT_FORMAT : {fmt}\nEDGE_WEIGHT_SECTION\n0 1 2\nEOF\n"
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=f"ended after 3 of {promised} values"):
+            parse_tsplib(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_explicit_file_reads_its_coordinates_as_display_only():
+    # TSPLIB distances of an EXPLICIT file are its weights; coordinates
+    # there only place the nodes for plotting, so they are checked and not
+    # kept, even where they disagree with the weights
+    text = (
+        "NAME : small\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EXPLICIT\n"
+        "EDGE_WEIGHT_FORMAT : UPPER_ROW\nEDGE_WEIGHT_SECTION\n1 2\n3\n"
+        "NODE_COORD_SECTION\n1 0 0\n2 50 0\n3 0 70\nEOF\n"
+    )
+    inst = parse_tsplib(text)
+    assert inst.coords is None
+    assert inst.matrix[0, 1] == 1.0 and inst.matrix[1, 2] == 3.0
+    with pytest.raises(ParseError, match="line 10: non-numeric coordinate"):
+        parse_tsplib(text.replace("2 50 0", "2 50 zz"))
+
+
 def test_parse_skips_display_data_section():
     text = (
         "NAME : small\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EXPLICIT\n"
