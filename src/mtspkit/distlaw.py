@@ -36,6 +36,7 @@ MIN_DIST_EXP = -0.949
 _REFERENCE_GRID = 100  # the constants above belong to the {1..100}^2 grid
 
 _CHUNK = 1 << 14
+_BLOCK = 1 << 20  # cloud points drawn at once
 _BINS = 100
 
 
@@ -79,20 +80,24 @@ class PowerFit:
 def delta_estimate(table: list[SummaryRow]):
     """Mean and sample std of the consecutive-m distance increments.
 
-    ``table`` must hold one algorithm's rows over a full grid
-    S x {2..max_m}; the increments are ``s[t, m] - s[t, m-1]`` for every
-    t and every m >= 3. Fewer than two increments have no sample std, so
-    they raise ``ValueError``.
+    ``table`` must hold one algorithm's rows, each (t, m) cell once, over a
+    full grid S x {2..max_m}; the increments are ``s[t, m] - s[t, m-1]``
+    for every t and every m >= 3. Rows with m = 1 take no part. Fewer
+    than two increments have no sample std, so they raise ``ValueError``.
     """
     if not table:
         raise ValueError("empty summary table")
     algorithms = {row.algorithm for row in table}
     if len(algorithms) != 1:
         raise ValueError(f"expected rows for one algorithm, got {sorted(algorithms)}")
-    cells = {(row.t, row.m): row.mean for row in table}
-    sizes = sorted({row.t for row in table})
-    ms = sorted({row.m for row in table})
-    if ms != list(range(2, ms[-1] + 1)):
+    cells = {}
+    for row in table:
+        if (row.t, row.m) in cells:
+            raise ValueError(f"repeated grid cell (t={row.t}, m={row.m})")
+        cells[row.t, row.m] = row.mean
+    sizes = sorted({t for t, m in cells if m >= 2})
+    ms = sorted({m for _, m in cells if m >= 2})
+    if ms != list(range(2, len(ms) + 2)):
         raise ValueError(f"grid must cover every m from 2 to {ms[-1]}, got {ms}")
     diffs = []
     for t in sizes:
@@ -373,47 +378,66 @@ def simulate_min_dist(
     ``random`` scaled by the sides: ``(count, 2)`` single points, then
     ``(count, n, 2)`` clouds.
 
-    Each chunk's differences are taken in place in the clouds' own
-    buffer. A ``Rectangle``'s are squared there and summed into the x
-    plane as ``dx**2 + dy**2``, and only each repetition's least sum is
-    rooted. On an ``IntegerRange``
-    they stay integers, where they are exact, and only the per-repetition
-    minimum is converted to float64. For every ``high <= 2**53`` this
-    equals converting the draws first; above that, converting first would
-    round the draws before subtracting. Draws are int32 for
-    ``high < 2**31`` (half the buffer) and int64 above; numpy draws both
-    from one 32-bit sampler for ranges up to ``2**32``, so the stream does
-    not depend on the dtype.
+    The clouds are drawn in blocks of whole rows, at most ``2**20`` points
+    (one row when n is larger), so no buffer grows with n or with the
+    thread count. numpy fills an array in C order from one stream, so the
+    blocks hold exactly the values of one ``(count, n)`` draw.
+
+    Each block's differences are taken in place in its own buffer. A
+    ``Rectangle``'s are squared there and summed into the x plane as
+    ``dx**2 + dy**2``, and only each repetition's least sum is rooted. On
+    an ``IntegerRange`` they stay integers, where they are exact, and only
+    the per-repetition minimum is converted to float64. For every
+    ``high <= 2**53`` this equals converting the draws first; above that,
+    converting first would round the draws before subtracting. Draws are
+    int32 for ``high < 2**31``, which is faster than int64, and int64
+    above; numpy draws both from one 32-bit sampler for ranges up to
+    ``2**32``, so the stream does not depend on the dtype.
     """
     if n < 1:
         raise ValueError("need at least one target point")
     if reps < 1:
         raise ValueError("need at least one repetition")
+    rect = isinstance(domain, Rectangle)
+    if isinstance(domain, UnitInterval):
+        def sample(rng, shape):
+            return rng.random(shape)
+    elif isinstance(domain, IntegerRange):
+        dtype = np.int32 if domain.high < 2**31 else np.int64
 
-    def draw(rng, count):
-        if isinstance(domain, UnitInterval):
-            x = rng.random(count)
-            ys = rng.random((count, n))
-        elif isinstance(domain, IntegerRange):
-            dtype = np.int32 if domain.high < 2**31 else np.int64
-            x = rng.integers(1, domain.high + 1, count, dtype=dtype)
-            ys = rng.integers(1, domain.high + 1, (count, n), dtype=dtype)
-        elif isinstance(domain, Rectangle):
-            span = np.array([domain.width, domain.height])
-            x = rng.random((count, 2)) * span
-            ys = rng.random((count, n, 2))
-            ys *= span
-            ys -= x[:, None]
+        def sample(rng, shape):
+            return rng.integers(1, domain.high + 1, shape, dtype=dtype)
+    elif rect:
+        span = np.array([domain.width, domain.height])
+
+        def sample(rng, shape):
+            points = rng.random((*shape, 2))
+            points *= span
+            return points
+    else:
+        raise TypeError(f"unsupported domain {domain!r}")
+
+    def least(ys, x):
+        ys -= x[:, None]
+        if rect:
             np.square(ys, out=ys)
             squared = ys[..., 0]  # dx**2 + dy**2, summed into the x plane
             squared += ys[..., 1]
             # sqrt is monotone and correctly rounded: the root of the least
             # squared distance is the least distance
             return np.sqrt(squared.min(axis=1))
-        else:
-            raise TypeError(f"unsupported domain {domain!r}")
-        np.subtract(ys, x[:, None], out=ys)
         np.abs(ys, out=ys)
-        return ys.min(axis=1).astype(np.float64, copy=False)
+        return ys.min(axis=1)
+
+    rows = max(1, _BLOCK // n)
+
+    def draw(rng, count):
+        x = sample(rng, (count,))
+        out = np.empty(count)
+        for lo in range(0, count, rows):
+            here = x[lo:lo + rows]
+            # no name holds the block, so it is freed before the next draw
+            out[lo:lo + rows] = least(sample(rng, (len(here), n)), here)
+        return out
 
     return _histogram_result(_run_chunks(reps, seed, workers, draw), reps, seed)

@@ -1,11 +1,13 @@
 import json
+import os
 import re
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from mtspkit import SolveStatus, build_model, load_instance, parse_tsplib, solve_exact
-from mtspkit import cli
+from mtspkit import cli, distlaw
 from mtspkit.bench import default_window
 from mtspkit.cli import main
 from mtspkit.exact import ORACLE_MAX_N
@@ -185,6 +187,36 @@ def test_compare_on_coincident_points_writes_nan_gaps(capsys, tmp_path):
     )
     assert code == 0 and err == ""
     assert text.splitlines()[1] == "same,2,0.0,0.0,nan,optimal"
+
+
+def test_law_rejects_a_repeated_cell(capsys, tmp_path):
+    # a dict of cells would keep only the second t=100, m=3 mean
+    rows_file = tmp_path / "rows.csv"
+    rows_file.write_text(
+        "t,m,algorithm,mean,std,samples\n"
+        "50,2,nearest,900,1,5\n50,3,nearest,990,1,5\n"
+        "100,2,nearest,950,1,5\n100,3,nearest,1040,1,5\n100,3,nearest,5000,1,5\n"
+    )
+    code, text, err = run(capsys, "law", "--rows", str(rows_file))
+    assert code == 1
+    assert text == ""
+    assert err == "error: repeated grid cell (t=100, m=3)\n"
+
+
+def test_law_reads_a_grid_with_a_single_salesman_column(capsys, tmp_path):
+    rows_file = tmp_path / "rows.csv"
+    code, _, _ = run(
+        capsys, "experiment", "--sizes", "20,30", "--m", "1-3",
+        "--samples", "2", "--seed", "5", "--out", str(rows_file),
+    )
+    assert code == 0
+    code, text, _ = run(capsys, "law", "--rows", str(rows_file))
+    assert code == 0
+    # m = 1 rows take no part in the increment but keep their prediction rows
+    cells = [line.split(",")[:3] for line in text.splitlines()[1:]]
+    assert sorted((t, alg) for t, m, alg in cells if m == "1") == [
+        ("20", "closest"), ("20", "nearest"), ("30", "closest"), ("30", "nearest"),
+    ]
 
 
 def test_law_defaults_to_bundled_grid(capsys):
@@ -423,15 +455,37 @@ def test_compare_rejects_a_repeated_algorithm(capsys):
     assert err == "error: algorithms repeats a value: ['nearest', 'nearest']\n"
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_simulate_rejects_fewer_than_one_worker(capsys, workers):
-    code, out, err = run(
-        capsys, "simulate", "--reps", "100", "--seed", "1",
-        "--workers", workers,
+def test_simulate_has_no_workers_option(capsys):
+    # the thread count is the CPU count, clamped to the chunks and usable CPUs
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--reps", "100", "--seed", "1", "--workers", "2"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --workers 2" in captured.err
+
+
+def test_threaded_simulate_writes_the_serial_csv(capsys, monkeypatch, tmp_path):
+    # 40,000 repetitions make three chunks, each run on its own thread here
+    pools = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(distlaw, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(distlaw, "ThreadPoolExecutor", Recording)
+    out = tmp_path / "hist.csv"
+    code, _, _ = run(
+        capsys, "simulate", "--domain", "rect", "--rect-width", "2", "--n", "7",
+        "--reps", "40000", "--seed", "3", "--out", str(out),
     )
-    assert code == 1
-    assert out == ""
-    assert "workers" in err
+    assert code == 0
+    assert pools == [3]
+    serial = distlaw.simulate_min_dist(7, 40_000, distlaw.Rectangle(2.0, 1.0), 3, workers=1)
+    assert out.read_text() == serial.to_csv()
 
 
 @pytest.mark.parametrize("flag", ["--K", "--L"])
@@ -526,10 +580,10 @@ _CLI_LOCK = {
     "simulate": (
         ["--seed", "1"],
         {"domain": "unit", "grid_max": 100, "rect_width": 1.0,
-         "rect_height": 1.0, "n": 50, "reps": 100_000, "seed": 1, "workers": 1,
+         "rect_height": 1.0, "n": 50, "reps": 100_000, "seed": 1,
          "out": None, "func": cli.cmd_simulate},
         {"--domain", "--grid-max", "--rect-width", "--rect-height", "--n",
-         "--reps", "--seed", "--workers", "--out"},
+         "--reps", "--seed", "--out"},
         {"{unit,integers,rect}"},
     ),
 }

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,24 @@ def test_delta_needs_two_increments():
     for rows in (only_two, one_step):
         with pytest.raises(ValueError, match="two consecutive-m increments"):
             delta_estimate(rows)
+
+
+def test_delta_rejects_a_repeated_cell():
+    rows = [SummaryRow(t, m, "closest", 100.0 * m, 1.0, 5) for t in (50, 100) for m in (2, 3)]
+    rows.append(SummaryRow(100, 3, "closest", 5000.0, 1.0, 5))
+    with pytest.raises(ValueError, match=r"repeated grid cell \(t=100, m=3\)"):
+        delta_estimate(rows)
+
+
+def test_delta_leaves_out_the_single_salesman_column():
+    rows = [
+        SummaryRow(t, m, "closest", 100.0 + t + (m - 2) * 7.5 + (m == 3), 1.0, 5)
+        for t in (50, 100)
+        for m in (2, 3, 4)
+    ]
+    single = [SummaryRow(t, 1, "closest", 1.0, 1.0, 5) for t in (50, 100)]
+    assert delta_estimate(single + rows) == delta_estimate(rows)
+
 
 def test_extrapolation():
     assert extrapolate_m(1578.0, 2, 90.4) == pytest.approx(1578.0)
@@ -475,6 +494,39 @@ def test_monte_carlo_outputs_are_locked(workers):
     for name, result in _mc_lock_cases(workers).items():
         text = f"{result.mean!r}\n" + result.to_csv()
         assert hashlib.sha256(text.encode()).hexdigest() == _MC_DIGESTS[name], name
+
+
+# n = 300 puts ~4.9M points in a 16,384-repetition chunk, so each chunk's
+# clouds span several draw blocks; recorded with whole-chunk draws
+_MULTI_BLOCK_DIGESTS = {
+    "int100": (IntegerRange(100), 31,
+               "9015419e5cbb6aaf5a7c423e0e8329c611728c904c0298d46dea11bfc953ef9a"),
+    "unit": (UnitInterval(), 32,
+             "4301b9dee7f067880b9e206f608c14201821073ffba9cee3a4bfe1618a8526ac"),
+    "rect": (Rectangle(2.0, 1.0), 33,
+             "8646895fde7b34368bd320bd35bb2117c8656c1dfe7d5c79e0b1171ecfe88675"),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("name", sorted(_MULTI_BLOCK_DIGESTS))
+def test_multi_block_monte_carlo_outputs_are_locked(name, workers):
+    domain, seed, digest = _MULTI_BLOCK_DIGESTS[name]
+    result = simulate_min_dist(300, 20_000, domain, seed=seed, workers=workers)
+    text = f"{result.mean!r}\n" + result.to_csv()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", [1000, 8000])
+def test_monte_carlo_memory_does_not_grow_with_n(n):
+    # whole-chunk draws peaked at 16.1 and 128.1 MB here
+    tracemalloc.start()
+    try:
+        simulate_min_dist(n, 1_000, Rectangle(2.0, 1.0), seed=1, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24e6
 
 
 def _float_min_dist(n, reps, high, seed):
