@@ -465,6 +465,17 @@ def test_simulate_has_no_workers_option(capsys):
     assert "unrecognized arguments: --workers 2" in captured.err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_simulate_rejects_fewer_than_one_worker(capsys, workers):
+    # with no --workers option, a count below one is refused as an unknown option
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--reps", "100", "--seed", "1", "--workers", workers])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: --workers {workers}" in captured.err
+
+
 def test_threaded_simulate_writes_the_serial_csv(capsys, monkeypatch, tmp_path):
     # 40,000 repetitions make three chunks, each run on its own thread here
     pools = []
