@@ -12,18 +12,16 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import heuristics
 from .distlaw import (
-    PowerFit,
-    SummaryRow,
-    delta_estimate,
-    fit_power_law,
-    predict_mtsp_distance,
+    MIN_DIST_COEF, MIN_DIST_EXP, PowerFit, SummaryRow, UnitInterval, delta_estimate,
+    fit_power_law, min_dist_exact, min_dist_expectation, predict_mtsp_distance,
 )
 from .exact import (
     ORACLE_MAX_N,
@@ -34,12 +32,14 @@ from .exact import (
     build_model,
     solve_exact,
 )
-from .instance import GridSpec, Instance, RoutePlan, derive_seed, generate_uniform_instance
+from .instance import (
+    GridSpec, Instance, RoutePlan, derive_seed, generate_uniform_instance, write_csv,
+)
 
 _DATA_DIR = Path(__file__).parent / "data"
 REFERENCE_GRID_CSV = _DATA_DIR / "heuristic_grid_means.csv"
 
-SUMMARY_COLUMNS = ("t", "m", "algorithm", "mean", "std", "samples")
+SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))
 
 
 @dataclass(frozen=True)
@@ -105,12 +105,10 @@ def run_experiment(config: ExperimentConfig) -> list[SummaryRow]:
     return rows
 
 
-def _csv(header, records) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(records)
-    return out.getvalue()
+def _dataclass_csv(cls, rows) -> str:
+    """One column per field of the row dataclass ``cls``, in field order."""
+    columns = [f.name for f in fields(cls)]
+    return write_csv(columns, map(attrgetter(*columns), rows))
 
 
 def _markdown(header, records) -> str:
@@ -120,10 +118,7 @@ def _markdown(header, records) -> str:
 
 
 def summary_to_csv(rows: list[SummaryRow]) -> str:
-    return _csv(
-        SUMMARY_COLUMNS,
-        ([r.t, r.m, r.algorithm, repr(r.mean), repr(r.std), r.samples] for r in rows),
-    )
+    return _dataclass_csv(SummaryRow, rows)
 
 
 def summary_from_csv(text: str) -> list[SummaryRow]:
@@ -131,14 +126,11 @@ def summary_from_csv(text: str) -> list[SummaryRow]:
     missing = [c for c in SUMMARY_COLUMNS if c not in (reader.fieldnames or ())]
     if missing:
         raise ValueError(f"summary CSV lacks column(s): {', '.join(missing)}")
-    rows = []
-    for rec in reader:
-        rows.append(
-            SummaryRow(
-                int(rec["t"]), int(rec["m"]), rec["algorithm"],
-                float(rec["mean"]), float(rec["std"]), int(rec["samples"]),
-            )
-        )
+    rows = [
+        SummaryRow(int(r["t"]), int(r["m"]), r["algorithm"],
+                   float(r["mean"]), float(r["std"]), int(r["samples"]))
+        for r in reader
+    ]
     if not rows:
         raise ValueError("summary CSV holds no rows")
     return rows
@@ -181,11 +173,11 @@ class ComparisonRow:
 
 
 def default_window(n: int, m: int) -> tuple[int, int]:
-    """Route-size window used for exact runs unless overridden:
-    the tightest balanced one, ``L = ceil((n-1)/m)`` and ``K = max(L-1, 1)``."""
-    if m < 1:
-        raise ValueError("need at least one salesman")
-    upper = -((n - 1) // -m)
+    """Route-size window used for exact runs unless overridden: the tightest
+    one around the balanced split, ``L = ceil((n-1)/m)`` and ``K = max(L-1, 1)``.
+    :func:`heuristics.balance_plan` rejects ``m < 1`` and more routes than
+    customers."""
+    upper = heuristics.balance_plan(n, m).quota_upper
     return max(upper - 1, 1), upper
 
 
@@ -293,7 +285,7 @@ def _comparison_table(rows, dist_head, gap_head, dist_fmt, gap_fmt):
 def comparison_to_csv(rows: list[ComparisonRow]) -> str:
     if not rows:
         return ""
-    return _csv(*_comparison_table(rows, "dist_", "gap_pct_", repr, repr))
+    return write_csv(*_comparison_table(rows, "dist_", "gap_pct_", float, float))
 
 
 def comparison_to_markdown(rows: list[ComparisonRow]) -> str:
@@ -356,14 +348,7 @@ def law_pipeline(rows: list[SummaryRow]) -> LawReport:
 
 
 def law_report_to_csv(report: LawReport) -> str:
-    return _csv(
-        ["t", "m", "algorithm", "observed", "predicted", "deviation_pct"],
-        (
-            [p.t, p.m, p.algorithm, repr(p.observed), repr(p.predicted),
-             repr(p.deviation_pct)]
-            for p in report.predictions
-        ),
-    )
+    return _dataclass_csv(PredictionRow, report.predictions)
 
 
 def law_report_to_markdown(report: LawReport) -> str:
@@ -373,6 +358,12 @@ def law_report_to_markdown(report: LawReport) -> str:
         f"max |deviation| = {report.max_deviation_pct[alg]:.2f}%\n"
         for alg, (delta, std) in report.deltas.items()
     )
+    misses = ", ".join(
+        f"{100 * (min_dist_expectation(n) / min_dist_exact(n, UnitInterval()) - 1):+.1f}% at n={n}"
+        for n in (5, 50, 200, 1000)
+    )
+    bullets += (f"* published min-distance fit {MIN_DIST_COEF} n^{MIN_DIST_EXP} "
+                f"against the exact expectation on [0, 1]: {misses}\n")
     table = _markdown(
         ["t", "m", "algorithm", "observed", "predicted", "deviation %"],
         (

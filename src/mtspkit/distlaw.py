@@ -12,8 +12,8 @@ runtime:
   ``0.4158 * n**-0.949``
 
 Monte Carlo runs are chunked; chunk ``c`` draws from
-``SeedSequence(seed, spawn_key=(c,))``, so the result is a pure function
-of the seed no matter how many workers process the chunks.
+``rng_from_seed(SeedSequence(seed, spawn_key=(c,)))``, so the result is a
+pure function of the seed no matter how many workers process the chunks.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+
+from .instance import rng_from_seed, write_csv
 
 GRID_PAIR_COEF = 138.2
 GRID_PAIR_EXP = 0.44
@@ -327,16 +329,13 @@ class MonteCarloResult:
             raise ValueError("mean outside the histogram support")
 
     def to_csv(self) -> str:
-        lines = ["bin_lo,bin_hi,count"]
-        for lo, hi, c in zip(self.bin_edges[:-1], self.bin_edges[1:], self.counts):
-            lines.append(f"{float(lo)!r},{float(hi)!r},{int(c)}")
-        return "\n".join(lines) + "\n"
+        edges = self.bin_edges.tolist()
+        rows = zip(edges[:-1], edges[1:], self.counts.tolist())
+        return write_csv(("bin_lo", "bin_hi", "count"), rows)
 
 
 def _chunk_rng(seed, index):
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,)))
-    )
+    return rng_from_seed(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
 def _usable_cpus() -> int:

@@ -54,7 +54,7 @@ from heapq import heappush, heappop
 import numpy as np
 
 from .heuristics import InfeasibleModelError, nearest_node
-from .instance import Instance, RoutePlan, evaluate_plan
+from .instance import Instance, RoutePlan, evaluate_plan, left_fold
 
 _EPS = 1e-9
 
@@ -451,16 +451,10 @@ def brute_force_oracle(
 
 def _root_bound(d, m) -> float:
     """The subset DP's lower bound once its limit passed. Every customer
-    leaves by one arc and every route leaves the depot by one; the cheapest
-    of each are added in ascending customer order, then once per route, as
-    Python floats (``sum`` would round differently from Python 3.12 on)."""
-    bound = 0.0
-    for cost in d[1:].min(1).tolist():
-        bound += cost
-    depot = float(d[0, 1:].min())
-    for _ in range(m):
-        bound += depot
-    return bound
+    leaves by one arc and every route leaves the depot by one. The
+    :func:`left_fold` adds the cheapest of each, in ascending customer
+    order, then the depot's once per route."""
+    return left_fold(d[1:].min(1).tolist() + [float(d[0, 1:].min())] * m)
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,24 @@ a 0-based numpy array (``matrix[i - 1, j - 1]`` is the arc cost from node
 i to node j) whose diagonal carries ``inf`` so that argmin scans can never
 select a node's own row entry.
 
-Randomness contract: every seeded operation in this package uses numpy's
-PCG64 via :func:`rng_from_seed`, and derived seeds come from
-:func:`derive_seed` (``SeedSequence(base, spawn_key=key)``). Seeds and
-draw order are part of the public contract; identical seeds replay
-bit-identically on every platform.
+Reproducibility contract: each convention has one home here.
+
+* :func:`rng_from_seed` is the only generator constructor (numpy's PCG64).
+  An instance seed is :func:`derive_seed`'s value, the first uint64 of
+  ``SeedSequence(base, spawn_key=key)``. Monte Carlo chunk c seeds its
+  generator with ``SeedSequence(seed, spawn_key=(c,))`` itself.
+* Every CSV goes through :func:`write_csv`, floats written by ``repr``.
+* :func:`left_fold` makes plan totals and the subset DP's fallback bound,
+  so no total depends on the Python version.
+
+Seeds and draw order are part of the public contract; identical seeds
+replay bit-identically on every platform.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import operator
@@ -238,9 +246,7 @@ def evaluate_plan(instance: Instance, routes) -> RoutePlan:
     only a route that fails that check is walked node by node, so the error
     names its first offending node.
 
-    The total adds the route costs in route order, one float at a time:
-    ``sum`` compensates rounding from Python 3.12 on, which would make the
-    total depend on the Python version.
+    The total is the :func:`left_fold` of the route costs in route order.
     """
     n = instance.n
     seen = set()
@@ -277,12 +283,17 @@ def evaluate_plan(instance: Instance, routes) -> RoutePlan:
         missing = sorted(set(range(2, n + 1)) - seen)
         raise PlanError(f"nodes never visited: {missing}")
     per = []
-    total = 0.0
     for route in clean:
         hops = np.asarray(route, dtype=np.int64) - 1
         per.append(float(instance.matrix[hops[:-1], hops[1:]].sum()))
-        total += per[-1]
-    return RoutePlan(tuple(clean), tuple(per), total)
+    return RoutePlan(tuple(clean), tuple(per), left_fold(per))
+
+
+def left_fold(values) -> float:
+    """The package's one float total: ``((0.0 + v0) + v1) + ...`` in the
+    given order. ``sum`` compensates rounding from Python 3.12 on, which
+    would make a total depend on the Python version."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +316,9 @@ class GridSpec:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
-def rng_from_seed(seed: int) -> np.random.Generator:
-    """The repository-wide deterministic generator (PCG64)."""
+def rng_from_seed(seed: int | np.random.SeedSequence) -> np.random.Generator:
+    """The package's one generator constructor: PCG64 from a seed or a
+    ``SeedSequence``."""
     return np.random.Generator(np.random.PCG64(seed))
 
 
@@ -528,7 +540,19 @@ def dumps_tsplib(instance: Instance) -> str:
 
 
 # ---------------------------------------------------------------------------
-# CSV coordinates (header "x,y"; row 1 is the depot)
+# CSV: the one writer, and coordinates (header "x,y"; row 1 is the depot)
+
+def write_csv(header, records) -> str:
+    """The package's one CSV writer: a header row, then ``records``, every
+    line ending in a bare newline. ``csv`` writes each value by ``str``,
+    which for a float is its ``repr``, the shortest text that reads back
+    to the same float."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(records)
+    return out.getvalue()
+
 
 def parse_coords_csv(
     text: str, name: str = "csv-instance", rounding: str = "none"
@@ -556,9 +580,7 @@ def parse_coords_csv(
 def dumps_coords_csv(instance: Instance) -> str:
     if instance.coords is None:
         raise ValueError("instance has no coordinates to write")
-    lines = ["x,y"]
-    lines += [f"{float(x)!r},{float(y)!r}" for x, y in instance.coords]
-    return "\n".join(lines) + "\n"
+    return write_csv(("x", "y"), instance.coords.tolist())
 
 
 def load_instance(path, rounding: str = "none") -> Instance:

@@ -148,12 +148,13 @@ def test_plan_jsonl_digest_is_locked(algorithm):
 
 # sha256 of the comparison, law and summary renderings, recorded before the
 # writers shared one CSV and one markdown helper; the comparison covers
-# eil51, bays29 and eil76 (integer rounding) at m = 2..4, heuristics only
+# eil51, bays29 and eil76 (integer rounding) at m = 2..4, heuristics only;
+# law_markdown re-recorded when the report gained its min-distance fit bullet
 _RENDER_DIGESTS = {
     "comparison_csv": "37d6255d21605741355bb17348bcf8b68fea4327884046a1baf250b0ceeaefa1",
     "comparison_markdown": "ce03dbb61ae44f6bbddb74a22f1fa6ce73f77d85d963fce859c62472ed3fce23",
     "law_csv": "a7bb0428eb593b2ffe5d8f7b784498eb4be1477bdc2e449ccecbd2e7eeaca9eb",
-    "law_markdown": "e607b9d1001f115c61d6680d14b6708a2156cab56a0c8488ee0bbbf09299465e",
+    "law_markdown": "d78822f304f0f4a0bf83a60564898dd08ab9e5dc1967b23c60460cae31b2306c",
     "summary_markdown": "53492f7600f5d148627e82ed8ff50ebe3b29480789cf1784c2d45ffa554ab7a7",
 }
 
@@ -295,6 +296,15 @@ def test_default_window_matches_balanced_quotas():
     assert default_window(51, 2) == (24, 25)
     assert default_window(9, 2) == (3, 4)
     assert default_window(4, 3) == (1, 1)
+    with pytest.raises(InfeasibleModelError, match="^9 salesmen but only 8 customers$"):
+        default_window(9, 9)
+    with pytest.raises(ValueError, match="^need at least one salesman$"):
+        default_window(9, 0)
+
+
+@pytest.mark.parametrize("writer", [comparison_to_csv, comparison_to_markdown])
+def test_comparison_writers_write_nothing_for_no_rows(writer):
+    assert writer([]) == ""
 
 
 def test_law_pipeline_on_reference_grid():
@@ -338,6 +348,11 @@ def test_law_report_rendering():
     md = law_report_to_markdown(report)
     assert "increment per salesman = 90.41" in md
     assert "| 250 | 6 | closest |" in md
+    # the published min-distance fit against the exact [0, 1] expectation
+    assert md.splitlines()[2] == (
+        "* published min-distance fit 0.4158 n^-0.949 against the exact expectation "
+        "on [0, 1]: -5.2% at n=5, +1.6% at n=50, +9.0% at n=200, +18.3% at n=1000"
+    )
 
 
 def test_summary_markdown_smoke():

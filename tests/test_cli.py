@@ -313,6 +313,24 @@ def test_exit_code_infeasible(capsys):
     assert "infeasible" in err
 
 
+def test_default_exact_window_with_more_routes_than_customers(capsys):
+    # the default window is the balanced split's, which 8 customers cannot give 9 routes
+    code, out, err = run(
+        capsys, "solve", "--instance", str(bundled_path("garn9")),
+        "--m", "9", "--algorithm", "exact",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "garn9 m=9: infeasible: 9 salesmen but only 8 customers\n"
+
+
+def test_experiment_with_more_routes_than_customers_exits_2(capsys):
+    code, out, err = run(capsys, "experiment", "--sizes", "5", "--m", "9", "--samples", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "infeasible: 9 salesmen but only 4 customers\n"
+
+
 def test_compare_keeps_feasible_cells_beside_an_infeasible_one(capsys):
     # K=2, L=3 covers 8 customers with 4 routes but not with 2
     code, text, err = run(
@@ -455,19 +473,10 @@ def test_compare_rejects_a_repeated_algorithm(capsys):
     assert err == "error: algorithms repeats a value: ['nearest', 'nearest']\n"
 
 
-def test_simulate_has_no_workers_option(capsys):
-    # the thread count is the CPU count, clamped to the chunks and usable CPUs
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--reps", "100", "--seed", "1", "--workers", "2"])
-    assert exc.value.code == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "unrecognized arguments: --workers 2" in captured.err
-
-
-@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("workers", ["2", "0", "-3"])
 def test_simulate_rejects_fewer_than_one_worker(capsys, workers):
-    # with no --workers option, a count below one is refused as an unknown option
+    # the thread count is the CPU count, clamped to the chunks and usable
+    # CPUs: --workers is no option, so every count is refused as unknown
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--reps", "100", "--seed", "1", "--workers", workers])
     assert exc.value.code == 1

@@ -455,6 +455,34 @@ def test_histogram_invariants_and_csv():
         MonteCarloResult(2.0, np.array([0.0, 1.0]), np.array([4]), reps=4, seed=0)
 
 
+@pytest.mark.parametrize(
+    "call,error,fragment",
+    [
+        (lambda: delta_estimate([]), ValueError, "empty summary table"),
+        (lambda: fit_power_law([(1.0, 2.0)]), ValueError, "at least two"),
+        (lambda: grid_scale(1), ValueError, "grid_max must be at least 2"),
+        (lambda: expected_pair_distance_square(-1), ValueError, "cannot be negative"),
+        (lambda: expected_pair_distance_ball(2, -1), ValueError, "cannot be negative"),
+        (lambda: grid_tsp_distance(3, 3), ValueError, "need b > a"),
+        (lambda: grid_2tsp_corner_distance(4, 2), ValueError, "need b > a"),
+        (lambda: IntegerRange(0), ValueError, "high >= 1"),
+        (lambda: Rectangle(0, 1), ValueError, "sides must be positive"),
+        (lambda: Rectangle(1, -1), ValueError, "sides must be positive"),
+        (lambda: min_dist_exact(0, UnitInterval()), ValueError, "at least one target"),
+        (lambda: min_dist_exact(5, Rectangle(1, 1)), TypeError, "unsupported domain"),
+        (lambda: distlaw.PowerFit(0.0, 0.5, 0.0), ValueError, "coefficient must be positive"),
+    ],
+    ids=[
+        "delta-empty", "fit-one-point", "grid-scale", "square-diameter", "ball-diameter",
+        "grid-tsp", "grid-2tsp", "integer-range", "rect-width", "rect-height",
+        "min-dist-n", "min-dist-rectangle", "power-fit-coefficient",
+    ],
+)
+def test_argument_checks(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
+
+
 def test_summary_row_validation():
     with pytest.raises(ValueError):
         SummaryRow(50, 2, "nearest", 1.0, 0.5, samples=1)

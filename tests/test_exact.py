@@ -275,11 +275,6 @@ def test_solver_is_deterministic(garn9):
     assert a.nodes_explored == b.nodes_explored
 
 
-def test_time_limit_validation(garn9):
-    with pytest.raises(ValueError):
-        solve_exact(build_model(garn9, 2, 2, 5), time_limit=0)
-
-
 @pytest.mark.parametrize("limit", [0.0, -1.0, float("nan")])
 def test_exact_backends_reject_a_non_positive_time_limit(garn9, limit):
     model = build_model(garn9, 2, 2, 5)

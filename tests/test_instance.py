@@ -197,6 +197,35 @@ def test_parse_asymmetric_explicit_accepted():
             "EDGE_WEIGHT_FORMAT : FULL_MATRIX\nEDGE_WEIGHT_SECTION\n0 1 2\nEOF\n",
             "EDGE_WEIGHT_SECTION",
         ),
+        # a blank header line is read past but still counted
+        ("NAME : x\n\nWIBBLE : 3\n", "^line 3: unrecognised keyword 'WIBBLE'$"),
+        ("NAME : x\nNODE_COORD_SECTION\n", "^line 2: NODE_COORD_SECTION before DIMENSION$"),
+        ("NAME : x\nDIMENSION : 2\n", "^line 2: DIMENSION must be at least 3$"),
+        (
+            "NAME : x\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EXPLICIT\nEDGE_WEIGHT_SECTION\n",
+            "^line 4: EDGE_WEIGHT_SECTION without EDGE_WEIGHT_FORMAT$",
+        ),
+        (
+            TRIANGLE.replace("NODE_COORD_SECTION\n1 0 0\n2 3 0\n3 0 4\n", ""),
+            "^EUC_2D file has no NODE_COORD_SECTION$",
+        ),
+        (
+            "NAME : x\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EXPLICIT\n"
+            "EDGE_WEIGHT_FORMAT : UPPER_ROW\nEOF\n",
+            "^EXPLICIT file has no EDGE_WEIGHT_SECTION$",
+        ),
+        (TRIANGLE.replace("3 0 4\nEOF\n", ""), "^line 7: expected 3 coordinate rows$"),
+        (TRIANGLE.replace("3 0 4", "4 0 4"), r"^line 8: node index 4 outside 1\.\.3$"),
+        (
+            "NAME : x\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EXPLICIT\n"
+            "EDGE_WEIGHT_FORMAT : UPPER_ROW\nEDGE_WEIGHT_SECTION\n1 two\n3\nEOF\n",
+            "^line 6: non-numeric weight 'two'$",
+        ),
+        (
+            "NAME : x\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EXPLICIT\n"
+            "EDGE_WEIGHT_FORMAT : UPPER_ROW\nEDGE_WEIGHT_SECTION\n1 2\n3 4\nEOF\n",
+            "^line 7: EDGE_WEIGHT_SECTION holds 4 values, expected 3$",
+        ),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fragment):
@@ -390,6 +419,11 @@ def test_csv_round_trip(garn9):
         parse_coords_csv("a,b\n1,2\n")
     with pytest.raises(ParseError, match="line 3"):
         parse_coords_csv("x,y\n1,2\n3,oops\n4,5\n")
+    with pytest.raises(ParseError, match="^line 1: empty CSV$"):
+        parse_coords_csv("")
+    # blank rows, and rows of blank cells, are read past
+    spaced = parse_coords_csv("x,y\n0,0\n\n3,0\n , \n0,4\n")
+    assert np.array_equal(spaced.coords, [(0, 0), (3, 0), (0, 4)])
 
 
 
@@ -425,6 +459,36 @@ def test_instance_validation():
         Instance("x", two)
     with pytest.raises(ValueError, match="disagrees"):
         Instance("x", good, coords=np.array([(0, 0), (5, 0), (0, 5)], float))
+    with pytest.raises(ValueError, match="must be square"):
+        Instance("x", np.full((3, 4), 1.0))
+    with pytest.raises(ValueError, match=r"coords must be an \(n, 2\) array"):
+        Instance("x", good, coords=np.array([(0, 0), (5, 0)], float))
+
+
+@pytest.mark.parametrize("dump", [dumps_tsplib, dumps_coords_csv])
+def test_dumping_needs_coordinates(dump):
+    matrix = euclidean_matrix([(0.0, 0.0), (3.0, 0.0), (0.0, 4.0)])
+    with pytest.raises(ValueError, match="no coordinates to write"):
+        dump(Instance("x", matrix))
+
+
+@pytest.mark.parametrize(
+    "fields,fragment",
+    [
+        ((2, 100, 0), "n must be at least 3"),
+        ((3, 1, 0), "grid_max must be at least 2"),
+        ((3, 100, -1), "seed must fit in 64 unsigned bits"),
+        ((3, 100, 2**64), "seed must fit in 64 unsigned bits"),
+    ],
+)
+def test_grid_spec_rejects_bad_fields(fields, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        GridSpec(*fields)
+
+
+def test_unknown_bundled_name_is_named():
+    with pytest.raises(FileNotFoundError, match="no bundled instance named 'nope'"):
+        load_bundled("nope")
 
 
 def test_instance_is_immutable(garn9):
