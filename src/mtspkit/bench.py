@@ -18,20 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import heuristics
+from . import exact, heuristics
 from .distlaw import (
     MIN_DIST_COEF, MIN_DIST_EXP, PowerFit, SummaryRow, UnitInterval, delta_estimate,
     fit_power_law, min_dist_exact, min_dist_expectation, predict_mtsp_distance,
 )
-from .exact import (
-    ORACLE_MAX_N,
-    ExactResult,
-    InfeasibleModelError,
-    SolveStatus,
-    brute_force_oracle,
-    build_model,
-    solve_exact,
-)
+from .exact import ExactResult, InfeasibleModelError
 from .instance import (
     GridSpec, Instance, RoutePlan, derive_seed, generate_uniform_instance, write_csv,
 )
@@ -126,11 +118,13 @@ def summary_from_csv(text: str) -> list[SummaryRow]:
     missing = [c for c in SUMMARY_COLUMNS if c not in (reader.fieldnames or ())]
     if missing:
         raise ValueError(f"summary CSV lacks column(s): {', '.join(missing)}")
-    rows = [
-        SummaryRow(int(r["t"]), int(r["m"]), r["algorithm"],
-                   float(r["mean"]), float(r["std"]), int(r["samples"]))
-        for r in reader
-    ]
+    rows = []
+    for r in reader:
+        try:
+            rows.append(SummaryRow(int(r["t"]), int(r["m"]), r["algorithm"],
+                                   float(r["mean"]), float(r["std"]), int(r["samples"])))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"summary CSV line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError("summary CSV holds no rows")
     return rows
@@ -187,12 +181,11 @@ def solve(
 ) -> tuple[RoutePlan | None, ExactResult | None]:
     """Run one algorithm of :data:`ALGORITHMS` for one fleet size.
 
-    A heuristic returns ``(plan, None)``. ``exact`` searches ``window`` or
-    :func:`default_window`: by the subset DP when ``instance.n <=
-    ORACLE_MAX_N``, by branch and bound from the nearest-node warm start
-    above that. A DP that runs out of time returns the nearest-node plan
-    too, so every exact run returns ``(result.best, result)`` with a plan;
-    ``result.backend`` names the algorithm that ran.
+    A heuristic returns ``(plan, None)``. ``exact`` is one call of
+    :func:`exact.solve` on ``window`` or :func:`default_window`, which
+    picks the backend and always returns a plan, so every exact run returns
+    ``(result.best, result)``; ``result.backend`` names the algorithm that
+    ran.
 
     ``time_limit``, if given, must be positive (``inf`` is no limit) for
     every algorithm, although only ``exact`` reads it.
@@ -203,14 +196,7 @@ def solve(
         return heuristics.ALGORITHMS[algorithm](instance, m), None
     if algorithm != "exact":
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    kmin, kmax = window or default_window(instance.n, m)
-    if instance.n <= ORACLE_MAX_N:
-        result = brute_force_oracle(instance, m, kmin, kmax, time_limit=time_limit)
-    else:
-        model = build_model(
-            instance, m, kmin, kmax, warm_start=heuristics.nearest_node(instance, m)
-        )
-        result = solve_exact(model, time_limit)
+    result = exact.solve(instance, m, *(window or default_window(instance.n, m)), time_limit)
     return result.best, result
 
 
@@ -245,7 +231,7 @@ def compare_instances(
                 except InfeasibleModelError:
                     distances[alg] = np.inf
                     if alg == "exact":
-                        statuses[alg] = SolveStatus.INFEASIBLE.value
+                        statuses[alg] = "infeasible"
                     continue
                 distances[alg] = plan.total_distance
                 if result is not None:

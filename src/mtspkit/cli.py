@@ -4,7 +4,8 @@ Subcommands: generate, solve, compare, experiment, law, simulate. Exit
 codes: 0 success, 1 input or usage error, 2 infeasibility. ``--K``/``--L``
 (the route-size window of exact runs) are given together or not at all;
 without them each fleet size gets ``bench.default_window``. Every run goes
-through ``bench.solve``, which picks the exact backend by instance size.
+through ``bench.solve``; an exact one is a call of ``exact.solve``, which
+picks the backend by instance size.
 """
 
 from __future__ import annotations

@@ -59,6 +59,8 @@ class SummaryRow:
     def __post_init__(self):
         if self.samples < 2:
             raise ValueError("summary rows need at least 2 samples")
+        if not (math.isfinite(self.mean) and math.isfinite(self.std)):
+            raise ValueError("mean and standard deviation must be finite")
         if self.std < 0:
             raise ValueError("standard deviation cannot be negative")
 
@@ -152,7 +154,7 @@ def predict_mtsp_distance(t: int, m: int, scale: float = 1.0) -> float:
         raise ValueError("scale must be positive")
     if m == 1:
         return scale * GRID_SINGLE_COEF * t**GRID_SINGLE_EXP
-    return scale * (GRID_PAIR_COEF * t**GRID_PAIR_EXP + GRID_FLEET_STEP * (m - 2))
+    return scale * extrapolate_m(GRID_PAIR_COEF * t**GRID_PAIR_EXP, m, GRID_FLEET_STEP)
 
 
 def grid_scale(grid_max: int) -> float:
@@ -282,14 +284,21 @@ class IntegerRange:
 
 @dataclass(frozen=True)
 class Rectangle:
-    """Uniform points in a width x height rectangle."""
+    """Uniform points in a width x height rectangle.
+
+    The sides must be positive with a finite ``width**2 + height**2``: the
+    estimator squares and sums differences up to the sides.
+    """
 
     width: float
     height: float
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("rectangle sides must be positive")
+        w, h = float(self.width), float(self.height)
+        if not (w > 0 and h > 0 and math.isfinite(w * w + h * h)):  # NaN too
+            raise ValueError(
+                "rectangle sides must be positive, with a finite width**2 + height**2"
+            )
 
 
 def min_dist_exact(n: int, domain) -> float:

@@ -1,8 +1,9 @@
 """Exact solving: constraint model, subset DP, branch-and-bound.
 
-``bench.solve`` runs the subset DP (``brute_force_oracle``) up to its cap
-``ORACLE_MAX_N`` and the branch-and-bound (``solve_exact``) above it; both
-return an ``ExactResult`` that names its ``backend``.
+:func:`solve` is the one choice of backend: the subset DP
+(``brute_force_oracle``) up to its cap ``ORACLE_MAX_N``, the
+branch-and-bound (``solve_exact``) from the nearest-node plan above it.
+Both return an ``ExactResult`` that names its ``backend``.
 
 The model is the node-balanced MTZ program of Kara & Bektas (2006) with
 the route-size window [K, L] = [``min_customers``, ``max_customers``]:
@@ -39,8 +40,8 @@ nearest-node plan when a run stopped by its time limit holds none.
 ``lower_bound == objective``; a stopped one is ``feasible_time_limit``
 with the bound its search reached, which never exceeds the objective.
 ``wall_time`` is read once, after pricing. A window that cannot cover
-the customers raises ``InfeasibleModelError`` before any search, so no
-exact run returns ``infeasible``.
+the customers raises ``InfeasibleModelError`` before any search, so an
+exact run is always ``optimal`` or ``feasible_time_limit``.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ _EPS = 1e-9
 class SolveStatus(Enum):
     OPTIMAL = "optimal"
     FEASIBLE_TIME_LIMIT = "feasible_time_limit"
-    INFEASIBLE = "infeasible"
 
 
 @dataclass(frozen=True)
@@ -119,6 +119,25 @@ def build_model(
             f"cover {n - 1} customers"
         )
     return ExactModel(instance, m, min_customers, max_customers, warm_start)
+
+
+def solve(
+    instance: Instance, m: int, min_customers: int, max_customers: int,
+    time_limit: float | None = None,
+) -> ExactResult:
+    """The exact run on the window [``min_customers``, ``max_customers``].
+
+    Up to ``ORACLE_MAX_N`` nodes it is the subset DP
+    (:func:`brute_force_oracle`); above that, the branch-and-bound
+    (:func:`solve_exact`) with the nearest-node plan as its warm start.
+    ``result.backend`` names the one that ran. Either returns a plan even
+    when its time limit passes first.
+    """
+    window = (min_customers, max_customers)
+    if instance.n <= ORACLE_MAX_N:
+        return brute_force_oracle(instance, m, *window, time_limit=time_limit)
+    model = build_model(instance, m, *window, warm_start=nearest_node(instance, m))
+    return solve_exact(model, time_limit)
 
 
 def check_solution(model: ExactModel, plan: RoutePlan):

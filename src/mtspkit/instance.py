@@ -24,7 +24,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
@@ -112,24 +111,10 @@ def euclidean_matrix(coords, rounding: str = "none") -> np.ndarray:
     return dist
 
 
-def _distance_bound(coords: np.ndarray, rounding: str) -> float:
-    """An upper bound on every entry :func:`euclidean_matrix` builds from ``coords``.
-
-    The bound is the distance across the coordinates' bounding box, taken
-    with the build's own operations in its order: ``sx = max x - min x``,
-    ``sqrt(sx*sx + sy*sy)``, then ``floor(b + 0.5)`` if rounded. Every
-    entry's ``|dx|`` is at most ``sx`` and IEEE rounding is monotone, so no
-    entry exceeds the bound, and a finite bound proves that no distance
-    overflowed. Takes finite (n, 2) coordinates; O(n).
-    """
-    x = coords[:, 0]
-    y = coords[:, 1]
-    sx = float(x.max()) - float(x.min())
-    sy = float(y.max()) - float(y.min())
-    bound = math.sqrt(sx * sx + sy * sy)
-    if rounding == "integer":
-        bound = float(np.floor(bound + 0.5))
-    return bound
+# Coordinates spanning less than this build no infinite distance: every entry
+# is at most sqrt(dx*dx + dy*dy) with |dx|, |dy| < 9e153, and 2 * (9e153)**2
+# = 1.62e308 is below the float64 maximum of 1.797e308.
+_SAFE_SPAN = 9e153
 
 
 def _check_off_diagonal_finite(matrix: np.ndarray) -> None:
@@ -153,10 +138,9 @@ class Instance:
     checks that they are finite, builds the matrix once with
     :func:`euclidean_matrix` and checks that no distance overflowed, so a
     coordinate instance costs one n x n float64 matrix (32 MB at n=2000).
-    The overflow check is O(n): no entry exceeds the distance across the
-    coordinates' bounding box (:func:`_distance_bound`), so when that is
-    finite no entry can be infinite. Only when it overflows (coordinate
-    spans near 1e154 and beyond) are all n x n entries scanned.
+    The overflow check is O(n): when the coordinates span less than
+    ``_SAFE_SPAN`` (9e153) no entry can be infinite. Only wider spans scan
+    all n x n entries.
     A given matrix must be square with n >= 3, an ``inf`` diagonal and
     finite non-negative off-diagonal entries; with coordinates as well, it
     must agree with them under ``rounding``, which the constructor
@@ -182,7 +166,7 @@ class Instance:
             if not np.all(np.isfinite(coords)):
                 raise ValueError("coordinates must be finite")
             matrix = euclidean_matrix(coords, self.rounding)  # checks (n, 2), n >= 3
-            if not math.isfinite(_distance_bound(coords, self.rounding)):
+            if not np.ptp(coords) < _SAFE_SPAN:
                 _check_off_diagonal_finite(matrix)  # some distance may have overflowed
         else:
             matrix = np.array(self.matrix, dtype=np.float64)

@@ -14,18 +14,7 @@ from mtspkit import (
     parse_tsplib,
     run_experiment,
 )
-from mtspkit import (
-    GridSpec,
-    InfeasibleModelError,
-    SolveStatus,
-    bench,
-    brute_force_oracle,
-    build_model,
-    generate_uniform_instance,
-    heuristics,
-    solve_exact,
-)
-from mtspkit.exact import ORACLE_MAX_N
+from mtspkit import InfeasibleModelError, brute_force_oracle, heuristics
 from mtspkit.bench import (
     ALGORITHMS,
     comparison_to_csv,
@@ -255,41 +244,6 @@ def test_solve_dispatches_every_algorithm(garn9, eil51):
     for alg in ("sweep", "oracle"):
         with pytest.raises(ValueError, match="unknown algorithm"):
             solve(garn9, 2, alg)
-
-
-def test_exact_backend_follows_the_instance_size(monkeypatch):
-    assert ORACLE_MAX_N == 16
-    small, large = (
-        generate_uniform_instance(GridSpec(n, 100, 1)) for n in (16, 17)
-    )
-    plan, result = solve(small, 3, "exact", time_limit=30)
-    assert result.backend == "subset_dp"
-    assert result.status is SolveStatus.OPTIMAL
-    oracle = brute_force_oracle(small, 3, *default_window(small.n, 3))
-    assert plan.routes == oracle.best.routes
-    assert result.objective == oracle.objective
-    assert result.nodes_explored == oracle.nodes_explored  # path labels
-    # the limit reaches the DP (~3 s on this window), which falls back to
-    # the nearest-node plan
-    plan, result = solve(small, 7, "exact", window=(1, 8), time_limit=0.05)
-    assert result.backend == "subset_dp"
-    assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
-    assert plan == nearest_node(small, 7)
-    # above the cap: the branch-and-bound, from the same warm start and window
-    models = []
-
-    def spy(model, time_limit=None):
-        models.append((model, time_limit))
-        return solve_exact(model, time_limit)
-
-    monkeypatch.setattr(bench, "solve_exact", spy)
-    plan, result = solve(large, 3, "exact", time_limit=0.3)
-    warm = nearest_node(large, 3)
-    window = default_window(large.n, 3)
-    assert models == [(build_model(large, 3, *window, warm_start=warm), 0.3)]
-    assert result.backend == "branch_and_bound"
-    assert result.status.value in ("optimal", "feasible_time_limit")
-    assert result.lower_bound <= result.objective <= warm.total_distance
 
 
 def test_default_window_matches_balanced_quotas():

@@ -203,6 +203,26 @@ def test_law_rejects_a_repeated_cell(capsys, tmp_path):
     assert err == "error: repeated grid cell (t=100, m=3)\n"
 
 
+@pytest.mark.parametrize("row,message", [
+    ("50,3,nearest,nan,1,5", "line 3: mean and standard deviation must be finite\n"),
+    ("50,3,nearest,inf,1,5", "line 3: mean and standard deviation must be finite\n"),
+    ("50,3,nearest,990,nan,5", "line 3: mean and standard deviation must be finite\n"),
+    ("x,3,nearest,990,1,5", "line 3: invalid literal for int() with base 10: 'x'\n"),
+    ("50,3,nearest", "line 3: "),  # the wording of float(None)'s error varies
+], ids=["nan-mean", "inf-mean", "nan-std", "unreadable-t", "short-row"])
+def test_law_rejects_an_unusable_cell_by_its_line(capsys, tmp_path, row, message):
+    # a NaN mean used to print "increment per salesman = nan" and exit 0
+    rows_file = tmp_path / "rows.csv"
+    rows_file.write_text(
+        "t,m,algorithm,mean,std,samples\n50,2,nearest,900,1,5\n"
+        f"{row}\n100,2,nearest,950,1,5\n100,3,nearest,1040,1,5\n"
+    )
+    code, text, err = run(capsys, "law", "--rows", str(rows_file))
+    assert code == 1
+    assert text == ""
+    assert err.startswith(f"error: summary CSV {message}")
+
+
 def test_law_reads_a_grid_with_a_single_salesman_column(capsys, tmp_path):
     rows_file = tmp_path / "rows.csv"
     code, _, _ = run(
@@ -483,6 +503,27 @@ def test_simulate_rejects_fewer_than_one_worker(capsys, workers):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"unrecognized arguments: --workers {workers}" in captured.err
+
+
+@pytest.mark.parametrize("sides", [("nan", "1"), ("inf", "1"), ("1e200", "1e200")],
+                         ids=["nan", "inf", "overflowing-diagonal"])
+def test_simulate_rejects_a_rectangle_before_any_draw(capsys, monkeypatch, sides):
+    draws = []
+    original = distlaw._chunk_rng
+
+    def counting(seed, index):
+        draws.append(index)
+        return original(seed, index)
+
+    monkeypatch.setattr(distlaw, "_chunk_rng", counting)
+    code, text, err = run(
+        capsys, "simulate", "--domain", "rect", "--rect-width", sides[0],
+        "--rect-height", sides[1], "--n", "3", "--reps", "100", "--seed", "1",
+    )
+    assert code == 1
+    assert text == "" and draws == []
+    assert err == ("error: rectangle sides must be positive, "
+                   "with a finite width**2 + height**2\n")
 
 
 def test_threaded_simulate_writes_the_serial_csv(capsys, monkeypatch, tmp_path):

@@ -468,14 +468,22 @@ def test_histogram_invariants_and_csv():
         (lambda: IntegerRange(0), ValueError, "high >= 1"),
         (lambda: Rectangle(0, 1), ValueError, "sides must be positive"),
         (lambda: Rectangle(1, -1), ValueError, "sides must be positive"),
+        (lambda: Rectangle(float("nan"), 1), ValueError, "sides must be positive"),
+        (lambda: Rectangle(1, float("inf")), ValueError, "sides must be positive"),
+        (lambda: Rectangle(1e200, 1e200), ValueError, r"finite width\*\*2 \+ height\*\*2"),
         (lambda: min_dist_exact(0, UnitInterval()), ValueError, "at least one target"),
         (lambda: min_dist_exact(5, Rectangle(1, 1)), TypeError, "unsupported domain"),
         (lambda: distlaw.PowerFit(0.0, 0.5, 0.0), ValueError, "coefficient must be positive"),
+        (lambda: SummaryRow(50, 2, "nearest", float("nan"), 1.0, 5), ValueError, "must be finite"),
+        (lambda: SummaryRow(50, 2, "nearest", float("inf"), 1.0, 5), ValueError, "must be finite"),
+        (lambda: SummaryRow(50, 2, "nearest", 1.0, float("nan"), 5), ValueError, "must be finite"),
     ],
     ids=[
         "delta-empty", "fit-one-point", "grid-scale", "square-diameter", "ball-diameter",
         "grid-tsp", "grid-2tsp", "integer-range", "rect-width", "rect-height",
+        "rect-nan-width", "rect-inf-height", "rect-overflowing-diagonal",
         "min-dist-n", "min-dist-rectangle", "power-fit-coefficient",
+        "summary-nan-mean", "summary-inf-mean", "summary-nan-std",
     ],
 )
 def test_argument_checks(call, error, fragment):

@@ -29,6 +29,7 @@ from mtspkit import (
     nearest_node,
     solve_exact,
 )
+from mtspkit import bench, exact
 from mtspkit.bench import default_window
 from mtspkit.exact import ORACLE_MAX_N, completion_bound, neighbour_table
 from mtspkit.instance import PlanError, rng_from_seed
@@ -273,6 +274,47 @@ def test_solver_is_deterministic(garn9):
     b = solve_exact(build_model(garn9, 2, 2, 5))
     assert a.best == b.best
     assert a.nodes_explored == b.nodes_explored
+
+
+def test_exact_backend_follows_the_instance_size(monkeypatch):
+    assert ORACLE_MAX_N == 16
+    small, large = (
+        generate_uniform_instance(GridSpec(n, 100, 1)) for n in (16, 17)
+    )
+    window = default_window(small.n, 3)
+    result = exact.solve(small, 3, *window, 30)
+    assert result.backend == "subset_dp"
+    assert result.status is SolveStatus.OPTIMAL
+    oracle = brute_force_oracle(small, 3, *window)
+    assert result.best.routes == oracle.best.routes
+    assert result.objective == oracle.objective
+    assert result.nodes_explored == oracle.nodes_explored  # path labels
+    # bench.solve's exact run is this one call on the default window
+    plan, via_bench = bench.solve(small, 3, "exact", time_limit=30)
+    assert plan == result.best
+    assert via_bench.objective == result.objective
+    assert via_bench.nodes_explored == result.nodes_explored
+    # the limit reaches the DP (~3 s on this window), which falls back to
+    # the nearest-node plan
+    result = exact.solve(small, 7, 1, 8, 0.05)
+    assert result.backend == "subset_dp"
+    assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
+    assert result.best == nearest_node(small, 7)
+    # above the cap: the branch-and-bound, from the same warm start and window
+    models = []
+
+    def spy(model, time_limit=None):
+        models.append((model, time_limit))
+        return solve_exact(model, time_limit)
+
+    monkeypatch.setattr(exact, "solve_exact", spy)
+    window = default_window(large.n, 3)
+    result = exact.solve(large, 3, *window, 0.3)
+    warm = nearest_node(large, 3)
+    assert models == [(build_model(large, 3, *window, warm_start=warm), 0.3)]
+    assert result.backend == "branch_and_bound"
+    assert result.status.value in ("optimal", "feasible_time_limit")
+    assert result.lower_bound <= result.objective <= warm.total_distance
 
 
 @pytest.mark.parametrize("limit", [0.0, -1.0, float("nan")])

@@ -1,4 +1,3 @@
-import math
 import operator
 import tracemalloc
 
@@ -21,7 +20,7 @@ from mtspkit import (
     parse_coords_csv,
     parse_tsplib,
 )
-from mtspkit.instance import RoutePlan, _block_rows, _distance_bound, dumps_coords_csv
+from mtspkit.instance import _SAFE_SPAN, RoutePlan, _block_rows, dumps_coords_csv
 
 TRIANGLE = """\
 NAME : tri
@@ -642,30 +641,26 @@ def test_non_finite_tsplib_coordinate_is_named_as_such(value):
         parse_coords_csv(f"x,y\n0,0\n{value},0\n0,4\n")
 
 
-@pytest.mark.parametrize("kind", ["integer", "float", "negative", "huge", "tiny"])
-def test_distance_bound_is_the_largest_entry_when_the_box_corners_are_points(kind):
-    pts = _coords_of_kind(kind, 200, seed=4)
-    pts = np.vstack([pts, pts.min(axis=0), pts.max(axis=0)])
-    for rounding in ("none", "integer"):
-        off = euclidean_matrix(pts, rounding)
-        np.fill_diagonal(off, 0.0)
-        assert off.max() == _distance_bound(pts, rounding)
-
-
-# The span bound overflows but no distance does, so only the full scan can
-# accept these points: every pair is at most 1.2e154 apart, while the
-# bounding box's diagonal squared is 2.08e308.
+# These points span 1.2e154, past the safe span, but no distance overflows:
+# every pair is at most 1.2e154 apart. Only the full scan can accept them.
 SPAN_OVERFLOW = np.array([(0.0, 0.0), (1.2e154, 0.0), (6e153, 8e153)])
 
 
 @pytest.mark.parametrize("rounding", ["none", "integer"])
 def test_overflowing_span_bound_alone_rejects_nothing(rounding):
-    assert _distance_bound(SPAN_OVERFLOW, rounding) == math.inf
     inst = Instance("wide", coords=SPAN_OVERFLOW, rounding=rounding)
     assert inst.matrix.tobytes() == _tensor_matrix(SPAN_OVERFLOW, rounding).tobytes()
 
 
-@pytest.mark.parametrize("kind,scans", [("huge but bounded", 0), ("span overflow", 1)])
+UNIT_SQUARE = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+
+
+@pytest.mark.parametrize("kind,scans", [
+    ("huge but bounded", 0),
+    ("square just under the safe span", 0),
+    ("square just over the safe span", 1),
+    ("span overflow", 1),
+])
 def test_full_finiteness_scan_runs_only_when_the_span_bound_overflows(monkeypatch, kind, scans):
     from mtspkit import instance as instance_module
 
@@ -677,9 +672,19 @@ def test_full_finiteness_scan_runs_only_when_the_span_bound_overflows(monkeypatc
         return original(matrix)
 
     monkeypatch.setattr(instance_module, "_check_off_diagonal_finite", counting)
-    pts = {"huge but bounded": _coords_of_kind("huge", 300, seed=6), "span overflow": SPAN_OVERFLOW}[kind]
-    Instance("pts", coords=pts)
+    assert _SAFE_SPAN == 9e153
+    pts = {
+        "huge but bounded": _coords_of_kind("huge", 300, seed=6),
+        "square just under the safe span": UNIT_SQUARE * np.nextafter(9e153, 0),
+        "square just over the safe span": UNIT_SQUARE * np.nextafter(9e153, np.inf),
+        "span overflow": SPAN_OVERFLOW,
+    }[kind]
+    inst = Instance("pts", coords=pts)
     assert len(calls) == scans
+    # below the span no entry overflows, so skipping the scan accepts only
+    # finite matrices
+    assert np.count_nonzero(np.isfinite(inst.matrix)) == len(pts) * (len(pts) - 1)
+    assert inst.matrix.tobytes() == _tensor_matrix(pts).tobytes()
 
 
 def test_from_coords_copies_and_freezes():
