@@ -309,8 +309,14 @@ def law_pipeline(rows: list[SummaryRow]) -> LawReport:
     Per algorithm: the consecutive-m increment statistics, a power-law fit
     of the m = 2 column (both reported against the published constants),
     and the deviation of the published closed-form prediction from every
-    observed cell mean.
+    observed cell mean. A deviation is relative to the mean, so a mean that
+    is not positive raises ``ValueError`` naming its cell.
     """
+    for r in rows:
+        if not r.mean > 0:
+            raise ValueError(
+                f"cell t={r.t}, m={r.m}, {r.algorithm}: mean must be positive, got {r.mean!r}"
+            )
     algorithms = list(dict.fromkeys(r.algorithm for r in rows))
     deltas = {}
     fits = {}

@@ -223,6 +223,23 @@ def test_law_rejects_an_unusable_cell_by_its_line(capsys, tmp_path, row, message
     assert err.startswith(f"error: summary CSV {message}")
 
 
+@pytest.mark.parametrize("mean", ["0", "-5"], ids=["zero-mean", "negative-mean"])
+def test_law_rejects_a_mean_that_is_not_positive(capsys, tmp_path, mean):
+    # a deviation is relative to its mean: 0 ended in a ZeroDivisionError
+    # traceback and -5 printed "max |deviation| = 17363.56%" and exited 0
+    rows_file = tmp_path / "rows.csv"
+    rows_file.write_text(
+        "t,m,algorithm,mean,std,samples\n50,2,nearest,900,1,5\n"
+        f"50,3,nearest,{mean},1,5\n100,2,nearest,950,1,5\n100,3,nearest,1040,1,5\n"
+    )
+    code, text, err = run(capsys, "law", "--rows", str(rows_file))
+    assert code == 1
+    assert text == ""
+    assert err == (
+        f"error: cell t=50, m=3, nearest: mean must be positive, got {float(mean)!r}\n"
+    )
+
+
 def test_law_reads_a_grid_with_a_single_salesman_column(capsys, tmp_path):
     rows_file = tmp_path / "rows.csv"
     code, _, _ = run(

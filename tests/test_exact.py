@@ -755,3 +755,154 @@ def test_monotone_incumbent_under_time_slices(garn9):
     quick = solve_exact(model, time_limit=1e-3)
     assert quick.objective <= warm.total_distance + 1e-9
     assert quick.best is not None
+
+
+def _soon():
+    """A polish deadline no correct run at n <= 11 comes near (each takes
+    milliseconds); one that cycles on a mispriced move fails at it."""
+    return time.perf_counter() + 10.0
+
+
+def test_polish_is_locked():
+    # Locks the local search: a change to the moves priced, their costs, the
+    # tie rule or the window checks moves a route, and this digest.
+    digest = hashlib.sha256()
+    for inst, m in _lock_cases():
+        warm = nearest_node(inst, m)
+        for window in (default_window(inst.n, m), (1, inst.n - m)):
+            routes = exact._polish(inst.matrix, warm.routes, *window, _soon())
+            plan = evaluate_plan(inst, routes)
+            digest.update(repr((plan.total_distance, plan.routes)).encode())
+    assert digest.hexdigest() == (
+        "e24eaa736e937b81fed29a30b66d615b94dbe7b8b96b4623dc4b557ca65a9ffe"
+    )
+
+
+def _neighbours(routes, lo, hi):
+    """Every plan one reversal, move or swap away, by plain list surgery."""
+    seqs = [list(r[1:-1]) for r in routes]
+    for a, seq in enumerate(seqs):
+        for i, j in itertools.combinations(range(len(seq)), 2):
+            yield seqs[:a] + [seq[:i] + seq[i:j + 1][::-1] + seq[j + 1:]] + seqs[a + 1:]
+    for a, b in itertools.permutations(range(len(seqs)), 2):
+        if len(seqs[a]) > lo and len(seqs[b]) < hi:
+            for i in range(len(seqs[a])):
+                for j in range(len(seqs[b]) + 1):
+                    out = [list(s) for s in seqs]
+                    out[b].insert(j, out[a].pop(i))
+                    yield out
+    for a, b in itertools.combinations(range(len(seqs)), 2):
+        for i in range(len(seqs[a])):
+            for j in range(len(seqs[b])):
+                out = [list(s) for s in seqs]
+                out[a][i], out[b][j] = out[b][j], out[a][i]
+                yield out
+
+
+@st.composite
+def _polish_cases(draw):
+    """A seeded instance, symmetric or directed, a window and a plan inside it."""
+    n = draw(st.integers(4, 11))
+    m = draw(st.integers(1, min(4, n - 1)))
+    lo = draw(st.integers(1, (n - 1) // m))
+    hi = draw(st.integers(max(lo, -(-(n - 1) // m)), n - 1))
+    seed = draw(st.integers(0, 999))
+    if draw(st.booleans()):
+        inst = generate_uniform_instance(GridSpec(n, 100, seed))
+    else:
+        mat = rng_from_seed(seed).integers(0, 20, (n, n)).astype(np.float64)
+        np.fill_diagonal(mat, np.inf)
+        inst = Instance(f"asym{n}", mat)
+    sizes = [lo] * m
+    for _ in range(n - 1 - m * lo):  # hand the rest out to routes with room
+        sizes[draw(st.sampled_from([k for k in range(m) if sizes[k] < hi]))] += 1
+    customers = draw(st.permutations(range(2, n + 1)))
+    cuts = np.cumsum([0, *sizes]).tolist()
+    routes = [(1, *customers[a:b], 1) for a, b in zip(cuts, cuts[1:])]
+    return inst, m, lo, hi, evaluate_plan(inst, routes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polish_cases())
+def test_polish_keeps_the_window_and_never_costs_more(case):
+    inst, m, lo, hi, plan = case
+    polished = evaluate_plan(inst, exact._polish(inst.matrix, plan.routes, lo, hi, _soon()))
+    assert check_solution(build_model(inst, m, lo, hi), polished) == (True, [])
+    assert polished.total_distance <= plan.total_distance
+    # it stops at a local optimum: no neighbour, priced by evaluate_plan, is cheaper
+    for seqs in _neighbours(polished.routes, lo, hi):
+        other = evaluate_plan(inst, [(1, *s, 1) for s in seqs])
+        assert other.total_distance >= polished.total_distance - 1e-9, seqs
+    # one pass takes the best neighbour, at the cost evaluate_plan gives it
+    first = evaluate_plan(inst, exact._polish(inst.matrix, plan.routes, lo, hi, -np.inf))
+    assert first == plan  # a deadline already past allows no pass
+    best = min(evaluate_plan(inst, [(1, *s, 1) for s in seqs]).total_distance
+               for seqs in _neighbours(plan.routes, lo, hi))
+    seqs = [list(r[1:-1]) for r in plan.routes]
+    move = exact._best_move(inst.matrix, [[v - 1 for v in s] for s in seqs], lo, hi)
+    if move is None:
+        assert best >= plan.total_distance - 1e-9 * max(1.0, plan.total_distance)
+        return
+    kind, a, i, b, j = move
+    if kind == "reverse":
+        seqs[a][i:j + 1] = seqs[a][i:j + 1][::-1]
+    elif kind == "move":
+        seqs[b].insert(j, seqs[a].pop(i))
+    else:
+        seqs[a][i], seqs[b][j] = seqs[b][j], seqs[a][i]
+    moved = evaluate_plan(inst, [(1, *s, 1) for s in seqs])
+    assert moved.total_distance == pytest.approx(best, abs=1e-9)
+
+
+def test_polish_prices_a_directed_reversal_by_its_reversed_arcs():
+    # one route 1-2-3-4-5 whose forward arcs cost 10 and backward arcs 100;
+    # turning customers 2..4 around trades two 10s for two 1s at its ends,
+    # which looks like a gain of 18 if arcs are read as symmetric, but it
+    # reads the inner arcs backwards, so it costs 162 more
+    mat = np.full((5, 5), 50.0)
+    for v in range(5):
+        mat[v, (v + 1) % 5], mat[(v + 1) % 5, v] = 10.0, 100.0
+    mat[0, 3] = mat[1, 4] = 1.0
+    np.fill_diagonal(mat, np.inf)
+    inst = Instance("directed", mat)
+    route = [(1, 2, 3, 4, 5, 1)]
+    turned = evaluate_plan(inst, [(1, 4, 3, 2, 5, 1)])
+    assert mat[0, 3] + mat[1, 4] - mat[0, 1] - mat[3, 4] == -18.0
+    assert turned.total_distance == 50.0 + 162.0
+    assert exact._polish(mat, route, 4, 4, _soon()) == route
+    assert solve_exact(build_model(inst, 1, 4, 4)).objective == 50.0
+
+
+def test_a_polished_stopped_run_ends_within_its_overshoot():
+    # n = 200: the search stops at nine tenths of the limit and the polish,
+    # ~3 ms a pass, ends at most one pass past it, as the README states; the
+    # 0.1 s margin also covers freeing the open nodes, as it does above
+    inst = generate_uniform_instance(GridSpec(200, 100, 1))
+    warm = nearest_node(inst, 3)
+    model = build_model(inst, 3, *default_window(inst.n, 3), warm_start=warm)
+    started = time.perf_counter()
+    result = solve_exact(model, time_limit=0.2)
+    elapsed = time.perf_counter() - started
+    assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
+    assert result.objective < warm.total_distance
+    assert check_solution(model, result.best) == (True, [])
+    assert result.wall_time <= elapsed <= 0.2 + 0.1
+
+
+def test_finish_reports_a_polished_plan_at_its_bound_as_optimal():
+    inst = generate_uniform_instance(GridSpec(10, 100, 3))
+    optimum = brute_force_oracle(inst, 2, 4, 5)
+    warm = nearest_node(inst, 2)
+    assert warm.total_distance > optimum.objective
+    result = exact._finish(inst, 2, "branch_and_bound", warm.routes, optimum.objective,
+                           7, time.perf_counter(), optimum.best.routes)
+    assert result.status is SolveStatus.OPTIMAL
+    assert result.best == optimum.best
+    assert result.lower_bound == result.objective == optimum.objective
+    # a polished plan that prices higher gives way to the incumbent
+    bound = optimum.objective - 1.0
+    result = exact._finish(inst, 2, "branch_and_bound", optimum.best.routes, bound,
+                           7, time.perf_counter(), warm.routes)
+    assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
+    assert result.best == optimum.best
+    assert result.lower_bound == bound < result.objective
