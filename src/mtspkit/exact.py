@@ -56,6 +56,7 @@ exact run is always ``optimal`` or ``feasible_time_limit``.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import time
 from dataclasses import dataclass
@@ -224,15 +225,30 @@ def completion_bound(table, memo, seqs, closed, unvisited, min_customers):
     minimum). Summing each term's cheapest option never overestimates.
 
     ``table`` is ``neighbour_table``'s and ``unvisited`` a bitmask over its
-    bits; an open route ends at ``seq[-1]``, or the depot while empty. Each
-    term is the first entry of the node's row whose bit is allowed, which is
-    that term's exact minimum; a customer's scan ends at the depot entry at
-    the latest. The customer terms are added in ascending customer index and
-    their sum is kept in ``memo`` under the mask, then the open routes'
-    terms are added in route order. The bound is therefore a function of the
-    state alone; ``memo`` must belong to ``table`` (one per solve).
+    bits; an open route ends at ``seq[-1]``, or the depot while empty. The
+    routes' ends are read off the state and the bound is
+    :func:`bound_from_ends`'s, the form the search calls.
     """
     rows, customers = table
+    ends = [(rows[seq[-1] if seq else 0], len(seq) >= min_customers)
+            for seq, done in zip(seqs, closed) if not done]
+    return bound_from_ends(customers, memo, ends, unvisited)
+
+
+def bound_from_ends(customers, memo, ends, unvisited):
+    """:func:`completion_bound` on prepared route ends.
+
+    ``ends`` lists, per open route in route order, ``(row, closable)``: the
+    ``neighbour_table`` row of the route's end and whether the route reached
+    the minimum, so may go back to the depot. Each term is the first entry
+    of the node's row whose bit is allowed, which is that term's exact
+    minimum; a customer's scan ends at the depot entry at the latest. The
+    customer terms (``customers`` is the table's second half) are added in
+    ascending customer index and their sum is kept in ``memo`` under the
+    mask, then the open routes' terms are added in route order. The bound is
+    therefore a function of the state alone; ``memo`` must belong to the
+    table (one per solve).
+    """
     bound = memo.get(unvisited)
     if bound is None:
         bound = 0.0
@@ -244,11 +260,9 @@ def completion_bound(table, memo, seqs, closed, unvisited, min_customers):
                         bound += cost
                         break
         memo[unvisited] = bound
-    for seq, done in zip(seqs, closed):
-        if done:
-            continue
-        allowed = unvisited | (len(seq) >= min_customers)  # depot once closable
-        for cost, bit in rows[seq[-1] if seq else 0]:
+    for row, closable in ends:
+        allowed = unvisited | closable  # the depot once closable
+        for cost, bit in row:
             if allowed & bit:
                 bound += cost
                 break
@@ -270,20 +284,27 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     reached the minimum size. Routes are interchangeable, so first customers
     are forced into ascending order across routes, which prunes
     label-permuted duplicates only. The table and the memo of the bound's
-    customer terms are built once per solve; each child is bounded by
-    ``completion_bound`` on them as it is made, summed in a fixed order, so
-    node counts do not depend on set iteration order. Single-threaded and
-    deterministic.
+    customer terms are built once per solve. Each popped node lists its
+    open routes' ends once (:func:`bound_from_ends`'s form); each child
+    overwrites only the active route's entry and is bounded as it is made,
+    summed in a fixed order, so node counts do not depend on set iteration
+    order. A heap entry is ``(bound, counter, *state)``, the counter unique.
+    Single-threaded and deterministic.
+
+    The search creates no reference cycles, so the cyclic garbage collector
+    is switched off until its open nodes are freed (each full collection
+    would walk every one of them) and put back as it was found, also when
+    the search raises.
 
     The clock starts before the table is built and is read on every popped
     node. A time-limited search stops at most one node expansion past nine
-    tenths of ``time_limit`` and frees its open nodes, which takes time in
-    proportion to their number; a capped search holds as many as it could
-    open, so the cheaper a node, the longer the freeing. ``_polish`` then
-    improves the incumbent until ``time_limit`` and ends at most one pass
-    past it (~0.2 ms a pass at n = 29, ~3 ms at n = 200). ``_finish``
-    keeps the cheaper of the two plans. A search that runs out of time
-    before it holds a plan (no warm start) is not polished: it returns the
+    tenths of ``time_limit``. ``_polish`` then improves the incumbent until
+    ``time_limit`` and ends at most one pass past it (~0.2 ms a pass at
+    n = 29, ~3 ms at n = 200). Only then are the open nodes freed, which
+    takes time in proportion to their number (a capped search holds as
+    many as it could open) and is part of ``wall_time``. ``_finish`` keeps
+    the cheaper of the two plans. A search that runs out of time before it
+    holds a plan (no warm start) is not polished: it returns the
     nearest-node plan, as the subset DP does, above the best bound it
     reached. A search that runs to the end always holds a plan:
     ``build_model`` admits only windows that cover the customers, and every
@@ -304,94 +325,103 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
         incumbent_cost = model.warm_start.total_distance
         incumbent_routes = model.warm_start.routes
 
-    start_time = time.perf_counter()
-    table = neighbour_table(model.instance.matrix)
-    rows = table[0]
+    clock = time.perf_counter
+    start_time = clock()
+    rows, customers = neighbour_table(model.instance.matrix)
     memo = {}  # unvisited mask -> summed customer terms of the bound
     to_depot = model.instance.matrix[:, 0].tolist()
-    # cost of fixed arcs, customer sequences (0-based), closed flags, and the
-    # unvisited customers: bits 1..n-1
-    root = (0.0, ((),) * m, (False,) * m, (1 << n) - 2)
-    counter = itertools.count()
-    heap = [(0.0, next(counter), root)]
+    stop_at = np.inf if time_limit is None else start_time + _SEARCH_SHARE * time_limit
+    bound_at, push, pop = bound_from_ends, heappush, heappop
+    # bound, counter, cost of fixed arcs, customer sequences (0-based), closed
+    # flags, and the unvisited customers: bits 1..n-1
+    tick = 0
+    heap = [(0.0, tick, 0.0, ((),) * m, (False,) * m, (1 << n) - 2)]
     explored = 0
     best_bound_seen = 0.0
     timed_out = False
-    search_limit = None if time_limit is None else _SEARCH_SHARE * time_limit
+    cutoff = incumbent_cost - _EPS
 
-    while heap:
-        bound, _, state = heappop(heap)
-        if bound >= incumbent_cost - _EPS:
-            best_bound_seen = incumbent_cost
-            break
-        best_bound_seen = max(best_bound_seen, bound)
-        explored += 1
-        if search_limit is not None and time.perf_counter() - start_time > search_limit:
-            timed_out = True
-            break
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        while heap:
+            bound, _, cost, seqs, closed, unvisited = pop(heap)
+            if bound >= cutoff:
+                best_bound_seen = incumbent_cost
+                break
+            if bound > best_bound_seen:
+                best_bound_seen = bound
+            explored += 1
+            if clock() > stop_at:
+                timed_out = True
+                break
 
-        cost, seqs, closed, unvisited = state
-        left = unvisited.bit_count()
-        # size-window feasibility, and the active route: the open one with
-        # the fewest customers, lowest index on ties. An all-closed state
-        # still has customers (a finished plan is never pushed), so it fails.
-        room = short = 0
-        active = -1
-        for k in range(m):
-            if not closed[k]:
-                count = len(seqs[k])
-                room += kmax - count
-                short += max(kmin - count, 0)
-                if active < 0 or count < size:
-                    active, size = k, count
-        if room < left or short > left:
-            continue
-        seq = seqs[active]
-        end = seq[-1] if seq else 0
-
-        candidates = unvisited
-        if not size and active > 0:  # label symmetry: first customers ascend
-            candidates &= -2 << seqs[active - 1][0]
-        if size < kmax and candidates:
-            for arc, bit in rows[end]:
-                if candidates & bit:
-                    grown = _replace(seqs, active, seq + (bit.bit_length() - 1,))
-                    rest = unvisited ^ bit
-                    child_cost = cost + arc
-                    child_bound = child_cost + completion_bound(
-                        table, memo, grown, closed, rest, kmin
-                    )
-                    if child_bound < incumbent_cost - _EPS:
-                        child = (child_cost, grown, closed, rest)
-                        heappush(heap, (child_bound, next(counter), child))
-        if size >= kmin:
-            shut = _replace(closed, active, True)
-            child_cost = cost + to_depot[end]
-            if not unvisited and all(shut):
-                if child_cost < incumbent_cost - _EPS:
-                    incumbent_cost = child_cost
-                    incumbent_routes = [(1, *[v + 1 for v in s], 1) for s in seqs]
+            left = unvisited.bit_count()
+            # size-window feasibility, and the active route: the open one with
+            # the fewest customers, lowest index on ties. An all-closed state
+            # still has customers (a finished plan is never pushed), so it
+            # fails. ends[slot] is the active route's entry.
+            room = short = 0
+            active = -1
+            ends = []
+            for k, seq in enumerate(seqs):
+                if not closed[k]:
+                    count = len(seq)
+                    room += kmax - count
+                    if count < kmin:
+                        short += kmin - count
+                    if active < 0 or count < size:
+                        active, size, slot = k, count, len(ends)
+                    ends.append((rows[seq[-1] if count else 0], count >= kmin))
+            if room < left or short > left:
                 continue
-            child_bound = child_cost + completion_bound(
-                table, memo, seqs, shut, unvisited, kmin
-            )
-            if child_bound < incumbent_cost - _EPS:
-                child = (child_cost, seqs, shut, unvisited)
-                heappush(heap, (child_bound, next(counter), child))
+            seq = seqs[active]
+            end = seq[-1] if size else 0
 
-    heap.clear()  # freeing the open nodes is part of the solve's time
-    bound = polished = None
-    if timed_out:
-        bound = best_bound_seen
-        if incumbent_routes is not None:
-            polished = _polish(model.instance.matrix, incumbent_routes, kmin, kmax,
-                               start_time + time_limit)
+            candidates = unvisited
+            if not size and active > 0:  # label symmetry: first customers ascend
+                candidates &= -2 << seqs[active - 1][0]
+            if size < kmax and candidates:
+                head, tail = seqs[:active], seqs[active + 1 :]
+                closable = size + 1 >= kmin
+                for arc, bit in rows[end]:
+                    if candidates & bit:
+                        node = bit.bit_length() - 1
+                        ends[slot] = (rows[node], closable)
+                        rest = unvisited ^ bit
+                        child_cost = cost + arc
+                        child_bound = child_cost + bound_at(customers, memo, ends, rest)
+                        if child_bound < cutoff:
+                            tick += 1
+                            push(heap, (child_bound, tick, child_cost,
+                                        head + (seq + (node,),) + tail, closed, rest))
+            if size >= kmin:
+                child_cost = cost + to_depot[end]
+                if not unvisited and len(ends) == 1:  # the last route closes
+                    if child_cost < cutoff:
+                        incumbent_cost = child_cost
+                        cutoff = incumbent_cost - _EPS
+                        incumbent_routes = [(1, *[v + 1 for v in s], 1) for s in seqs]
+                    continue
+                del ends[slot]
+                child_bound = child_cost + bound_at(customers, memo, ends, unvisited)
+                if child_bound < cutoff:
+                    tick += 1
+                    shut = closed[:active] + (True,) + closed[active + 1 :]
+                    push(heap, (child_bound, tick, child_cost, seqs, shut, unvisited))
+
+        bound = polished = None
+        if timed_out:
+            bound = best_bound_seen
+            if incumbent_routes is not None:
+                polished = _polish(model.instance.matrix, incumbent_routes, kmin, kmax,
+                                   start_time + time_limit)
+        heap.clear()  # after the polish, which must not wait on it; timed all the same
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return _finish(model.instance, m, "branch_and_bound", incumbent_routes, bound,
                    explored, start_time, polished)
-
-
-def _replace(tup, idx, value):
-    return tup[:idx] + (value,) + tup[idx + 1 :]
 
 
 # ---------------------------------------------------------------------------

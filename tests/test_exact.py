@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -31,7 +32,7 @@ from mtspkit import (
 )
 from mtspkit import bench, exact
 from mtspkit.bench import default_window
-from mtspkit.exact import ORACLE_MAX_N, completion_bound, neighbour_table
+from mtspkit.exact import ORACLE_MAX_N, bound_from_ends, completion_bound, neighbour_table
 from mtspkit.instance import PlanError, rng_from_seed
 
 
@@ -691,6 +692,41 @@ def test_completion_bound_memo_keeps_the_bits(state):
     assert got.hex() == fresh.hex()
 
 
+_SHORT = np.array([[np.inf, 1.0, 2.0], [1.0, np.inf, 3.0], [2.0, 3.0, np.inf]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bound_states())
+@example((_SHORT, ((1, 2),), (False,), 0, 3))  # a short route with nothing left: inf
+def test_bound_from_prepared_ends_keeps_the_bits(state):
+    # the search lists a popped node's route ends once, then overwrites the
+    # active route's entry for each customer it appends and drops it for the
+    # close: both must give completion_bound's float on the child, bit for bit
+    mat, seqs, closed, unvisited, kmin = state
+    rows, customers = table = neighbour_table(mat)
+    want = completion_bound(table, {}, seqs, closed, unvisited, kmin)
+    if not unvisited and any(len(s) < kmin for s, c in zip(seqs, closed) if not c):
+        assert want == np.inf
+
+    def prepared(parent_seqs, parent_closed):
+        return [(rows[s[-1] if s else 0], len(s) >= kmin)
+                for s, c in zip(parent_seqs, parent_closed) if not c]
+
+    assert bound_from_ends(customers, {}, prepared(seqs, closed), unvisited).hex() == want.hex()
+    for k, seq in enumerate(seqs):
+        if not seq:
+            continue
+        slot = sum(not c for c in closed[:k])
+        if closed[k]:  # its parent held it open; closing drops its entry
+            ends = prepared(seqs, closed[:k] + (False,) + closed[k + 1:])
+            del ends[slot]
+        else:  # its parent ended one customer earlier
+            ends = prepared(seqs[:k] + (seq[:-1],) + seqs[k + 1:], closed)
+            ends[slot] = (rows[seq[-1]], len(seq) >= kmin)
+        got = bound_from_ends(customers, {}, ends, unvisited)
+        assert got.hex() == want.hex(), k
+
+
 _SOLVE_ONE = """
 import sys
 from mtspkit import GridSpec, build_model, generate_uniform_instance, solve_exact
@@ -906,3 +942,69 @@ def test_finish_reports_a_polished_plan_at_its_bound_as_optimal():
     assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
     assert result.best == optimum.best
     assert result.lower_bound == bound < result.objective
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_search_leaves_the_collector_as_it_found_it(garn9, enabled, monkeypatch):
+    seen = []
+    real_push = exact.heappush
+
+    def push(heap, item):
+        seen.append(gc.isenabled())
+        real_push(heap, item)
+
+    monkeypatch.setattr(exact, "heappush", push)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        result = solve_exact(build_model(garn9, 2, 2, 5))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert result.status is SolveStatus.OPTIMAL
+    assert seen and not any(seen)  # no collection while the search runs
+
+
+def test_a_search_that_raises_turns_the_collector_back_on(garn9, monkeypatch):
+    pushed = []
+    real_push = exact.heappush
+
+    def push(heap, item):
+        if len(pushed) == 50:
+            raise RuntimeError("push failed mid-search")
+        pushed.append(item)
+        real_push(heap, item)
+
+    monkeypatch.setattr(exact, "heappush", push)
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="mid-search"):
+        solve_exact(build_model(garn9, 2, 2, 5))
+    assert gc.isenabled()
+
+
+def test_a_stopped_search_polishes_before_it_frees_its_open_nodes(eil51, monkeypatch):
+    # freeing a large heap can outlast the last tenth of the limit, so the
+    # polish must come first: it is entered before its deadline while the
+    # search still holds its open nodes
+    heaps, entered = [], []
+    real_push, real_polish = exact.heappush, exact._polish
+
+    def push(heap, item):
+        if not heaps:
+            heaps.append(heap)
+        real_push(heap, item)
+
+    def polish(matrix, routes, lo, hi, deadline):
+        entered.append((time.perf_counter(), deadline, len(heaps[0])))
+        return real_polish(matrix, routes, lo, hi, deadline)
+
+    monkeypatch.setattr(exact, "heappush", push)
+    monkeypatch.setattr(exact, "_polish", polish)
+    warm = nearest_node(eil51, 2)
+    result = solve_exact(build_model(eil51, 2, 24, 25, warm_start=warm), time_limit=0.5)
+    assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
+    [(at, deadline, held)] = entered
+    assert held >= 1000
+    assert at <= deadline
+    assert result.objective < warm.total_distance
+    assert not heaps[0]  # freed before the run returned
