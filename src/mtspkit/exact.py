@@ -21,9 +21,13 @@ int bitmask (bit v is 0-based node v); a route's end and size are read off
 its sequence. Each solve builds one neighbour table (``neighbour_table``):
 for every node, its ``(cost, 1 << w)`` pairs to all other nodes in
 ascending ``(cost, w)`` order, as Python floats. Branching walks the active
-route end's row, and ``completion_bound`` reads the same rows and
-memoises, per solve, the sum of its customer terms for each unvisited
-mask, so the search does no set or numpy-scalar work per node.
+route end's row, and the bound reads the same rows and memoises, per
+solve, the sum of its customer terms for each unvisited mask, so the
+search does no set or numpy-scalar work per node. Each popped node lists
+its open routes' ends once (``bound_from_ends``, which
+``completion_bound`` calls on a state) and each child overwrites only the
+active route's entry. The search makes no reference cycles, so the cyclic
+garbage collector is off while it holds open nodes, and put back as it was.
 
 ``brute_force_oracle`` is dynamic programming over customer subsets,
 limited to n <= 16, on numpy arrays indexed by subset mask: one label
@@ -38,7 +42,9 @@ best-improvement local search of that incumbent: each pass prices every
 in-route segment reversal, every move of a customer onto another route's
 arc and every cross-route swap as whole arrays, keeps every route inside
 [K, L], and applies the best gaining move. It stops at a local optimum or
-at the first pass that starts past the limit.
+at the first pass that starts past the limit. The open nodes are freed
+after the polish, so the time freeing them takes cannot use up the
+polish's share; a run's ``wall_time`` includes it.
 
 Every exact run, on either backend, ends in ``_finish``, which states the
 result's invariants once. ``best`` is always a plan that passes
@@ -331,7 +337,7 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     memo = {}  # unvisited mask -> summed customer terms of the bound
     to_depot = model.instance.matrix[:, 0].tolist()
     stop_at = np.inf if time_limit is None else start_time + _SEARCH_SHARE * time_limit
-    bound_at, push, pop = bound_from_ends, heappush, heappop
+    bound_at, push, pop = bound_from_ends, heappush, heappop  # local names: read per node
     # bound, counter, cost of fixed arcs, customer sequences (0-based), closed
     # flags, and the unvisited customers: bits 1..n-1
     tick = 0
