@@ -36,15 +36,22 @@ hold a subset's lowest customer. The arrays hold costs only; the plan is
 read back by re-deriving each choice with the same ``argmin``. It is also
 the ground truth the branch-and-bound is checked against.
 
-Under a time limit the branch-and-bound searches for nine tenths of it.
-If it stops unproven holding a plan, ``_polish`` spends the rest on a
-best-improvement local search of that incumbent: each pass prices every
-in-route segment reversal, every move of a customer onto another route's
-arc and every cross-route swap as whole arrays, keeps every route inside
-[K, L], and applies the best gaining move. It stops at a local optimum or
-at the first pass that starts past the limit. The open nodes are freed
-after the polish, so the time freeing them takes cannot use up the
-polish's share; a run's ``wall_time`` includes it.
+Under a time limit the branch-and-bound searches for half of it. If it
+stops unproven holding a plan, ``_polish`` runs a best-improvement local
+search of that incumbent: each pass prices every in-route segment
+reversal, every move of a customer onto another route's arc and every
+cross-route swap as whole arrays, keeps every route inside [K, L], and
+applies the best gaining move, until a local optimum or the first pass
+that starts past the limit. The open nodes are freed only then, so the
+time freeing them takes cannot use up the polish's share; a run's
+``wall_time`` includes it. ``_iterate`` spends the rest of the limit on an
+iterated local search of the polished plan. Each round kicks the current
+plan (2 to 4 random cross-route swaps and one double bridge inside a route
+of at least 8 customers, which keep every route's size) and polishes it
+again; it keeps the best plan and takes a worse one as its current plan
+with probability ``_ACCEPT_WORSE``. Its draws come from one fixed
+``SeedSequence``, and it stops at the limit or after ``_STALL_ROUNDS``
+rounds without a new best, so with a far limit its plan repeats.
 
 Every exact run, on either backend, ends in ``_finish``, which states the
 result's invariants once. ``best`` is always a plan that passes
@@ -72,7 +79,9 @@ from heapq import heappush, heappop
 import numpy as np
 
 from .heuristics import InfeasibleModelError, nearest_node
-from .instance import Instance, RoutePlan, _block_rows, evaluate_plan, left_fold
+from .instance import (
+    Instance, RoutePlan, _block_rows, evaluate_plan, left_fold, rng_from_seed,
+)
 
 _EPS = 1e-9
 
@@ -303,14 +312,18 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     the search raises.
 
     The clock starts before the table is built and is read on every popped
-    node. A time-limited search stops at most one node expansion past nine
-    tenths of ``time_limit``. ``_polish`` then improves the incumbent until
-    ``time_limit`` and ends at most one pass past it (~0.2 ms a pass at
-    n = 29, ~3 ms at n = 200). Only then are the open nodes freed, which
-    takes time in proportion to their number (a capped search holds as
-    many as it could open) and is part of ``wall_time``. ``_finish`` keeps
-    the cheaper of the two plans. A search that runs out of time before it
-    holds a plan (no warm start) is not polished: it returns the
+    node. A time-limited search stops at most one node expansion past half
+    of ``time_limit`` (``_SEARCH_SHARE``). ``_polish`` then improves the
+    incumbent to a local optimum, ending at most one pass past
+    ``time_limit`` (~0.2 ms a pass at n = 29, ~3 ms at n = 200). Only then
+    are the open nodes freed, which takes time in proportion to their
+    number (a capped search holds as many as it could open) and is part of
+    ``wall_time``. :func:`_iterate` spends what is left of ``time_limit`` on
+    kicks and polishes of that plan, and also ends at most one pass past
+    it; the run therefore ends one pass past its limit, or later by what
+    freeing the nodes takes beyond it. ``_finish`` keeps the cheaper of the
+    incumbent and the iterated plan. A search that runs out of time before
+    it holds a plan (no warm start) is not polished: it returns the
     nearest-node plan, as the subset DP does, above the best bound it
     reached. A search that runs to the end always holds a plan:
     ``build_model`` admits only windows that cover the customers, and every
@@ -426,6 +439,8 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     finally:
         if gc_was_enabled:
             gc.enable()
+    if polished is not None:
+        polished = _iterate(model.instance, polished, kmin, kmax, start_time + time_limit)
     return _finish(model.instance, m, "branch_and_bound", incumbent_routes, bound,
                    explored, start_time, polished)
 
@@ -535,7 +550,10 @@ def _root_bound(d, m) -> float:
 # ---------------------------------------------------------------------------
 # local search of a stopped search's incumbent
 
-_SEARCH_SHARE = 0.9  # of a time limit; the polish has the rest
+_SEARCH_SHARE = 0.5  # of a time limit; the polishes have the rest
+_KICKS = np.random.SeedSequence(0)  # the one source of the iterated polish's kicks
+_ACCEPT_WORSE = 0.05  # chance that a round's worse plan becomes the current one
+_STALL_ROUNDS = 300  # rounds without a new best plan that end the iterated polish
 
 
 def _polish(matrix, routes, min_customers, max_customers, deadline):
@@ -561,6 +579,64 @@ def _polish(matrix, routes, min_customers, max_customers, deadline):
         else:
             seqs[ra][i], seqs[rb][j] = seqs[rb][j], seqs[ra][i]
     return [(1, *[v + 1 for v in s], 1) for s in seqs]
+
+
+def _iterate(instance, routes, min_customers, max_customers, deadline):
+    """Iterated local search from ``routes``, a local optimum of
+    :func:`_polish` (1-based, depot first and last); returns the best plan
+    it saw in the same form.
+
+    Each round kicks the current plan (:func:`_kick`) and polishes the
+    result with ``_polish`` to a local optimum. A plan priced by
+    ``evaluate_plan`` below the best by more than ``_EPS`` times its total
+    is the new best. A plan no dearer than the current one replaces it, and
+    a dearer one does with probability ``_ACCEPT_WORSE``. The kicks and the
+    acceptance draws come from one generator on ``_KICKS``, so the rounds
+    repeat. The search stops after ``_STALL_ROUNDS`` rounds without a new
+    best, when no kick exists, or when the clock, read before each round,
+    is past ``deadline``; the round's polish also stops at it, so the search
+    ends at most one polish pass after it.
+    """
+    rng = rng_from_seed(_KICKS)
+    best = current = evaluate_plan(instance, routes)
+    stall = 0
+    while stall < _STALL_ROUNDS and time.perf_counter() <= deadline:
+        kicked = _kick(current.routes, rng)
+        if kicked is None:
+            break
+        plan = evaluate_plan(instance, _polish(instance.matrix, kicked, min_customers,
+                                               max_customers, deadline))
+        cost = plan.total_distance
+        if cost < best.total_distance - _EPS * max(1.0, best.total_distance):
+            best, stall = plan, 0
+        else:
+            stall += 1
+        if cost <= current.total_distance or rng.random() < _ACCEPT_WORSE:
+            current = plan
+    return best.routes
+
+
+def _kick(routes, rng):
+    """``routes`` (1-based, depot first and last) changed at random: 2 to 4
+    swaps of two customers on different routes (when there are two routes),
+    then one double bridge inside a route of at least 8 customers (when
+    there is one), which cuts its customers into four runs A B C D and
+    reorders them A C B D. Neither changes a route's size, so every route
+    stays in its window. ``None`` when neither kick exists."""
+    seqs = [list(r[1:-1]) for r in routes]
+    long = [k for k, seq in enumerate(seqs) if len(seq) >= 8]
+    if len(seqs) < 2 and not long:
+        return None
+    if len(seqs) >= 2:
+        for _ in range(int(rng.integers(2, 5))):
+            a, b = rng.choice(len(seqs), 2, replace=False).tolist()
+            i, j = int(rng.integers(len(seqs[a]))), int(rng.integers(len(seqs[b])))
+            seqs[a][i], seqs[b][j] = seqs[b][j], seqs[a][i]
+    if long:
+        seq = seqs[long[int(rng.integers(len(long)))]]
+        p, q, r = sorted(rng.choice(np.arange(1, len(seq)), 3, replace=False).tolist())
+        seq[p:r] = seq[q:r] + seq[p:q]
+    return [(1, *seq, 1) for seq in seqs]
 
 
 def _best_move(d, seqs, min_customers, max_customers):
@@ -656,8 +732,8 @@ def _finish(instance, m, backend, routes, bound, nodes, start_time,
             polished=None) -> ExactResult:
     """End an exact run. ``routes`` (1-based, depot first and last) are
     priced by ``evaluate_plan``; a run that holds none takes the nearest-node
-    plan. ``polished`` routes, from ``_polish`` of ``routes``, are priced
-    the same way and replace them unless ``routes`` price lower.
+    plan. ``polished`` routes, the iterated polish of ``routes``, are
+    priced the same way and replace them unless ``routes`` price lower.
 
     ``bound`` is ``None`` for a proven run, which is ``optimal`` at its
     objective. Otherwise the run stopped at its time limit with that valid

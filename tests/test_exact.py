@@ -910,9 +910,9 @@ def test_polish_prices_a_directed_reversal_by_its_reversed_arcs():
 
 
 def test_a_polished_stopped_run_ends_within_its_overshoot():
-    # n = 200: the search stops at nine tenths of the limit and the polish,
-    # ~3 ms a pass, ends at most one pass past it, as the README states; the
-    # 0.1 s margin also covers freeing the open nodes, as it does above
+    # n = 200: the search stops at half the limit; the polish and then the
+    # iterated polish, ~3 ms a pass, end at most one pass past it, as the
+    # README states; the 0.1 s margin also covers a slow host, as it does above
     inst = generate_uniform_instance(GridSpec(200, 100, 1))
     warm = nearest_node(inst, 3)
     model = build_model(inst, 3, *default_window(inst.n, 3), warm_start=warm)
@@ -983,9 +983,9 @@ def test_a_search_that_raises_turns_the_collector_back_on(garn9, monkeypatch):
 
 
 def test_a_stopped_search_polishes_before_it_frees_its_open_nodes(eil51, monkeypatch):
-    # freeing a large heap can outlast the last tenth of the limit, so the
-    # polish must come first: it is entered before its deadline while the
-    # search still holds its open nodes
+    # freeing a large heap takes time, so the first polish comes first: it is
+    # entered before its deadline while the search still holds its open
+    # nodes; the iterated polish's rounds call it again, each after the free
     heaps, entered = [], []
     real_push, real_polish = exact.heappush, exact._polish
 
@@ -1003,8 +1003,74 @@ def test_a_stopped_search_polishes_before_it_frees_its_open_nodes(eil51, monkeyp
     warm = nearest_node(eil51, 2)
     result = solve_exact(build_model(eil51, 2, 24, 25, warm_start=warm), time_limit=0.5)
     assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
-    [(at, deadline, held)] = entered
+    (at, deadline, held), *rounds = entered
     assert held >= 1000
     assert at <= deadline
     assert result.objective < warm.total_distance
     assert not heaps[0]  # freed before the run returned
+    assert rounds and all(left == 0 for _, _, left in rounds)
+
+
+def test_iterated_polish_is_locked(monkeypatch):
+    # Locks the iterated polish: a change to the kicks, the generator, the
+    # acceptance rule or the stall rule moves the round count or a route, and
+    # this digest. The deadline is far, so the stall rule ends the run (~1 s)
+    inst = mtspkit.load_bundled("bays29")
+    once = exact._polish(inst.matrix, nearest_node(inst, 4).routes, 4, 8, _soon())
+    rounds = []
+    real_polish = exact._polish
+
+    def polish(*args):
+        rounds.append(len(rounds))
+        return real_polish(*args)
+
+    monkeypatch.setattr(exact, "_polish", polish)
+    best = evaluate_plan(inst, exact._iterate(inst, once, 4, 8, time.perf_counter() + 60.0))
+    assert evaluate_plan(inst, once).total_distance == 2635.0
+    assert best.total_distance == 2603.0  # the published optimum
+    record = (len(rounds), best.total_distance, best.routes)
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == (
+        "5392082280fc53266eca2e79395065b7f4dee4af8c558b7b26ca843462c9f106"
+    )
+
+
+@st.composite
+def _iterate_cases(draw):
+    """A polish case on its own matrix, or on a tie-heavy directed one (costs 0-3)."""
+    inst, m, lo, hi, plan = draw(_polish_cases())
+    if draw(st.booleans()):
+        mat = rng_from_seed(draw(st.integers(0, 999))).integers(0, 4, (inst.n, inst.n))
+        mat = mat.astype(np.float64)
+        np.fill_diagonal(mat, np.inf)
+        inst = Instance(f"ties{inst.n}", mat)
+    return inst, m, lo, hi, evaluate_plan(inst, plan.routes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_iterate_cases(), st.integers(0, 2**32 - 1))
+def test_iterated_polish_keeps_the_window_and_never_costs_more(case, seed):
+    inst, m, lo, hi, plan = case
+    model = build_model(inst, m, lo, hi)
+    kicked = exact._kick(plan.routes, rng_from_seed(seed))
+    if kicked is not None:  # a kick keeps every route's size and every customer
+        assert [len(r) for r in kicked] == [len(r) for r in plan.routes]
+        assert check_solution(model, evaluate_plan(inst, kicked)) == (True, [])
+    once = evaluate_plan(inst, exact._polish(inst.matrix, plan.routes, lo, hi, _soon()))
+    # a short deadline keeps the example fast; the stall rule ends most earlier
+    best = evaluate_plan(inst, exact._iterate(inst, once.routes, lo, hi,
+                                              time.perf_counter() + 0.02))
+    assert check_solution(model, best) == (True, [])
+    assert all(lo <= len(r) - 2 <= hi for r in best.routes)
+    assert best.total_distance <= once.total_distance
+
+
+def test_iterated_polish_without_a_kick_returns_at_once(monkeypatch):
+    # one route of 7 customers: no second route to swap with and none long
+    # enough for a double bridge, so there is no round to run
+    inst = generate_uniform_instance(GridSpec(8, 100, 5))
+    once = exact._polish(inst.matrix, nearest_node(inst, 1).routes, 7, 7, _soon())
+    assert exact._kick(once, rng_from_seed(0)) is None
+    calls = []
+    monkeypatch.setattr(exact, "_polish", lambda *args: calls.append(args))
+    assert list(exact._iterate(inst, once, 7, 7, np.inf)) == once
+    assert not calls

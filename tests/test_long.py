@@ -9,9 +9,9 @@ verify warm-start dominance and bound sanity and report the gap.
 
 Memory: above the subset DP's cap the exact runs are branch-and-bound
 searches, whose open nodes are never bounded. Measured at 33-61 MB per
-second of search (bays29 m=4 and eil51 m=2 at a 1 s limit), the default
-300 s budget would need on the order of 9-17 GB for one run, a figure
-extrapolated, not measured. On a smaller machine set
+second of search (bays29 m=4 and eil51 m=2 at a 1 s limit), and searching
+for half of the default 300 s budget, one run would need on the order of
+5-9 GB, a figure extrapolated, not measured. On a smaller machine set
 ``MTSPKIT_LONG_TIME_LIMIT`` lower.
 """
 
