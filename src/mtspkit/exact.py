@@ -36,27 +36,26 @@ hold a subset's lowest customer. The arrays hold costs only; the plan is
 read back by re-deriving each choice with the same ``argmin``. It is also
 the ground truth the branch-and-bound is checked against.
 
-Under a time limit the branch-and-bound searches for half of it. If it
-stops unproven holding a plan, ``_polish`` runs a best-improvement local
-search of that incumbent: each pass prices every in-route segment
-reversal, every move of a customer onto another route's arc and every
-cross-route swap as whole arrays, keeps every route inside [K, L], and
-applies the best gaining move, until a local optimum or the first pass
-that starts past the limit. The open nodes are freed only then, so the
-time freeing them takes cannot use up the polish's share; a run's
-``wall_time`` includes it. ``_iterate`` spends the rest of the limit on an
-iterated local search of the polished plan. Each round kicks the current
-plan (2 to 4 random cross-route swaps and one double bridge inside a route
-of at least 8 customers, which keep every route's size) and polishes it
-again; it keeps the best plan and takes a worse one as its current plan
-with probability ``_ACCEPT_WORSE``. Its draws come from one fixed
+Under a time limit the branch-and-bound searches for half of it and frees
+its open nodes at once. ``_finish`` states what a run stopped holding a
+plan does with the rest: ``_polish`` runs a best-improvement local search
+of that incumbent (each pass prices every in-route segment reversal, every
+move of a customer onto another route's arc and every cross-route swap as
+whole arrays, keeps every route inside [K, L], and applies the best gaining
+move, until a local optimum or the first pass that starts past the limit),
+then ``_iterate`` spends what is left of the limit on an iterated local
+search of the polished plan. Each round kicks the current plan (2 to 4
+random cross-route swaps and one double bridge inside a route of at least
+8 customers, which keep every route's size) and polishes it again; it
+keeps the best plan and takes a worse one as its current plan with
+probability ``_ACCEPT_WORSE``. Its draws come from one fixed
 ``SeedSequence``, and it stops at the limit or after ``_STALL_ROUNDS``
 rounds without a new best, so with a far limit its plan repeats.
 
 Every exact run, on either backend, ends in ``_finish``, which states the
 result's invariants once. ``best`` is always a plan that passes
 ``check_solution``: the run's routes priced by ``evaluate_plan`` (the
-polished ones unless the incumbent prices lower), or the nearest-node plan
+iterated ones unless the incumbent prices lower), or the nearest-node plan
 when a run stopped by its time limit holds none.
 ``objective == best.total_distance``. A proven run is ``optimal`` with
 ``lower_bound == objective``, and so is a stopped one whose plan reaches
@@ -121,6 +120,16 @@ class ExactResult:
     backend: str
 
 
+def check_window(min_customers: int, max_customers: int) -> None:
+    """Reject a route-size window [K, L] without ``1 <= K <= L``, the shape
+    every run's window must have. Whether it covers the customers is
+    :func:`build_model`'s own check."""
+    if min_customers < 1:
+        raise ValueError("min_customers must be at least 1")
+    if min_customers > max_customers:
+        raise ValueError("min_customers exceeds max_customers")
+
+
 def build_model(
     instance: Instance,
     m: int,
@@ -136,10 +145,7 @@ def build_model(
     n = instance.n
     if m < 1:
         raise ValueError("need at least one salesman")
-    if min_customers < 1:
-        raise ValueError("min_customers must be at least 1")
-    if min_customers > max_customers:
-        raise ValueError("min_customers exceeds max_customers")
+    check_window(min_customers, max_customers)
     if m * min_customers > n - 1 or m * max_customers < n - 1:
         raise InfeasibleModelError(
             f"window [{min_customers}, {max_customers}] with {m} routes cannot "
@@ -313,19 +319,13 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
 
     The clock starts before the table is built and is read on every popped
     node. A time-limited search stops at most one node expansion past half
-    of ``time_limit`` (``_SEARCH_SHARE``). ``_polish`` then improves the
-    incumbent to a local optimum, ending at most one pass past
-    ``time_limit`` (~0.2 ms a pass at n = 29, ~3 ms at n = 200). Only then
-    are the open nodes freed, which takes time in proportion to their
-    number (a capped search holds as many as it could open) and is part of
-    ``wall_time``. :func:`_iterate` spends what is left of ``time_limit`` on
-    kicks and polishes of that plan, and also ends at most one pass past
-    it; the run therefore ends one pass past its limit, or later by what
-    freeing the nodes takes beyond it. ``_finish`` keeps the cheaper of the
-    incumbent and the iterated plan. A search that runs out of time before
-    it holds a plan (no warm start) is not polished: it returns the
-    nearest-node plan, as the subset DP does, above the best bound it
-    reached. A search that runs to the end always holds a plan:
+    of ``time_limit`` (``_SEARCH_SHARE``) and frees its open nodes at once,
+    which takes time in proportion to their number (a capped search holds
+    as many as it could open) and is part of ``wall_time``. The search then
+    hands :func:`_finish` its incumbent (``None`` if it stopped before its
+    first plan, without a warm start) and, if it stopped, the best bound it
+    reached; ``_finish`` states what a stopped run does with the rest of
+    its limit. A search that runs to the end always holds a plan:
     ``build_model`` admits only windows that cover the customers, and every
     arc is finite.
     """
@@ -428,21 +428,12 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
                     tick += 1
                     shut = closed[:active] + (True,) + closed[active + 1 :]
                     push(heap, (child_bound, tick, child_cost, seqs, shut, unvisited))
-
-        bound = polished = None
-        if timed_out:
-            bound = best_bound_seen
-            if incumbent_routes is not None:
-                polished = _polish(model.instance.matrix, incumbent_routes, kmin, kmax,
-                                   start_time + time_limit)
-        heap.clear()  # after the polish, which must not wait on it; timed all the same
+        heap.clear()  # now, so that freeing it falls inside the limit and wall_time
     finally:
         if gc_was_enabled:
             gc.enable()
-    if polished is not None:
-        polished = _iterate(model.instance, polished, kmin, kmax, start_time + time_limit)
-    return _finish(model.instance, m, "branch_and_bound", incumbent_routes, bound,
-                   explored, start_time, polished)
+    return _finish(model, "branch_and_bound", incumbent_routes,
+                   best_bound_seen if timed_out else None, explored, start_time, time_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +471,7 @@ def brute_force_oracle(
     n = instance.n
     if n > ORACLE_MAX_N:
         raise ValueError(f"the subset DP oracle is limited to n <= {ORACLE_MAX_N}")
-    build_model(instance, m, min_customers, max_customers)  # window check
+    model = build_model(instance, m, min_customers, max_customers)  # window check
     if time_limit is not None and not time_limit > 0:  # NaN too
         raise ValueError("time_limit must be positive")
     lo, hi = min_customers, max_customers
@@ -500,8 +491,8 @@ def brute_force_oracle(
         for t in range(k):
             if time.perf_counter() > deadline:
                 labels = int(size[size < s].sum())
-                return _finish(instance, m, "subset_dp", None, _root_bound(d, m),
-                               labels, start_time)
+                return _finish(model, "subset_dp", None, _root_bound(d, m), labels,
+                               start_time, time_limit)
             sets = layer[layer & 1 << t > 0]
             path[sets, t] = (path[sets ^ 1 << t] + d[1:, t + 1]).min(1)
     labels = int(size[size <= hi].sum())
@@ -515,8 +506,8 @@ def brute_force_oracle(
         works &= ((m - r) * lo <= rest) & (rest <= (m - r) * hi)
         for mask in masks[works].tolist():
             if time.perf_counter() > deadline:
-                return _finish(instance, m, "subset_dp", None, _root_bound(d, m),
-                               labels, start_time)
+                return _finish(model, "subset_dp", None, _root_bound(d, m), labels,
+                               start_time, time_limit)
             held = owns[mask & -mask]
             held = held[(held & mask) == held]  # the routes inside mask
             cost = route[held] + covers[-1][mask ^ held]
@@ -536,7 +527,7 @@ def brute_force_oracle(
             s ^= 1 << j
             j = int((path[s] + d[1:, j + 1]).argmin())
         routes.append((1, *reversed(seq), 1))
-    return _finish(instance, m, "subset_dp", routes, None, labels, start_time)
+    return _finish(model, "subset_dp", routes, None, labels, start_time, time_limit)
 
 
 def _root_bound(d, m) -> float:
@@ -728,24 +719,35 @@ def _best_move(d, seqs, min_customers, max_customers):
 # ---------------------------------------------------------------------------
 # the one ending
 
-def _finish(instance, m, backend, routes, bound, nodes, start_time,
-            polished=None) -> ExactResult:
-    """End an exact run. ``routes`` (1-based, depot first and last) are
-    priced by ``evaluate_plan``; a run that holds none takes the nearest-node
-    plan. ``polished`` routes, the iterated polish of ``routes``, are
-    priced the same way and replace them unless ``routes`` price lower.
+def _finish(model, backend, routes, bound, nodes, start_time, time_limit) -> ExactResult:
+    """End an exact run on ``model``: what a run does with the rest of its
+    limit, its plan and its status are stated here once.
 
-    ``bound`` is ``None`` for a proven run, which is ``optimal`` at its
-    objective. Otherwise the run stopped at its time limit with that valid
-    lower bound: it is ``optimal`` all the same when the plan's total
-    reaches the bound (within ``_EPS``, the search's own proof margin), with
+    ``bound`` is ``None`` for a proven run, whose ``routes`` (1-based, depot
+    first and last) are priced by ``evaluate_plan`` and ``optimal`` at their
+    objective. Otherwise the run stopped at ``time_limit`` with that valid
+    lower bound. A stopped run that holds no routes takes the nearest-node
+    plan, unpolished. One that holds routes spends what is left of the limit
+    improving them: :func:`_polish` takes them to a local optimum and
+    :func:`_iterate` searches from there, both until ``start_time +
+    time_limit``, so the run ends at most one polish pass past its limit
+    (or here, if it reaches this point later).
+    The iterated plan replaces the routes unless they price lower. A
+    stopped run is ``optimal`` all the same when its plan's total reaches
+    the bound (within ``_EPS``, the search's own proof margin), with
     ``lower_bound == objective``, and ``feasible_time_limit`` with the bound
     below the objective if not. The clock is read once, after pricing."""
-    plan = nearest_node(instance, m) if routes is None else evaluate_plan(instance, routes)
-    if polished is not None:
-        polished = evaluate_plan(instance, polished)
-        if polished.total_distance <= plan.total_distance:
-            plan = polished
+    instance, window = model.instance, (model.min_customers, model.max_customers)
+    if routes is None:
+        plan = nearest_node(instance, model.m)
+    else:
+        plan = evaluate_plan(instance, routes)
+        if bound is not None:
+            deadline = start_time + time_limit
+            polished = _polish(instance.matrix, routes, *window, deadline)
+            polished = evaluate_plan(instance, _iterate(instance, polished, *window, deadline))
+            if polished.total_distance <= plan.total_distance:  # never above the incumbent
+                plan = polished
     if bound is None or plan.total_distance <= bound + _EPS:
         status, bound = SolveStatus.OPTIMAL, plan.total_distance
     else:

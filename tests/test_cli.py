@@ -491,6 +491,26 @@ def test_every_algorithm_rejects_a_non_positive_time_limit(capsys, argv):
     assert err == "error: time_limit must be positive\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--m", "2", "--K", "5", "--L", "2"], "min_customers exceeds max_customers"),
+        (["solve", "--m", "2", "--algorithm", "closest", "--K", "-3", "--L", "0"],
+         "min_customers must be at least 1"),
+        (["compare", "--m", "2", "--K", "5", "--L", "2"], "min_customers exceeds max_customers"),
+        (["compare", "--m", "2", "--algorithms", "nearest", "--K", "0", "--L", "3"],
+         "min_customers must be at least 1"),
+    ],
+)
+def test_every_algorithm_rejects_a_malformed_window(capsys, argv, message):
+    # heuristics ignore the window, but a malformed one is still an input error
+    where = "--instance" if argv[0] == "solve" else "--instances"
+    code, out, err = run(capsys, *argv, where, str(bundled_path("garn9")))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_solve_takes_an_infinite_time_limit(capsys):
     code, text, _ = run(
         capsys, "solve", "--instance", str(bundled_path("garn9")), "--m", "2",

@@ -380,10 +380,30 @@ def _every_ending():
     ]
 
 
-def test_every_exact_ending_keeps_the_result_invariants():
+def test_every_exact_ending_keeps_the_result_invariants(monkeypatch):
+    heaps, polishes = {}, []
+    real_push, real_polish = exact.heappush, exact._polish
+
+    def push(heap, item):
+        heaps[id(heap)] = heap
+        real_push(heap, item)
+
+    def polish(*args):
+        assert not any(heaps.values()), "polished before the open nodes were freed"
+        polishes[-1] += 1
+        return real_polish(*args)
+
+    monkeypatch.setattr(exact, "heappush", push)
+    monkeypatch.setattr(exact, "_polish", polish)
     statuses = []
     for label, model, run, backend in _every_ending():
+        polishes.append(0)
         result = run()
+        # only a stopped search that holds a plan polishes it; a run stopped
+        # without one keeps the nearest-node plan as it is
+        assert (polishes[-1] > 0) == (label == "b&b stopped, warm start"), label
+        if label in ("dp stopped", "b&b stopped, no plan yet"):
+            assert result.best == nearest_node(model.instance, model.m), label
         assert check_solution(model, result.best) == (True, []), label
         assert result.objective == result.best.total_distance, label
         assert result.lower_bound <= result.objective, label
@@ -925,20 +945,23 @@ def test_a_polished_stopped_run_ends_within_its_overshoot():
     assert result.wall_time <= elapsed <= 0.2 + 0.1
 
 
-def test_finish_reports_a_polished_plan_at_its_bound_as_optimal():
+def test_finish_reports_a_polished_plan_at_its_bound_as_optimal(monkeypatch):
     inst = generate_uniform_instance(GridSpec(10, 100, 3))
+    model = build_model(inst, 2, 4, 5)
     optimum = brute_force_oracle(inst, 2, 4, 5)
     warm = nearest_node(inst, 2)
     assert warm.total_distance > optimum.objective
-    result = exact._finish(inst, 2, "branch_and_bound", warm.routes, optimum.objective,
-                           7, time.perf_counter(), optimum.best.routes)
+    # the limit is far, so the iterated polish ends by its stall rule (~0.3 s)
+    result = exact._finish(model, "branch_and_bound", warm.routes, optimum.objective,
+                           7, time.perf_counter(), 60.0)
     assert result.status is SolveStatus.OPTIMAL
-    assert result.best == optimum.best
+    assert check_solution(model, result.best) == (True, [])
     assert result.lower_bound == result.objective == optimum.objective
-    # a polished plan that prices higher gives way to the incumbent
+    # an improved plan that prices higher gives way to the incumbent
+    monkeypatch.setattr(exact, "_iterate", lambda *args: warm.routes)
     bound = optimum.objective - 1.0
-    result = exact._finish(inst, 2, "branch_and_bound", optimum.best.routes, bound,
-                           7, time.perf_counter(), warm.routes)
+    result = exact._finish(model, "branch_and_bound", optimum.best.routes, bound,
+                           7, time.perf_counter(), 60.0)
     assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
     assert result.best == optimum.best
     assert result.lower_bound == bound < result.objective
@@ -980,35 +1003,6 @@ def test_a_search_that_raises_turns_the_collector_back_on(garn9, monkeypatch):
     with pytest.raises(RuntimeError, match="mid-search"):
         solve_exact(build_model(garn9, 2, 2, 5))
     assert gc.isenabled()
-
-
-def test_a_stopped_search_polishes_before_it_frees_its_open_nodes(eil51, monkeypatch):
-    # freeing a large heap takes time, so the first polish comes first: it is
-    # entered before its deadline while the search still holds its open
-    # nodes; the iterated polish's rounds call it again, each after the free
-    heaps, entered = [], []
-    real_push, real_polish = exact.heappush, exact._polish
-
-    def push(heap, item):
-        if not heaps:
-            heaps.append(heap)
-        real_push(heap, item)
-
-    def polish(matrix, routes, lo, hi, deadline):
-        entered.append((time.perf_counter(), deadline, len(heaps[0])))
-        return real_polish(matrix, routes, lo, hi, deadline)
-
-    monkeypatch.setattr(exact, "heappush", push)
-    monkeypatch.setattr(exact, "_polish", polish)
-    warm = nearest_node(eil51, 2)
-    result = solve_exact(build_model(eil51, 2, 24, 25, warm_start=warm), time_limit=0.5)
-    assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
-    (at, deadline, held), *rounds = entered
-    assert held >= 1000
-    assert at <= deadline
-    assert result.objective < warm.total_distance
-    assert not heaps[0]  # freed before the run returned
-    assert rounds and all(left == 0 for _, _, left in rounds)
 
 
 def test_iterated_polish_is_locked(monkeypatch):
