@@ -1,4 +1,4 @@
-"""Exact solving: constraint model, subset DP, branch-and-bound.
+"""Exact solving: constraint model, subset DP, branch-and-bound, q-route bound.
 
 :func:`solve` is the one choice of backend: the subset DP
 (``brute_force_oracle``) up to its cap ``ORACLE_MAX_N``, the
@@ -36,21 +36,30 @@ hold a subset's lowest customer. The arrays hold costs only; the plan is
 read back by re-deriving each choice with the same ``argmin``. It is also
 the ground truth the branch-and-bound is checked against.
 
-Under a time limit the branch-and-bound searches for half of it and frees
-its open nodes at once. ``_finish`` states what a run stopped holding a
-plan does with the rest: ``_polish`` runs a best-improvement local search
-of that incumbent (each pass prices every in-route segment reversal, every
-move of a customer onto another route's arc and every cross-route swap as
-whole arrays, keeps every route inside [K, L], and applies the best gaining
-move, until a local optimum or the first pass that starts past the limit),
-then ``_iterate`` spends what is left of the limit on an iterated local
-search of the polished plan. Each round kicks the current plan (2 to 4
-random cross-route swaps and one double bridge inside a route of at least
-8 customers, which keep every route's size) and polishes it again; it
-keeps the best plan and takes a worse one as its current plan with
-probability ``_ACCEPT_WORSE``. Its draws come from one fixed
-``SeedSequence``, and it stops at the limit or after ``_STALL_ROUNDS``
-rounds without a new best, so with a far limit its plan repeats.
+``qroute_bound`` is the lower bound of a stopped branch-and-bound: the
+q-route relaxation of Christofides, Mingozzi & Toth (1981), m walks of
+K..L customers from the depot that cover n - 1 customers, with Lagrangian
+penalties on visiting each customer once tuned by a fixed number of
+subgradient steps, each a pass of whole-array label layers.
+
+Under a time limit the branch-and-bound searches for a quarter of it and
+frees its open nodes at once. A stopped search then runs ``qroute_bound``
+until half the limit and keeps the larger of its bound and the best bound
+the search popped. ``_finish`` states what a run stopped holding a plan
+does with the second half: ``_polish`` runs a best-improvement local
+search of that incumbent (each pass prices every in-route segment
+reversal, every move of a customer onto another route's arc and every
+cross-route swap as whole arrays, keeps every route inside [K, L], and
+applies the best gaining move, until a local optimum or the first pass
+that starts past the limit), then ``_iterate`` spends what is left of the
+limit on an iterated local search of the polished plan. Each round kicks
+the current plan (2 to 4 random cross-route swaps and one double bridge
+inside a route of at least 8 customers, which keep every route's size) and
+polishes it again; it keeps the best plan and takes a worse one as its
+current plan with probability ``_ACCEPT_WORSE``. Its draws come from one
+fixed ``SeedSequence``, and it stops at the limit or after
+``_STALL_ROUNDS`` rounds without a new best, so with a far limit its plan
+repeats.
 
 Every exact run, on either backend, ends in ``_finish``, which states the
 result's invariants once. ``best`` is always a plan that passes
@@ -59,8 +68,9 @@ iterated ones unless the incumbent prices lower), or the nearest-node plan
 when a run stopped by its time limit holds none.
 ``objective == best.total_distance``. A proven run is ``optimal`` with
 ``lower_bound == objective``, and so is a stopped one whose plan reaches
-the bound its search reached; any other stopped run is
-``feasible_time_limit`` with that bound, below the objective.
+its bound (the branch-and-bound's larger bound above, or the subset DP's
+``_root_bound``); any other stopped run is ``feasible_time_limit`` with
+that bound, below the objective.
 ``wall_time`` is read once, after pricing. A window that cannot cover
 the customers raises ``InfeasibleModelError`` before any search, so an
 exact run is always ``optimal`` or ``feasible_time_limit``.
@@ -108,8 +118,10 @@ class ExactResult:
     ``best`` is always a feasible plan and ``objective`` its total. An
     ``OPTIMAL`` run is proven, with ``lower_bound == objective``: by its
     search, or, for a stopped branch-and-bound, by a polished plan that
-    reached the bound. A ``FEASIBLE_TIME_LIMIT`` run stopped at its limit,
-    with ``lower_bound < objective``."""
+    reached its bound. A ``FEASIBLE_TIME_LIMIT`` run stopped at its limit,
+    with a valid ``lower_bound < objective``: for the branch-and-bound the
+    larger of the best bound its search popped and :func:`qroute_bound`,
+    for the subset DP ``_root_bound``."""
 
     status: SolveStatus
     best: RoutePlan
@@ -318,14 +330,17 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     the search raises.
 
     The clock starts before the table is built and is read on every popped
-    node. A time-limited search stops at most one node expansion past half
-    of ``time_limit`` (``_SEARCH_SHARE``) and frees its open nodes at once,
-    which takes time in proportion to their number (a capped search holds
-    as many as it could open) and is part of ``wall_time``. The search then
-    hands :func:`_finish` its incumbent (``None`` if it stopped before its
-    first plan, without a warm start) and, if it stopped, the best bound it
-    reached; ``_finish`` states what a stopped run does with the rest of
-    its limit. A search that runs to the end always holds a plan:
+    node. A time-limited search stops at most one node expansion past a
+    quarter of ``time_limit`` (``_SEARCH_SHARE``) and frees its open nodes
+    at once, which takes time in proportion to their number (a capped
+    search holds as many as it could open) and is part of ``wall_time``.
+    A stopped search then runs :func:`qroute_bound` until half of
+    ``time_limit`` (``_BOUND_SHARE``); it ends at most one label layer past
+    it, or sooner when its steps are done. The search hands :func:`_finish`
+    its incumbent (``None`` if it stopped before its first plan, without a
+    warm start) and, if it stopped, the larger of the q-route bound and the
+    best bound it popped; ``_finish`` states what a stopped run does with
+    the rest of its limit. A search that runs to the end always holds a plan:
     ``build_model`` admits only windows that cover the customers, and every
     arc is finite.
     """
@@ -432,8 +447,13 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     finally:
         if gc_was_enabled:
             gc.enable()
-    return _finish(model, "branch_and_bound", incumbent_routes,
-                   best_bound_seen if timed_out else None, explored, start_time, time_limit)
+    bound = None
+    if timed_out:
+        deadline = start_time + _BOUND_SHARE * time_limit
+        bound = max(best_bound_seen,
+                    qroute_bound(model.instance.matrix, m, kmin, kmax, deadline))
+    return _finish(model, "branch_and_bound", incumbent_routes, bound, explored,
+                   start_time, time_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +559,121 @@ def _root_bound(d, m) -> float:
 
 
 # ---------------------------------------------------------------------------
+# q-route lower bound
+
+_BOUND_STEPS = 300  # subgradient steps of the q-route bound
+_BOUND_STALL = 10  # steps without a gain that shrink its step multiplier
+_BOUND_SHRINK = 0.7  # the factor that shrinks it
+
+
+def qroute_bound(matrix, m, min_customers, max_customers, deadline) -> float:
+    """A Lagrangian q-route lower bound (Christofides, Mingozzi & Toth,
+    1981) on the cheapest plan of m routes of ``min_customers`` to
+    ``max_customers`` customers, on an instance's ``matrix`` (``inf``
+    diagonal, non-negative elsewhere) and a window ``build_model`` admits.
+
+    It relaxes "every customer once" with penalties λ and keeps the rest:
+    m depot-to-depot walks of K..L customers, covering n − 1 customers in
+    total. ``f[q, v]`` is the cheapest walk of q customers from the depot
+    ending at v, with λ_v subtracted on entering v, so a directed matrix is
+    read by its own arcs. Each layer keeps per customer a best and a second
+    best label with different predecessors; entering v from u takes u's
+    second best when u's best came from v, so no walk turns back at once
+    (2-cycle elimination). A walk of q in [K, L] closes at the depot, and a
+    knapsack over route counts (one shifted ``minimum`` per count and size)
+    picks m sizes summing to n − 1. The relaxed optimum plus the sum of λ
+    is a valid bound for every λ.
+
+    λ starts at 0 and takes ``_BOUND_STEPS`` subgradient steps along
+    1 − visits, each of Polyak's length toward the nearest-node plan's
+    total (a plan that fits every admitted window). The step multiplier
+    starts at 1 and shrinks by ``_BOUND_SHRINK`` after ``_BOUND_STALL``
+    steps without a gain. The bound is the best value seen, so with an
+    infinite ``deadline`` its float is a function of the matrix, m and the
+    window alone. It stops early when a relaxed optimum visits every
+    customer once: that is a plan, and the bound is its cost.
+
+    The clock is read once per label layer. Past ``deadline`` the bound
+    returns the best value of its finished steps, 0.0 before the first.
+    """
+    k = matrix.shape[0] - 1
+    # a route leaves room for the other m - 1, each inside the window
+    lo = max(min_customers, k - (m - 1) * max_customers)
+    hi = min(max_customers, k - (m - 1) * min_customers)
+    into = matrix[1:, 1:].T.copy()  # into[v, u]: customer u to customer v
+    leave, back = matrix[0, 1:], matrix[1:, 0]
+    target = nearest_node(Instance("q-routes", matrix), m).total_distance
+    rows = np.arange(k)
+    cost = np.empty((k, k))  # cost[v, u]: entering v from u's label, one layer
+    penalty = np.zeros(k)
+    best, step, stall = 0.0, 1.0, 0
+    clock = time.perf_counter
+    for _ in range(_BOUND_STEPS):
+        # labels: f1 from predecessor p1 (-1: the depot), f2 the best from
+        # another predecessor p2; closing[q], ends[q]: the best q-route
+        closing, ends, layers = np.full(hi + 1, np.inf), [0] * (hi + 1), []
+        for q in range(1, hi + 1):
+            if clock() > deadline:
+                return best
+            if q == 1:
+                f1, f2 = leave - penalty, np.full(k, np.inf)
+                p1 = p2 = np.full(k, -1)
+            else:
+                np.add(into, f1, out=cost)  # from u's best label
+                if q > 2:  # u's best came from v: from its second best instead
+                    cost[p1, rows] = into[p1, rows] + f2
+                p1 = cost.argmin(1)
+                f1 = cost[rows, p1]
+                cost[rows, p1] = np.inf
+                p2 = cost.argmin(1)
+                f1, f2 = f1 - penalty, cost[rows, p2] - penalty
+            layers.append((p1, p2))
+            if q >= lo:
+                shut = f1 + back
+                ends[q] = int(shut.argmin())
+                closing[q] = shut[ends[q]]
+        # covers[r][s]: the cheapest r routes of s customers in total
+        covers = [np.full(k + 1, np.inf)]
+        covers[0][0] = 0.0
+        for _ in range(m):
+            cover = np.full(k + 1, np.inf)
+            for q in range(lo, hi + 1):
+                np.minimum(cover[q:], covers[-1][: k + 1 - q] + closing[q], out=cover[q:])
+            covers.append(cover)
+        value = float(covers[-1][k]) + left_fold(penalty.tolist())
+        if value > best:
+            best, stall = value, 0
+        else:
+            stall += 1
+            if stall == _BOUND_STALL:
+                step, stall = step * _BOUND_SHRINK, 0
+        # read the relaxed optimum back: its route sizes, then each walk
+        visits = np.zeros(k, dtype=np.int64)
+        s = k
+        for cover in reversed(covers[:-1]):
+            sizes = np.arange(lo, min(hi, s) + 1)
+            q = int(sizes[(cover[s - sizes] + closing[sizes]).argmin()])
+            s -= q
+            v, second = ends[q], False
+            for layer in range(q - 1, -1, -1):
+                visits[v] += 1
+                u = int(layers[layer][second][v])
+                if layer:
+                    second = int(layers[layer - 1][0][u]) == v
+                v = u
+        slope = 1 - visits
+        norm = int(slope @ slope)
+        if not norm:  # every customer once: a plan, priced at the bound
+            return best
+        penalty = penalty + step * (target - value) / norm * slope
+    return best
+
+
+# ---------------------------------------------------------------------------
 # local search of a stopped search's incumbent
 
-_SEARCH_SHARE = 0.5  # of a time limit; the polishes have the rest
+_SEARCH_SHARE = 0.25  # of a time limit: the search's share
+_BOUND_SHARE = 0.5  # of a time limit: the q-route bound runs until it, the polishes after
 _KICKS = np.random.SeedSequence(0)  # the one source of the iterated polish's kicks
 _ACCEPT_WORSE = 0.05  # chance that a round's worse plan becomes the current one
 _STALL_ROUNDS = 300  # rounds without a new best plan that end the iterated polish

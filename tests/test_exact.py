@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -930,9 +931,10 @@ def test_polish_prices_a_directed_reversal_by_its_reversed_arcs():
 
 
 def test_a_polished_stopped_run_ends_within_its_overshoot():
-    # n = 200: the search stops at half the limit; the polish and then the
-    # iterated polish, ~3 ms a pass, end at most one pass past it, as the
-    # README states; the 0.1 s margin also covers a slow host, as it does above
+    # n = 200: the search stops at a quarter of the limit and the q-route
+    # bound, ~5 ms a step, at half; the polish and then the iterated polish,
+    # ~3 ms a pass, end at most one pass past the limit, as the README
+    # states; the 0.1 s margin also covers a slow host, as it does above
     inst = generate_uniform_instance(GridSpec(200, 100, 1))
     warm = nearest_node(inst, 3)
     model = build_model(inst, 3, *default_window(inst.n, 3), warm_start=warm)
@@ -1068,3 +1070,73 @@ def test_iterated_polish_without_a_kick_returns_at_once(monkeypatch):
     monkeypatch.setattr(exact, "_polish", lambda *args: calls.append(args))
     assert list(exact._iterate(inst, once, 7, 7, np.inf)) == once
     assert not calls
+
+
+def test_qroute_bound_is_locked():
+    # Locks the q-route bound: a change to the labels, the 2-cycle rule, the
+    # knapsack, the read-back, the step rule or the step count moves a
+    # float, and this digest. No deadline, so no run depends on the clock.
+    digest = hashlib.sha256()
+    cases = [(inst, m, window) for inst, m in _lock_cases()
+             for window in (default_window(inst.n, m), (1, inst.n - m))]
+    cases += [(mtspkit.load_bundled("bays29"), 4, (4, 8)),
+              (mtspkit.load_bundled("eil51"), 2, (24, 25))]
+    for inst, m, window in cases:
+        digest.update(float.hex(exact.qroute_bound(inst.matrix, m, *window, np.inf)).encode())
+    assert digest.hexdigest() == (
+        "c46b92e554c65357ecc68d93c9888e9b3c4f17a99baacbc2bc2bdd3f413f598d"
+    )
+
+
+@st.composite
+def _bound_cases(draw):
+    """A symmetric, directed or tie-heavy directed (costs 0-4) instance of
+    n 4-12, a fleet size and its default or widest window."""
+    n = draw(st.integers(4, 12))
+    m = draw(st.integers(1, min(4, n - 1)))
+    seed = draw(st.integers(0, 999))
+    kind = draw(st.sampled_from(["sym", "directed", "ties"]))
+    if kind == "sym":
+        inst = generate_uniform_instance(GridSpec(n, 100, seed))
+    else:
+        rng = rng_from_seed(seed)
+        mat = rng.random((n, n)) * 100 if kind == "directed" else rng.integers(0, 5, (n, n))
+        mat = np.asarray(mat, dtype=np.float64)
+        np.fill_diagonal(mat, np.inf)
+        inst = Instance(f"{kind}{n}", mat)
+    window = draw(st.sampled_from([default_window(n, m), (1, n - m)]))
+    return inst, m, window
+
+
+@settings(max_examples=120, deadline=None)
+@given(_bound_cases())
+def test_qroute_bound_is_admissible(case):
+    inst, m, window = case
+    bound = exact.qroute_bound(inst.matrix, m, *window, np.inf)
+    assert 0.0 <= bound <= brute_force_oracle(inst, m, *window).objective + 1e-9
+
+
+def test_qroute_bound_stops_within_a_layer_of_its_deadline(monkeypatch):
+    # n = 300: one subgradient step takes ~100 label layers of ~0.3 ms, so
+    # a 0.05 s deadline falls inside the first steps
+    inst = generate_uniform_instance(GridSpec(300, 100, 1))
+    window = default_window(inst.n, 3)
+    reads = []
+
+    def clock():
+        reads.append(time.perf_counter())
+        return reads[-1]
+
+    monkeypatch.setattr(exact, "time", SimpleNamespace(perf_counter=clock))
+    started = time.perf_counter()
+    deadline = started + 0.05
+    bound = exact.qroute_bound(inst.matrix, 3, *window, deadline)
+    returned = time.perf_counter()
+    # the first read past the deadline ends the run, with no layer after it
+    assert reads[-2] <= deadline < reads[-1]
+    assert returned - reads[-1] < 0.01
+    # one layer is the longest stretch between two reads; the margin covers
+    # a slow host, as the time-limit tests' does
+    assert returned - deadline <= max(np.diff(reads)) + 0.01
+    assert returned - started <= 0.05 + 0.1
+    assert 0.0 <= bound <= nearest_node(inst, 3).total_distance

@@ -8,11 +8,11 @@ budget (``MTSPKIT_LONG_TIME_LIMIT`` seconds, default 300); otherwise they
 verify warm-start dominance and bound sanity and report the gap.
 
 Memory: above the subset DP's cap the exact runs are branch-and-bound
-searches, whose open nodes are never bounded. Measured at 33-61 MB per
-second of search (bays29 m=4 and eil51 m=2 at a 1 s limit), and searching
-for half of the default 300 s budget, one run would need on the order of
-5-9 GB, a figure extrapolated, not measured. On a smaller machine set
-``MTSPKIT_LONG_TIME_LIMIT`` lower.
+searches, whose open nodes are never bounded. Measured at 33-69 MB per
+second of search (bays29 m=4 and eil51 m=2 at 1 s and 10 s limits), and
+searching for a quarter of the default 300 s budget, one run would need
+on the order of 2.5-5 GB, a figure extrapolated, not measured. On a
+smaller machine set ``MTSPKIT_LONG_TIME_LIMIT`` lower.
 """
 
 import os
