@@ -395,6 +395,7 @@ def plan_record(
             backend=result.backend,
             objective=result.objective,
             lower_bound=result.lower_bound,
+            gap=result.gap,
             nodes_explored=result.nodes_explored,
             wall_time=result.wall_time,
         )

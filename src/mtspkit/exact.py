@@ -39,8 +39,11 @@ the ground truth the branch-and-bound is checked against.
 ``qroute_bound`` is the lower bound of a stopped branch-and-bound: the
 q-route relaxation of Christofides, Mingozzi & Toth (1981), m walks of
 K..L customers from the depot that cover n - 1 customers, with Lagrangian
-penalties on visiting each customer once tuned by a fixed number of
-subgradient steps, each a pass of whole-array label layers.
+penalties on visiting each customer once tuned by subgradient steps, each
+a pass of whole-array label layers. The steps run until one no longer
+moves the penalties: the step length shrinks geometrically unless the
+bound gains more than ``_EPS`` of itself, which it can do only finitely
+often below the optimum, so the run ends without a deadline too.
 
 Under a time limit the branch-and-bound searches for a quarter of it and
 frees its open nodes at once. A stopped search then runs ``qroute_bound``
@@ -57,9 +60,10 @@ the current plan (2 to 4 random cross-route swaps and one double bridge
 inside a route of at least 8 customers, which keep every route's size) and
 polishes it again; it keeps the best plan and takes a worse one as its
 current plan with probability ``_ACCEPT_WORSE``. Its draws come from one
-fixed ``SeedSequence``, and it stops at the limit or after
-``_STALL_ROUNDS`` rounds without a new best, so with a far limit its plan
-repeats.
+fixed ``SeedSequence``, and it stops at the limit, after
+``_STALL_ROUNDS`` rounds without a new best, or once its best plan reaches
+the run's bound (a proof no round can improve), so with a far limit its
+plan repeats.
 
 Every exact run, on either backend, ends in ``_finish``, which states the
 result's invariants once. ``best`` is always a plan that passes
@@ -130,6 +134,15 @@ class ExactResult:
     nodes_explored: int
     wall_time: float
     backend: str
+
+    @property
+    def gap(self) -> float:
+        """The certified relative gap ``(objective - lower_bound) /
+        objective``: 0.0 for an ``OPTIMAL`` run, positive for a stopped one
+        (whose ``objective`` exceeds a bound of at least 0)."""
+        if self.status is SolveStatus.OPTIMAL:
+            return 0.0
+        return (self.objective - self.lower_bound) / self.objective
 
 
 def check_window(min_customers: int, max_customers: int) -> None:
@@ -336,13 +349,13 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     search holds as many as it could open) and is part of ``wall_time``.
     A stopped search then runs :func:`qroute_bound` until half of
     ``time_limit`` (``_BOUND_SHARE``); it ends at most one label layer past
-    it, or sooner when its steps are done. The search hands :func:`_finish`
-    its incumbent (``None`` if it stopped before its first plan, without a
-    warm start) and, if it stopped, the larger of the q-route bound and the
-    best bound it popped; ``_finish`` states what a stopped run does with
-    the rest of its limit. A search that runs to the end always holds a plan:
-    ``build_model`` admits only windows that cover the customers, and every
-    arc is finite.
+    it, or sooner once a subgradient step no longer moves its penalties.
+    The search hands :func:`_finish` its incumbent (``None`` if it stopped
+    before its first plan, without a warm start) and, if it stopped, the
+    larger of the q-route bound and the best bound it popped; ``_finish``
+    states what a stopped run does with the rest of its limit. A search
+    that runs to the end always holds a plan: ``build_model`` admits only
+    windows that cover the customers, and every arc is finite.
     """
     if time_limit is not None and not time_limit > 0:  # NaN too
         raise ValueError("time_limit must be positive")
@@ -561,7 +574,6 @@ def _root_bound(d, m) -> float:
 # ---------------------------------------------------------------------------
 # q-route lower bound
 
-_BOUND_STEPS = 300  # subgradient steps of the q-route bound
 _BOUND_STALL = 10  # steps without a gain that shrink its step multiplier
 _BOUND_SHRINK = 0.7  # the factor that shrinks it
 
@@ -584,14 +596,19 @@ def qroute_bound(matrix, m, min_customers, max_customers, deadline) -> float:
     picks m sizes summing to n − 1. The relaxed optimum plus the sum of λ
     is a valid bound for every λ.
 
-    λ starts at 0 and takes ``_BOUND_STEPS`` subgradient steps along
-    1 − visits, each of Polyak's length toward the nearest-node plan's
-    total (a plan that fits every admitted window). The step multiplier
-    starts at 1 and shrinks by ``_BOUND_SHRINK`` after ``_BOUND_STALL``
-    steps without a gain. The bound is the best value seen, so with an
-    infinite ``deadline`` its float is a function of the matrix, m and the
-    window alone. It stops early when a relaxed optimum visits every
-    customer once: that is a plan, and the bound is its cost.
+    λ starts at 0 and takes subgradient steps along 1 − visits, each of
+    Polyak's length toward the nearest-node plan's total (a plan that fits
+    every admitted window). The step multiplier starts at 1 and shrinks by
+    ``_BOUND_SHRINK`` after ``_BOUND_STALL`` steps without a gain; a gain
+    raises the best value by more than ``_EPS`` times it (at least
+    ``_EPS``), and a smaller rise still raises the best value, which is the
+    bound. The run returns once a step leaves λ unchanged bit for bit. That
+    step always comes: every value is a lower bound, so the best value
+    gains only finitely often, and from then on the multiplier shrinks
+    geometrically until each step rounds away. So with an infinite
+    ``deadline`` its float is a function of the matrix, m and the window
+    alone. It also returns when a relaxed optimum visits every customer
+    once: that is a plan, and the bound is its cost.
 
     The clock is read once per label layer. Past ``deadline`` the bound
     returns the best value of its finished steps, 0.0 before the first.
@@ -608,7 +625,7 @@ def qroute_bound(matrix, m, min_customers, max_customers, deadline) -> float:
     penalty = np.zeros(k)
     best, step, stall = 0.0, 1.0, 0
     clock = time.perf_counter
-    for _ in range(_BOUND_STEPS):
+    while True:
         # labels: f1 from predecessor p1 (-1: the depot), f2 the best from
         # another predecessor p2; closing[q], ends[q]: the best q-route
         closing, ends, layers = np.full(hi + 1, np.inf), [0] * (hi + 1), []
@@ -641,12 +658,13 @@ def qroute_bound(matrix, m, min_customers, max_customers, deadline) -> float:
                 np.minimum(cover[q:], covers[-1][: k + 1 - q] + closing[q], out=cover[q:])
             covers.append(cover)
         value = float(covers[-1][k]) + left_fold(penalty.tolist())
-        if value > best:
-            best, stall = value, 0
+        if value > best + _EPS * max(1.0, best):
+            stall = 0
         else:
             stall += 1
             if stall == _BOUND_STALL:
                 step, stall = step * _BOUND_SHRINK, 0
+        best = max(best, value)
         # read the relaxed optimum back: its route sizes, then each walk
         visits = np.zeros(k, dtype=np.int64)
         s = k
@@ -665,8 +683,10 @@ def qroute_bound(matrix, m, min_customers, max_customers, deadline) -> float:
         norm = int(slope @ slope)
         if not norm:  # every customer once: a plan, priced at the bound
             return best
-        penalty = penalty + step * (target - value) / norm * slope
-    return best
+        moved = penalty + step * (target - value) / norm * slope
+        if np.array_equal(moved, penalty):  # the step no longer moves λ
+            return best
+        penalty = moved
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +724,7 @@ def _polish(matrix, routes, min_customers, max_customers, deadline):
     return [(1, *[v + 1 for v in s], 1) for s in seqs]
 
 
-def _iterate(instance, routes, min_customers, max_customers, deadline):
+def _iterate(instance, routes, min_customers, max_customers, deadline, bound=-np.inf):
     """Iterated local search from ``routes``, a local optimum of
     :func:`_polish` (1-based, depot first and last); returns the best plan
     it saw in the same form.
@@ -716,14 +736,18 @@ def _iterate(instance, routes, min_customers, max_customers, deadline):
     a dearer one does with probability ``_ACCEPT_WORSE``. The kicks and the
     acceptance draws come from one generator on ``_KICKS``, so the rounds
     repeat. The search stops after ``_STALL_ROUNDS`` rounds without a new
-    best, when no kick exists, or when the clock, read before each round,
-    is past ``deadline``; the round's polish also stops at it, so the search
-    ends at most one polish pass after it.
+    best, when no kick exists, once the best plan is within ``_EPS`` of
+    ``bound`` (a valid lower bound of the run, which proves that plan
+    optimal; the default proves nothing), or when the clock, read before
+    each round, is past ``deadline``; the round's polish also stops at it,
+    so the search ends at most one polish pass after it. Each is checked
+    before the first round too.
     """
     rng = rng_from_seed(_KICKS)
     best = current = evaluate_plan(instance, routes)
     stall = 0
-    while stall < _STALL_ROUNDS and time.perf_counter() <= deadline:
+    while (stall < _STALL_ROUNDS and best.total_distance > bound + _EPS
+           and time.perf_counter() <= deadline):
         kicked = _kick(current.routes, rng)
         if kicked is None:
             break
@@ -863,7 +887,10 @@ def _finish(model, backend, routes, bound, nodes, start_time, time_limit) -> Exa
     improving them: :func:`_polish` takes them to a local optimum and
     :func:`_iterate` searches from there, both until ``start_time +
     time_limit``, so the run ends at most one polish pass past its limit
-    (or here, if it reaches this point later).
+    (or here, if it reaches this point later). ``_iterate`` is handed the
+    bound and stops as soon as its best plan reaches it, since no round can
+    improve a plan the bound proves optimal; a run that reaches its proof
+    returns then instead of at the limit or after its stall rounds.
     The iterated plan replaces the routes unless they price lower. A
     stopped run is ``optimal`` all the same when its plan's total reaches
     the bound (within ``_EPS``, the search's own proof margin), with
@@ -877,7 +904,8 @@ def _finish(model, backend, routes, bound, nodes, start_time, time_limit) -> Exa
         if bound is not None:
             deadline = start_time + time_limit
             polished = _polish(instance.matrix, routes, *window, deadline)
-            polished = evaluate_plan(instance, _iterate(instance, polished, *window, deadline))
+            polished = evaluate_plan(instance, _iterate(instance, polished, *window,
+                                                        deadline, bound))
             if polished.total_distance <= plan.total_distance:  # never above the incumbent
                 plan = polished
     if bound is None or plan.total_distance <= bound + _EPS:

@@ -953,7 +953,7 @@ def test_finish_reports_a_polished_plan_at_its_bound_as_optimal(monkeypatch):
     optimum = brute_force_oracle(inst, 2, 4, 5)
     warm = nearest_node(inst, 2)
     assert warm.total_distance > optimum.objective
-    # the limit is far, so the iterated polish ends by its stall rule (~0.3 s)
+    # the limit is far, so the iterated polish ends once it reaches the bound
     result = exact._finish(model, "branch_and_bound", warm.routes, optimum.objective,
                            7, time.perf_counter(), 60.0)
     assert result.status is SolveStatus.OPTIMAL
@@ -1072,6 +1072,46 @@ def test_iterated_polish_without_a_kick_returns_at_once(monkeypatch):
     assert not calls
 
 
+def test_iterated_polish_stops_at_a_bound_its_plan_meets(monkeypatch):
+    # a plan that reaches the run's bound is proven: no round can improve it
+    inst = mtspkit.load_bundled("bays29")
+    once = exact._polish(inst.matrix, nearest_node(inst, 4).routes, 4, 8, _soon())
+    bound = evaluate_plan(inst, once).total_distance
+    calls = []
+    monkeypatch.setattr(exact, "_polish", lambda *args: calls.append(args))
+    assert list(exact._iterate(inst, once, 4, 8, np.inf, bound)) == once
+    assert not calls
+
+
+def test_a_stopped_run_above_the_dp_cap_is_proven_at_its_bound():
+    # n = 20, m = 5: the search stops at a quarter of the limit, the q-route
+    # bound (~0.2 s here) reaches the optimum, and the iterated polish stops
+    # once its plan meets it, well before the limit; the limit leaves the
+    # bound ~5x its time on a slow host
+    inst = generate_uniform_instance(GridSpec(20, 100, 301))
+    result = exact.solve(inst, 5, *default_window(inst.n, 5), time_limit=4.0)
+    assert result.backend == "branch_and_bound"
+    assert result.status is SolveStatus.OPTIMAL
+    assert result.objective == pytest.approx(702.339132091225, rel=1e-12)
+    assert result.lower_bound == result.objective and result.gap == 0.0
+    assert result.wall_time < 4.0
+
+
+def test_gap_is_the_certified_relative_gap(garn9, monkeypatch):
+    assert exact.solve(garn9, 2, 2, 5).gap == 0.0
+    # a stopped run whose plan stays above its bound: the polishes keep it
+    model = build_model(garn9, 2, 2, 5)
+    warm = nearest_node(garn9, 2)
+    monkeypatch.setattr(exact, "_polish", lambda matrix, routes, *args: routes)
+    monkeypatch.setattr(exact, "_iterate", lambda inst, routes, *args: routes)
+    bound = warm.total_distance - 10.0
+    result = exact._finish(model, "branch_and_bound", warm.routes, bound, 7,
+                           time.perf_counter(), 60.0)
+    assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
+    assert result.gap == (warm.total_distance - bound) / warm.total_distance
+    assert bench.plan_record("garn9", 2, "exact", result.best, result)["gap"] == result.gap
+
+
 def test_qroute_bound_is_locked():
     # Locks the q-route bound: a change to the labels, the 2-cycle rule, the
     # knapsack, the read-back, the step rule or the step count moves a
@@ -1084,8 +1124,20 @@ def test_qroute_bound_is_locked():
     for inst, m, window in cases:
         digest.update(float.hex(exact.qroute_bound(inst.matrix, m, *window, np.inf)).encode())
     assert digest.hexdigest() == (
-        "c46b92e554c65357ecc68d93c9888e9b3c4f17a99baacbc2bc2bdd3f413f598d"
+        "8dfe39f3825731e3e3a656fd381043ab3828f64c92f987d6517cef3a9aa3521a"
     )
+
+
+@pytest.mark.parametrize("seed", [101, 102])
+def test_qroute_bound_meets_the_optimum_where_the_gap_closes(seed):
+    # two default-window cases whose dual closes: run until a step no longer
+    # moves λ, the bound reaches the subset DP optimum (300 steps left it
+    # 0.0009 and 0.0054 below)
+    inst = generate_uniform_instance(GridSpec(12, 100, seed))
+    window = default_window(inst.n, 3)
+    bound = exact.qroute_bound(inst.matrix, 3, *window, np.inf)
+    assert bound == pytest.approx(brute_force_oracle(inst, 3, *window).objective,
+                                  rel=0, abs=exact._EPS)
 
 
 @st.composite
