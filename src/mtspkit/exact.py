@@ -48,28 +48,29 @@ often below the optimum, so the run ends without a deadline too.
 Under a time limit the branch-and-bound searches for a quarter of it and
 frees its open nodes at once. A stopped search then runs ``qroute_bound``
 until half the limit and keeps the larger of its bound and the best bound
-the search popped. ``_finish`` states what a run stopped holding a plan
-does with the second half: ``_polish`` runs a best-improvement local
-search of that incumbent (each pass prices every in-route segment
-reversal, every move of a customer onto another route's arc and every
-cross-route swap as whole arrays, keeps every route inside [K, L], and
-applies the best gaining move, until a local optimum or the first pass
-that starts past the limit), then ``_iterate`` spends what is left of the
-limit on an iterated local search of the polished plan. Each round kicks
-the current plan (2 to 4 random cross-route swaps and one double bridge
-inside a route of at least 8 customers, which keep every route's size) and
-polishes it again; it keeps the best plan and takes a worse one as its
-current plan with probability ``_ACCEPT_WORSE``. Its draws come from one
-fixed ``SeedSequence``, and it stops at the limit, after
-``_STALL_ROUNDS`` rounds without a new best, or once its best plan reaches
-the run's bound (a proof no round can improve), so with a far limit its
-plan repeats.
+the search popped. ``_finish`` states what a stopped run does with the
+second half: ``_polish`` runs a best-improvement local search of the plan
+it holds, or of the nearest-node plan if it holds none (each pass prices
+every in-route segment reversal, every move of a customer onto another
+route's arc and every cross-route swap as whole arrays, keeps every route
+inside [K, L], and applies the best gaining move, until a local optimum or
+the first pass that starts past the limit), then ``_iterate`` spends what
+is left of the limit on an iterated local search of the polished plan.
+Each round kicks the current plan (2 to 4 random cross-route swaps and one
+double bridge inside a route of at least 8 customers, which keep every
+route's size) and polishes it again; it keeps the best plan and takes a
+worse one as its current plan with probability ``_ACCEPT_WORSE``. Its
+draws come from one fixed ``SeedSequence``, and it stops at the limit,
+after ``_STALL_ROUNDS`` rounds without a new best, or once its best plan
+reaches the run's bound (a proof no round can improve), so with a far
+limit its plan repeats.
 
 Every exact run, on either backend, ends in ``_finish``, which states the
 result's invariants once. ``best`` is always a plan that passes
-``check_solution``: the run's routes priced by ``evaluate_plan`` (the
-iterated ones unless the incumbent prices lower), or the nearest-node plan
-when a run stopped by its time limit holds none.
+``check_solution``: a proven run's routes priced by ``evaluate_plan``, or
+for a stopped run the iterated plan unless the plan it started from (its
+incumbent, else the nearest-node plan) prices lower. A stopped subset DP
+has no time left, so it returns the nearest-node plan as it is.
 ``objective == best.total_distance``. A proven run is ``optimal`` with
 ``lower_bound == objective``, and so is a stopped one whose plan reaches
 its bound (the branch-and-bound's larger bound above, or the subset DP's
@@ -353,7 +354,8 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     The search hands :func:`_finish` its incumbent (``None`` if it stopped
     before its first plan, without a warm start) and, if it stopped, the
     larger of the q-route bound and the best bound it popped; ``_finish``
-    states what a stopped run does with the rest of its limit. A search
+    states what a stopped run does with the rest of its limit, from the
+    nearest-node plan if it holds none. A search
     that runs to the end always holds a plan: ``build_model`` admits only
     windows that cover the customers, and every arc is finite.
     """
@@ -385,22 +387,21 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     heap = [(0.0, tick, 0.0, ((),) * m, (False,) * m, (1 << n) - 2)]
     explored = 0
     best_bound_seen = 0.0
-    timed_out = False
+    bound = None  # a stopped search's lower bound
     cutoff = incumbent_cost - _EPS
 
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         while heap:
-            bound, _, cost, seqs, closed, unvisited = pop(heap)
-            if bound >= cutoff:
-                best_bound_seen = incumbent_cost
+            low, _, cost, seqs, closed, unvisited = pop(heap)
+            if low >= cutoff:
                 break
-            if bound > best_bound_seen:
-                best_bound_seen = bound
+            if low > best_bound_seen:
+                best_bound_seen = low
             explored += 1
             if clock() > stop_at:
-                timed_out = True
+                bound = best_bound_seen
                 break
 
             left = unvisited.bit_count()
@@ -460,11 +461,9 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     finally:
         if gc_was_enabled:
             gc.enable()
-    bound = None
-    if timed_out:
+    if bound is not None:
         deadline = start_time + _BOUND_SHARE * time_limit
-        bound = max(best_bound_seen,
-                    qroute_bound(model.instance.matrix, m, kmin, kmax, deadline))
+        bound = max(bound, qroute_bound(model.instance, m, kmin, kmax, deadline))
     return _finish(model, "branch_and_bound", incumbent_routes, bound, explored,
                    start_time, time_limit)
 
@@ -578,11 +577,11 @@ _BOUND_STALL = 10  # steps without a gain that shrink its step multiplier
 _BOUND_SHRINK = 0.7  # the factor that shrinks it
 
 
-def qroute_bound(matrix, m, min_customers, max_customers, deadline) -> float:
+def qroute_bound(instance, m, min_customers, max_customers, deadline) -> float:
     """A Lagrangian q-route lower bound (Christofides, Mingozzi & Toth,
     1981) on the cheapest plan of m routes of ``min_customers`` to
-    ``max_customers`` customers, on an instance's ``matrix`` (``inf``
-    diagonal, non-negative elsewhere) and a window ``build_model`` admits.
+    ``max_customers`` customers of ``instance``, on a window
+    ``build_model`` admits.
 
     It relaxes "every customer once" with penalties λ and keeps the rest:
     m depot-to-depot walks of K..L customers, covering n − 1 customers in
@@ -606,20 +605,21 @@ def qroute_bound(matrix, m, min_customers, max_customers, deadline) -> float:
     step always comes: every value is a lower bound, so the best value
     gains only finitely often, and from then on the multiplier shrinks
     geometrically until each step rounds away. So with an infinite
-    ``deadline`` its float is a function of the matrix, m and the window
-    alone. It also returns when a relaxed optimum visits every customer
-    once: that is a plan, and the bound is its cost.
+    ``deadline`` its float is a function of the instance's matrix, m and
+    the window alone. It also returns when a relaxed optimum visits every
+    customer once: that is a plan, and the bound is its cost.
 
     The clock is read once per label layer. Past ``deadline`` the bound
     returns the best value of its finished steps, 0.0 before the first.
     """
-    k = matrix.shape[0] - 1
+    matrix = instance.matrix
+    k = instance.n - 1
     # a route leaves room for the other m - 1, each inside the window
     lo = max(min_customers, k - (m - 1) * max_customers)
     hi = min(max_customers, k - (m - 1) * min_customers)
     into = matrix[1:, 1:].T.copy()  # into[v, u]: customer u to customer v
     leave, back = matrix[0, 1:], matrix[1:, 0]
-    target = nearest_node(Instance("q-routes", matrix), m).total_distance
+    target = nearest_node(instance, m).total_distance
     rows = np.arange(k)
     cost = np.empty((k, k))  # cost[v, u]: entering v from u's label, one layer
     penalty = np.zeros(k)
@@ -727,7 +727,7 @@ def _polish(matrix, routes, min_customers, max_customers, deadline):
 def _iterate(instance, routes, min_customers, max_customers, deadline, bound=-np.inf):
     """Iterated local search from ``routes``, a local optimum of
     :func:`_polish` (1-based, depot first and last); returns the best plan
-    it saw in the same form.
+    it saw as the ``RoutePlan`` it priced.
 
     Each round kicks the current plan (:func:`_kick`) and polishes the
     result with ``_polish`` to a local optimum. A plan priced by
@@ -760,7 +760,7 @@ def _iterate(instance, routes, min_customers, max_customers, deadline, bound=-np
             stall += 1
         if cost <= current.total_distance or rng.random() < _ACCEPT_WORSE:
             current = plan
-    return best.routes
+    return best
 
 
 def _kick(routes, rng):
@@ -882,32 +882,29 @@ def _finish(model, backend, routes, bound, nodes, start_time, time_limit) -> Exa
     ``bound`` is ``None`` for a proven run, whose ``routes`` (1-based, depot
     first and last) are priced by ``evaluate_plan`` and ``optimal`` at their
     objective. Otherwise the run stopped at ``time_limit`` with that valid
-    lower bound. A stopped run that holds no routes takes the nearest-node
-    plan, unpolished. One that holds routes spends what is left of the limit
-    improving them: :func:`_polish` takes them to a local optimum and
-    :func:`_iterate` searches from there, both until ``start_time +
-    time_limit``, so the run ends at most one polish pass past its limit
-    (or here, if it reaches this point later). ``_iterate`` is handed the
-    bound and stops as soon as its best plan reaches it, since no round can
-    improve a plan the bound proves optimal; a run that reaches its proof
-    returns then instead of at the limit or after its stall rounds.
-    The iterated plan replaces the routes unless they price lower. A
-    stopped run is ``optimal`` all the same when its plan's total reaches
-    the bound (within ``_EPS``, the search's own proof margin), with
-    ``lower_bound == objective``, and ``feasible_time_limit`` with the bound
-    below the objective if not. The clock is read once, after pricing."""
+    lower bound, holding ``routes`` or, if ``None``, the nearest-node plan.
+    It spends what is left of the limit improving that plan:
+    :func:`_polish` takes it to a local optimum and :func:`_iterate`
+    searches from there, both until ``start_time + time_limit``, so the run
+    ends at most one polish pass past its limit (or here, if it reaches
+    this point later: a stopped subset DP has no time left, so both return
+    at once). ``_iterate`` is handed the bound and stops as soon as its
+    best plan reaches it, since no round can improve a plan the bound
+    proves optimal; a run that reaches its proof returns then instead of at
+    the limit or after its stall rounds. The iterated plan replaces the one
+    it started from unless that prices lower. A stopped run is ``optimal``
+    all the same when its plan's total reaches the bound (within ``_EPS``,
+    the search's own proof margin), with ``lower_bound == objective``, and
+    ``feasible_time_limit`` with the bound below the objective if not. The
+    clock is read once, after pricing."""
     instance, window = model.instance, (model.min_customers, model.max_customers)
-    if routes is None:
-        plan = nearest_node(instance, model.m)
-    else:
-        plan = evaluate_plan(instance, routes)
-        if bound is not None:
-            deadline = start_time + time_limit
-            polished = _polish(instance.matrix, routes, *window, deadline)
-            polished = evaluate_plan(instance, _iterate(instance, polished, *window,
-                                                        deadline, bound))
-            if polished.total_distance <= plan.total_distance:  # never above the incumbent
-                plan = polished
+    plan = evaluate_plan(instance, routes) if routes else nearest_node(instance, model.m)
+    if bound is not None:
+        deadline = start_time + time_limit
+        polished = _polish(instance.matrix, plan.routes, *window, deadline)
+        polished = _iterate(instance, polished, *window, deadline, bound)
+        if polished.total_distance <= plan.total_distance:  # never above the incumbent
+            plan = polished
     if bound is None or plan.total_distance <= bound + _EPS:
         status, bound = SolveStatus.OPTIMAL, plan.total_distance
     else:

@@ -348,17 +348,37 @@ def test_time_limit_holds_on_elapsed_time(eil51):
     assert elapsed <= 0.2 + 0.1
 
 
-def test_time_limit_before_a_first_plan_returns_the_nearest_node_plan():
+def test_time_limit_before_a_first_plan_polishes_the_nearest_node_plan():
     # without a warm start, a 1 ms search at n = 30 stops long before it
-    # completes a plan; it returns the subset DP's fallback plan instead
+    # completes a plan; the ending polishes the nearest-node plan instead
     inst = generate_uniform_instance(GridSpec(30, 100, 3))
     model = build_model(inst, 3, *default_window(inst.n, 3))
     result = solve_exact(model, time_limit=0.001)
     assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
-    assert result.best == nearest_node(inst, 3)
+    assert result.best.total_distance <= nearest_node(inst, 3).total_distance
     assert result.objective == result.best.total_distance
     assert check_solution(model, result.best)[0]
     assert result.lower_bound <= result.objective
+
+
+def test_a_search_stopped_before_a_first_plan_improves_the_nearest_node_plan(monkeypatch):
+    # the same n = 30 search stops at 0.05 s without a plan; the rest of its
+    # 0.2 s limit goes to the q-route bound and the polishes
+    inst = generate_uniform_instance(GridSpec(30, 100, 3))
+    model = build_model(inst, 3, *default_window(inst.n, 3))
+    held = []
+    real_finish = exact._finish
+
+    def finish(model, backend, routes, *args):
+        held.append(routes)
+        return real_finish(model, backend, routes, *args)
+
+    monkeypatch.setattr(exact, "_finish", finish)
+    result = solve_exact(model, time_limit=0.2)
+    assert held == [None]
+    assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
+    assert check_solution(model, result.best) == (True, [])
+    assert result.objective < nearest_node(inst, 3).total_distance
 
 
 def _every_ending():
@@ -400,10 +420,10 @@ def test_every_exact_ending_keeps_the_result_invariants(monkeypatch):
     for label, model, run, backend in _every_ending():
         polishes.append(0)
         result = run()
-        # only a stopped search that holds a plan polishes it; a run stopped
-        # without one keeps the nearest-node plan as it is
-        assert (polishes[-1] > 0) == (label == "b&b stopped, warm start"), label
-        if label in ("dp stopped", "b&b stopped, no plan yet"):
+        # every stopped run polishes its plan, the nearest-node one if it
+        # holds none; a stopped subset DP has no time left to change it
+        assert (polishes[-1] > 0) == ("stopped" in label), label
+        if label == "dp stopped":
             assert result.best == nearest_node(model.instance, model.m), label
         assert check_solution(model, result.best) == (True, []), label
         assert result.objective == result.best.total_distance, label
@@ -960,7 +980,7 @@ def test_finish_reports_a_polished_plan_at_its_bound_as_optimal(monkeypatch):
     assert check_solution(model, result.best) == (True, [])
     assert result.lower_bound == result.objective == optimum.objective
     # an improved plan that prices higher gives way to the incumbent
-    monkeypatch.setattr(exact, "_iterate", lambda *args: warm.routes)
+    monkeypatch.setattr(exact, "_iterate", lambda *args: warm)
     bound = optimum.objective - 1.0
     result = exact._finish(model, "branch_and_bound", optimum.best.routes, bound,
                            7, time.perf_counter(), 60.0)
@@ -1021,7 +1041,7 @@ def test_iterated_polish_is_locked(monkeypatch):
         return real_polish(*args)
 
     monkeypatch.setattr(exact, "_polish", polish)
-    best = evaluate_plan(inst, exact._iterate(inst, once, 4, 8, time.perf_counter() + 60.0))
+    best = exact._iterate(inst, once, 4, 8, time.perf_counter() + 60.0)
     assert evaluate_plan(inst, once).total_distance == 2635.0
     assert best.total_distance == 2603.0  # the published optimum
     record = (len(rounds), best.total_distance, best.routes)
@@ -1053,8 +1073,7 @@ def test_iterated_polish_keeps_the_window_and_never_costs_more(case, seed):
         assert check_solution(model, evaluate_plan(inst, kicked)) == (True, [])
     once = evaluate_plan(inst, exact._polish(inst.matrix, plan.routes, lo, hi, _soon()))
     # a short deadline keeps the example fast; the stall rule ends most earlier
-    best = evaluate_plan(inst, exact._iterate(inst, once.routes, lo, hi,
-                                              time.perf_counter() + 0.02))
+    best = exact._iterate(inst, once.routes, lo, hi, time.perf_counter() + 0.02)
     assert check_solution(model, best) == (True, [])
     assert all(lo <= len(r) - 2 <= hi for r in best.routes)
     assert best.total_distance <= once.total_distance
@@ -1068,7 +1087,7 @@ def test_iterated_polish_without_a_kick_returns_at_once(monkeypatch):
     assert exact._kick(once, rng_from_seed(0)) is None
     calls = []
     monkeypatch.setattr(exact, "_polish", lambda *args: calls.append(args))
-    assert list(exact._iterate(inst, once, 7, 7, np.inf)) == once
+    assert list(exact._iterate(inst, once, 7, 7, np.inf).routes) == once
     assert not calls
 
 
@@ -1079,7 +1098,7 @@ def test_iterated_polish_stops_at_a_bound_its_plan_meets(monkeypatch):
     bound = evaluate_plan(inst, once).total_distance
     calls = []
     monkeypatch.setattr(exact, "_polish", lambda *args: calls.append(args))
-    assert list(exact._iterate(inst, once, 4, 8, np.inf, bound)) == once
+    assert list(exact._iterate(inst, once, 4, 8, np.inf, bound).routes) == once
     assert not calls
 
 
@@ -1103,7 +1122,8 @@ def test_gap_is_the_certified_relative_gap(garn9, monkeypatch):
     model = build_model(garn9, 2, 2, 5)
     warm = nearest_node(garn9, 2)
     monkeypatch.setattr(exact, "_polish", lambda matrix, routes, *args: routes)
-    monkeypatch.setattr(exact, "_iterate", lambda inst, routes, *args: routes)
+    monkeypatch.setattr(exact, "_iterate",
+                        lambda inst, routes, *args: evaluate_plan(inst, routes))
     bound = warm.total_distance - 10.0
     result = exact._finish(model, "branch_and_bound", warm.routes, bound, 7,
                            time.perf_counter(), 60.0)
@@ -1122,7 +1142,7 @@ def test_qroute_bound_is_locked():
     cases += [(mtspkit.load_bundled("bays29"), 4, (4, 8)),
               (mtspkit.load_bundled("eil51"), 2, (24, 25))]
     for inst, m, window in cases:
-        digest.update(float.hex(exact.qroute_bound(inst.matrix, m, *window, np.inf)).encode())
+        digest.update(float.hex(exact.qroute_bound(inst, m, *window, np.inf)).encode())
     assert digest.hexdigest() == (
         "8dfe39f3825731e3e3a656fd381043ab3828f64c92f987d6517cef3a9aa3521a"
     )
@@ -1135,7 +1155,7 @@ def test_qroute_bound_meets_the_optimum_where_the_gap_closes(seed):
     # 0.0009 and 0.0054 below)
     inst = generate_uniform_instance(GridSpec(12, 100, seed))
     window = default_window(inst.n, 3)
-    bound = exact.qroute_bound(inst.matrix, 3, *window, np.inf)
+    bound = exact.qroute_bound(inst, 3, *window, np.inf)
     assert bound == pytest.approx(brute_force_oracle(inst, 3, *window).objective,
                                   rel=0, abs=exact._EPS)
 
@@ -1164,7 +1184,7 @@ def _bound_cases(draw):
 @given(_bound_cases())
 def test_qroute_bound_is_admissible(case):
     inst, m, window = case
-    bound = exact.qroute_bound(inst.matrix, m, *window, np.inf)
+    bound = exact.qroute_bound(inst, m, *window, np.inf)
     assert 0.0 <= bound <= brute_force_oracle(inst, m, *window).objective + 1e-9
 
 
@@ -1182,7 +1202,7 @@ def test_qroute_bound_stops_within_a_layer_of_its_deadline(monkeypatch):
     monkeypatch.setattr(exact, "time", SimpleNamespace(perf_counter=clock))
     started = time.perf_counter()
     deadline = started + 0.05
-    bound = exact.qroute_bound(inst.matrix, 3, *window, deadline)
+    bound = exact.qroute_bound(inst, 3, *window, deadline)
     returned = time.perf_counter()
     # the first read past the deadline ends the run, with no layer after it
     assert reads[-2] <= deadline < reads[-1]
