@@ -20,7 +20,8 @@ correctness semantics, not the search machinery. A search state is
 int bitmask (bit v is 0-based node v); a route's end and size are read off
 its sequence. Each solve builds one neighbour table (``neighbour_table``):
 for every node, its ``(cost, 1 << w)`` pairs to all other nodes in
-ascending ``(cost, w)`` order, as Python floats. Branching walks the active
+ascending ``(cost, w)`` order, as Python floats; a build that reaches the
+search's share of a time limit stops there. Branching walks the active
 route end's row, and the bound reads the same rows and memoises, per
 solve, the sum of its customer terms for each unvisited mask, so the
 search does no set or numpy-scalar work per node. Each popped node lists
@@ -45,11 +46,13 @@ moves the penalties: the step length shrinks geometrically unless the
 bound gains more than ``_EPS`` of itself, which it can do only finitely
 often below the optimum, so the run ends without a deadline too.
 
-Under a time limit the branch-and-bound searches for a quarter of it and
-frees its open nodes at once. A stopped search then runs ``qroute_bound``
-until half the limit and keeps the larger of its bound and the best bound
-the search popped. ``_finish`` states what a stopped run does with the
-second half: ``_polish`` runs a best-improvement local search of the plan
+Under a time limit the branch-and-bound searches for a quarter of it,
+its table's build included, and frees its open nodes, table and memo at
+once. ``_finish`` states what a stopped run on either backend does with
+the rest. Its lower bound is the largest of the bound the backend hands in
+(the best bound the search popped, 0.0 from the subset DP),
+``_root_bound`` and ``qroute_bound`` run until half the limit. Then
+``_polish`` runs a best-improvement local search of the plan
 it holds, or of the nearest-node plan if it holds none (each pass prices
 every in-route segment reversal, every move of a customer onto another
 route's arc and every cross-route swap as whole arrays, keeps every route
@@ -70,11 +73,11 @@ result's invariants once. ``best`` is always a plan that passes
 ``check_solution``: a proven run's routes priced by ``evaluate_plan``, or
 for a stopped run the iterated plan unless the plan it started from (its
 incumbent, else the nearest-node plan) prices lower. A stopped subset DP
-has no time left, so it returns the nearest-node plan as it is.
+has no time left: its q-route bound returns 0.0 at once, so its bound is
+``_root_bound``, and it returns the nearest-node plan as it is.
 ``objective == best.total_distance``. A proven run is ``optimal`` with
 ``lower_bound == objective``, and so is a stopped one whose plan reaches
-its bound (the branch-and-bound's larger bound above, or the subset DP's
-``_root_bound``); any other stopped run is ``feasible_time_limit`` with
+the bound above; any other stopped run is ``feasible_time_limit`` with
 that bound, below the objective.
 ``wall_time`` is read once, after pricing. A window that cannot cover
 the customers raises ``InfeasibleModelError`` before any search, so an
@@ -124,9 +127,9 @@ class ExactResult:
     ``OPTIMAL`` run is proven, with ``lower_bound == objective``: by its
     search, or, for a stopped branch-and-bound, by a polished plan that
     reached its bound. A ``FEASIBLE_TIME_LIMIT`` run stopped at its limit,
-    with a valid ``lower_bound < objective``: for the branch-and-bound the
-    larger of the best bound its search popped and :func:`qroute_bound`,
-    for the subset DP ``_root_bound``."""
+    with a valid ``lower_bound < objective``, set by ``_finish`` on either
+    backend: the largest of the best bound the search popped (0.0 for the
+    subset DP), ``_root_bound`` and :func:`qroute_bound`."""
 
     status: SolveStatus
     best: RoutePlan
@@ -248,18 +251,25 @@ def check_solution(model: ExactModel, plan: RoutePlan):
 # ---------------------------------------------------------------------------
 # branch and bound
 
-def neighbour_table(matrix):
+def neighbour_table(matrix, deadline):
     """The one per-solve table branching and bound read: ``(rows, customers)``.
 
     ``rows[v]`` lists ``(cost, 1 << w)`` for every node ``w != v``, sorted by
-    ``(cost, w)``; costs are Python floats read from ``matrix.tolist()`` and
-    the depot's bit is 1. ``customers`` lists ``(1 << v, rows[v])`` for every
-    customer ``v`` in ascending order.
+    ``(cost, w)``; costs are Python floats read from the matrix row's
+    ``tolist()`` and the depot's bit is 1. ``customers`` lists
+    ``(1 << v, rows[v])`` for every customer ``v`` in ascending order.
+
+    The clock is read before each row, and the build returns ``None`` once
+    it is past ``deadline`` (``np.inf`` builds the whole table). The table
+    grows as n² Python tuples: a whole build took 0.16–0.22 s and ~80 MB
+    at n = 500 and 2.3–4.7 s and 1.1–1.15 GB at n = 2000 (process RSS,
+    2-CPU Xeon VM).
     """
-    rows = [
-        sorted((cost, 1 << w) for w, cost in enumerate(row) if w != v)
-        for v, row in enumerate(matrix.tolist())
-    ]
+    rows = []
+    for v, row in enumerate(matrix):
+        if time.perf_counter() > deadline:
+            return None
+        rows.append(sorted((cost, 1 << w) for w, cost in enumerate(row.tolist()) if w != v))
     return rows, [(1 << v, rows[v]) for v in range(1, len(rows))]
 
 
@@ -343,19 +353,19 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     would walk every one of them) and put back as it was found, also when
     the search raises.
 
-    The clock starts before the table is built and is read on every popped
-    node. A time-limited search stops at most one node expansion past a
-    quarter of ``time_limit`` (``_SEARCH_SHARE``) and frees its open nodes
-    at once, which takes time in proportion to their number (a capped
-    search holds as many as it could open) and is part of ``wall_time``.
-    A stopped search then runs :func:`qroute_bound` until half of
-    ``time_limit`` (``_BOUND_SHARE``); it ends at most one label layer past
-    it, or sooner once a subgradient step no longer moves its penalties.
-    The search hands :func:`_finish` its incumbent (``None`` if it stopped
-    before its first plan, without a warm start) and, if it stopped, the
-    larger of the q-route bound and the best bound it popped; ``_finish``
-    states what a stopped run does with the rest of its limit, from the
-    nearest-node plan if it holds none. A search
+    The clock starts before the warm start is checked, and is read before
+    each row of the table and on every popped node. A time-limited search
+    stops at most one node expansion past a quarter of ``time_limit``
+    (``_SEARCH_SHARE``). A table build that reaches that point stops there,
+    and the search then stops at its first popped node. The search frees
+    its open nodes, its table and its memo at once, which takes time in
+    proportion to their size (a capped search holds as many nodes as it
+    could open) and is part of ``wall_time``. The search hands
+    :func:`_finish` its incumbent (``None`` if it stopped before its first
+    plan, without a warm start) and, if it stopped, the best bound it
+    popped; ``_finish`` sets the run's lower bound and states what a
+    stopped run does with the rest of its limit, from the nearest-node
+    plan if it holds none. A search
     that runs to the end always holds a plan: ``build_model`` admits only
     windows that cover the customers, and every arc is finite.
     """
@@ -365,6 +375,8 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     m = model.m
     kmin, kmax = model.min_customers, model.max_customers
 
+    clock = time.perf_counter
+    start_time = clock()
     incumbent_cost = np.inf
     incumbent_routes = None  # 1-based, as evaluate_plan takes them
     if model.warm_start is not None:
@@ -374,12 +386,11 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
         incumbent_cost = model.warm_start.total_distance
         incumbent_routes = model.warm_start.routes
 
-    clock = time.perf_counter
-    start_time = clock()
-    rows, customers = neighbour_table(model.instance.matrix)
+    stop_at = np.inf if time_limit is None else start_time + _SEARCH_SHARE * time_limit
+    # a table cut off at stop_at is empty: the first popped node then stops
+    rows, customers = neighbour_table(model.instance.matrix, stop_at) or ([], [])
     memo = {}  # unvisited mask -> summed customer terms of the bound
     to_depot = model.instance.matrix[:, 0].tolist()
-    stop_at = np.inf if time_limit is None else start_time + _SEARCH_SHARE * time_limit
     bound_at, push, pop = bound_from_ends, heappush, heappop  # local names: read per node
     # bound, counter, cost of fixed arcs, customer sequences (0-based), closed
     # flags, and the unvisited customers: bits 1..n-1
@@ -457,13 +468,11 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
                     tick += 1
                     shut = closed[:active] + (True,) + closed[active + 1 :]
                     push(heap, (child_bound, tick, child_cost, seqs, shut, unvisited))
-        heap.clear()  # now, so that freeing it falls inside the limit and wall_time
+        for held in (heap, rows, customers, memo):  # freed now, inside the clock
+            held.clear()
     finally:
         if gc_was_enabled:
             gc.enable()
-    if bound is not None:
-        deadline = start_time + _BOUND_SHARE * time_limit
-        bound = max(bound, qroute_bound(model.instance, m, kmin, kmax, deadline))
     return _finish(model, "branch_and_bound", incumbent_routes, bound, explored,
                    start_time, time_limit)
 
@@ -496,9 +505,9 @@ def brute_force_oracle(
 
     The clock starts before the tables are built and is read on every
     (size, t) label step and on every subset a split round works on. Once
-    ``time_limit`` has passed, the run returns the nearest-node plan, which
-    fits every feasible window, as ``feasible_time_limit`` above
-    ``_root_bound``.
+    ``time_limit`` has passed, the run hands :func:`_finish` no plan and a
+    bound of 0.0, and returns the nearest-node plan, which fits every
+    feasible window, as ``feasible_time_limit`` above ``_root_bound``.
     """
     n = instance.n
     if n > ORACLE_MAX_N:
@@ -523,8 +532,7 @@ def brute_force_oracle(
         for t in range(k):
             if time.perf_counter() > deadline:
                 labels = int(size[size < s].sum())
-                return _finish(model, "subset_dp", None, _root_bound(d, m), labels,
-                               start_time, time_limit)
+                return _finish(model, "subset_dp", None, 0.0, labels, start_time, time_limit)
             sets = layer[layer & 1 << t > 0]
             path[sets, t] = (path[sets ^ 1 << t] + d[1:, t + 1]).min(1)
     labels = int(size[size <= hi].sum())
@@ -538,8 +546,7 @@ def brute_force_oracle(
         works &= ((m - r) * lo <= rest) & (rest <= (m - r) * hi)
         for mask in masks[works].tolist():
             if time.perf_counter() > deadline:
-                return _finish(model, "subset_dp", None, _root_bound(d, m), labels,
-                               start_time, time_limit)
+                return _finish(model, "subset_dp", None, 0.0, labels, start_time, time_limit)
             held = owns[mask & -mask]
             held = held[(held & mask) == held]  # the routes inside mask
             cost = route[held] + covers[-1][mask ^ held]
@@ -563,10 +570,13 @@ def brute_force_oracle(
 
 
 def _root_bound(d, m) -> float:
-    """The subset DP's lower bound once its limit passed. Every customer
-    leaves by one arc and every route leaves the depot by one. The
-    :func:`left_fold` adds the cheapest of each, in ascending customer
-    order, then the depot's once per route."""
+    """The floor of every stopped run's lower bound, which ``_finish``
+    reads on either backend. Every customer leaves by one arc and every
+    route leaves the depot by one. The :func:`left_fold` adds the cheapest
+    of each, in ascending customer order, then the depot's once per route.
+    It equals the branch-and-bound's completion bound at its root, and
+    needs no table: it is all a stopped subset DP has time for, and all a
+    search stopped at its first node holds."""
     return left_fold(d[1:].min(1).tolist() + [float(d[0, 1:].min())] * m)
 
 
@@ -881,12 +891,19 @@ def _finish(model, backend, routes, bound, nodes, start_time, time_limit) -> Exa
 
     ``bound`` is ``None`` for a proven run, whose ``routes`` (1-based, depot
     first and last) are priced by ``evaluate_plan`` and ``optimal`` at their
-    objective. Otherwise the run stopped at ``time_limit`` with that valid
-    lower bound, holding ``routes`` or, if ``None``, the nearest-node plan.
-    It spends what is left of the limit improving that plan:
+    objective. Otherwise the run stopped at ``time_limit`` holding
+    ``routes`` or, if ``None``, the nearest-node plan, and ``bound`` is the
+    backend's own valid lower bound: the best bound its search popped, or
+    0.0 from the subset DP. This is the one place a stopped run's lower
+    bound is set: the largest of ``bound``, :func:`_root_bound` and
+    :func:`qroute_bound` run until ``start_time + _BOUND_SHARE *
+    time_limit``, which ends at most one label layer past that point, or at
+    its first clock read if the point has passed. The run then spends what
+    is left of the limit improving its plan:
     :func:`_polish` takes it to a local optimum and :func:`_iterate`
     searches from there, both until ``start_time + time_limit``, so the run
-    ends at most one polish pass past its limit (or here, if it reaches
+    ends at most one polish pass past its limit, ~0.2 s at n = 2000 on a
+    2-CPU Xeon VM (or here, if it reaches
     this point later: a stopped subset DP has no time left, so both return
     at once). ``_iterate`` is handed the bound and stops as soon as its
     best plan reaches it, since no round can improve a plan the bound
@@ -897,9 +914,11 @@ def _finish(model, backend, routes, bound, nodes, start_time, time_limit) -> Exa
     the search's own proof margin), with ``lower_bound == objective``, and
     ``feasible_time_limit`` with the bound below the objective if not. The
     clock is read once, after pricing."""
-    instance, window = model.instance, (model.min_customers, model.max_customers)
-    plan = evaluate_plan(instance, routes) if routes else nearest_node(instance, model.m)
+    instance, m, window = model.instance, model.m, (model.min_customers, model.max_customers)
+    plan = evaluate_plan(instance, routes) if routes else nearest_node(instance, m)
     if bound is not None:
+        bound = max(bound, _root_bound(instance.matrix, m), qroute_bound(
+            instance, m, *window, start_time + _BOUND_SHARE * time_limit))
         deadline = start_time + time_limit
         polished = _polish(instance.matrix, plan.routes, *window, deadline)
         polished = _iterate(instance, polished, *window, deadline, bound)

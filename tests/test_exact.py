@@ -381,6 +381,53 @@ def test_a_search_stopped_before_a_first_plan_improves_the_nearest_node_plan(mon
     assert result.objective < nearest_node(inst, 3).total_distance
 
 
+def test_a_run_stopped_at_once_reports_the_root_bound():
+    # 1 µs stops the search before its table is built and the q-route bound
+    # before its first step; the root bound is still the run's
+    inst = generate_uniform_instance(GridSpec(30, 100, 3))
+    result = exact.solve(inst, 3, *default_window(inst.n, 3), time_limit=1e-6)
+    assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
+    assert result.lower_bound == exact._root_bound(inst.matrix, 3) > 0.0
+
+
+def test_a_large_stopped_search_keeps_its_limit():
+    # at n = 1000 the whole neighbour table takes longer than the search's
+    # quarter; the build stops there, and the table and open nodes are freed
+    # before wall_time is read
+    inst = generate_uniform_instance(GridSpec(1000, 100, 1))
+    model = build_model(inst, 4, *default_window(inst.n, 4), warm_start=nearest_node(inst, 4))
+    started = time.perf_counter()
+    result = solve_exact(model, time_limit=0.5)
+    elapsed = time.perf_counter() - started
+    assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
+    # the margin of test_time_limit_holds_on_elapsed_time
+    assert elapsed <= 0.5 + 0.1
+    assert abs(elapsed - result.wall_time) <= 0.05
+    assert result.lower_bound >= exact._root_bound(inst.matrix, 4)
+
+
+def test_the_search_frees_its_table_before_the_ending(monkeypatch, eil51):
+    tables, sizes = [], []
+    real_table, real_finish = exact.neighbour_table, exact._finish
+
+    def table(matrix, deadline):  # always whole, so that each run has a table to free
+        tables.append(real_table(matrix, np.inf))
+        return tables[-1]
+
+    def finish(*args):
+        rows, customers = tables[-1]
+        sizes.append((len(rows), len(customers)))
+        return real_finish(*args)
+
+    monkeypatch.setattr(exact, "neighbour_table", table)
+    monkeypatch.setattr(exact, "_finish", finish)
+    garn9 = mtspkit.load_bundled("garn9")
+    assert solve_exact(build_model(garn9, 2, 2, 5)).status is SolveStatus.OPTIMAL
+    stopped = solve_exact(build_model(eil51, 2, 24, 25), time_limit=0.05)
+    assert stopped.status is SolveStatus.FEASIBLE_TIME_LIMIT
+    assert sizes == [(0, 0), (0, 0)]
+
+
 def _every_ending():
     """One case per way an exact run ends: (label, model, run, backend)."""
     garn9 = mtspkit.load_bundled("garn9")
@@ -428,6 +475,8 @@ def test_every_exact_ending_keeps_the_result_invariants(monkeypatch):
         assert check_solution(model, result.best) == (True, []), label
         assert result.objective == result.best.total_distance, label
         assert result.lower_bound <= result.objective, label
+        if "stopped" in label:  # never below the root bound, whatever the backend holds
+            assert result.lower_bound >= exact._root_bound(model.instance.matrix, model.m), label
         assert (result.status is SolveStatus.OPTIMAL) == (
             result.lower_bound == result.objective
         ), label
@@ -565,7 +614,7 @@ def test_oracle_reference_and_guards(garn9):
 def test_oracle_time_limit_holds():
     inst = generate_uniform_instance(GridSpec(15, 100, 7))
     root = completion_bound(
-        neighbour_table(inst.matrix), {}, ((),) * 7, (False,) * 7, (1 << 15) - 2, 1
+        neighbour_table(inst.matrix, np.inf), {}, ((),) * 7, (False,) * 7, (1 << 15) - 2, 1
     )
     started = time.perf_counter()
     result = brute_force_oracle(inst, 7, 1, 8, time_limit=0.2)
@@ -712,7 +761,7 @@ def test_completion_bound_matches_reference(state):
     ends = tuple(0 if c or not s else s[-1] for s, c in zip(seqs, closed))
     counts = [len(s) for s in seqs]
     expected = _reference_bound(mat, ends, counts, closed, unvisited, kmin)
-    got = completion_bound(neighbour_table(mat), {}, seqs, closed, unvisited, kmin)
+    got = completion_bound(neighbour_table(mat, np.inf), {}, seqs, closed, unvisited, kmin)
     assert got == expected
 
 
@@ -723,7 +772,7 @@ def test_completion_bound_memo_keeps_the_bits(state):
     # customer away, and this mask with one open route at the depot) must
     # not change a single bit of the bound
     mat, seqs, closed, unvisited, kmin = state
-    table = neighbour_table(mat)
+    table = neighbour_table(mat, np.inf)
     fresh = completion_bound(table, {}, seqs, closed, unvisited, kmin)
     memo = {}
     for v in range(1, len(mat)):
@@ -744,7 +793,7 @@ def test_bound_from_prepared_ends_keeps_the_bits(state):
     # active route's entry for each customer it appends and drops it for the
     # close: both must give completion_bound's float on the child, bit for bit
     mat, seqs, closed, unvisited, kmin = state
-    rows, customers = table = neighbour_table(mat)
+    rows, customers = table = neighbour_table(mat, np.inf)
     want = completion_bound(table, {}, seqs, closed, unvisited, kmin)
     if not unvisited and any(len(s) < kmin for s, c in zip(seqs, closed) if not c):
         assert want == np.inf
@@ -795,7 +844,7 @@ def test_bound_memo_is_per_solve():
 
 def test_neighbour_table_rows_are_sorted_pairs():
     mat = np.array([[np.inf, 2.0, 1.0], [2.0, np.inf, 2.0], [1.0, 0.5, np.inf]])
-    rows, customers = neighbour_table(mat)
+    rows, customers = neighbour_table(mat, np.inf)
     assert rows == [
         [(1.0, 1 << 2), (2.0, 1 << 1)],
         [(2.0, 1 << 0), (2.0, 1 << 2)],
@@ -818,9 +867,8 @@ def test_completion_bound_is_admissible():
             (((1, 3), (2,)), (3, 2), (False, False), frozenset({4, 5, 6})),
         ]
         for seqs, ends, closed, unvisited in states:
-            bound = completion_bound(
-                neighbour_table(dist), {}, seqs, closed, sum(1 << v for v in unvisited), lo
-            )
+            bound = completion_bound(neighbour_table(dist, np.inf), {}, seqs, closed,
+                                     sum(1 << v for v in unvisited), lo)
             truth = _enumerate_completions(dist, seqs, ends, closed, unvisited, lo, hi)
             assert bound <= truth + 1e-9
 
@@ -1124,9 +1172,11 @@ def test_gap_is_the_certified_relative_gap(garn9, monkeypatch):
     monkeypatch.setattr(exact, "_polish", lambda matrix, routes, *args: routes)
     monkeypatch.setattr(exact, "_iterate",
                         lambda inst, routes, *args: evaluate_plan(inst, routes))
-    bound = warm.total_distance - 10.0
+    bound = warm.total_distance - 5.0  # 39.82, above the root bound's 36.26
+    # started 31 s ago: the q-route bound's half of the 60 s limit has passed,
+    # so it finishes no step and the bound handed in stands
     result = exact._finish(model, "branch_and_bound", warm.routes, bound, 7,
-                           time.perf_counter(), 60.0)
+                           time.perf_counter() - 31.0, 60.0)
     assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
     assert result.gap == (warm.total_distance - bound) / warm.total_distance
     assert bench.plan_record("garn9", 2, "exact", result.best, result)["gap"] == result.gap
