@@ -1,4 +1,4 @@
-"""Exact solving: constraint model, subset DP, branch-and-bound, q-route bound.
+"""Exact solving: constraint model, subset DP, branch-and-bound, q-route bound and proof.
 
 :func:`solve` is the one choice of backend: the subset DP
 (``brute_force_oracle``) up to its cap ``ORACLE_MAX_N``, the
@@ -47,38 +47,47 @@ bound gains more than ``_EPS`` of itself, which it can do only finitely
 often below the optimum, so the run ends without a deadline too.
 
 Under a time limit the branch-and-bound searches for a quarter of it,
-its table's build included, and frees its open nodes, table and memo at
-once. ``_finish`` states what a stopped run on either backend does with
-the rest. Its lower bound is the largest of the bound the backend hands in
-(the best bound the search popped, 0.0 from the subset DP),
-``_root_bound`` and ``qroute_bound`` run until half the limit. Then
-``_polish`` runs a best-improvement local search of the plan
-it holds, or of the nearest-node plan if it holds none (each pass prices
+its table's build included, or until it holds ``_OPEN_PER_S`` open nodes
+per second of the limit, whichever comes first, and frees its open nodes,
+table and memo at once. ``_finish`` states what a stopped run on either
+backend does with the rest. Its lower bound is the largest of the bound
+the backend hands in (the best bound the search popped, 0.0 from the
+subset DP), ``_root_bound`` and ``qroute_bound`` run until half the
+limit. Then ``_polish`` runs a best-improvement local search of the
+plan it holds, or of the nearest-node plan if it holds none (each pass prices
 every in-route segment reversal, every move of a customer onto another
 route's arc and every cross-route swap as whole arrays, keeps every route
 inside [K, L], and applies the best gaining move, until a local optimum or
-the first pass that starts past the limit), then ``_iterate`` spends what
-is left of the limit on an iterated local search of the polished plan.
-Each round kicks the current plan (2 to 4 random cross-route swaps and one
-double bridge inside a route of at least 8 customers, which keep every
-route's size) and polishes it again; it keeps the best plan and takes a
-worse one as its current plan with probability ``_ACCEPT_WORSE``. Its
-draws come from one fixed ``SeedSequence``, and it stops at the limit,
-after ``_STALL_ROUNDS`` rounds without a new best, or once its best plan
-reaches the run's bound (a proof no round can improve), so with a far
-limit its plan repeats.
+the first pass that starts past the limit). If the polished plan is still
+above the bound, ``_prove`` tries to close the gap until three quarters
+of the limit, by the bounding and enumeration of Baldacci, Christofides &
+Mingozzi (2008) on the q-route bound's penalties: it enumerates every
+route whose reduced cost fits inside the gap (``_route_pool``) and
+partitions the customers into the cheapest m of them (``_partition``),
+which proves the plan optimal or finds the optimum below it. A proof that
+hits its deadline or its cap (``_POOL_CAP``) gives up, and ``_iterate``
+spends what is left of the limit on an iterated local search of the
+polished plan. Each round kicks the current plan (2 to 4 random
+cross-route swaps and one double bridge inside a route of at least 8
+customers, which keep every route's size) and polishes it again; it keeps
+the best plan and takes a worse one as its current plan with probability
+``_ACCEPT_WORSE``. Its draws come from one fixed ``SeedSequence``, and it
+stops at the limit, after ``_STALL_ROUNDS`` rounds without a new best, or
+once its best plan reaches the run's bound (a proof no round can
+improve), so with a far limit its plan repeats.
 
 Every exact run, on either backend, ends in ``_finish``, which states the
 result's invariants once. ``best`` is always a plan that passes
-``check_solution``: a proven run's routes priced by ``evaluate_plan``, or
-for a stopped run the iterated plan unless the plan it started from (its
-incumbent, else the nearest-node plan) prices lower. A stopped subset DP
-has no time left: its q-route bound returns 0.0 at once, so its bound is
-``_root_bound``, and it returns the nearest-node plan as it is.
+``check_solution``: a proven run's routes priced by ``evaluate_plan``; for
+a run stopped and then proven by ``_prove``, the plan the proof returns;
+for any other stopped run the iterated plan unless the polished plan
+prices lower. A stopped subset DP has no time left: its q-route bound
+returns 0.0 at once and its proof gives up at its first clock read, so its
+bound is ``_root_bound``, and it returns the nearest-node plan as it is.
 ``objective == best.total_distance``. A proven run is ``optimal`` with
-``lower_bound == objective``, and so is a stopped one whose plan reaches
-the bound above; any other stopped run is ``feasible_time_limit`` with
-that bound, below the objective.
+``lower_bound == objective``, and so is a stopped one whose proof finishes
+or whose plan reaches the bound above; any other stopped run is
+``feasible_time_limit`` with that bound, below the objective.
 ``wall_time`` is read once, after pricing. A window that cannot cover
 the customers raises ``InfeasibleModelError`` before any search, so an
 exact run is always ``optimal`` or ``feasible_time_limit``.
@@ -125,11 +134,12 @@ class ExactResult:
 
     ``best`` is always a feasible plan and ``objective`` its total. An
     ``OPTIMAL`` run is proven, with ``lower_bound == objective``: by its
-    search, or, for a stopped branch-and-bound, by a polished plan that
-    reached its bound. A ``FEASIBLE_TIME_LIMIT`` run stopped at its limit,
-    with a valid ``lower_bound < objective``, set by ``_finish`` on either
-    backend: the largest of the best bound the search popped (0.0 for the
-    subset DP), ``_root_bound`` and :func:`qroute_bound`."""
+    search, or, for a stopped branch-and-bound, by the route enumeration
+    and partition of ``_prove`` or by a polished plan that reached its
+    bound. A ``FEASIBLE_TIME_LIMIT`` run stopped at its limit and its proof
+    gave up, with a valid ``lower_bound < objective``, set by ``_finish`` on
+    either backend: the largest of the best bound the search popped (0.0
+    for the subset DP), ``_root_bound`` and :func:`qroute_bound`."""
 
     status: SolveStatus
     best: RoutePlan
@@ -169,7 +179,10 @@ def build_model(
     """Assemble and validate the constraint system.
 
     ``warm_start`` becomes the search's first incumbent: it prunes every node
-    whose bound reaches its total but never a cheaper plan.
+    whose bound reaches its total but never a cheaper plan. It is checked
+    here, with :func:`check_solution`, so that a solve's clock never pays
+    for the check (0.08–0.19 s at n = 2000); a plan that violates the model
+    raises ``ValueError``.
     """
     n = instance.n
     if m < 1:
@@ -180,7 +193,12 @@ def build_model(
             f"window [{min_customers}, {max_customers}] with {m} routes cannot "
             f"cover {n - 1} customers"
         )
-    return ExactModel(instance, m, min_customers, max_customers, warm_start)
+    model = ExactModel(instance, m, min_customers, max_customers, warm_start)
+    if warm_start is not None:
+        ok, violations = check_solution(model, warm_start)
+        if not ok:
+            raise ValueError(f"warm start violates the model: {violations[0]}")
+    return model
 
 
 def solve(
@@ -353,15 +371,20 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     would walk every one of them) and put back as it was found, also when
     the search raises.
 
-    The clock starts before the warm start is checked, and is read before
-    each row of the table and on every popped node. A time-limited search
+    The warm start was checked by :func:`build_model`, before the clock
+    starts. The clock is read before each row of the table and on every
+    popped node. A time-limited search
     stops at most one node expansion past a quarter of ``time_limit``
     (``_SEARCH_SHARE``). A table build that reaches that point stops there,
-    and the search then stops at its first popped node. The search frees
-    its open nodes, its table and its memo at once, which takes time in
-    proportion to their size (a capped search holds as many nodes as it
-    could open) and is part of ``wall_time``. The search hands
-    :func:`_finish` its incumbent (``None`` if it stopped before its first
+    and the search then stops at its first popped node. It also stops at
+    the first popped node that leaves more than ``_OPEN_PER_S *
+    time_limit`` open nodes on its heap: a search whose heap grows that
+    fast does not close within its limit, and a stop on a count, unlike
+    one on the clock, hands the same incumbent and bound to ``_finish`` at
+    any speed. The search frees its open nodes, its table and its memo at
+    once, which takes time in proportion to their size (a stopped search
+    holds up to ``_OPEN_PER_S * time_limit`` open nodes) and is part of
+    ``wall_time``. The search hands :func:`_finish` its incumbent (``None`` if it stopped before its first
     plan, without a warm start) and, if it stopped, the best bound it
     popped; ``_finish`` sets the run's lower bound and states what a
     stopped run does with the rest of its limit, from the nearest-node
@@ -379,14 +402,12 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     start_time = clock()
     incumbent_cost = np.inf
     incumbent_routes = None  # 1-based, as evaluate_plan takes them
-    if model.warm_start is not None:
-        ok, violations = check_solution(model, model.warm_start)
-        if not ok:
-            raise ValueError(f"warm start violates the model: {violations[0]}")
+    if model.warm_start is not None:  # build_model has checked it
         incumbent_cost = model.warm_start.total_distance
         incumbent_routes = model.warm_start.routes
 
     stop_at = np.inf if time_limit is None else start_time + _SEARCH_SHARE * time_limit
+    most_open = np.inf if time_limit is None else _OPEN_PER_S * time_limit
     # a table cut off at stop_at is empty: the first popped node then stops
     rows, customers = neighbour_table(model.instance.matrix, stop_at) or ([], [])
     memo = {}  # unvisited mask -> summed customer terms of the bound
@@ -411,7 +432,7 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
             if low > best_bound_seen:
                 best_bound_seen = low
             explored += 1
-            if clock() > stop_at:
+            if clock() > stop_at or len(heap) > most_open:
                 bound = best_bound_seen
                 break
 
@@ -597,13 +618,13 @@ def qroute_bound(instance, m, min_customers, max_customers, deadline) -> float:
     m depot-to-depot walks of K..L customers, covering n − 1 customers in
     total. ``f[q, v]`` is the cheapest walk of q customers from the depot
     ending at v, with λ_v subtracted on entering v, so a directed matrix is
-    read by its own arcs. Each layer keeps per customer a best and a second
-    best label with different predecessors; entering v from u takes u's
-    second best when u's best came from v, so no walk turns back at once
-    (2-cycle elimination). A walk of q in [K, L] closes at the depot, and a
-    knapsack over route counts (one shifted ``minimum`` per count and size)
-    picks m sizes summing to n − 1. The relaxed optimum plus the sum of λ
-    is a valid bound for every λ.
+    read by its own arcs (:func:`_walk_labels`). Each layer keeps per
+    customer a best and a second best label with different predecessors;
+    entering v from u takes u's second best when u's best came from v, so
+    no walk turns back at once (2-cycle elimination). A walk of q in [K, L]
+    closes at the depot, and a knapsack over route counts
+    (:func:`_covers`) picks m sizes summing to n − 1. The relaxed optimum
+    plus the sum of λ is a valid bound for every λ.
 
     λ starts at 0 and takes subgradient steps along 1 − visits, each of
     Polyak's length toward the nearest-node plan's total (a plan that fits
@@ -622,51 +643,34 @@ def qroute_bound(instance, m, min_customers, max_customers, deadline) -> float:
     The clock is read once per label layer. Past ``deadline`` the bound
     returns the best value of its finished steps, 0.0 before the first.
     """
+    return _qroute_dual(instance, m, min_customers, max_customers, deadline)[0]
+
+
+def _qroute_dual(instance, m, min_customers, max_customers, deadline):
+    """:func:`qroute_bound`'s run: ``(bound, penalty)``, with ``penalty``
+    the λ of the step that gave the bound's value (all zero before the
+    first step's value rises above 0.0)."""
     matrix = instance.matrix
     k = instance.n - 1
-    # a route leaves room for the other m - 1, each inside the window
-    lo = max(min_customers, k - (m - 1) * max_customers)
-    hi = min(max_customers, k - (m - 1) * min_customers)
+    lo, hi = _route_sizes(k, m, min_customers, max_customers)
     into = matrix[1:, 1:].T.copy()  # into[v, u]: customer u to customer v
     leave, back = matrix[0, 1:], matrix[1:, 0]
     target = nearest_node(instance, m).total_distance
-    rows = np.arange(k)
-    cost = np.empty((k, k))  # cost[v, u]: entering v from u's label, one layer
-    penalty = np.zeros(k)
+    penalty = best_penalty = np.zeros(k)
     best, step, stall = 0.0, 1.0, 0
-    clock = time.perf_counter
     while True:
-        # labels: f1 from predecessor p1 (-1: the depot), f2 the best from
-        # another predecessor p2; closing[q], ends[q]: the best q-route
+        # layers[q - 1]: the predecessors (p1, p2) of the q-customer labels;
+        # closing[q], ends[q]: the best q-route and the customer it closes from
         closing, ends, layers = np.full(hi + 1, np.inf), [0] * (hi + 1), []
-        for q in range(1, hi + 1):
-            if clock() > deadline:
-                return best
-            if q == 1:
-                f1, f2 = leave - penalty, np.full(k, np.inf)
-                p1 = p2 = np.full(k, -1)
-            else:
-                np.add(into, f1, out=cost)  # from u's best label
-                if q > 2:  # u's best came from v: from its second best instead
-                    cost[p1, rows] = into[p1, rows] + f2
-                p1 = cost.argmin(1)
-                f1 = cost[rows, p1]
-                cost[rows, p1] = np.inf
-                p2 = cost.argmin(1)
-                f1, f2 = f1 - penalty, cost[rows, p2] - penalty
+        for q, (f1, p1, p2) in enumerate(_walk_labels(into, leave, penalty, hi, deadline), 1):
             layers.append((p1, p2))
             if q >= lo:
                 shut = f1 + back
                 ends[q] = int(shut.argmin())
                 closing[q] = shut[ends[q]]
-        # covers[r][s]: the cheapest r routes of s customers in total
-        covers = [np.full(k + 1, np.inf)]
-        covers[0][0] = 0.0
-        for _ in range(m):
-            cover = np.full(k + 1, np.inf)
-            for q in range(lo, hi + 1):
-                np.minimum(cover[q:], covers[-1][: k + 1 - q] + closing[q], out=cover[q:])
-            covers.append(cover)
+        if len(layers) < hi:  # cut off at the deadline
+            return best, best_penalty
+        covers = _covers(closing, lo, hi, k, m)
         value = float(covers[-1][k]) + left_fold(penalty.tolist())
         if value > best + _EPS * max(1.0, best):
             stall = 0
@@ -674,7 +678,8 @@ def qroute_bound(instance, m, min_customers, max_customers, deadline) -> float:
             stall += 1
             if stall == _BOUND_STALL:
                 step, stall = step * _BOUND_SHRINK, 0
-        best = max(best, value)
+        if value > best:
+            best, best_penalty = value, penalty
         # read the relaxed optimum back: its route sizes, then each walk
         visits = np.zeros(k, dtype=np.int64)
         s = k
@@ -692,18 +697,282 @@ def qroute_bound(instance, m, min_customers, max_customers, deadline) -> float:
         slope = 1 - visits
         norm = int(slope @ slope)
         if not norm:  # every customer once: a plan, priced at the bound
-            return best
+            return best, best_penalty
         moved = penalty + step * (target - value) / norm * slope
         if np.array_equal(moved, penalty):  # the step no longer moves λ
-            return best
+            return best, best_penalty
         penalty = moved
+
+
+def _route_sizes(k, m, min_customers, max_customers):
+    """The sizes a route of a plan of m routes over k customers can take:
+    inside the window, with room left for the other m - 1."""
+    return (max(min_customers, k - (m - 1) * max_customers),
+            min(max_customers, k - (m - 1) * min_customers))
+
+
+def _walk_labels(into, leave, penalty, hi, deadline):
+    """The 2-cycle-free walk labels from the depot, one layer per walk size:
+    yields ``(f1, p1, p2)`` for q = 1..``hi``. The clock is read before each
+    layer, and the layers stop once it is past ``deadline``, so a caller
+    that gets fewer than ``hi`` was cut off.
+
+    ``into[v, u]`` is the arc from customer u to customer v and
+    ``leave[v]`` the depot's arc to v; ``penalty[v]`` is subtracted on
+    entering v. ``f1[v]`` is the cheapest walk of q customers ending at v
+    that never turns straight back, from predecessor ``p1[v]`` (-1: the
+    depot); ``p2[v]`` is the predecessor of the best label from another
+    one, which the next layer takes when u's best came from v. Every
+    elementary path is such a walk, so ``f1`` never exceeds the cheapest
+    elementary one. On the transposed arcs the same layers read walks to
+    the depot backwards: ``f1[v]`` is then the cheapest walk of q
+    customers from v to the depot, v's penalty included."""
+    k = leave.size
+    rows = np.arange(k)
+    cost = np.empty((k, k))  # cost[v, u]: entering v from u's label, one layer
+    for q in range(1, hi + 1):
+        if time.perf_counter() > deadline:
+            return
+        if q == 1:
+            f1, f2 = leave - penalty, np.full(k, np.inf)
+            p1 = p2 = np.full(k, -1)
+        else:
+            np.add(into, f1, out=cost)  # from u's best label
+            if q > 2:  # u's best came from v: from its second best instead
+                cost[p1, rows] = into[p1, rows] + f2
+            p1 = cost.argmin(1)
+            f1 = cost[rows, p1]
+            cost[rows, p1] = np.inf
+            p2 = cost.argmin(1)
+            f1, f2 = f1 - penalty, cost[rows, p2] - penalty
+        yield f1, p1, p2
+
+
+def _covers(closing, lo, hi, k, m):
+    """The knapsack over route counts: ``covers[r][s]`` is the cheapest r
+    routes of ``lo``..``hi`` customers and ``s`` customers in total, a route
+    of q customers costing ``closing[q]``; r = 0..m and s = 0..k."""
+    covers = [np.full(k + 1, np.inf)]
+    covers[0][0] = 0.0
+    for _ in range(m):
+        cover = np.full(k + 1, np.inf)
+        for q in range(lo, hi + 1):
+            np.minimum(cover[q:], covers[-1][: k + 1 - q] + closing[q], out=cover[q:])
+        covers.append(cover)
+    return covers
+
+
+# ---------------------------------------------------------------------------
+# the proof of a stopped run: every route inside the q-route gap, then a partition
+
+_POOL_CAP = 1 << 19  # entries the proof's labels, arc lists or failure memo hold before it gives up
+
+
+def _prove(instance, m, min_customers, max_customers, penalty, plan, deadline):
+    """Prove ``plan`` optimal, or find the optimum below it, by the bounding
+    and enumeration of Baldacci, Christofides & Mingozzi (2008) on q-route
+    penalties ``penalty``. Any λ is valid: a converged one, one cut off by
+    its deadline, or zeros; the closer its bound to UB, the smaller the pool.
+    Returns the optimal ``RoutePlan``, ``plan`` itself unless the partition
+    finds one that prices below it, or ``None`` once the clock passes
+    ``deadline`` or the enumeration or the partition passes ``_POOL_CAP``.
+
+    A route R of q customers has the reduced cost rc(R) = c(R) − λ(R), and
+    a plan's total is its routes' reduced costs plus Σλ. The other m − 1
+    routes of a plan are 2-cycle-free walks over the other k − q
+    customers, so their reduced costs sum to at least G(k − q), the
+    knapsack (:func:`_covers`) over the cheapest such q-route of each size.
+    A plan of total at most UB = ``plan.total_distance`` therefore holds
+    only routes with rc(R) ≤ T(q) = UB − Σλ − G(k − q) + slack, and
+    :func:`_route_pool` enumerates every one of them. The slack, 1e-7 · UB,
+    is the proof margin: it covers the rounding of the float sums (a
+    relative error near n · 2⁻⁵³ each) many times over, and it only lets
+    more routes and branches through. So no plan prices below the one
+    returned by more than that rounding. Every plan cheaper than UB is then
+    a partition of the pool's customer sets, each in its cheapest order,
+    and :func:`_partition` finds the cheapest one below UB, if any.
+    """
+    k = instance.n - 1
+    upper = plan.total_distance
+    slack = 1e-7 * upper
+    budget = upper - left_fold(penalty.tolist())  # UB − Σλ: what the routes' rc may sum to
+    held = _route_pool(instance, m, min_customers, max_customers, penalty, budget, slack,
+                       deadline)
+    if held is None:
+        return None
+    pool, covers = held
+    paths = _partition(pool, covers, k, m, budget, slack, deadline)
+    if paths is None:
+        return None
+    if not paths:
+        return plan
+    cheaper = evaluate_plan(instance, [(1, *[v + 2 for v in path], 1) for path in paths])
+    return cheaper if cheaper.total_distance < upper else plan
+
+
+def _route_pool(instance, m, min_customers, max_customers, penalty, budget, slack, deadline):
+    """Every elementary route R of q customers with rc(R) ≤ T(q) = ``budget``
+    − G(k − q) + ``slack``, in its cheapest order (:func:`_prove`), as
+    ``(pool, covers)``: ``pool`` maps a customer set (bit v: 0-based
+    customer v, node v + 1) to ``(rc, customers in order)`` and ``covers``
+    is the q-route knapsack G reads, as lists. ``None`` once the clock
+    passes ``deadline`` or the labels and arc lists pass ``_POOL_CAP``.
+
+    :func:`_walk_labels` on the transposed arcs gives, for every customer
+    v and size j, the cheapest reduced 2-cycle-free walk of j customers
+    from v to the depot; its closing q-routes give G. A depth-first search
+    from the depot then extends partial routes one customer at a time,
+    each customer's successors in ascending reduced arc cost (a list built
+    on its first use), and drops a partial route whose cost plus its
+    cheapest completion passes T(q) at every size q it could close at. It
+    keeps only the cheapest label per (customer set, last customer), and
+    per customer set the cheapest order that closes under T. The clock is
+    read once per backward layer, once per size while the completion
+    bounds are tabled, and every 1024 popped labels."""
+    clock = time.perf_counter
+    matrix = instance.matrix
+    k = instance.n - 1
+    lo, hi = _route_sizes(k, m, min_customers, max_customers)
+    # tails[j - 1, v]: the cheapest walk of j customers from v to the depot
+    tails = [f1 for f1, _, _ in _walk_labels(matrix[1:, 1:], matrix[1:, 0], penalty, hi, deadline)]
+    if len(tails) < hi:
+        return None
+    tails = np.array(tails)
+    closing = np.full(hi + 1, np.inf)
+    closing[lo:] = (tails[lo - 1:] + matrix[0, 1:]).min(1)
+    covers = _covers(closing, lo, hi, k, m)
+    cap = np.full(hi + 1, -np.inf)  # cap[q]: T(q)
+    cap[lo:] = budget - covers[m - 1][k - np.arange(lo, hi + 1)] + slack
+    # need[s][v]: a partial route of s customers ending at v survives while
+    # its cost plus need[s][v] is at most 0, the best over the sizes q >= s
+    # it may close at; v's penalty is added back, as the partial cost holds it
+    need, floors = [None], [None]
+    for s in range(1, hi + 1):
+        if clock() > deadline:
+            return None
+        q = np.arange(max(s, lo), hi + 1)
+        row = (tails[q - s] - cap[q, None]).min(0) + penalty
+        need.append(row.tolist())
+        floors.append(float(row.min()))
+    cap, back = cap.tolist(), matrix[1:, 0].tolist()
+    reduced = matrix[1:, 1:] - penalty  # reduced[v, w]: v to w, less w's penalty
+    succ = {}  # v -> [(reduced arc, w)] in ascending order
+    shift = k.bit_length()  # a label's key: its customer set, then its last customer
+    seen = {}
+    stack = []  # (cost, customer set, last customer, customers in order)
+    for w, cost in enumerate((matrix[0, 1:] - penalty).tolist()):
+        if cost + need[1][w] <= 0:
+            seen[1 << w << shift | w] = cost
+            stack.append((cost, 1 << w, w, (w,)))
+    pool = {}
+    popped = 0
+    while stack:
+        popped += 1
+        if not popped & 1023 and clock() > deadline:
+            return None
+        cost, mask, v, path = stack.pop()
+        if seen[mask << shift | v] < cost:  # a cheaper label of (mask, v) came later
+            continue
+        size = len(path)
+        if size >= lo and cost + back[v] <= cap[size]:
+            kept = pool.get(mask)
+            if kept is None or cost + back[v] < kept[0]:
+                pool[mask] = (cost + back[v], path)
+        if size == hi:
+            continue
+        row = succ.get(v)
+        if row is None:
+            order = np.argsort(reduced[v], kind="stable")
+            row = succ[v] = list(zip(reduced[v, order].tolist(), order.tolist()))
+        row_need, most = need[size + 1], -cost - floors[size + 1]
+        for arc, w in row:  # v's own entry is inf - λ_v, so it ends the scan
+            if arc > most:
+                break
+            bit = 1 << w
+            if mask & bit:
+                continue
+            extended = cost + arc
+            if extended + row_need[w] > 0:
+                continue
+            key = (mask | bit) << shift | w
+            old = seen.get(key)
+            if old is None or extended < old:
+                seen[key] = extended
+                stack.append((extended, mask | bit, w, path + (w,)))
+        if len(seen) + k * len(succ) > _POOL_CAP:
+            return None
+    return pool, [cover.tolist() for cover in covers]
+
+
+def _partition(pool, covers, k, m, budget, slack, deadline):
+    """The cheapest m routes of ``pool`` (:func:`_route_pool`'s) that
+    partition the k customers with reduced costs summing below ``budget``:
+    their customer orders, ``[]`` if there are none, ``None`` once the
+    clock passes ``deadline`` or the memo holds more than ``_POOL_CAP``
+    entries.
+
+    A depth-first search covers the lowest uncovered customer with each
+    pool route that holds it and no covered one, in ascending reduced
+    cost. A branch is cut when its cost, plus the cheapest q-route cover
+    (``covers``) of the rest by the routes left, reaches the cheapest sum
+    so far (``budget`` at first) plus ``slack``; the last route is looked
+    up by its customer set. A memo records each (uncovered customers,
+    routes left) whose search found nothing, with the largest budget it
+    failed under, and a branch that meets it with no more is cut. The
+    clock and the memo's size are read every 1024 branches."""
+    clock = time.perf_counter
+    by_low = [[] for _ in range(k)]  # the pool's routes by their lowest customer
+    for mask, (rc, path) in pool.items():
+        by_low[(mask & -mask).bit_length() - 1].append((rc, mask, path))
+    for routes in by_low:
+        routes.sort()
+    floors = [min(cover) for cover in covers]
+    cheapest, paths = budget, []  # the cheapest sum below budget, and its routes' orders
+    failed = {}
+    chosen = []
+    branches = 0
+
+    def search(uncovered, left, spent):
+        nonlocal branches, cheapest, paths
+        if left == 1:  # the one route that covers the rest, if the pool holds it
+            last = pool.get(uncovered)
+            if last is not None and spent + last[0] < cheapest:
+                cheapest, paths = spent + last[0], [*chosen, last[1]]
+            return True
+        key, found, room = (uncovered, left), cheapest, cheapest - spent
+        if failed.get(key, -np.inf) >= room:
+            return True
+        size = uncovered.bit_count()
+        for rc, mask, path in by_low[(uncovered & -uncovered).bit_length() - 1]:
+            if rc + floors[left - 1] >= cheapest - spent + slack:
+                break
+            if mask & ~uncovered:
+                continue
+            branches += 1
+            if not branches & 1023 and (clock() > deadline or len(failed) > _POOL_CAP):
+                return False
+            if rc + covers[left - 1][size - mask.bit_count()] >= cheapest - spent + slack:
+                continue
+            chosen.append(path)
+            if not search(uncovered ^ mask, left - 1, spent + rc):
+                return False
+            chosen.pop()
+        if cheapest == found:  # nothing below room: a failure at this budget
+            failed[key] = max(failed.get(key, -np.inf), room)
+        return True
+
+    if not search((1 << k) - 1, m, 0.0):
+        return None
+    return paths
 
 
 # ---------------------------------------------------------------------------
 # local search of a stopped search's incumbent
 
 _SEARCH_SHARE = 0.25  # of a time limit: the search's share
+_OPEN_PER_S = 1 << 15  # open nodes a time-limited search may hold per second of its limit
 _BOUND_SHARE = 0.5  # of a time limit: the q-route bound runs until it, the polishes after
+_PROOF_SHARE = 0.75  # of a time limit: the proof runs until it, the iterated polish after
 _KICKS = np.random.SeedSequence(0)  # the one source of the iterated polish's kicks
 _ACCEPT_WORSE = 0.05  # chance that a round's worse plan becomes the current one
 _STALL_ROUNDS = 300  # rounds without a new best plan that end the iterated polish
@@ -899,31 +1168,48 @@ def _finish(model, backend, routes, bound, nodes, start_time, time_limit) -> Exa
     :func:`qroute_bound` run until ``start_time + _BOUND_SHARE *
     time_limit``, which ends at most one label layer past that point, or at
     its first clock read if the point has passed. The run then spends what
-    is left of the limit improving its plan:
-    :func:`_polish` takes it to a local optimum and :func:`_iterate`
-    searches from there, both until ``start_time + time_limit``, so the run
-    ends at most one polish pass past its limit, ~0.2 s at n = 2000 on a
-    2-CPU Xeon VM (or here, if it reaches
-    this point later: a stopped subset DP has no time left, so both return
-    at once). ``_iterate`` is handed the bound and stops as soon as its
-    best plan reaches it, since no round can improve a plan the bound
-    proves optimal; a run that reaches its proof returns then instead of at
-    the limit or after its stall rounds. The iterated plan replaces the one
-    it started from unless that prices lower. A stopped run is ``optimal``
-    all the same when its plan's total reaches the bound (within ``_EPS``,
-    the search's own proof margin), with ``lower_bound == objective``, and
-    ``feasible_time_limit`` with the bound below the objective if not. The
-    clock is read once, after pricing."""
+    is left of the limit on its plan. :func:`_polish` takes it to a local
+    optimum, until ``start_time + time_limit``; the polished plan replaces
+    the one it started from unless that prices lower. If that plan is
+    still above the bound, :func:`_prove` runs on the bound's penalties
+    until ``start_time + _PROOF_SHARE * time_limit``. A proof that finishes
+    makes the run ``optimal`` with the plan it returns, the polished one or
+    a cheaper one it found, and nothing runs after it. A proof that gives
+    up, at its deadline or its cap, hands the rest of the limit to
+    :func:`_iterate`, which searches from the polished plan until
+    ``start_time + time_limit``. So the run ends at most one polish pass
+    past its limit, ~0.2 s at n = 2000 on a 2-CPU Xeon VM (or here, if it
+    reaches this point later: a stopped subset DP has no time left, so all
+    three return at once). ``_iterate`` is handed the bound and stops as
+    soon as its best plan reaches it, since no round can improve a plan the
+    bound proves optimal; a run that reaches its proof returns then instead
+    of at the limit or after its stall rounds. The iterated plan replaces
+    the polished one unless that prices lower. A stopped run is
+    ``optimal`` all the same when its plan's total reaches the bound
+    (within ``_EPS``, the search's own proof margin), with ``lower_bound ==
+    objective``, and ``feasible_time_limit`` with the bound below the
+    objective if not. The clock is read once, after pricing."""
     instance, m, window = model.instance, model.m, (model.min_customers, model.max_customers)
     plan = evaluate_plan(instance, routes) if routes else nearest_node(instance, m)
     if bound is not None:
-        bound = max(bound, _root_bound(instance.matrix, m), qroute_bound(
-            instance, m, *window, start_time + _BOUND_SHARE * time_limit))
+        dual, penalty = _qroute_dual(instance, m, *window,
+                                     start_time + _BOUND_SHARE * time_limit)
+        bound = max(bound, _root_bound(instance.matrix, m), dual)
         deadline = start_time + time_limit
         polished = _polish(instance.matrix, plan.routes, *window, deadline)
-        polished = _iterate(instance, polished, *window, deadline, bound)
-        if polished.total_distance <= plan.total_distance:  # never above the incumbent
-            plan = polished
+        once = evaluate_plan(instance, polished)
+        if once.total_distance <= plan.total_distance:  # never above the incumbent
+            plan = once
+        proven = None
+        if plan.total_distance > bound + _EPS:
+            proven = _prove(instance, m, *window, penalty, plan,
+                            start_time + _PROOF_SHARE * time_limit)
+        if proven is not None:
+            plan, bound = proven, None
+        else:
+            polished = _iterate(instance, polished, *window, deadline, bound)
+            if polished.total_distance <= plan.total_distance:
+                plan = polished
     if bound is None or plan.total_distance <= bound + _EPS:
         status, bound = SolveStatus.OPTIMAL, plan.total_distance
     else:

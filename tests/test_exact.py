@@ -7,6 +7,7 @@ import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1021,7 +1022,9 @@ def test_finish_reports_a_polished_plan_at_its_bound_as_optimal(monkeypatch):
     optimum = brute_force_oracle(inst, 2, 4, 5)
     warm = nearest_node(inst, 2)
     assert warm.total_distance > optimum.objective
+    # the proof step would prove both plans below; with it left unfinished,
     # the limit is far, so the iterated polish ends once it reaches the bound
+    monkeypatch.setattr(exact, "_prove", lambda *args: None)
     result = exact._finish(model, "branch_and_bound", warm.routes, optimum.objective,
                            7, time.perf_counter(), 60.0)
     assert result.status is SolveStatus.OPTIMAL
@@ -1166,9 +1169,11 @@ def test_a_stopped_run_above_the_dp_cap_is_proven_at_its_bound():
 
 def test_gap_is_the_certified_relative_gap(garn9, monkeypatch):
     assert exact.solve(garn9, 2, 2, 5).gap == 0.0
-    # a stopped run whose plan stays above its bound: the polishes keep it
+    # a stopped run whose plan stays above its bound: the polishes keep it,
+    # and the proof step, which would prove the optimum, is left unfinished
     model = build_model(garn9, 2, 2, 5)
     warm = nearest_node(garn9, 2)
+    monkeypatch.setattr(exact, "_prove", lambda *args: None)
     monkeypatch.setattr(exact, "_polish", lambda matrix, routes, *args: routes)
     monkeypatch.setattr(exact, "_iterate",
                         lambda inst, routes, *args: evaluate_plan(inst, routes))
@@ -1262,3 +1267,156 @@ def test_qroute_bound_stops_within_a_layer_of_its_deadline(monkeypatch):
     assert returned - deadline <= max(np.diff(reads)) + 0.01
     assert returned - started <= 0.05 + 0.1
     assert 0.0 <= bound <= nearest_node(inst, 3).total_distance
+
+
+def test_a_time_limited_search_stops_at_its_open_node_cap(monkeypatch):
+    # n = 13 (m = 3) under a far limit: the heap passes _OPEN_PER_S nodes per
+    # second of the limit long before a quarter of it, so the search stops
+    # on the count and hands _finish the same plan, bound and node count
+    inst = generate_uniform_instance(GridSpec(13, 100, 5))
+    model = build_model(inst, 3, *default_window(13, 3), warm_start=nearest_node(inst, 3))
+    monkeypatch.setattr(exact, "_OPEN_PER_S", 100)
+    monkeypatch.setattr(
+        exact, "_finish",
+        lambda model, backend, routes, bound, nodes, start_time, limit:
+            (routes, bound, nodes, time.perf_counter() - start_time),
+    )
+    first, second = (solve_exact(model, time_limit=60.0) for _ in range(2))
+    assert first[:3] == second[:3]
+    assert first[1] is not None  # stopped, with the best bound it popped
+    assert max(first[3], second[3]) < exact._SEARCH_SHARE * 60.0
+
+
+@st.composite
+def _proof_cases(draw):
+    """A bound case, a plan at or above its optimum for the proof to start
+    from, and how the proof's λ is found: by the converged bound, by a
+    bound cut off after a few steps, or not at all (λ = 0)."""
+    inst, m, window = draw(_bound_cases())
+    start = draw(st.sampled_from(["optimum", "nearest", "polished"]))
+    lam = draw(st.sampled_from(["converged", "cut", "zero"]))
+    return inst, m, window, start, lam, draw(st.integers(1, 20))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_proof_cases())
+def test_the_proof_finds_the_optimum_from_any_plan_and_any_penalties(case):
+    inst, m, window, start, lam, steps = case
+    model = build_model(inst, m, *window)
+    optimum = brute_force_oracle(inst, m, *window)
+    plan = optimum.best
+    if start != "optimum" and check_solution(model, nearest_node(inst, m))[0]:
+        plan = nearest_node(inst, m)
+        if start == "polished":
+            plan = evaluate_plan(inst, exact._polish(inst.matrix, plan.routes, *window, _soon()))
+    if lam == "zero":
+        penalty = np.zeros(inst.n - 1)
+    else:
+        real_labels, calls = exact._walk_labels, []
+
+        def labels(*args):  # a deadline that falls after `steps` steps, without a clock
+            calls.append(1)
+            return iter(()) if lam == "cut" and len(calls) > steps else real_labels(*args)
+
+        with mock.patch.object(exact, "_walk_labels", labels):
+            _, penalty = exact._qroute_dual(inst, m, *window, np.inf)
+    proven = exact._prove(inst, m, *window, penalty, plan, np.inf)
+    assert check_solution(model, proven) == (True, [])
+    assert proven.total_distance <= plan.total_distance
+    assert proven.total_distance == pytest.approx(optimum.objective, rel=0, abs=1e-9)
+
+
+def test_the_proof_is_locked(monkeypatch):
+    # Locks the proof: a change to the threshold, the backward labels, the
+    # dominance rule, the pool's orders or the partition's search moves a
+    # pool size or a route, and this digest. Each case starts from its
+    # polished nearest-node plan under the converged λ, and the second proof
+    # starts from the optimum the first returns. No deadline.
+    pools = []
+    real_pool = exact._route_pool
+
+    def pool(*args):
+        pools.append(real_pool(*args))
+        return pools[-1]
+
+    monkeypatch.setattr(exact, "_route_pool", pool)
+    grid = generate_uniform_instance(GridSpec(20, 100, 301))
+    digest = hashlib.sha256()
+    for inst, m, window in [(mtspkit.load_bundled("bays29"), 4, (4, 8)),
+                            (grid, 5, default_window(grid.n, 5))]:
+        _, penalty = exact._qroute_dual(inst, m, *window, np.inf)
+        once = evaluate_plan(inst, exact._polish(inst.matrix, nearest_node(inst, m).routes,
+                                                 *window, _soon()))
+        found = exact._prove(inst, m, *window, penalty, once, np.inf)
+        assert exact._prove(inst, m, *window, penalty, found, np.inf) is found
+        sizes = [len(held[0]) for held in pools[-2:]]
+        record = (once.total_distance, found.total_distance, found.routes, sizes)
+        digest.update(repr(record).encode())
+        if inst.name == "bays29":
+            assert (once.total_distance, found.total_distance) == (2635.0, 2603.0)
+            assert sizes == [2461, 444]  # routes inside the gap at UB 2635, then 2603
+    assert digest.hexdigest() == (
+        "c78a383cb835b9274256978e4b51561c60bf4cfae2333a9de760026f4077d0fa"
+    )
+
+
+def test_a_proven_stopped_run_skips_the_iterated_polish(monkeypatch):
+    # bays29 (m=4) from its nearest-node plan under a far limit: the bound
+    # converges, the polish reaches 2635, and the proof, which runs until
+    # three quarters of the limit, finds and proves the published 2603
+    inst = mtspkit.load_bundled("bays29")
+    model = build_model(inst, 4, 4, 8)
+    deadlines = []
+    real_prove = exact._prove
+
+    def prove(*args):
+        deadlines.append(args[-1])
+        return real_prove(*args)
+
+    def iterate(*args):
+        raise AssertionError("a proven run polishes no further")
+
+    monkeypatch.setattr(exact, "_prove", prove)
+    monkeypatch.setattr(exact, "_iterate", iterate)
+    started = time.perf_counter()
+    result = exact._finish(model, "branch_and_bound", None, 0.0, 0, started, 60.0)
+    assert deadlines == [started + exact._PROOF_SHARE * 60.0]
+    assert result.status is SolveStatus.OPTIMAL
+    assert result.objective == result.lower_bound == 2603.0
+    assert check_solution(model, result.best) == (True, [])
+
+
+def test_a_proof_past_its_deadline_or_cap_falls_back_to_the_iterated_polish(monkeypatch):
+    inst = mtspkit.load_bundled("bays29")
+    _, penalty = exact._qroute_dual(inst, 4, 4, 8, np.inf)
+    once = evaluate_plan(inst, exact._polish(inst.matrix, nearest_node(inst, 4).routes,
+                                             4, 8, _soon()))
+    assert exact._prove(inst, 4, 4, 8, penalty, once, -np.inf) is None
+    monkeypatch.setattr(exact, "_POOL_CAP", 1000)  # bays29's pool needs ~13,000 labels
+    assert exact._prove(inst, 4, 4, 8, penalty, once, np.inf) is None
+    iterated = []
+    real_iterate = exact._iterate
+
+    def iterate(*args):
+        iterated.append(args[4])
+        return real_iterate(*args)
+
+    monkeypatch.setattr(exact, "_iterate", iterate)
+    started = time.perf_counter()
+    result = exact._finish(build_model(inst, 4, 4, 8), "branch_and_bound", once.routes, 0.0,
+                           0, started, 1.0)
+    assert iterated == [started + 1.0]
+    assert result.objective <= once.total_distance
+    assert result.lower_bound <= 2603.0 <= result.objective
+
+
+def test_the_proof_stops_near_its_deadline():
+    # eil51 (m=2) from its nearest-node plan without penalties: far too wide
+    # a gap to enumerate, so the deadline ends the proof; the clock is read
+    # every 1024 labels, a few ms apart
+    inst = mtspkit.load_bundled("eil51")
+    plan = nearest_node(inst, 2)
+    started = time.perf_counter()
+    assert exact._prove(inst, 2, 24, 25, np.zeros(50), plan, started + 0.05) is None
+    # the margin of the time-limit tests above, for a slow host
+    assert time.perf_counter() - started <= 0.05 + 0.1
