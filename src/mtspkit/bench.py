@@ -187,13 +187,12 @@ def solve(
     ``(result.best, result)``; ``result.backend`` names the algorithm that
     ran.
 
-    ``time_limit``, if given, must be positive (``inf`` is no limit) and
-    ``window``, if given, must pass :func:`exact.check_window`, for every
-    algorithm, although only ``exact`` reads them. Whether the window
-    covers the customers is checked on exact runs only.
+    ``time_limit`` must pass :func:`exact.check_time_limit` and ``window``,
+    if given, :func:`exact.check_window`, for every algorithm, although only
+    ``exact`` reads them. Whether the window covers the customers is
+    checked on exact runs only.
     """
-    if time_limit is not None and not time_limit > 0:  # NaN too
-        raise ValueError("time_limit must be positive")
+    exact.check_time_limit(time_limit)
     if window is not None:
         exact.check_window(*window)
     if algorithm in heuristics.ALGORITHMS:

@@ -169,6 +169,13 @@ def check_window(min_customers: int, max_customers: int) -> None:
         raise ValueError("min_customers exceeds max_customers")
 
 
+def check_time_limit(time_limit: float | None) -> None:
+    """Reject a time limit that is not positive, NaN included; ``None`` and
+    ``inf`` are no limit. Every run that takes a limit checks it here."""
+    if time_limit is not None and not time_limit > 0:
+        raise ValueError("time_limit must be positive")
+
+
 def build_model(
     instance: Instance,
     m: int,
@@ -392,8 +399,7 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     that runs to the end always holds a plan: ``build_model`` admits only
     windows that cover the customers, and every arc is finite.
     """
-    if time_limit is not None and not time_limit > 0:  # NaN too
-        raise ValueError("time_limit must be positive")
+    check_time_limit(time_limit)
     n = model.instance.n
     m = model.m
     kmin, kmax = model.min_customers, model.max_customers
@@ -534,8 +540,7 @@ def brute_force_oracle(
     if n > ORACLE_MAX_N:
         raise ValueError(f"the subset DP oracle is limited to n <= {ORACLE_MAX_N}")
     model = build_model(instance, m, min_customers, max_customers)  # window check
-    if time_limit is not None and not time_limit > 0:  # NaN too
-        raise ValueError("time_limit must be positive")
+    check_time_limit(time_limit)
     lo, hi = min_customers, max_customers
     start_time = time.perf_counter()
     deadline = np.inf if time_limit is None else start_time + time_limit

@@ -320,13 +320,16 @@ def test_exact_backend_follows_the_instance_size(monkeypatch):
     assert result.lower_bound <= result.objective <= warm.total_distance
 
 
-@pytest.mark.parametrize("limit", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("limit", [0.0, -1.0, float("-inf"), float("nan")])
 def test_exact_backends_reject_a_non_positive_time_limit(garn9, limit):
     model = build_model(garn9, 2, 2, 5)
     with pytest.raises(ValueError, match="time_limit must be positive"):
         solve_exact(model, time_limit=limit)
     with pytest.raises(ValueError, match="time_limit must be positive"):
         brute_force_oracle(garn9, 2, 2, 5, time_limit=limit)
+    for algorithm in bench.ALGORITHMS:  # heuristics do not read it, but refuse it too
+        with pytest.raises(ValueError, match="time_limit must be positive"):
+            bench.solve(garn9, 2, algorithm, time_limit=limit)
 
 
 def test_exact_backends_take_an_infinite_time_limit(garn9):
