@@ -189,7 +189,8 @@ def solve(
 
     ``time_limit`` must pass :func:`exact.check_time_limit` and ``window``,
     if given, :func:`exact.check_window`, for every algorithm, although only
-    ``exact`` reads them. Whether the window covers the customers is
+    ``exact`` reads them. Whether the window covers the customers, and
+    whether the limit is finite above ``exact.ORACLE_MAX_N`` nodes, is
     checked on exact runs only.
     """
     exact.check_time_limit(time_limit)

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import bench, distlaw
-from .exact import InfeasibleModelError
+from .exact import ORACLE_MAX_N, InfeasibleModelError
 from .instance import (
     GridSpec,
     ParseError,
@@ -169,7 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
     runs = argparse.ArgumentParser(add_help=False)
     runs.add_argument("--K", dest="min_customers", type=int, default=None)
     runs.add_argument("--L", dest="max_customers", type=int, default=None)
-    runs.add_argument("--time-limit", type=float, default=None)
+    runs.add_argument(
+        "--time-limit", type=float, default=None,
+        help=f"seconds per exact run, positive; omitted or inf is no limit, which an "
+             f"exact run above {ORACLE_MAX_N} nodes refuses",
+    )
     runs.add_argument("--rounding", choices=("none", "integer"), default="none")
 
     def command(name, func, summary, *parents):

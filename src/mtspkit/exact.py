@@ -3,7 +3,9 @@
 :func:`solve` is the one choice of backend: the subset DP
 (``brute_force_oracle``) up to its cap ``ORACLE_MAX_N``, the
 branch-and-bound (``solve_exact``) from the nearest-node plan above it.
-Both return an ``ExactResult`` that names its ``backend``.
+Both return an ``ExactResult`` that names its ``backend``. Every exact
+run ends: up to the cap a ``time_limit`` of ``None`` or ``inf`` is no
+limit, and above it the limit must be finite (``check_time_limit``).
 
 The model is the node-balanced MTZ program of Kara & Bektas (2006) with
 the route-size window [K, L] = [``min_customers``, ``max_customers``]:
@@ -169,11 +171,20 @@ def check_window(min_customers: int, max_customers: int) -> None:
         raise ValueError("min_customers exceeds max_customers")
 
 
-def check_time_limit(time_limit: float | None) -> None:
+def check_time_limit(time_limit: float | None, n: int = 0) -> None:
     """Reject a time limit that is not positive, NaN included; ``None`` and
-    ``inf`` are no limit. Every run that takes a limit checks it here."""
+    ``inf`` are no limit. Every run that takes a limit checks it here.
+
+    An exact run passes its instance's ``n`` nodes, and above
+    ``ORACLE_MAX_N`` it must have a finite limit: there the
+    branch-and-bound's open nodes grow until memory runs out (bays29, m =
+    4, held 233, 444, 592 and 751 MB after 2, 4, 6 and 8 s without one),
+    while any limit from 0.5 s proves that run optimal. A heuristic run,
+    which reads no limit, passes no ``n``."""
     if time_limit is not None and not time_limit > 0:
         raise ValueError("time_limit must be positive")
+    if n > ORACLE_MAX_N and (time_limit is None or time_limit == np.inf):
+        raise ValueError(f"time_limit must be finite above {ORACLE_MAX_N} nodes")
 
 
 def build_model(
@@ -218,11 +229,17 @@ def solve(
     (:func:`brute_force_oracle`); above that, the branch-and-bound
     (:func:`solve_exact`) with the nearest-node plan as its warm start.
     ``result.backend`` names the one that ran. Either returns a plan even
-    when its time limit passes first.
+    when its time limit passes first. ``time_limit`` ``None`` or ``inf`` is
+    no limit up to ``ORACLE_MAX_N`` nodes and refused above it
+    (:func:`check_time_limit`). Both backends check the window before the
+    limit, so a window that cannot cover the customers raises
+    ``InfeasibleModelError`` at any limit, and the limit before any work.
     """
     window = (min_customers, max_customers)
     if instance.n <= ORACLE_MAX_N:
         return brute_force_oracle(instance, m, *window, time_limit=time_limit)
+    build_model(instance, m, *window)
+    check_time_limit(time_limit, instance.n)
     model = build_model(instance, m, *window, warm_start=nearest_node(instance, m))
     return solve_exact(model, time_limit)
 
@@ -397,10 +414,12 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     stopped run does with the rest of its limit, from the nearest-node
     plan if it holds none. A search
     that runs to the end always holds a plan: ``build_model`` admits only
-    windows that cover the customers, and every arc is finite.
+    windows that cover the customers, and every arc is finite. Above
+    ``ORACLE_MAX_N`` nodes ``time_limit`` must be finite
+    (:func:`check_time_limit`).
     """
-    check_time_limit(time_limit)
     n = model.instance.n
+    check_time_limit(time_limit, n)
     m = model.m
     kmin, kmax = model.min_customers, model.max_customers
 
@@ -540,7 +559,7 @@ def brute_force_oracle(
     if n > ORACLE_MAX_N:
         raise ValueError(f"the subset DP oracle is limited to n <= {ORACLE_MAX_N}")
     model = build_model(instance, m, min_customers, max_customers)  # window check
-    check_time_limit(time_limit)
+    check_time_limit(time_limit, n)
     lo, hi = min_customers, max_customers
     start_time = time.perf_counter()
     deadline = np.inf if time_limit is None else start_time + time_limit
@@ -829,9 +848,14 @@ def _route_pool(instance, m, min_customers, max_customers, penalty, budget, slac
     from the depot then extends partial routes one customer at a time,
     each customer's successors in ascending reduced arc cost (a list built
     on its first use), and drops a partial route whose cost plus its
-    cheapest completion passes T(q) at every size q it could close at. It
-    keeps only the cheapest label per (customer set, last customer), and
-    per customer set the cheapest order that closes under T. The clock is
+    cheapest completion passes T(q) at every size q it could close at. A
+    label is pushed only when it is cheaper than every earlier label with
+    its (customer set, last customer), and per customer set the pool keeps
+    the cheapest order that closes under T. The stack is last in, first
+    out, so the labels popped between a label's push and its pop descend
+    from its younger siblings, whose customer sets each hold a customer
+    its set lacks: no label with its key is pushed in between, and no
+    popped label is beaten by a later one. The clock is
     read once per backward layer, once per size while the completion
     bounds are tabled, and every 1024 popped labels."""
     clock = time.perf_counter
@@ -876,8 +900,6 @@ def _route_pool(instance, m, min_customers, max_customers, penalty, budget, slac
         if not popped & 1023 and clock() > deadline:
             return None
         cost, mask, v, path = stack.pop()
-        if seen[mask << shift | v] < cost:  # a cheaper label of (mask, v) came later
-            continue
         size = len(path)
         if size >= lo and cost + back[v] <= cap[size]:
             kept = pool.get(mask)

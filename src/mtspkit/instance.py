@@ -12,8 +12,9 @@ Reproducibility contract: each convention has one home here.
   ``SeedSequence(base, spawn_key=key)``. Monte Carlo chunk c seeds its
   generator with ``SeedSequence(seed, spawn_key=(c,))`` itself.
 * Every CSV goes through :func:`write_csv`, floats written by ``repr``.
-* :func:`left_fold` makes plan totals and the subset DP's fallback bound,
-  so no total depends on the Python version.
+* :func:`left_fold` makes plan totals and ``exact._root_bound``, the floor
+  of every stopped exact run's lower bound on both backends, so no total
+  depends on the Python version.
 
 Seeds and draw order are part of the public contract; identical seeds
 replay bit-identically on every platform.

@@ -520,6 +520,24 @@ def test_solve_takes_an_infinite_time_limit(capsys):
     assert json.loads(text)["status"] == "optimal"
 
 
+@pytest.mark.parametrize("limit", [[], ["--time-limit", "inf"]], ids=["omitted", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--m", "4", "--algorithm", "exact", "--instance"],
+        ["compare", "--m", "4", "--algorithms", "nearest,exact", "--instances"],
+    ],
+    ids=["solve", "compare"],
+)
+def test_exact_above_the_dp_cap_refuses_no_limit(capsys, argv, limit):
+    # bays29 has 29 nodes: without a limit its search would grow until
+    # memory runs out, so both commands exit 1 before any work
+    code, out, err = run(capsys, *argv, str(bundled_path("bays29")), *limit)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: time_limit must be finite above {ORACLE_MAX_N} nodes\n"
+
+
 def test_compare_rejects_a_repeated_algorithm(capsys):
     code, out, err = run(
         capsys, "compare", "--instances", str(bundled_path("garn9")), "--m", "2",

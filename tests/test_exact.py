@@ -332,6 +332,38 @@ def test_exact_backends_reject_a_non_positive_time_limit(garn9, limit):
             bench.solve(garn9, 2, algorithm, time_limit=limit)
 
 
+def test_no_limit_above_the_dp_cap_is_refused_before_any_work(monkeypatch):
+    # above the cap the branch-and-bound's open nodes grow without end, so
+    # None and inf are refused before the table or the warm start is built;
+    # heuristics read no limit and take none at any size, and up to the cap
+    # the subset DP still runs to a proof without one
+    inst = generate_uniform_instance(GridSpec(ORACLE_MAX_N + 1, 100, 1))
+    window = default_window(inst.n, 3)
+    model = build_model(inst, 3, *window)
+
+    def work(*args):
+        raise AssertionError("an unlimited run above the cap does no work")
+
+    monkeypatch.setattr(exact, "neighbour_table", work)
+    monkeypatch.setattr(exact, "nearest_node", work)
+    message = f"^time_limit must be finite above {ORACLE_MAX_N} nodes$"
+    for limit in (None, float("inf")):
+        with pytest.raises(ValueError, match=message):
+            solve_exact(model, limit)
+        with pytest.raises(ValueError, match=message):
+            exact.solve(inst, 3, *window, limit)
+        with pytest.raises(ValueError, match=message):
+            bench.solve(inst, 3, "exact", time_limit=limit)
+        assert bench.solve(inst, 3, "nearest", time_limit=limit)[0] == nearest_node(inst, 3)
+    monkeypatch.undo()
+    small = generate_uniform_instance(GridSpec(ORACLE_MAX_N, 100, 1))
+    proof = brute_force_oracle(small, 3, *default_window(small.n, 3))
+    for limit in (None, float("inf")):
+        result = exact.solve(small, 3, *default_window(small.n, 3), limit)
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.best == proof.best
+
+
 def test_exact_backends_take_an_infinite_time_limit(garn9):
     proved = brute_force_oracle(garn9, 2, 2, 5)
     for result in (solve_exact(build_model(garn9, 2, 2, 5), time_limit=float("inf")),
@@ -1411,6 +1443,43 @@ def test_a_proof_past_its_deadline_or_cap_falls_back_to_the_iterated_polish(monk
     assert iterated == [started + 1.0]
     assert result.objective <= once.total_distance
     assert result.lower_bound <= 2603.0 <= result.objective
+
+
+def test_the_proof_gives_up_at_every_clock_read_and_cap(monkeypatch):
+    # bays29 (m=4) at its polished 2635: the pool holds 2,461 routes and the
+    # partition takes more than 32,000 branches, so a stop at its first
+    # check, branch 1024, falls inside the search
+    inst = mtspkit.load_bundled("bays29")
+    _, penalty = exact._qroute_dual(inst, 4, 4, 8, np.inf)
+    once = evaluate_plan(inst, exact._polish(inst.matrix, nearest_node(inst, 4).routes,
+                                             4, 8, _soon()))
+    assert once.total_distance == 2635.0
+    budget = once.total_distance - exact.left_fold(penalty.tolist())
+    slack = 1e-7 * once.total_distance
+    pool, covers = exact._route_pool(inst, 4, 4, 8, penalty, budget, slack, np.inf)
+    assert len(pool) == 2461
+    # the partition at its deadline, then at its memo cap
+    assert exact._partition(pool, covers, 28, 4, budget, slack, -np.inf) is None
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "_POOL_CAP", 0)
+        assert exact._partition(pool, covers, 28, 4, budget, slack, np.inf) is None
+    # the proof passes a partition's stop on
+    real_partition = exact._partition
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "_partition", lambda *args: real_partition(*args[:-1], -np.inf))
+        assert exact._prove(inst, 4, 4, 8, penalty, once, np.inf) is None
+    # the pool past its deadline right after its backward label layers, one
+    # read each, at its first read while it tables the completions
+    _, hi = exact._route_sizes(inst.n - 1, 4, 4, 8)
+    reads = []
+
+    def clock():
+        reads.append(len(reads) + 1)
+        return 0.0 if len(reads) <= hi else 1.0
+
+    monkeypatch.setattr(exact, "time", SimpleNamespace(perf_counter=clock))
+    assert exact._route_pool(inst, 4, 4, 8, penalty, budget, slack, 0.5) is None
+    assert len(reads) == hi + 1
 
 
 def test_the_proof_stops_near_its_deadline():
