@@ -1,9 +1,10 @@
 """Balanced multiple-travelling-salesman toolkit.
 
 Greedy construction heuristics (nearest node, closest vehicle), exact
-solving of the node-balanced mTSP (a subset DP up to n = 16, a
-branch-and-bound above it), and closed-form distance laws with Monte Carlo
-validation.
+solving of the node-balanced mTSP (a subset DP up to n = 16; above it a
+Lagrangian q-route bound, a local search and a proof that enumerates the
+routes inside the gap and partitions the customers into them), and
+closed-form distance laws with Monte Carlo validation.
 """
 
 from .instance import (

@@ -1,11 +1,14 @@
 """Exact solving: constraint model, subset DP, branch-and-bound, q-route bound and proof.
 
 :func:`solve` is the one choice of backend: the subset DP
-(``brute_force_oracle``) up to its cap ``ORACLE_MAX_N``, the
-branch-and-bound (``solve_exact``) from the nearest-node plan above it.
-Both return an ``ExactResult`` that names its ``backend``. Every exact
-run ends: up to the cap a ``time_limit`` of ``None`` or ``inf`` is no
-limit, and above it the limit must be finite (``check_time_limit``).
+(``brute_force_oracle``) up to its cap ``ORACLE_MAX_N``, and above it
+``solve_exact`` from the nearest-node plan, which there runs no tree
+search: it hands the plan to the ending's q-route bound, polish and
+proof at once (backend ``branch_and_bound``, after the proof's own
+branch-and-bound over the route pool). Both return an ``ExactResult``
+that names its ``backend``. Every exact run ends: up to the cap a
+``time_limit`` of ``None`` or ``inf`` is no limit, and above it the limit
+must be finite (``check_time_limit``).
 
 The model is the node-balanced MTZ program of Kara & Bektas (2006) with
 the route-size window [K, L] = [``min_customers``, ``max_customers``]:
@@ -15,15 +18,16 @@ rows and, for K >= 2, the two-node row x[1, i] + x[i, 1] <= 1.
 ``check_solution`` is its one statement: it evaluates those rows, each
 family as one whole-array expression, on a plan's induced x/u variables.
 
-The branch-and-bound is a combinatorial best-first search over partial
-route extensions rather than an LP relaxation; the linear model is the
-correctness semantics, not the search machinery. A search state is
+The branch-and-bound's tree search runs only up to ``ORACLE_MAX_N``
+nodes, which only direct ``solve_exact`` calls reach there. It is a
+combinatorial best-first search over partial route extensions rather
+than an LP relaxation; the linear model is the correctness semantics,
+not the search machinery. A search state is
 ``(cost, seqs, closed, unvisited)``, with the unvisited customers as one
 int bitmask (bit v is 0-based node v); a route's end and size are read off
-its sequence. Each solve builds one neighbour table (``neighbour_table``):
+its sequence. Each search builds one neighbour table (``neighbour_table``):
 for every node, its ``(cost, 1 << w)`` pairs to all other nodes in
-ascending ``(cost, w)`` order, as Python floats; a build that reaches the
-search's share of a time limit stops there. Branching walks the active
+ascending ``(cost, w)`` order, as Python floats. Branching walks the active
 route end's row, and the bound reads the same rows and memoises, per
 solve, the sum of its customer terms for each unvisited mask, so the
 search does no set or numpy-scalar work per node. Each popped node lists
@@ -39,7 +43,7 @@ hold a subset's lowest customer. The arrays hold costs only; the plan is
 read back by re-deriving each choice with the same ``argmin``. It is also
 the ground truth the branch-and-bound is checked against.
 
-``qroute_bound`` is the lower bound of a stopped branch-and-bound: the
+``qroute_bound`` is the lower bound of a stopped run: the
 q-route relaxation of Christofides, Mingozzi & Toth (1981), m walks of
 K..L customers from the depot that cover n - 1 customers, with Lagrangian
 penalties on visiting each customer once tuned by subgradient steps, each
@@ -48,19 +52,22 @@ moves the penalties: the step length shrinks geometrically unless the
 bound gains more than ``_EPS`` of itself, which it can do only finitely
 often below the optimum, so the run ends without a deadline too.
 
-Under a time limit the branch-and-bound searches for a quarter of it,
-its table's build included, or until it holds ``_OPEN_PER_S`` open nodes
-per second of the limit, whichever comes first, and frees its open nodes,
-table and memo at once. ``_finish`` states what a stopped run on either
-backend does with the rest. Its lower bound is the largest of the bound
-the backend hands in (the best bound the search popped, 0.0 from the
-subset DP), ``_root_bound`` and ``qroute_bound`` run until half the
-limit. Then ``_polish`` runs a best-improvement local search of the
-plan it holds, or of the nearest-node plan if it holds none (each pass prices
-every in-route segment reversal, every move of a customer onto another
-route's arc and every cross-route swap as whole arrays, keeps every route
-inside [K, L], and applies the best gaining move, until a local optimum or
-the first pass that starts past the limit). If the polished plan is still
+Under a time limit a tree search searches for a quarter of it, or until
+it holds ``_OPEN_PER_S`` open nodes per second of the limit, whichever
+comes first, and frees its open nodes, table and memo at once. Above
+``ORACLE_MAX_N`` there is no search, and the run is ``_finish`` from its
+start. ``_finish`` states what a stopped run on either backend does with
+the rest of its limit. Its lower bound is the largest of the bound the
+backend hands in (the best bound the search popped, 0.0 from the subset
+DP and above the cap), ``_root_bound`` and ``qroute_bound`` run until
+half the limit. Then ``_polish`` runs a best-improvement local search of
+the plan it holds, or of the nearest-node plan if it holds none (each
+pass prices every in-route segment reversal, every move of a customer
+onto another route's arc and every cross-route swap as whole arrays,
+keeps every route inside [K, L], and applies the best gaining move,
+until a local optimum or the first clock read past the limit, before a
+pass's tour-order gather or before one of its row blocks). If the
+polished plan is still
 above the bound, ``_prove`` tries to close the gap until three quarters
 of the limit, by the bounding and enumeration of Baldacci, Christofides &
 Mingozzi (2008) on the q-route bound's penalties: it enumerates every
@@ -132,7 +139,8 @@ class ExactModel:
 class ExactResult:
     """One exact run. ``backend`` names the algorithm that ran:
     ``"subset_dp"`` (``nodes_explored`` counts path labels) or
-    ``"branch_and_bound"`` (it counts search nodes).
+    ``"branch_and_bound"`` (it counts tree-search nodes, and reads 0 above
+    ``ORACLE_MAX_N``, where no tree search runs).
 
     ``best`` is always a feasible plan and ``objective`` its total. An
     ``OPTIMAL`` run is proven, with ``lower_bound == objective``: by its
@@ -176,10 +184,11 @@ def check_time_limit(time_limit: float | None, n: int = 0) -> None:
     ``inf`` are no limit. Every run that takes a limit checks it here.
 
     An exact run passes its instance's ``n`` nodes, and above
-    ``ORACLE_MAX_N`` it must have a finite limit: there the
-    branch-and-bound's open nodes grow until memory runs out (bays29, m =
-    4, held 233, 444, 592 and 751 MB after 2, 4, 6 and 8 s without one),
-    while any limit from 0.5 s proves that run optimal. A heuristic run,
+    ``ORACLE_MAX_N`` it must have a finite limit: the run there is the
+    ending of :func:`_finish`, whose steps run until shares of the limit.
+    Without one the q-route bound alone runs to its stop rule (1.4–18 s
+    at n = 100–200; at n = 2000 one step takes more than 2.5 s), and the
+    shares of an infinite limit after it never arrive. A heuristic run,
     which reads no limit, passes no ``n``."""
     if time_limit is not None and not time_limit > 0:
         raise ValueError("time_limit must be positive")
@@ -197,7 +206,8 @@ def build_model(
     """Assemble and validate the constraint system.
 
     ``warm_start`` becomes the search's first incumbent: it prunes every node
-    whose bound reaches its total but never a cheaper plan. It is checked
+    whose bound reaches its total but never a cheaper plan. Above
+    ``ORACLE_MAX_N`` it is the plan the ending polishes. It is checked
     here, with :func:`check_solution`, so that a solve's clock never pays
     for the check (0.08–0.19 s at n = 2000); a plan that violates the model
     raises ``ValueError``.
@@ -226,10 +236,11 @@ def solve(
     """The exact run on the window [``min_customers``, ``max_customers``].
 
     Up to ``ORACLE_MAX_N`` nodes it is the subset DP
-    (:func:`brute_force_oracle`); above that, the branch-and-bound
-    (:func:`solve_exact`) with the nearest-node plan as its warm start.
-    ``result.backend`` names the one that ran. Either returns a plan even
-    when its time limit passes first. ``time_limit`` ``None`` or ``inf`` is
+    (:func:`brute_force_oracle`); above that, :func:`solve_exact` with the
+    nearest-node plan as its warm start, which hands the plan to the
+    q-route bound, polish and proof of :func:`_finish` without a tree
+    search. ``result.backend`` names the one that ran. Either returns a
+    plan even when its time limit passes first. ``time_limit`` ``None`` or ``inf`` is
     no limit up to ``ORACLE_MAX_N`` nodes and refused above it
     (:func:`check_time_limit`). Both backends check the window before the
     limit, so a window that cannot cover the customers raises
@@ -293,25 +304,18 @@ def check_solution(model: ExactModel, plan: RoutePlan):
 # ---------------------------------------------------------------------------
 # branch and bound
 
-def neighbour_table(matrix, deadline):
+def neighbour_table(matrix):
     """The one per-solve table branching and bound read: ``(rows, customers)``.
 
     ``rows[v]`` lists ``(cost, 1 << w)`` for every node ``w != v``, sorted by
     ``(cost, w)``; costs are Python floats read from the matrix row's
     ``tolist()`` and the depot's bit is 1. ``customers`` lists
     ``(1 << v, rows[v])`` for every customer ``v`` in ascending order.
-
-    The clock is read before each row, and the build returns ``None`` once
-    it is past ``deadline`` (``np.inf`` builds the whole table). The table
-    grows as n² Python tuples: a whole build took 0.16–0.22 s and ~80 MB
-    at n = 500 and 2.3–4.7 s and 1.1–1.15 GB at n = 2000 (process RSS,
-    2-CPU Xeon VM).
+    The search builds it only up to ``ORACLE_MAX_N`` nodes, where it holds
+    at most 240 pairs.
     """
-    rows = []
-    for v, row in enumerate(matrix):
-        if time.perf_counter() > deadline:
-            return None
-        rows.append(sorted((cost, 1 << w) for w, cost in enumerate(row.tolist()) if w != v))
+    rows = [sorted((cost, 1 << w) for w, cost in enumerate(row.tolist()) if w != v)
+            for v, row in enumerate(matrix)]
     return rows, [(1 << v, rows[v]) for v in range(1, len(rows))]
 
 
@@ -371,12 +375,23 @@ def bound_from_ends(customers, memo, ends, unvisited):
 
 
 def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResult:
-    """Best-first branch and bound over partial route extensions.
+    """Best-first branch and bound over partial route extensions, up to
+    ``ORACLE_MAX_N`` nodes; above that, the ending alone.
 
-    A search state is ``(cost, seqs, closed, unvisited)``: the fixed arcs'
-    cost, m partially built customer sequences, their closed flags and the
-    unvisited customers as an int bitmask. A route ends at its last
-    customer (the depot while empty) and its size is its length. The route
+    Above ``ORACLE_MAX_N`` nodes, where ``time_limit`` must be finite
+    (:func:`check_time_limit`), no tree search runs: the run hands
+    :func:`_finish` its warm start (``None`` without one), a bound of 0.0
+    and 0 nodes as soon as its clock starts, and its q-route bound,
+    polish and proof (itself a branch-and-bound over a route pool) are the
+    whole run. At these sizes a tree search's bound added nothing the
+    q-route proof does not, while its table and open nodes held up to
+    ~1 GB.
+
+    Up to the cap, a search state is ``(cost, seqs, closed, unvisited)``:
+    the fixed arcs' cost, m partially built customer sequences, their
+    closed flags and the unvisited customers as an int bitmask. A route
+    ends at its last customer (the depot while empty) and its size is its
+    length. The route
     with the fewest customers (lowest index on ties) is active; branching
     appends one unvisited customer (candidates in ascending arc cost, read
     off the end node's ``neighbour_table`` row) or closes the route once it
@@ -396,27 +411,23 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     the search raises.
 
     The warm start was checked by :func:`build_model`, before the clock
-    starts. The clock is read before each row of the table and on every
-    popped node. A time-limited search
+    starts. The clock is read on every popped node. A time-limited search
     stops at most one node expansion past a quarter of ``time_limit``
-    (``_SEARCH_SHARE``). A table build that reaches that point stops there,
-    and the search then stops at its first popped node. It also stops at
-    the first popped node that leaves more than ``_OPEN_PER_S *
-    time_limit`` open nodes on its heap: a search whose heap grows that
+    (``_SEARCH_SHARE``). It also stops at the first popped node that
+    leaves more than ``_OPEN_PER_S * time_limit`` open nodes on its
+    heap: a search whose heap grows that
     fast does not close within its limit, and a stop on a count, unlike
     one on the clock, hands the same incumbent and bound to ``_finish`` at
     any speed. The search frees its open nodes, its table and its memo at
     once, which takes time in proportion to their size (a stopped search
     holds up to ``_OPEN_PER_S * time_limit`` open nodes) and is part of
-    ``wall_time``. The search hands :func:`_finish` its incumbent (``None`` if it stopped before its first
-    plan, without a warm start) and, if it stopped, the best bound it
-    popped; ``_finish`` sets the run's lower bound and states what a
-    stopped run does with the rest of its limit, from the nearest-node
-    plan if it holds none. A search
-    that runs to the end always holds a plan: ``build_model`` admits only
-    windows that cover the customers, and every arc is finite. Above
-    ``ORACLE_MAX_N`` nodes ``time_limit`` must be finite
-    (:func:`check_time_limit`).
+    ``wall_time``. The search hands :func:`_finish` its incumbent (``None``
+    if it stopped before its first plan, without a warm start) and, if it
+    stopped, the best bound it popped; ``_finish`` sets the run's lower
+    bound and states what a stopped run does with the rest of its limit,
+    from the nearest-node plan if it holds none. A search that runs to the
+    end always holds a plan: ``build_model`` admits only windows that
+    cover the customers, and every arc is finite.
     """
     n = model.instance.n
     check_time_limit(time_limit, n)
@@ -430,11 +441,13 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     if model.warm_start is not None:  # build_model has checked it
         incumbent_cost = model.warm_start.total_distance
         incumbent_routes = model.warm_start.routes
+    if n > ORACLE_MAX_N:  # the ending's bound and proof are the whole run
+        return _finish(model, "branch_and_bound", incumbent_routes, 0.0, 0,
+                       start_time, time_limit)
 
     stop_at = np.inf if time_limit is None else start_time + _SEARCH_SHARE * time_limit
     most_open = np.inf if time_limit is None else _OPEN_PER_S * time_limit
-    # a table cut off at stop_at is empty: the first popped node then stops
-    rows, customers = neighbour_table(model.instance.matrix, stop_at) or ([], [])
+    rows, customers = neighbour_table(model.instance.matrix)
     memo = {}  # unvisited mask -> summed customer terms of the bound
     to_depot = model.instance.matrix[:, 0].tolist()
     bound_at, push, pop = bound_from_ends, heappush, heappop  # local names: read per node
@@ -1012,12 +1025,15 @@ def _polish(matrix, routes, min_customers, max_customers, deadline):
     Each pass prices every move of three kinds (:func:`_best_move`) and
     applies the single best one that gains. Every route keeps
     ``min_customers`` to ``max_customers`` customers. The polish stops when
-    no move gains or when the clock, read before each pass, is past
-    ``deadline``, so it ends at most one pass after it.
+    no move gains or when ``_best_move`` finds the clock past ``deadline``,
+    which it reads before its tour-order gather and before each row block;
+    so it ends at most one gather plus one block after it (~0.07 s and
+    ~0.5 ms at n = 2000, where a whole pass takes ~0.25 s) and keeps the
+    plan it holds.
     """
     seqs = [[v - 1 for v in r[1:-1]] for r in routes]
-    while time.perf_counter() <= deadline:
-        move = _best_move(matrix, seqs, min_customers, max_customers)
+    while True:
+        move = _best_move(matrix, seqs, min_customers, max_customers, deadline)
         if move is None:
             break
         kind, ra, i, rb, j = move
@@ -1046,8 +1062,8 @@ def _iterate(instance, routes, min_customers, max_customers, deadline, bound=-np
     ``bound`` (a valid lower bound of the run, which proves that plan
     optimal; the default proves nothing), or when the clock, read before
     each round, is past ``deadline``; the round's polish also stops at it,
-    so the search ends at most one polish pass after it. Each is checked
-    before the first round too.
+    so the search ends at most one tour-order gather plus one row block of
+    a polish pass after it. Each is checked before the first round too.
     """
     rng = rng_from_seed(_KICKS)
     best = current = evaluate_plan(instance, routes)
@@ -1092,8 +1108,10 @@ def _kick(routes, rng):
     return [(1, *seq, 1) for seq in seqs]
 
 
-def _best_move(d, seqs, min_customers, max_customers):
-    """The best gaining move on 0-based customer sequences, or ``None``.
+def _best_move(d, seqs, min_customers, max_customers, deadline):
+    """The best gaining move on 0-based customer sequences, or ``None``:
+    also once the clock, read before the tour-order gather and before each
+    row block, is past ``deadline``.
 
     The plan is read as one tour through every route, a depot copy between
     two routes, and the matrix is gathered once into tour order, so every
@@ -1116,6 +1134,8 @@ def _best_move(d, seqs, min_customers, max_customers):
     route, index, route, index)``; a ``move`` names the customer's index
     and the index it is inserted at.
     """
+    if time.perf_counter() > deadline:
+        return None
     tour = np.array([0, *itertools.chain.from_iterable([*s, 0] for s in seqs)])
     depot = tour == 0
     route = np.cumsum(depot) - 1  # of each position, and of the arc leaving it
@@ -1163,6 +1183,8 @@ def _best_move(d, seqs, min_customers, max_customers):
                               ("swap", swap, r.size)):
         step = _block_rows(cols)
         for first in range(0, r.size, step):
+            if time.perf_counter() > deadline:
+                return None
             delta, ok = price(slice(first, min(first + step, r.size)))
             gain = np.where(ok, -delta, -np.inf)
             k = int(gain.argmax())
@@ -1190,8 +1212,11 @@ def _finish(model, backend, routes, bound, nodes, start_time, time_limit) -> Exa
     objective. Otherwise the run stopped at ``time_limit`` holding
     ``routes`` or, if ``None``, the nearest-node plan, and ``bound`` is the
     backend's own valid lower bound: the best bound its search popped, or
-    0.0 from the subset DP. This is the one place a stopped run's lower
-    bound is set: the largest of ``bound``, :func:`_root_bound` and
+    0.0 from the subset DP and from :func:`solve_exact` above
+    ``ORACLE_MAX_N``, which hands in its warm start as soon as its clock
+    starts, so that this ending is that whole run. This is the one place
+    a stopped run's lower bound is set: the largest of ``bound``,
+    :func:`_root_bound` and
     :func:`qroute_bound` run until ``start_time + _BOUND_SHARE *
     time_limit``, which ends at most one label layer past that point, or at
     its first clock read if the point has passed. The run then spends what
@@ -1204,10 +1229,11 @@ def _finish(model, backend, routes, bound, nodes, start_time, time_limit) -> Exa
     a cheaper one it found, and nothing runs after it. A proof that gives
     up, at its deadline or its cap, hands the rest of the limit to
     :func:`_iterate`, which searches from the polished plan until
-    ``start_time + time_limit``. So the run ends at most one polish pass
-    past its limit, ~0.2 s at n = 2000 on a 2-CPU Xeon VM (or here, if it
-    reaches this point later: a stopped subset DP has no time left, so all
-    three return at once). ``_iterate`` is handed the bound and stops as
+    ``start_time + time_limit``. So the run ends at most one tour-order
+    gather plus one row block of a polish pass past its limit, ~0.07 s at
+    n = 2000 on a 2-CPU Xeon VM (or here, if it reaches this point later:
+    a stopped subset DP has no time left, so all three return at once).
+    ``_iterate`` is handed the bound and stops as
     soon as its best plan reaches it, since no round can improve a plan the
     bound proves optimal; a run that reaches its proof returns then instead
     of at the limit or after its stall rounds. The iterated plan replaces

@@ -306,7 +306,7 @@ def test_criterion_9_property_suites(garn9):
                 (((1, 4), (2,)), (4, 2), (False, False), frozenset({3, 5, 6})),
             ]
             for seqs, ends, closed, unvisited in states:
-                bound = completion_bound(neighbour_table(dist, np.inf), {}, seqs, closed,
+                bound = completion_bound(neighbour_table(dist), {}, seqs, closed,
                                          sum(1 << v for v in unvisited), 2)
                 truth = _min_completion(dist, seqs, ends, closed, unvisited, 2, 4)
                 assert bound <= truth + 1e-9

@@ -530,8 +530,8 @@ def test_solve_takes_an_infinite_time_limit(capsys):
     ids=["solve", "compare"],
 )
 def test_exact_above_the_dp_cap_refuses_no_limit(capsys, argv, limit):
-    # bays29 has 29 nodes: without a limit its search would grow until
-    # memory runs out, so both commands exit 1 before any work
+    # bays29 has 29 nodes: without a limit the run's shares of it never
+    # arrive, so both commands exit 1 before any work
     code, out, err = run(capsys, *argv, str(bundled_path("bays29")), *limit)
     assert code == 1
     assert out == ""

@@ -333,10 +333,12 @@ def test_exact_backends_reject_a_non_positive_time_limit(garn9, limit):
 
 
 def test_no_limit_above_the_dp_cap_is_refused_before_any_work(monkeypatch):
-    # above the cap the branch-and-bound's open nodes grow without end, so
-    # None and inf are refused before the table or the warm start is built;
-    # heuristics read no limit and take none at any size, and up to the cap
-    # the subset DP still runs to a proof without one
+    # above the cap a run is the ending's q-route bound and proof, which
+    # without a limit runs the bound to its stop rule (1.4-18 s at n =
+    # 100-200, and one step takes more than 2.5 s at n = 2000) and never
+    # reaches the ending's later shares, so None and inf are refused before
+    # any work; heuristics read no limit and take none at any size, and up
+    # to the cap the subset DP still runs to a proof without one
     inst = generate_uniform_instance(GridSpec(ORACLE_MAX_N + 1, 100, 1))
     window = default_window(inst.n, 3)
     model = build_model(inst, 3, *window)
@@ -378,15 +380,15 @@ def test_time_limit_holds_on_elapsed_time(eil51):
     result = solve_exact(model, time_limit=0.2)
     elapsed = time.perf_counter() - started
     assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
-    # the 0.1 s margin covers one node expansion plus freeing the open nodes;
-    # it is wall-clock time, so a heavily loaded host can use it up
+    # the 0.1 s margin covers the polish's last gather and row block; it is
+    # wall-clock time, so a heavily loaded host can use it up
     assert result.wall_time <= 0.2 + 0.1
     assert elapsed <= 0.2 + 0.1
 
 
 def test_time_limit_before_a_first_plan_polishes_the_nearest_node_plan():
-    # without a warm start, a 1 ms search at n = 30 stops long before it
-    # completes a plan; the ending polishes the nearest-node plan instead
+    # without a warm start, a 1 ms run at n = 30 holds no plan; the ending
+    # polishes the nearest-node plan instead
     inst = generate_uniform_instance(GridSpec(30, 100, 3))
     model = build_model(inst, 3, *default_window(inst.n, 3))
     result = solve_exact(model, time_limit=0.001)
@@ -398,8 +400,8 @@ def test_time_limit_before_a_first_plan_polishes_the_nearest_node_plan():
 
 
 def test_a_search_stopped_before_a_first_plan_improves_the_nearest_node_plan(monkeypatch):
-    # the same n = 30 search stops at 0.05 s without a plan; the rest of its
-    # 0.2 s limit goes to the q-route bound and the polishes
+    # above the cap the same n = 30 run hands the ending no plan; its 0.2 s
+    # limit goes to the q-route bound and the polishes of the nearest-node plan
     inst = generate_uniform_instance(GridSpec(30, 100, 3))
     model = build_model(inst, 3, *default_window(inst.n, 3))
     held = []
@@ -418,8 +420,8 @@ def test_a_search_stopped_before_a_first_plan_improves_the_nearest_node_plan(mon
 
 
 def test_a_run_stopped_at_once_reports_the_root_bound():
-    # 1 µs stops the search before its table is built and the q-route bound
-    # before its first step; the root bound is still the run's
+    # 1 µs stops the q-route bound before its first step; the root bound is
+    # still the run's
     inst = generate_uniform_instance(GridSpec(30, 100, 3))
     result = exact.solve(inst, 3, *default_window(inst.n, 3), time_limit=1e-6)
     assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
@@ -427,9 +429,8 @@ def test_a_run_stopped_at_once_reports_the_root_bound():
 
 
 def test_a_large_stopped_search_keeps_its_limit():
-    # at n = 1000 the whole neighbour table takes longer than the search's
-    # quarter; the build stops there, and the table and open nodes are freed
-    # before wall_time is read
+    # at n = 1000 the run is the ending alone, and the ending keeps its
+    # 0.5 s limit: the polish stops within one gather and row block of it
     inst = generate_uniform_instance(GridSpec(1000, 100, 1))
     model = build_model(inst, 4, *default_window(inst.n, 4), warm_start=nearest_node(inst, 4))
     started = time.perf_counter()
@@ -442,12 +443,12 @@ def test_a_large_stopped_search_keeps_its_limit():
     assert result.lower_bound >= exact._root_bound(inst.matrix, 4)
 
 
-def test_the_search_frees_its_table_before_the_ending(monkeypatch, eil51):
+def test_the_search_frees_its_table_before_the_ending(monkeypatch):
     tables, sizes = [], []
     real_table, real_finish = exact.neighbour_table, exact._finish
 
-    def table(matrix, deadline):  # always whole, so that each run has a table to free
-        tables.append(real_table(matrix, np.inf))
+    def table(matrix):
+        tables.append(real_table(matrix))
         return tables[-1]
 
     def finish(*args):
@@ -459,9 +460,24 @@ def test_the_search_frees_its_table_before_the_ending(monkeypatch, eil51):
     monkeypatch.setattr(exact, "_finish", finish)
     garn9 = mtspkit.load_bundled("garn9")
     assert solve_exact(build_model(garn9, 2, 2, 5)).status is SolveStatus.OPTIMAL
-    stopped = solve_exact(build_model(eil51, 2, 24, 25), time_limit=0.05)
-    assert stopped.status is SolveStatus.FEASIBLE_TIME_LIMIT
-    assert sizes == [(0, 0), (0, 0)]
+    assert sizes == [(0, 0)]
+
+
+def test_no_tree_search_above_the_dp_cap(monkeypatch):
+    # above the cap solve_exact hands its warm start to the ending at once:
+    # no neighbour table, no heap; the q-route proof proves bays29
+    def work(*args):
+        raise AssertionError("no tree search above the cap")
+
+    monkeypatch.setattr(exact, "neighbour_table", work)
+    monkeypatch.setattr(exact, "heappush", work)
+    bays29 = mtspkit.load_bundled("bays29")
+    model = build_model(bays29, 4, 4, 8, warm_start=nearest_node(bays29, 4))
+    result = solve_exact(model, time_limit=1.0)
+    assert result.status is SolveStatus.OPTIMAL
+    assert result.objective == pytest.approx(2603, abs=1e-6)
+    assert result.nodes_explored == 0
+    assert result.backend == "branch_and_bound"
 
 
 def _every_ending():
@@ -472,14 +488,18 @@ def _every_ending():
     late = build_model(generate_uniform_instance(GridSpec(30, 100, 3)), 3, 9, 10)
     eil51 = mtspkit.load_bundled("eil51")
     warm = build_model(eil51, 2, 24, 25, warm_start=nearest_node(eil51, 2))
+    u16 = generate_uniform_instance(GridSpec(16, 100, 7))
+    searched = build_model(u16, 2, *default_window(16, 2), warm_start=nearest_node(u16, 2))
     return [
         ("dp proven", small, lambda: brute_force_oracle(garn9, 2, 2, 5), "subset_dp"),
         ("dp stopped", wide,
          lambda: brute_force_oracle(wide.instance, 7, 1, 8, time_limit=0.01), "subset_dp"),
         ("b&b proven", small, lambda: solve_exact(small), "branch_and_bound"),
-        ("b&b stopped, warm start", warm,
+        ("b&b search stopped", searched,
+         lambda: solve_exact(searched, time_limit=0.002), "branch_and_bound"),
+        ("b&b above the cap stopped, warm start", warm,
          lambda: solve_exact(warm, time_limit=0.05), "branch_and_bound"),
-        ("b&b stopped, no plan yet", late,
+        ("b&b above the cap stopped, no plan", late,
          lambda: solve_exact(late, time_limit=0.001), "branch_and_bound"),
     ]
 
@@ -519,7 +539,7 @@ def test_every_exact_ending_keeps_the_result_invariants(monkeypatch):
         assert result.backend == backend, label
         statuses.append(result.status)
     optimal, stopped = SolveStatus.OPTIMAL, SolveStatus.FEASIBLE_TIME_LIMIT
-    assert statuses == [optimal, stopped, optimal, stopped, stopped]
+    assert statuses == [optimal, stopped, optimal, stopped, stopped, stopped]
 
 
 def test_search_without_a_warm_start_proves_every_feasible_window():
@@ -650,7 +670,7 @@ def test_oracle_reference_and_guards(garn9):
 def test_oracle_time_limit_holds():
     inst = generate_uniform_instance(GridSpec(15, 100, 7))
     root = completion_bound(
-        neighbour_table(inst.matrix, np.inf), {}, ((),) * 7, (False,) * 7, (1 << 15) - 2, 1
+        neighbour_table(inst.matrix), {}, ((),) * 7, (False,) * 7, (1 << 15) - 2, 1
     )
     started = time.perf_counter()
     result = brute_force_oracle(inst, 7, 1, 8, time_limit=0.2)
@@ -797,7 +817,7 @@ def test_completion_bound_matches_reference(state):
     ends = tuple(0 if c or not s else s[-1] for s, c in zip(seqs, closed))
     counts = [len(s) for s in seqs]
     expected = _reference_bound(mat, ends, counts, closed, unvisited, kmin)
-    got = completion_bound(neighbour_table(mat, np.inf), {}, seqs, closed, unvisited, kmin)
+    got = completion_bound(neighbour_table(mat), {}, seqs, closed, unvisited, kmin)
     assert got == expected
 
 
@@ -808,7 +828,7 @@ def test_completion_bound_memo_keeps_the_bits(state):
     # customer away, and this mask with one open route at the depot) must
     # not change a single bit of the bound
     mat, seqs, closed, unvisited, kmin = state
-    table = neighbour_table(mat, np.inf)
+    table = neighbour_table(mat)
     fresh = completion_bound(table, {}, seqs, closed, unvisited, kmin)
     memo = {}
     for v in range(1, len(mat)):
@@ -829,7 +849,7 @@ def test_bound_from_prepared_ends_keeps_the_bits(state):
     # active route's entry for each customer it appends and drops it for the
     # close: both must give completion_bound's float on the child, bit for bit
     mat, seqs, closed, unvisited, kmin = state
-    rows, customers = table = neighbour_table(mat, np.inf)
+    rows, customers = table = neighbour_table(mat)
     want = completion_bound(table, {}, seqs, closed, unvisited, kmin)
     if not unvisited and any(len(s) < kmin for s, c in zip(seqs, closed) if not c):
         assert want == np.inf
@@ -880,7 +900,7 @@ def test_bound_memo_is_per_solve():
 
 def test_neighbour_table_rows_are_sorted_pairs():
     mat = np.array([[np.inf, 2.0, 1.0], [2.0, np.inf, 2.0], [1.0, 0.5, np.inf]])
-    rows, customers = neighbour_table(mat, np.inf)
+    rows, customers = neighbour_table(mat)
     assert rows == [
         [(1.0, 1 << 2), (2.0, 1 << 1)],
         [(2.0, 1 << 0), (2.0, 1 << 2)],
@@ -903,7 +923,7 @@ def test_completion_bound_is_admissible():
             (((1, 3), (2,)), (3, 2), (False, False), frozenset({4, 5, 6})),
         ]
         for seqs, ends, closed, unvisited in states:
-            bound = completion_bound(neighbour_table(dist, np.inf), {}, seqs, closed,
+            bound = completion_bound(neighbour_table(dist), {}, seqs, closed,
                                      sum(1 << v for v in unvisited), lo)
             truth = _enumerate_completions(dist, seqs, ends, closed, unvisited, lo, hi)
             assert bound <= truth + 1e-9
@@ -1000,7 +1020,7 @@ def test_polish_keeps_the_window_and_never_costs_more(case):
     best = min(evaluate_plan(inst, [(1, *s, 1) for s in seqs]).total_distance
                for seqs in _neighbours(plan.routes, lo, hi))
     seqs = [list(r[1:-1]) for r in plan.routes]
-    move = exact._best_move(inst.matrix, [[v - 1 for v in s] for s in seqs], lo, hi)
+    move = exact._best_move(inst.matrix, [[v - 1 for v in s] for s in seqs], lo, hi, np.inf)
     if move is None:
         assert best >= plan.total_distance - 1e-9 * max(1.0, plan.total_distance)
         return
@@ -1013,6 +1033,26 @@ def test_polish_keeps_the_window_and_never_costs_more(case):
         seqs[a][i], seqs[b][j] = seqs[b][j], seqs[a][i]
     moved = evaluate_plan(inst, [(1, *s, 1) for s in seqs])
     assert moved.total_distance == pytest.approx(best, abs=1e-9)
+
+
+def test_best_move_past_its_deadline_returns_none_without_pricing(monkeypatch, eil51):
+    # the clock is read before the tour-order gather and before each row
+    # block: a deadline already past stops at the first read, one that passes
+    # after the gather at the second, and no block is priced in either case
+    seqs = [[v - 1 for v in r[1:-1]] for r in nearest_node(eil51, 2).routes]
+    assert exact._best_move(eil51.matrix, seqs, 24, 25, np.inf) is not None
+    reads = []
+
+    def clock():  # one second per read
+        reads.append(len(reads) + 1)
+        return reads[-1]
+
+    monkeypatch.setattr(exact, "time", SimpleNamespace(perf_counter=clock))
+    assert exact._best_move(eil51.matrix, seqs, 24, 25, 0.5) is None
+    assert reads == [1]
+    reads.clear()
+    assert exact._best_move(eil51.matrix, seqs, 24, 25, 1.5) is None
+    assert reads == [1, 2]
 
 
 def test_polish_prices_a_directed_reversal_by_its_reversed_arcs():
@@ -1035,10 +1075,10 @@ def test_polish_prices_a_directed_reversal_by_its_reversed_arcs():
 
 
 def test_a_polished_stopped_run_ends_within_its_overshoot():
-    # n = 200: the search stops at a quarter of the limit and the q-route
-    # bound, ~5 ms a step, at half; the polish and then the iterated polish,
-    # ~3 ms a pass, end at most one pass past the limit, as the README
-    # states; the 0.1 s margin also covers a slow host, as it does above
+    # n = 200: the q-route bound, ~5 ms a step, stops at half the limit; the
+    # polish and then the iterated polish end at most one gather and row
+    # block past the limit, as the README states; the 0.1 s margin also
+    # covers a slow host, as it does above
     inst = generate_uniform_instance(GridSpec(200, 100, 1))
     warm = nearest_node(inst, 3)
     model = build_model(inst, 3, *default_window(inst.n, 3), warm_start=warm)
@@ -1189,7 +1229,7 @@ def test_iterated_polish_stops_at_a_bound_its_plan_meets(monkeypatch):
 
 
 def test_a_stopped_run_above_the_dp_cap_is_proven_at_its_bound():
-    # n = 20, m = 5: the search stops at a quarter of the limit, the q-route
+    # n = 20, m = 5: no tree search runs above the cap, the q-route
     # bound (~0.2 s here) reaches the optimum, and the iterated polish stops
     # once its plan meets it, well before the limit; the limit leaves the
     # bound ~5x its time on a slow host
