@@ -47,10 +47,11 @@ the ground truth the branch-and-bound is checked against.
 q-route relaxation of Christofides, Mingozzi & Toth (1981), m walks of
 K..L customers from the depot that cover n - 1 customers, with Lagrangian
 penalties on visiting each customer once tuned by subgradient steps, each
-a pass of whole-array label layers. The steps run until one no longer
-moves the penalties: the step length shrinks geometrically unless the
-bound gains more than ``_EPS`` of itself, which it can do only finitely
-often below the optimum, so the run ends without a deadline too.
+a pass of whole-array label layers. The steps run until no later one can
+raise the bound by ``_EPS`` / 2: the step length shrinks geometrically
+unless the bound gains more than ``_EPS`` of itself, which it can do only
+finitely often below the optimum, and a shrunken step can raise the bound
+only by a bounded amount, so the run ends without a deadline too.
 
 Under a time limit a tree search searches for a quarter of it, or until
 it holds ``_OPEN_PER_S`` open nodes per second of the limit, whichever
@@ -186,10 +187,10 @@ def check_time_limit(time_limit: float | None, n: int = 0) -> None:
     An exact run passes its instance's ``n`` nodes, and above
     ``ORACLE_MAX_N`` it must have a finite limit: the run there is the
     ending of :func:`_finish`, whose steps run until shares of the limit.
-    Without one the q-route bound alone runs to its stop rule (1.4–18 s
-    at n = 100–200; at n = 2000 one step takes more than 2.5 s), and the
-    shares of an infinite limit after it never arrive. A heuristic run,
-    which reads no limit, passes no ``n``."""
+    Without one the q-route bound alone runs to its stop rule (0.8–11 s
+    at n = 100–200 on a 2-CPU Xeon VM; at n = 2000 one step takes ~8 s),
+    and the shares of an infinite limit after it never arrive. A heuristic
+    run, which reads no limit, passes no ``n``."""
     if time_limit is not None and not time_limit > 0:
         raise ValueError("time_limit must be positive")
     if n > ORACLE_MAX_N and (time_limit is None or time_limit == np.inf):
@@ -664,18 +665,31 @@ def qroute_bound(instance, m, min_customers, max_customers, deadline) -> float:
     plus the sum of λ is a valid bound for every λ.
 
     λ starts at 0 and takes subgradient steps along 1 − visits, each of
-    Polyak's length toward the nearest-node plan's total (a plan that fits
-    every admitted window). The step multiplier starts at 1 and shrinks by
-    ``_BOUND_SHRINK`` after ``_BOUND_STALL`` steps without a gain; a gain
-    raises the best value by more than ``_EPS`` times it (at least
-    ``_EPS``), and a smaller rise still raises the best value, which is the
-    bound. The run returns once a step leaves λ unchanged bit for bit. That
-    step always comes: every value is a lower bound, so the best value
-    gains only finitely often, and from then on the multiplier shrinks
-    geometrically until each step rounds away. So with an infinite
-    ``deadline`` its float is a function of the instance's matrix, m and
-    the window alone. It also returns when a relaxed optimum visits every
-    customer once: that is a plan, and the bound is its cost.
+    Polyak's length toward the nearest-node plan's total T (a plan that
+    fits every admitted window). The step multiplier μ starts at 1 and
+    shrinks by ``_BOUND_SHRINK`` after ``_BOUND_STALL`` steps without a
+    gain; a gain raises the best value by more than ``_EPS`` times it (at
+    least ``_EPS``), and a smaller rise still raises the best value, which
+    is the bound.
+
+    The run returns once no later step can raise the bound by ``_EPS`` / 2.
+    The relaxed value is concave in λ, with 1 − visits a supergradient,
+    so a step of length μ(T − v) / ‖1 − visits‖² from value v lands at most
+    μ(T − v) above v, that is at (1 − μ)v + μT or below. That grows with v,
+    and v never exceeds the best value b, so whatever dips the values take,
+    the next value is at most b + μ(T − b). Once μ(T − b) is below ``_EPS``
+    no step gains: μ shrinks every ``_BOUND_STALL`` steps and b only rises,
+    so all later steps together raise b by at most ``_BOUND_STALL`` /
+    (1 − ``_BOUND_SHRINK``) · μ(T − b), and the run returns when that is at
+    most ``_EPS`` / 2. The values are float sums, so this holds up to their
+    rounding (the lock cases lose at most 2.3e-11 against running on until
+    a step no longer moves λ). That return always comes: every value is a
+    lower bound, below T, so the best value gains only finitely often, and
+    from then on μ shrinks geometrically. So with an infinite ``deadline``
+    its float is a function of the instance's matrix, m and the window
+    alone. The run also returns once a step leaves λ unchanged bit for
+    bit, and when a relaxed optimum visits every customer once: that is a
+    plan, and the bound is its cost.
 
     The clock is read once per label layer. Past ``deadline`` the bound
     returns the best value of its finished steps, 0.0 before the first.
@@ -693,22 +707,21 @@ def _qroute_dual(instance, m, min_customers, max_customers, deadline):
     into = matrix[1:, 1:].T.copy()  # into[v, u]: customer u to customer v
     leave, back = matrix[0, 1:], matrix[1:, 0]
     target = nearest_node(instance, m).total_distance
+    # labels[q - 1], links[q - 1]: a step's q-customer labels and their
+    # predecessors (p1, p2); closing[q]: the best q-route
+    labels, links = np.empty((hi, k)), np.empty((hi, 2, k), dtype=np.intp)
+    link = memoryview(links)  # link[q - 1, i, v]: links' entries as Python ints
+    table, closing = _cover_table(k, lo, hi), np.full(hi + 1, np.inf)
     penalty = best_penalty = np.zeros(k)
     best, step, stall = 0.0, 1.0, 0
     while True:
-        # layers[q - 1]: the predecessors (p1, p2) of the q-customer labels;
-        # closing[q], ends[q]: the best q-route and the customer it closes from
-        closing, ends, layers = np.full(hi + 1, np.inf), [0] * (hi + 1), []
-        for q, (f1, p1, p2) in enumerate(_walk_labels(into, leave, penalty, hi, deadline), 1):
-            layers.append((p1, p2))
-            if q >= lo:
-                shut = f1 + back
-                ends[q] = int(shut.argmin())
-                closing[q] = shut[ends[q]]
-        if len(layers) < hi:  # cut off at the deadline
-            return best, best_penalty
-        covers = _covers(closing, lo, hi, k, m)
-        value = float(covers[-1][k]) + left_fold(penalty.tolist())
+        if sum(1 for _ in _walk_labels(into, leave, penalty, deadline, labels, links)) < hi:
+            return best, best_penalty  # cut off at the deadline
+        shut = labels[lo - 1:] + back
+        ends = shut.argmin(1).tolist()  # ends[q - lo]: the customer the best q-route closes from
+        closing[lo:] = shut.min(1)
+        covers = _covers(closing, lo, table, m)
+        value = float(covers[-1, k]) + left_fold(penalty.tolist())
         if value > best + _EPS * max(1.0, best):
             stall = 0
         else:
@@ -717,26 +730,27 @@ def _qroute_dual(instance, m, min_customers, max_customers, deadline):
                 step, stall = step * _BOUND_SHRINK, 0
         if value > best:
             best, best_penalty = value, penalty
+        if _BOUND_STALL / (1 - _BOUND_SHRINK) * step * (target - best) <= _EPS / 2:
+            return best, best_penalty  # no later step can raise it by _EPS / 2
         # read the relaxed optimum back: its route sizes, then each walk
-        visits = np.zeros(k, dtype=np.int64)
+        visits, close = [0] * k, closing.tolist()
         s = k
-        for cover in reversed(covers[:-1]):
-            sizes = np.arange(lo, min(hi, s) + 1)
-            q = int(sizes[(cover[s - sizes] + closing[sizes]).argmin()])
+        for cover in covers[-2::-1].tolist():
+            q = min(range(lo, min(hi, s) + 1), key=lambda q: cover[s - q] + close[q])
             s -= q
-            v, second = ends[q], False
+            v, second = ends[q - lo], False
             for layer in range(q - 1, -1, -1):
                 visits[v] += 1
-                u = int(layers[layer][second][v])
+                u = link[layer, second, v]
                 if layer:
-                    second = int(layers[layer - 1][0][u]) == v
+                    second = link[layer - 1, 0, u] == v
                 v = u
-        slope = 1 - visits
+        slope = 1 - np.array(visits)
         norm = int(slope @ slope)
         if not norm:  # every customer once: a plan, priced at the bound
             return best, best_penalty
         moved = penalty + step * (target - value) / norm * slope
-        if np.array_equal(moved, penalty):  # the step no longer moves λ
+        if (moved == penalty).all():  # the step no longer moves λ
             return best, best_penalty
         penalty = moved
 
@@ -748,11 +762,13 @@ def _route_sizes(k, m, min_customers, max_customers):
             min(max_customers, k - (m - 1) * min_customers))
 
 
-def _walk_labels(into, leave, penalty, hi, deadline):
+def _walk_labels(into, leave, penalty, deadline, labels, links):
     """The 2-cycle-free walk labels from the depot, one layer per walk size:
-    yields ``(f1, p1, p2)`` for q = 1..``hi``. The clock is read before each
-    layer, and the layers stop once it is past ``deadline``, so a caller
-    that gets fewer than ``hi`` was cut off.
+    fills ``labels[q - 1]`` with ``f1`` and ``links[q - 1]`` with ``(p1,
+    p2)`` for q = 1..``len(labels)``, and yields q after each layer. The
+    clock is read before each layer, and the layers stop once it is past
+    ``deadline``, so a caller that gets fewer than ``len(labels)`` was cut
+    off.
 
     ``into[v, u]`` is the arc from customer u to customer v and
     ``leave[v]`` the depot's arc to v; ``penalty[v]`` is subtracted on
@@ -763,40 +779,64 @@ def _walk_labels(into, leave, penalty, hi, deadline):
     elementary path is such a walk, so ``f1`` never exceeds the cheapest
     elementary one. On the transposed arcs the same layers read walks to
     the depot backwards: ``f1[v]`` is then the cheapest walk of q
-    customers from v to the depot, v's penalty included."""
+    customers from v to the depot, v's penalty included.
+
+    A layer is one pass over a k × k scratch array plus whole-vector
+    gathers and scatters on flat indices into it and into ``into``, which
+    are raveled once per call, after the first clock read (a copy when
+    ``into`` is not contiguous, as ``_route_pool``'s view is)."""
     k = leave.size
-    rows = np.arange(k)
-    cost = np.empty((k, k))  # cost[v, u]: entering v from u's label, one layer
-    for q in range(1, hi + 1):
+    for q, (f1, (p1, p2)) in enumerate(zip(labels, links), 1):
         if time.perf_counter() > deadline:
             return
-        if q == 1:
-            f1, f2 = leave - penalty, np.full(k, np.inf)
-            p1 = p2 = np.full(k, -1)
+        if q == 1:  # set up past the first clock read: a call past its deadline copies nothing
+            rows = np.arange(k)
+            starts = rows * k  # the flat index of row v's first entry
+            arcs = into.ravel()
+            cost = np.empty((k, k))  # cost[v, u]: entering v from u's label, one layer
+            flat = cost.ravel()
+            np.subtract(leave, penalty, out=f1)
+            p1.fill(-1)
+            p2.fill(-1)
         else:
-            np.add(into, f1, out=cost)  # from u's best label
+            np.add(into, last, out=cost)  # from u's best label
             if q > 2:  # u's best came from v: from its second best instead
-                cost[p1, rows] = into[p1, rows] + f2
-            p1 = cost.argmin(1)
-            f1 = cost[rows, p1]
-            cost[rows, p1] = np.inf
-            p2 = cost.argmin(1)
-            f1, f2 = f1 - penalty, cost[rows, p2] - penalty
-        yield f1, p1, p2
+                at = starts[came] + rows  # the flat index of (p1[u], u)
+                flat[at] = arcs[at] + f2
+            cost.argmin(1, out=p1)
+            at = starts + p1
+            cheapest = flat[at]
+            flat[at] = np.inf
+            cost.argmin(1, out=p2)
+            np.subtract(cheapest, penalty, out=f1)
+            f2 = flat[starts + p2] - penalty
+        last, came = f1, p1
+        yield q
 
 
-def _covers(closing, lo, hi, k, m):
-    """The knapsack over route counts: ``covers[r][s]`` is the cheapest r
-    routes of ``lo``..``hi`` customers and ``s`` customers in total, a route
-    of q customers costing ``closing[q]``; r = 0..m and s = 0..k."""
-    covers = [np.full(k + 1, np.inf)]
-    covers[0][0] = 0.0
-    for _ in range(m):
-        cover = np.full(k + 1, np.inf)
-        for q in range(lo, hi + 1):
-            np.minimum(cover[q:], covers[-1][: k + 1 - q] + closing[q], out=cover[q:])
-        covers.append(cover)
-    return covers
+def _cover_table(k, lo, hi):
+    """The knapsack's gather table: ``table[j, s]`` is s − (``lo`` + j),
+    what is left to the other routes of s customers when one has ``lo`` + j,
+    or k + 1, an entry that reads inf, where that is negative."""
+    left = np.arange(k + 1) - np.arange(lo, hi + 1)[:, None]
+    return np.where(left >= 0, left, k + 1)
+
+
+def _covers(closing, lo, table, m):
+    """The knapsack over route counts: ``covers[r, s]`` is the cheapest r
+    routes of ``lo``..hi customers and ``s`` customers in total, a route
+    of q customers costing ``closing[q]``; r = 0..m and s = 0..k, with
+    hi and k read off ``table`` (:func:`_cover_table`). Each route count
+    is one gather, add and min over the table."""
+    k = table.shape[1] - 1
+    covers = np.full((m + 1, k + 2), np.inf)  # column k + 1 stays inf
+    covers[0, 0] = 0.0
+    sizes = closing[lo:, None]
+    for r in range(1, m + 1):
+        sums = covers[r - 1][table]
+        sums += sizes
+        sums.min(0, out=covers[r, :k + 1])
+    return covers[:, :k + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -876,13 +916,13 @@ def _route_pool(instance, m, min_customers, max_customers, penalty, budget, slac
     k = instance.n - 1
     lo, hi = _route_sizes(k, m, min_customers, max_customers)
     # tails[j - 1, v]: the cheapest walk of j customers from v to the depot
-    tails = [f1 for f1, _, _ in _walk_labels(matrix[1:, 1:], matrix[1:, 0], penalty, hi, deadline)]
-    if len(tails) < hi:
+    tails, links = np.empty((hi, k)), np.empty((hi, 2, k), dtype=np.intp)
+    walks = _walk_labels(matrix[1:, 1:], matrix[1:, 0], penalty, deadline, tails, links)
+    if sum(1 for _ in walks) < hi:
         return None
-    tails = np.array(tails)
     closing = np.full(hi + 1, np.inf)
     closing[lo:] = (tails[lo - 1:] + matrix[0, 1:]).min(1)
-    covers = _covers(closing, lo, hi, k, m)
+    covers = _covers(closing, lo, _cover_table(k, lo, hi), m)
     cap = np.full(hi + 1, -np.inf)  # cap[q]: T(q)
     cap[lo:] = budget - covers[m - 1][k - np.arange(lo, hi + 1)] + slack
     # need[s][v]: a partial route of s customers ending at v survives while

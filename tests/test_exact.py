@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import itertools
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -1262,20 +1264,130 @@ def test_gap_is_the_certified_relative_gap(garn9, monkeypatch):
     assert bench.plan_record("garn9", 2, "exact", result.best, result)["gap"] == result.gap
 
 
-def test_qroute_bound_is_locked():
-    # Locks the q-route bound: a change to the labels, the 2-cycle rule, the
-    # knapsack, the read-back, the step rule or the step count moves a
-    # float, and this digest. No deadline, so no run depends on the clock.
-    digest = hashlib.sha256()
+def _locked_bound_cases():
     cases = [(inst, m, window) for inst, m in _lock_cases()
              for window in (default_window(inst.n, m), (1, inst.n - m))]
-    cases += [(mtspkit.load_bundled("bays29"), 4, (4, 8)),
-              (mtspkit.load_bundled("eil51"), 2, (24, 25))]
-    for inst, m, window in cases:
-        digest.update(float.hex(exact.qroute_bound(inst, m, *window, np.inf)).encode())
+    return cases + [(mtspkit.load_bundled("bays29"), 4, (4, 8)),
+                    (mtspkit.load_bundled("eil51"), 2, (24, 25))]
+
+
+@functools.cache
+def _locked_bounds():
+    return [exact.qroute_bound(inst, m, *window, np.inf)
+            for inst, m, window in _locked_bound_cases()]
+
+
+def test_qroute_bound_is_locked():
+    # Locks the q-route bound: a change to the labels, the 2-cycle rule, the
+    # knapsack, the read-back, the step rule, the stop rule or the step
+    # count moves a float, and this digest. No deadline, so no run depends
+    # on the clock.
+    digest = hashlib.sha256()
+    for bound in _locked_bounds():
+        digest.update(float.hex(bound).encode())
     assert digest.hexdigest() == (
-        "8dfe39f3825731e3e3a656fd381043ab3828f64c92f987d6517cef3a9aa3521a"
+        "62c593b5081921b2cd4f814967d4847ea1e5a4ed7f954d01cb2dc13c284fb46c"
     )
+
+
+# The locked cases' bounds when the run went on until a step no longer
+# moved λ bit for bit, before it stopped once no later step could raise
+# the bound by _EPS / 2: the same steps, so at most that much higher.
+_BOUNDS_RUN_ON = [
+    "0x1.3d2b8abcc2d54p+8",
+    "0x1.01ab35dd7755bp+8",
+    "0x1.6b64f2e1b74d5p+8",
+    "0x1.225d3055ea0efp+8",
+    "0x1.ea94144ef02b8p+6",
+    "0x1.9e8edbe33e2fep+6",
+    "0x1.5835b71ebb161p+7",
+    "0x1.34e4d87f0a5adp+7",
+    "0x1.d000000000000p+3",
+    "0x1.bfffffffffffep+3",
+    "0x1.1000000000000p+4",
+    "0x1.0ffffffefa77cp+4",
+    "0x1.84c4320daa6e4p+8",
+    "0x1.2905243cf66e2p+8",
+    "0x1.a5c79361971a0p+8",
+    "0x1.4247bbeabe05bp+8",
+    "0x1.e1333862c5c27p+6",
+    "0x1.beade22fc3a75p+6",
+    "0x1.29ca041493513p+7",
+    "0x1.129e7953cd73dp+7",
+    "0x1.d000000000000p+3",
+    "0x1.8000000000000p+3",
+    "0x1.2000000000000p+4",
+    "0x1.e000000000000p+3",
+    "0x1.7260e0745e7c6p+8",
+    "0x1.3bc78d43a6951p+8",
+    "0x1.b7c15c7924eabp+8",
+    "0x1.60c6e0274ae00p+8",
+    "0x1.36602853f3f01p+6",
+    "0x1.36602853f3f00p+6",
+    "0x1.98266f731d413p+6",
+    "0x1.74b7513a75aa2p+6",
+    "0x1.f000000000000p+3",
+    "0x1.dffffffffffffp+3",
+    "0x1.3000000000000p+4",
+    "0x1.2000000000000p+4",
+    "0x1.4129dee28ff1bp+11",
+    "0x1.b062e84275dc2p+8",
+]
+
+
+def test_qroute_bound_stops_at_most_eps_half_below_running_on():
+    for bound, ran_on in zip(_locked_bounds(), map(float.fromhex, _BOUNDS_RUN_ON), strict=True):
+        assert ran_on - exact._EPS / 2 <= bound <= ran_on
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("widest", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_covers_is_the_cheapest_choice_of_route_sizes(m, widest, seed):
+    # the knapsack against every choice of r route sizes, r = 0..m, on
+    # integral closing costs (so every sum is exact) with some sizes that
+    # no route closes at (inf)
+    k = 2 * m + 3 + seed
+    lo, hi = exact._route_sizes(k, m, *((1, k - m + 1) if widest else default_window(k + 1, m)))
+    rng = rng_from_seed(seed)
+    closing = np.full(hi + 1, np.inf)
+    closing[lo:] = rng.integers(0, 50, hi + 1 - lo)
+    closing[lo:][rng.random(hi + 1 - lo) < 0.3] = np.inf
+    covers = exact._covers(closing, lo, exact._cover_table(k, lo, hi), m)
+    assert covers.shape == (m + 1, k + 1)
+    for r in range(m + 1):
+        cheapest = [np.inf] * (k + 1)
+        for sizes in itertools.product(range(lo, hi + 1), repeat=r):
+            if sum(sizes) <= k:
+                cost = sum(closing[q] for q in sizes)
+                cheapest[sum(sizes)] = min(cheapest[sum(sizes)], cost)
+        assert covers[r].tolist() == cheapest
+
+
+def test_qroute_bound_holds_two_square_arrays_and_its_layers():
+    # n = 300, m = 3, three steps: the arcs into each customer and one
+    # layer's scratch are the two k x k float arrays; the labels, their two
+    # predecessor rows and the closing sums of each of the L layers are
+    # O(k L). A third k x k array, or a k x k index table, passes the bound.
+    inst = generate_uniform_instance(GridSpec(300, 100, 1))
+    window = default_window(inst.n, 3)
+    k = inst.n - 1
+    _, hi = exact._route_sizes(k, 3, *window)
+    real_labels, calls = exact._walk_labels, []
+
+    def labels(*args):
+        calls.append(1)
+        return iter(()) if len(calls) > 3 else real_labels(*args)
+
+    tracemalloc.start()
+    try:
+        with mock.patch.object(exact, "_walk_labels", labels):
+            bound = exact.qroute_bound(inst, 3, *window, np.inf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 4 and bound > 0.0
+    assert peak < 2 * k * k * 8 + 4 * k * (hi + 1) * 8
 
 
 @pytest.mark.parametrize("seed", [101, 102])
@@ -1431,7 +1543,7 @@ def test_the_proof_is_locked(monkeypatch):
             assert (once.total_distance, found.total_distance) == (2635.0, 2603.0)
             assert sizes == [2461, 444]  # routes inside the gap at UB 2635, then 2603
     assert digest.hexdigest() == (
-        "c78a383cb835b9274256978e4b51561c60bf4cfae2333a9de760026f4077d0fa"
+        "ec05bee3dba6f51e0486209e4a83254ba48a02359d7398cb60538c7f8d2f3339"
     )
 
 
