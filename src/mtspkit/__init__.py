@@ -1,10 +1,12 @@
 """Balanced multiple-travelling-salesman toolkit.
 
 Greedy construction heuristics (nearest node, closest vehicle), exact
-solving of the node-balanced mTSP (a subset DP up to n = 16; above it a
-Lagrangian q-route bound, a local search and a proof that enumerates the
-routes inside the gap and partitions the customers into them), and
-closed-form distance laws with Monte Carlo validation.
+solving of the node-balanced mTSP through one call, :func:`solve` (a
+subset DP up to n = 16; above it a Lagrangian q-route bound, a local
+search and a proof that enumerates the routes inside the gap and
+partitions the customers into them), and closed-form distance laws with
+Monte Carlo validation. The model and the tree search stay in
+:mod:`mtspkit.exact`.
 """
 
 from .instance import (
@@ -26,14 +28,12 @@ from .instance import (
 )
 from .heuristics import BalancePlan, balance_plan, closest_vehicle, nearest_node
 from .exact import (
-    ExactModel,
     ExactResult,
     InfeasibleModelError,
     SolveStatus,
     brute_force_oracle,
-    build_model,
     check_solution,
-    solve_exact,
+    solve,
 )
 from .distlaw import (
     IntegerRange,

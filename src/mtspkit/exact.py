@@ -1,106 +1,29 @@
-"""Exact solving: constraint model, subset DP, branch-and-bound, q-route bound and proof.
+"""Exact solving of the node-balanced mTSP: the model, the subset DP, the
+q-route bound and proof, and the tree search.
 
-:func:`solve` is the one choice of backend: the subset DP
-(``brute_force_oracle``) up to its cap ``ORACLE_MAX_N``, and above it
-``solve_exact`` from the nearest-node plan, which there runs no tree
-search: it hands the plan to the ending's q-route bound, polish and
-proof at once (backend ``branch_and_bound``, after the proof's own
-branch-and-bound over the route pool). Both return an ``ExactResult``
-that names its ``backend``. Every exact run ends: up to the cap a
-``time_limit`` of ``None`` or ``inf`` is no limit, and above it the limit
-must be finite (``check_time_limit``).
+Each rule is stated once, in the docstring of the function that owns it:
 
-The model is the node-balanced MTZ program of Kara & Bektas (2006) with
-the route-size window [K, L] = [``min_customers``, ``max_customers``]:
-degree rows (m routes leave and re-enter the depot, every customer is
-entered and left exactly once), upper and lower window rows, MTZ order
-rows and, for K >= 2, the two-node row x[1, i] + x[i, 1] <= 1.
-``check_solution`` is its one statement: it evaluates those rows, each
-family as one whole-array expression, on a plan's induced x/u variables.
-
-The branch-and-bound's tree search runs only up to ``ORACLE_MAX_N``
-nodes, which only direct ``solve_exact`` calls reach there. It is a
-combinatorial best-first search over partial route extensions rather
-than an LP relaxation; the linear model is the correctness semantics,
-not the search machinery. A search state is
-``(cost, seqs, closed, unvisited)``, with the unvisited customers as one
-int bitmask (bit v is 0-based node v); a route's end and size are read off
-its sequence. Each search builds one neighbour table (``neighbour_table``):
-for every node, its ``(cost, 1 << w)`` pairs to all other nodes in
-ascending ``(cost, w)`` order, as Python floats. Branching walks the active
-route end's row, and the bound reads the same rows and memoises, per
-solve, the sum of its customer terms for each unvisited mask, so the
-search does no set or numpy-scalar work per node. Each popped node lists
-its open routes' ends once (``bound_from_ends``, which
-``completion_bound`` calls on a state) and each child overwrites only the
-active route's entry. The search makes no reference cycles, so the cyclic
-garbage collector is off while it holds open nodes, and put back as it was.
-
-``brute_force_oracle`` is dynamic programming over customer subsets,
-limited to n <= 16, on numpy arrays indexed by subset mask: one label
-layer per subset size, then split rounds over the closable routes that
-hold a subset's lowest customer. The arrays hold costs only; the plan is
-read back by re-deriving each choice with the same ``argmin``. It is also
-the ground truth the branch-and-bound is checked against.
-
-``qroute_bound`` is the lower bound of a stopped run: the
-q-route relaxation of Christofides, Mingozzi & Toth (1981), m walks of
-K..L customers from the depot that cover n - 1 customers, with Lagrangian
-penalties on visiting each customer once tuned by subgradient steps, each
-a pass of whole-array label layers. The steps run until no later one can
-raise the bound by ``_EPS`` / 2: the step length shrinks geometrically
-unless the bound gains more than ``_EPS`` of itself, which it can do only
-finitely often below the optimum, and a shrunken step can raise the bound
-only by a bounded amount, so the run ends without a deadline too.
-
-Under a time limit a tree search searches for a quarter of it, or until
-it holds ``_OPEN_PER_S`` open nodes per second of the limit, whichever
-comes first, and frees its open nodes, table and memo at once. Above
-``ORACLE_MAX_N`` there is no search, and the run is ``_finish`` from its
-start. ``_finish`` states what a stopped run on either backend does with
-the rest of its limit. Its lower bound is the largest of the bound the
-backend hands in (the best bound the search popped, 0.0 from the subset
-DP and above the cap), ``_root_bound`` and ``qroute_bound`` run until
-half the limit. Then ``_polish`` runs a best-improvement local search of
-the plan it holds, or of the nearest-node plan if it holds none (each
-pass prices every in-route segment reversal, every move of a customer
-onto another route's arc and every cross-route swap as whole arrays,
-keeps every route inside [K, L], and applies the best gaining move,
-until a local optimum or the first clock read past the limit, before a
-pass's tour-order gather or before one of its row blocks). If the
-polished plan is still
-above the bound, ``_prove`` tries to close the gap until three quarters
-of the limit, by the bounding and enumeration of Baldacci, Christofides &
-Mingozzi (2008) on the q-route bound's penalties: it enumerates every
-route whose reduced cost fits inside the gap (``_route_pool``) and
-partitions the customers into the cheapest m of them (``_partition``),
-which proves the plan optimal or finds the optimum below it. A proof that
-hits its deadline or its cap (``_POOL_CAP``) gives up, and ``_iterate``
-spends what is left of the limit on an iterated local search of the
-polished plan. Each round kicks the current plan (2 to 4 random
-cross-route swaps and one double bridge inside a route of at least 8
-customers, which keep every route's size) and polishes it again; it keeps
-the best plan and takes a worse one as its current plan with probability
-``_ACCEPT_WORSE``. Its draws come from one fixed ``SeedSequence``, and it
-stops at the limit, after ``_STALL_ROUNDS`` rounds without a new best, or
-once its best plan reaches the run's bound (a proof no round can
-improve), so with a far limit its plan repeats.
-
-Every exact run, on either backend, ends in ``_finish``, which states the
-result's invariants once. ``best`` is always a plan that passes
-``check_solution``: a proven run's routes priced by ``evaluate_plan``; for
-a run stopped and then proven by ``_prove``, the plan the proof returns;
-for any other stopped run the iterated plan unless the polished plan
-prices lower. A stopped subset DP has no time left: its q-route bound
-returns 0.0 at once and its proof gives up at its first clock read, so its
-bound is ``_root_bound``, and it returns the nearest-node plan as it is.
-``objective == best.total_distance``. A proven run is ``optimal`` with
-``lower_bound == objective``, and so is a stopped one whose proof finishes
-or whose plan reaches the bound above; any other stopped run is
-``feasible_time_limit`` with that bound, below the objective.
-``wall_time`` is read once, after pricing. A window that cannot cover
-the customers raises ``InfeasibleModelError`` before any search, so an
-exact run is always ``optimal`` or ``feasible_time_limit``.
+* :func:`solve` is the one exact entry point; it picks the backend by
+  instance size alone (``ORACLE_MAX_N``).
+* :func:`build_model`, :func:`check_window` and :func:`check_time_limit`
+  say which windows and limits a run accepts.
+* :func:`check_solution` is the one statement of the model, the
+  node-balanced MTZ program of Kara & Bektas (2006) with the route-size
+  window [K, L] = [``min_customers``, ``max_customers``].
+* :class:`ExactResult` says what a status, a bound and a gap mean.
+* :func:`brute_force_oracle` is the subset DP up to ``ORACLE_MAX_N``.
+* :func:`_finish` ends every run on either backend: it owns a stopped
+  run's lower bound, the shares of the limit, the overshoot and the
+  choice of plan and status.
+* :func:`qroute_bound` is the Lagrangian q-route bound and its stop rule.
+* :func:`_prove` is the proof: the routes inside the gap
+  (:func:`_route_pool`), partitioned (:func:`_partition`).
+* :func:`_polish` (moves priced by :func:`_best_move`) and :func:`_iterate`
+  (kicks by :func:`_kick`) are the local search and the iterated local
+  search.
+* :func:`solve_exact` is the best-first tree search, which only direct
+  calls at up to ``ORACLE_MAX_N`` nodes reach; above that it is
+  :func:`_finish` alone.
 """
 
 from __future__ import annotations
@@ -143,14 +66,16 @@ class ExactResult:
     ``"branch_and_bound"`` (it counts tree-search nodes, and reads 0 above
     ``ORACLE_MAX_N``, where no tree search runs).
 
-    ``best`` is always a feasible plan and ``objective`` its total. An
-    ``OPTIMAL`` run is proven, with ``lower_bound == objective``: by its
-    search, or, for a stopped branch-and-bound, by the route enumeration
-    and partition of ``_prove`` or by a polished plan that reached its
-    bound. A ``FEASIBLE_TIME_LIMIT`` run stopped at its limit and its proof
-    gave up, with a valid ``lower_bound < objective``, set by ``_finish`` on
-    either backend: the largest of the best bound the search popped (0.0
-    for the subset DP), ``_root_bound`` and :func:`qroute_bound`."""
+    ``best`` is always a plan that passes :func:`check_solution` and
+    ``objective`` is its total. ``OPTIMAL`` means proven, with
+    ``lower_bound == objective``. ``FEASIBLE_TIME_LIMIT`` means not proven,
+    with a valid ``lower_bound`` below ``objective`` (:func:`_finish` sets
+    it). Despite the name, the limit need not have stopped the run: either
+    it did, or every phase of the ending stopped on its own count first
+    (the q-route bound's stop rule, the proof's ``_POOL_CAP``, the iterated
+    polish's ``_STALL_ROUNDS``) and the run returned before its limit. A
+    window that cannot cover the customers raises ``InfeasibleModelError``
+    before any work, so no result is infeasible."""
 
     status: SolveStatus
     best: RoutePlan
@@ -163,8 +88,8 @@ class ExactResult:
     @property
     def gap(self) -> float:
         """The certified relative gap ``(objective - lower_bound) /
-        objective``: 0.0 for an ``OPTIMAL`` run, positive for a stopped one
-        (whose ``objective`` exceeds a bound of at least 0)."""
+        objective``: 0.0 for an ``OPTIMAL`` run, positive for an unproven
+        one (whose ``objective`` exceeds a bound of at least 0)."""
         if self.status is SolveStatus.OPTIMAL:
             return 0.0
         return (self.objective - self.lower_bound) / self.objective
@@ -186,11 +111,9 @@ def check_time_limit(time_limit: float | None, n: int = 0) -> None:
 
     An exact run passes its instance's ``n`` nodes, and above
     ``ORACLE_MAX_N`` it must have a finite limit: the run there is the
-    ending of :func:`_finish`, whose steps run until shares of the limit.
-    Without one the q-route bound alone runs to its stop rule (0.8–11 s
-    at n = 100–200 on a 2-CPU Xeon VM; at n = 2000 one step takes ~8 s),
-    and the shares of an infinite limit after it never arrive. A heuristic
-    run, which reads no limit, passes no ``n``."""
+    ending of :func:`_finish`, whose phases run until shares of the limit,
+    and the shares of an infinite limit never arrive. A heuristic run,
+    which reads no limit, passes no ``n``."""
     if time_limit is not None and not time_limit > 0:
         raise ValueError("time_limit must be positive")
     if n > ORACLE_MAX_N and (time_limit is None or time_limit == np.inf):
@@ -206,12 +129,16 @@ def build_model(
 ) -> ExactModel:
     """Assemble and validate the constraint system.
 
+    A window without ``1 <= K <= L`` raises ``ValueError``
+    (:func:`check_window`), and one whose m routes cannot cover the n - 1
+    customers raises ``InfeasibleModelError``.
+
     ``warm_start`` becomes the search's first incumbent: it prunes every node
     whose bound reaches its total but never a cheaper plan. Above
     ``ORACLE_MAX_N`` it is the plan the ending polishes. It is checked
     here, with :func:`check_solution`, so that a solve's clock never pays
-    for the check (0.08–0.19 s at n = 2000); a plan that violates the model
-    raises ``ValueError``.
+    for the check (BENCH_pool.json, ``warm_start_check``); a plan that
+    violates the model raises ``ValueError``.
     """
     n = instance.n
     if m < 1:
@@ -234,18 +161,15 @@ def solve(
     instance: Instance, m: int, min_customers: int, max_customers: int,
     time_limit: float | None = None,
 ) -> ExactResult:
-    """The exact run on the window [``min_customers``, ``max_customers``].
+    """The exact run on the window [``min_customers``, ``max_customers``]:
+    the one place the backend is chosen.
 
     Up to ``ORACLE_MAX_N`` nodes it is the subset DP
     (:func:`brute_force_oracle`); above that, :func:`solve_exact` with the
-    nearest-node plan as its warm start, which hands the plan to the
-    q-route bound, polish and proof of :func:`_finish` without a tree
-    search. ``result.backend`` names the one that ran. Either returns a
-    plan even when its time limit passes first. ``time_limit`` ``None`` or ``inf`` is
-    no limit up to ``ORACLE_MAX_N`` nodes and refused above it
-    (:func:`check_time_limit`). Both backends check the window before the
-    limit, so a window that cannot cover the customers raises
-    ``InfeasibleModelError`` at any limit, and the limit before any work.
+    nearest-node plan as its warm start, which there is the ending of
+    :func:`_finish` alone. ``result.backend`` names the one that ran.
+    Both backends check the window (:func:`build_model`) before the limit
+    (:func:`check_time_limit`), and both before any work.
     """
     window = (min_customers, max_customers)
     if instance.n <= ORACLE_MAX_N:
@@ -379,31 +303,27 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     """Best-first branch and bound over partial route extensions, up to
     ``ORACLE_MAX_N`` nodes; above that, the ending alone.
 
-    Above ``ORACLE_MAX_N`` nodes, where ``time_limit`` must be finite
-    (:func:`check_time_limit`), no tree search runs: the run hands
+    Above ``ORACLE_MAX_N`` nodes no tree search runs: the run hands
     :func:`_finish` its warm start (``None`` without one), a bound of 0.0
-    and 0 nodes as soon as its clock starts, and its q-route bound,
-    polish and proof (itself a branch-and-bound over a route pool) are the
-    whole run. At these sizes a tree search's bound added nothing the
-    q-route proof does not, while its table and open nodes held up to
-    ~1 GB.
+    and 0 nodes as soon as its clock starts. :func:`solve` calls it only
+    there; a direct call reaches the search.
 
     Up to the cap, a search state is ``(cost, seqs, closed, unvisited)``:
     the fixed arcs' cost, m partially built customer sequences, their
     closed flags and the unvisited customers as an int bitmask. A route
     ends at its last customer (the depot while empty) and its size is its
-    length. The route
-    with the fewest customers (lowest index on ties) is active; branching
-    appends one unvisited customer (candidates in ascending arc cost, read
-    off the end node's ``neighbour_table`` row) or closes the route once it
-    reached the minimum size. Routes are interchangeable, so first customers
-    are forced into ascending order across routes, which prunes
-    label-permuted duplicates only. The table and the memo of the bound's
-    customer terms are built once per solve. Each popped node lists its
-    open routes' ends once (:func:`bound_from_ends`'s form); each child
-    overwrites only the active route's entry and is bounded as it is made,
-    summed in a fixed order, so node counts do not depend on set iteration
-    order. A heap entry is ``(bound, counter, *state)``, the counter unique.
+    length. The route with the fewest customers (lowest index on ties) is
+    active; branching appends one unvisited customer (candidates in
+    ascending arc cost, read off the end node's ``neighbour_table`` row)
+    or closes the route once it reached the minimum size. Routes are
+    interchangeable, so first customers are forced into ascending order
+    across routes, which prunes label-permuted duplicates only. The table
+    and the memo of the bound's customer terms are built once per solve.
+    Each popped node lists its open routes' ends once
+    (:func:`bound_from_ends`'s form); each child overwrites only the
+    active route's entry and is bounded as it is made, summed in a fixed
+    order, so node counts do not depend on set iteration order. A heap
+    entry is ``(bound, counter, *state)``, the counter unique.
     Single-threaded and deterministic.
 
     The search creates no reference cycles, so the cyclic garbage collector
@@ -414,21 +334,16 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     The warm start was checked by :func:`build_model`, before the clock
     starts. The clock is read on every popped node. A time-limited search
     stops at most one node expansion past a quarter of ``time_limit``
-    (``_SEARCH_SHARE``). It also stops at the first popped node that
-    leaves more than ``_OPEN_PER_S * time_limit`` open nodes on its
-    heap: a search whose heap grows that
-    fast does not close within its limit, and a stop on a count, unlike
-    one on the clock, hands the same incumbent and bound to ``_finish`` at
-    any speed. The search frees its open nodes, its table and its memo at
-    once, which takes time in proportion to their size (a stopped search
-    holds up to ``_OPEN_PER_S * time_limit`` open nodes) and is part of
-    ``wall_time``. The search hands :func:`_finish` its incumbent (``None``
+    (``_SEARCH_SHARE``), or at the first popped node that leaves more than
+    ``_OPEN_PER_S * time_limit`` open nodes on its heap: a heap that grows
+    that fast does not close within the limit, and a stop on a count,
+    unlike one on the clock, hands the same incumbent and bound to the
+    ending at any speed. The search then frees its open nodes, table and
+    memo inside its clock. It hands :func:`_finish` its incumbent (``None``
     if it stopped before its first plan, without a warm start) and, if it
-    stopped, the best bound it popped; ``_finish`` sets the run's lower
-    bound and states what a stopped run does with the rest of its limit,
-    from the nearest-node plan if it holds none. A search that runs to the
-    end always holds a plan: ``build_model`` admits only windows that
-    cover the customers, and every arc is finite.
+    stopped, the best bound it popped. A search that runs to the end
+    always holds a plan: ``build_model`` admits only windows that cover
+    the customers, and every arc is finite.
     """
     n = model.instance.n
     check_time_limit(time_limit, n)
@@ -565,9 +480,9 @@ def brute_force_oracle(
 
     The clock starts before the tables are built and is read on every
     (size, t) label step and on every subset a split round works on. Once
-    ``time_limit`` has passed, the run hands :func:`_finish` no plan and a
-    bound of 0.0, and returns the nearest-node plan, which fits every
-    feasible window, as ``feasible_time_limit`` above ``_root_bound``.
+    ``time_limit`` (:func:`check_time_limit`) has passed, the run hands
+    :func:`_finish` no plan and a bound of 0.0, with no time left for the
+    ending's phases.
     """
     n = instance.n
     if n > ORACLE_MAX_N:
@@ -629,13 +544,10 @@ def brute_force_oracle(
 
 
 def _root_bound(d, m) -> float:
-    """The floor of every stopped run's lower bound, which ``_finish``
-    reads on either backend. Every customer leaves by one arc and every
-    route leaves the depot by one. The :func:`left_fold` adds the cheapest
-    of each, in ascending customer order, then the depot's once per route.
-    It equals the branch-and-bound's completion bound at its root, and
-    needs no table: it is all a stopped subset DP has time for, and all a
-    search stopped at its first node holds."""
+    """A lower bound that needs no table: every customer leaves by one arc
+    and every route leaves the depot by one. The :func:`left_fold` adds the
+    cheapest of each, in ascending customer order, then the depot's once
+    per route. It equals the tree search's completion bound at its root."""
     return left_fold(d[1:].min(1).tolist() + [float(d[0, 1:].min())] * m)
 
 
@@ -682,8 +594,7 @@ def qroute_bound(instance, m, min_customers, max_customers, deadline) -> float:
     so all later steps together raise b by at most ``_BOUND_STALL`` /
     (1 − ``_BOUND_SHRINK``) · μ(T − b), and the run returns when that is at
     most ``_EPS`` / 2. The values are float sums, so this holds up to their
-    rounding (the lock cases lose at most 2.3e-11 against running on until
-    a step no longer moves λ). That return always comes: every value is a
+    rounding. That return always comes: every value is a
     lower bound, below T, so the best value gains only finitely often, and
     from then on μ shrinks geometrically. So with an infinite ``deadline``
     its float is a function of the instance's matrix, m and the window
@@ -1047,7 +958,7 @@ def _partition(pool, covers, k, m, budget, slack, deadline):
 
 
 # ---------------------------------------------------------------------------
-# local search of a stopped search's incumbent
+# the ending's local search, iterated local search and shares of the limit
 
 _SEARCH_SHARE = 0.25  # of a time limit: the search's share
 _OPEN_PER_S = 1 << 15  # open nodes a time-limited search may hold per second of its limit
@@ -1066,10 +977,7 @@ def _polish(matrix, routes, min_customers, max_customers, deadline):
     applies the single best one that gains. Every route keeps
     ``min_customers`` to ``max_customers`` customers. The polish stops when
     no move gains or when ``_best_move`` finds the clock past ``deadline``,
-    which it reads before its tour-order gather and before each row block;
-    so it ends at most one gather plus one block after it (~0.07 s and
-    ~0.5 ms at n = 2000, where a whole pass takes ~0.25 s) and keeps the
-    plan it holds.
+    and keeps the plan it holds.
     """
     seqs = [[v - 1 for v in r[1:-1]] for r in routes]
     while True:
@@ -1101,9 +1009,8 @@ def _iterate(instance, routes, min_customers, max_customers, deadline, bound=-np
     best, when no kick exists, once the best plan is within ``_EPS`` of
     ``bound`` (a valid lower bound of the run, which proves that plan
     optimal; the default proves nothing), or when the clock, read before
-    each round, is past ``deadline``; the round's polish also stops at it,
-    so the search ends at most one tour-order gather plus one row block of
-    a polish pass after it. Each is checked before the first round too.
+    each round, is past ``deadline``; the round's polish also stops at it.
+    Each is checked before the first round too.
     """
     rng = rng_from_seed(_KICKS)
     best = current = evaluate_plan(instance, routes)
@@ -1244,44 +1151,44 @@ def _best_move(d, seqs, min_customers, max_customers, deadline):
 # the one ending
 
 def _finish(model, backend, routes, bound, nodes, start_time, time_limit) -> ExactResult:
-    """End an exact run on ``model``: what a run does with the rest of its
-    limit, its plan and its status are stated here once.
+    """End an exact run on ``model``, either backend's: what a run does
+    with the rest of its limit, its lower bound, its plan and its status.
 
     ``bound`` is ``None`` for a proven run, whose ``routes`` (1-based, depot
     first and last) are priced by ``evaluate_plan`` and ``optimal`` at their
-    objective. Otherwise the run stopped at ``time_limit`` holding
-    ``routes`` or, if ``None``, the nearest-node plan, and ``bound`` is the
-    backend's own valid lower bound: the best bound its search popped, or
-    0.0 from the subset DP and from :func:`solve_exact` above
-    ``ORACLE_MAX_N``, which hands in its warm start as soon as its clock
-    starts, so that this ending is that whole run. This is the one place
-    a stopped run's lower bound is set: the largest of ``bound``,
-    :func:`_root_bound` and
-    :func:`qroute_bound` run until ``start_time + _BOUND_SHARE *
-    time_limit``, which ends at most one label layer past that point, or at
-    its first clock read if the point has passed. The run then spends what
-    is left of the limit on its plan. :func:`_polish` takes it to a local
-    optimum, until ``start_time + time_limit``; the polished plan replaces
-    the one it started from unless that prices lower. If that plan is
-    still above the bound, :func:`_prove` runs on the bound's penalties
-    until ``start_time + _PROOF_SHARE * time_limit``. A proof that finishes
-    makes the run ``optimal`` with the plan it returns, the polished one or
-    a cheaper one it found, and nothing runs after it. A proof that gives
-    up, at its deadline or its cap, hands the rest of the limit to
-    :func:`_iterate`, which searches from the polished plan until
-    ``start_time + time_limit``. So the run ends at most one tour-order
-    gather plus one row block of a polish pass past its limit, ~0.07 s at
-    n = 2000 on a 2-CPU Xeon VM (or here, if it reaches this point later:
-    a stopped subset DP has no time left, so all three return at once).
-    ``_iterate`` is handed the bound and stops as
-    soon as its best plan reaches it, since no round can improve a plan the
-    bound proves optimal; a run that reaches its proof returns then instead
-    of at the limit or after its stall rounds. The iterated plan replaces
-    the polished one unless that prices lower. A stopped run is
-    ``optimal`` all the same when its plan's total reaches the bound
-    (within ``_EPS``, the search's own proof margin), with ``lower_bound ==
-    objective``, and ``feasible_time_limit`` with the bound below the
-    objective if not. The clock is read once, after pricing."""
+    objective. Otherwise the run stopped holding ``routes`` or, if
+    ``None``, the nearest-node plan, and ``bound`` is the backend's own
+    valid lower bound: the best bound a tree search popped, or 0.0. The
+    shares of ``time_limit`` below count from ``start_time``.
+
+    * The lower bound is the largest of ``bound``, :func:`_root_bound` and
+      :func:`qroute_bound` run until half the limit (``_BOUND_SHARE``).
+    * :func:`_polish` takes the plan to a local optimum, until the limit;
+      the polished plan replaces the held one unless that prices lower.
+    * If that plan is still above the bound, :func:`_prove` runs on the
+      bound's penalties until three quarters of the limit
+      (``_PROOF_SHARE``). A proof that finishes makes the run ``optimal``
+      with the plan it returns, and nothing runs after it.
+    * A proof that gives up, at its deadline or its cap, hands the rest of
+      the limit to :func:`_iterate`, from the polished plan and with the
+      bound, at which it stops. Its plan replaces the held one unless that
+      prices lower.
+
+    Each phase stops at its share or on its own count, whichever comes
+    first. Every phase reads the clock often (each one's docstring says
+    where); the last to run, a polish, reads it before its tour-order
+    gather and each row block (:func:`_best_move`). So a run ends at most
+    one gather plus one row block past its limit (BENCH_ending.json,
+    ``overshoot_parts_n2000``).
+    A run that reaches this point past its limit, as a stopped subset DP
+    does, finds every phase's first clock read past its share: it reports
+    :func:`_root_bound` and returns its plan as it is.
+
+    A stopped run is ``optimal`` all the same when its plan's total reaches
+    the bound within ``_EPS``, with ``lower_bound == objective``, and
+    ``feasible_time_limit`` with the bound below the objective if not
+    (:class:`ExactResult` says what each means). The clock is read once,
+    after pricing."""
     instance, m, window = model.instance, model.m, (model.min_customers, model.max_customers)
     plan = evaluate_plan(instance, routes) if routes else nearest_node(instance, m)
     if bound is not None:

@@ -79,7 +79,7 @@ def test_criterion_1_reference_instance(garn9):
         start = time.perf_counter()
         near = mk.nearest_node(garn9, 2)
         close = mk.closest_vehicle(garn9, 2)
-        exact = mk.solve_exact(mk.build_model(garn9, 2, 2, 5), time_limit=60)
+        exact = mk.exact.solve_exact(mk.exact.build_model(garn9, 2, 2, 5), time_limit=60)
         oracle = mk.brute_force_oracle(garn9, 2, 2, 5)
         elapsed = time.perf_counter() - start
         assert near.routes[0] == (1, 6, 7, 8, 9, 1)
@@ -156,8 +156,8 @@ def test_criterion_4_oracle_equivalence():
                 lo = max(1, lo - 1)
             if seed % 4 >= 2:  # alternate tight and widened windows
                 lo, hi = max(1, lo - 1), min(n - 1, hi + 1)
-            model = mk.build_model(inst, m, lo, hi, warm_start=mk.nearest_node(inst, m))
-            exact = mk.solve_exact(model)
+            model = mk.exact.build_model(inst, m, lo, hi, warm_start=mk.nearest_node(inst, m))
+            exact = mk.exact.solve_exact(model)
             oracle = mk.brute_force_oracle(inst, m, lo, hi)
             assert exact.status is mk.SolveStatus.OPTIMAL
             assert exact.objective == pytest.approx(oracle.objective, abs=1e-9)
@@ -290,8 +290,8 @@ def test_criterion_9_property_suites(garn9):
             small = mk.generate_uniform_instance(mk.GridSpec(8, 100, seed))
             warm = mk.nearest_node(small, 2)
             bp = mk.balance_plan(small.n, 2)
-            result = mk.solve_exact(
-                mk.build_model(small, 2, max(1, bp.quota_lower - 1),
+            result = mk.exact.solve_exact(
+                mk.exact.build_model(small, 2, max(1, bp.quota_lower - 1),
                                bp.quota_upper + 1, warm_start=warm)
             )
             assert result.objective <= warm.total_distance + 1e-9

@@ -6,11 +6,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from mtspkit import SolveStatus, build_model, load_instance, parse_tsplib, solve_exact
+from mtspkit import SolveStatus, load_instance, parse_tsplib
 from mtspkit import cli, distlaw
 from mtspkit.bench import default_window
 from mtspkit.cli import main
-from mtspkit.exact import ORACLE_MAX_N
+from mtspkit.exact import ORACLE_MAX_N, build_model, solve_exact
 from mtspkit.instance import bundled_path
 
 

@@ -19,7 +19,6 @@ from hypothesis.extra.numpy import arrays
 
 import mtspkit
 from mtspkit import (
-    ExactModel,
     GridSpec,
     InfeasibleModelError,
     Instance,
@@ -27,16 +26,22 @@ from mtspkit import (
     SolveStatus,
     balance_plan,
     brute_force_oracle,
-    build_model,
     check_solution,
     evaluate_plan,
     generate_uniform_instance,
     nearest_node,
-    solve_exact,
 )
 from mtspkit import bench, exact
 from mtspkit.bench import default_window
-from mtspkit.exact import ORACLE_MAX_N, bound_from_ends, completion_bound, neighbour_table
+from mtspkit.exact import (
+    ORACLE_MAX_N,
+    ExactModel,
+    bound_from_ends,
+    build_model,
+    completion_bound,
+    neighbour_table,
+    solve_exact,
+)
 from mtspkit.instance import PlanError, rng_from_seed
 
 
@@ -877,7 +882,8 @@ def test_bound_from_prepared_ends_keeps_the_bits(state):
 
 _SOLVE_ONE = """
 import sys
-from mtspkit import GridSpec, build_model, generate_uniform_instance, solve_exact
+from mtspkit import GridSpec, generate_uniform_instance
+from mtspkit.exact import build_model, solve_exact
 inst = generate_uniform_instance(GridSpec(10, 100, int(sys.argv[1])))
 r = solve_exact(build_model(inst, 2, 4, 5))
 print(repr((r.status.value, r.best, r.objective, r.lower_bound, r.nodes_explored)))
@@ -1402,24 +1408,47 @@ def test_qroute_bound_meets_the_optimum_where_the_gap_closes(seed):
                                   rel=0, abs=exact._EPS)
 
 
+def _seeded_instance(n, seed, kind):
+    """A symmetric, directed or tie-heavy directed (costs 0-4) instance."""
+    if kind == "sym":
+        return generate_uniform_instance(GridSpec(n, 100, seed))
+    rng = rng_from_seed(seed)
+    mat = rng.random((n, n)) * 100 if kind == "directed" else rng.integers(0, 5, (n, n))
+    mat = np.asarray(mat, dtype=np.float64)
+    np.fill_diagonal(mat, np.inf)
+    return Instance(f"{kind}{n}", mat)
+
+
+_KINDS = st.sampled_from(["sym", "directed", "ties"])
+
+
 @st.composite
 def _bound_cases(draw):
-    """A symmetric, directed or tie-heavy directed (costs 0-4) instance of
-    n 4-12, a fleet size and its default or widest window."""
+    """A :func:`_seeded_instance` of n 4-12, a fleet size and its default
+    or widest window."""
     n = draw(st.integers(4, 12))
     m = draw(st.integers(1, min(4, n - 1)))
     seed = draw(st.integers(0, 999))
-    kind = draw(st.sampled_from(["sym", "directed", "ties"]))
-    if kind == "sym":
-        inst = generate_uniform_instance(GridSpec(n, 100, seed))
-    else:
-        rng = rng_from_seed(seed)
-        mat = rng.random((n, n)) * 100 if kind == "directed" else rng.integers(0, 5, (n, n))
-        mat = np.asarray(mat, dtype=np.float64)
-        np.fill_diagonal(mat, np.inf)
-        inst = Instance(f"{kind}{n}", mat)
+    inst = _seeded_instance(n, seed, draw(_KINDS))
     window = draw(st.sampled_from([default_window(n, m), (1, n - m)]))
     return inst, m, window
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 16), st.integers(0, 999), _KINDS)
+def test_the_nearest_node_plan_fits_every_admitted_window(n, seed, kind):
+    # _finish's fallback plan, qroute_bound's Polyak target and solve's warm
+    # start are all this plan: each needs it to pass every window build_model
+    # admits, at every fleet size
+    inst = _seeded_instance(n, seed, kind)
+    for m in range(1, n):
+        plan = nearest_node(inst, m)
+        for lo, hi in itertools.combinations_with_replacement(range(1, n), 2):
+            try:
+                model = build_model(inst, m, lo, hi)
+            except InfeasibleModelError:
+                continue
+            assert check_solution(model, plan) == (True, []), (m, lo, hi)
 
 
 @settings(max_examples=120, deadline=None)
@@ -1492,7 +1521,7 @@ def test_the_proof_finds_the_optimum_from_any_plan_and_any_penalties(case):
     model = build_model(inst, m, *window)
     optimum = brute_force_oracle(inst, m, *window)
     plan = optimum.best
-    if start != "optimum" and check_solution(model, nearest_node(inst, m))[0]:
+    if start != "optimum":  # the nearest-node plan fits every admitted window
         plan = nearest_node(inst, m)
         if start == "polished":
             plan = evaluate_plan(inst, exact._polish(inst.matrix, plan.routes, *window, _soon()))
