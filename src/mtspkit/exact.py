@@ -111,9 +111,14 @@ def check_time_limit(time_limit: float | None, n: int = 0) -> None:
 
     An exact run passes its instance's ``n`` nodes, and above
     ``ORACLE_MAX_N`` it must have a finite limit: the run there is the
-    ending of :func:`_finish`, whose phases run until shares of the limit,
-    and the shares of an infinite limit never arrive. A heuristic run,
-    which reads no limit, passes no ``n``."""
+    ending of :func:`_finish`, whose phases run until shares of the limit.
+    Under ``inf`` every share is ``inf`` and every phase still ends on its
+    own count (the bound's ``_EPS``/2 stop, the polish's local optimum,
+    ``_POOL_CAP``, ``_STALL_ROUNDS``); the refusal is for cost: the q-route
+    bound alone would run 0.79-10.7 s at n = 100-200
+    (BENCH_qroute_step.json, ``no_deadline_s``). ``None`` would fail in
+    :func:`_finish`'s share arithmetic. A heuristic run, which reads no
+    limit, passes no ``n``."""
     if time_limit is not None and not time_limit > 0:
         raise ValueError("time_limit must be positive")
     if n > ORACLE_MAX_N and (time_limit is None or time_limit == np.inf):
@@ -135,10 +140,12 @@ def build_model(
 
     ``warm_start`` becomes the search's first incumbent: it prunes every node
     whose bound reaches its total but never a cheaper plan. Above
-    ``ORACLE_MAX_N`` it is the plan the ending polishes. It is checked
-    here, with :func:`check_solution`, so that a solve's clock never pays
-    for the check (BENCH_pool.json, ``warm_start_check``); a plan that
-    violates the model raises ``ValueError``.
+    ``ORACLE_MAX_N`` it is the plan the ending polishes. Only direct
+    :func:`solve_exact` callers pass one (the benchmark and the tests);
+    :func:`solve` does not. It is checked here, with :func:`check_solution`,
+    so that a solve's clock never pays for the check (BENCH_pool.json,
+    ``warm_start_check``); a plan that violates the model raises
+    ``ValueError``.
     """
     n = instance.n
     if m < 1:
@@ -165,19 +172,18 @@ def solve(
     the one place the backend is chosen.
 
     Up to ``ORACLE_MAX_N`` nodes it is the subset DP
-    (:func:`brute_force_oracle`); above that, :func:`solve_exact` with the
-    nearest-node plan as its warm start, which there is the ending of
-    :func:`_finish` alone. ``result.backend`` names the one that ran.
-    Both backends check the window (:func:`build_model`) before the limit
-    (:func:`check_time_limit`), and both before any work.
+    (:func:`brute_force_oracle`); above that, :func:`solve_exact` on one
+    model with no warm start, which there is the ending of :func:`_finish`
+    alone: it builds the nearest-node plan inside the run's clock, so the
+    limit covers all of the run's work. ``result.backend`` names the one
+    that ran. Both backends check the window (:func:`build_model`) before
+    the limit (:func:`check_time_limit`, :func:`solve_exact`'s first
+    statement), and both before any work.
     """
     window = (min_customers, max_customers)
     if instance.n <= ORACLE_MAX_N:
         return brute_force_oracle(instance, m, *window, time_limit=time_limit)
-    build_model(instance, m, *window)
-    check_time_limit(time_limit, instance.n)
-    model = build_model(instance, m, *window, warm_start=nearest_node(instance, m))
-    return solve_exact(model, time_limit)
+    return solve_exact(build_model(instance, m, *window), time_limit)
 
 
 def check_solution(model: ExactModel, plan: RoutePlan):
@@ -306,7 +312,7 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     Above ``ORACLE_MAX_N`` nodes no tree search runs: the run hands
     :func:`_finish` its warm start (``None`` without one), a bound of 0.0
     and 0 nodes as soon as its clock starts. :func:`solve` calls it only
-    there; a direct call reaches the search.
+    there, with no warm start; a direct call reaches the search.
 
     Up to the cap, a search state is ``(cost, seqs, closed, unvisited)``:
     the fixed arcs' cost, m partially built customer sequences, their

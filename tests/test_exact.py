@@ -310,7 +310,8 @@ def test_exact_backend_follows_the_instance_size(monkeypatch):
     assert result.backend == "subset_dp"
     assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
     assert result.best == nearest_node(small, 7)
-    # above the cap: the branch-and-bound, from the same warm start and window
+    # above the cap: the branch-and-bound on one model of the same window,
+    # with no warm start; its ending starts from the nearest-node plan
     models = []
 
     def spy(model, time_limit=None):
@@ -321,7 +322,7 @@ def test_exact_backend_follows_the_instance_size(monkeypatch):
     window = default_window(large.n, 3)
     result = exact.solve(large, 3, *window, 0.3)
     warm = nearest_node(large, 3)
-    assert models == [(build_model(large, 3, *window, warm_start=warm), 0.3)]
+    assert models == [(build_model(large, 3, *window), 0.3)]
     assert result.backend == "branch_and_bound"
     assert result.status.value in ("optimal", "feasible_time_limit")
     assert result.lower_bound <= result.objective <= warm.total_distance
@@ -340,12 +341,12 @@ def test_exact_backends_reject_a_non_positive_time_limit(garn9, limit):
 
 
 def test_no_limit_above_the_dp_cap_is_refused_before_any_work(monkeypatch):
-    # above the cap a run is the ending's q-route bound and proof, which
-    # without a limit runs the bound to its stop rule (1.4-18 s at n =
-    # 100-200, and one step takes more than 2.5 s at n = 2000) and never
-    # reaches the ending's later shares, so None and inf are refused before
-    # any work; heuristics read no limit and take none at any size, and up
-    # to the cap the subset DP still runs to a proof without one
+    # above the cap a run is the ending, whose phases under inf all still
+    # end on their own counts; inf is refused for cost (the q-route bound
+    # alone runs 0.79-10.7 s at n = 100-200, BENCH_qroute_step.json) and
+    # None because the ending's shares cannot be computed from it, both
+    # before any work; heuristics read no limit and take none at any size,
+    # and up to the cap the subset DP still runs to a proof without one
     inst = generate_uniform_instance(GridSpec(ORACLE_MAX_N + 1, 100, 1))
     window = default_window(inst.n, 3)
     model = build_model(inst, 3, *window)
@@ -433,6 +434,26 @@ def test_a_run_stopped_at_once_reports_the_root_bound():
     result = exact.solve(inst, 3, *default_window(inst.n, 3), time_limit=1e-6)
     assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
     assert result.lower_bound == exact._root_bound(inst.matrix, 3) > 0.0
+
+
+def test_solve_above_the_cap_does_all_its_work_inside_its_clock(monkeypatch):
+    # exact.solve builds one model and checks no plan of its own making, so
+    # its clock covers all of its work. The first assertion bounds work done
+    # outside the clock, whatever the host's speed; the second is
+    # test_time_limit_holds_on_elapsed_time's margin
+    inst = generate_uniform_instance(GridSpec(2000, 100, 1))
+    window = default_window(inst.n, 4)
+
+    def check(*args):
+        raise AssertionError("exact.solve checks no plan it built")
+
+    monkeypatch.setattr(exact, "check_solution", check)
+    started = time.perf_counter()
+    result = exact.solve(inst, 4, *window, 0.2)
+    elapsed = time.perf_counter() - started
+    assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
+    assert elapsed - result.wall_time <= 0.02
+    assert elapsed <= 0.2 + 0.1
 
 
 def test_a_large_stopped_search_keeps_its_limit():
@@ -1398,9 +1419,9 @@ def test_qroute_bound_holds_two_square_arrays_and_its_layers():
 
 @pytest.mark.parametrize("seed", [101, 102])
 def test_qroute_bound_meets_the_optimum_where_the_gap_closes(seed):
-    # two default-window cases whose dual closes: run until a step no longer
-    # moves λ, the bound reaches the subset DP optimum (300 steps left it
-    # 0.0009 and 0.0054 below)
+    # two default-window cases whose dual closes: run until no later step
+    # can raise it by _EPS / 2, the bound reaches the subset DP optimum
+    # (300 steps left it 0.0009 and 0.0054 below)
     inst = generate_uniform_instance(GridSpec(12, 100, seed))
     window = default_window(inst.n, 3)
     bound = exact.qroute_bound(inst, 3, *window, np.inf)
