@@ -15,7 +15,8 @@ Each rule is stated once, in the docstring of the function that owns it:
 * :func:`_finish` ends every run on either backend: it owns a stopped
   run's lower bound, the shares of the limit, the overshoot and the
   choice of plan and status.
-* :func:`qroute_bound` is the Lagrangian q-route bound and its stop rule.
+* :func:`qroute_bound` is the Lagrangian q-route bound and its stop rule;
+  it returns the bound and its λ.
 * :func:`_prove` is the proof: the routes inside the gap
   (:func:`_route_pool`), partitioned (:func:`_partition`).
 * :func:`_polish` (moves priced by :func:`_best_move`) and :func:`_iterate`
@@ -564,7 +565,7 @@ _BOUND_STALL = 10  # steps without a gain that shrink its step multiplier
 _BOUND_SHRINK = 0.7  # the factor that shrinks it
 
 
-def qroute_bound(instance, m, min_customers, max_customers, deadline) -> float:
+def qroute_bound(instance, m, min_customers, max_customers, deadline) -> tuple[float, np.ndarray]:
     """A Lagrangian q-route lower bound (Christofides, Mingozzi & Toth,
     1981) on the cheapest plan of m routes of ``min_customers`` to
     ``max_customers`` customers of ``instance``, on a window
@@ -610,14 +611,11 @@ def qroute_bound(instance, m, min_customers, max_customers, deadline) -> float:
 
     The clock is read once per label layer. Past ``deadline`` the bound
     returns the best value of its finished steps, 0.0 before the first.
+
+    Returns ``(bound, penalty)``, with ``penalty`` the λ of the step that
+    gave the bound's value (all zero before the first step's value rises
+    above 0.0).
     """
-    return _qroute_dual(instance, m, min_customers, max_customers, deadline)[0]
-
-
-def _qroute_dual(instance, m, min_customers, max_customers, deadline):
-    """:func:`qroute_bound`'s run: ``(bound, penalty)``, with ``penalty``
-    the λ of the step that gave the bound's value (all zero before the
-    first step's value rises above 0.0)."""
     matrix = instance.matrix
     k = instance.n - 1
     lo, hi = _route_sizes(k, m, min_customers, max_customers)
@@ -632,7 +630,7 @@ def _qroute_dual(instance, m, min_customers, max_customers, deadline):
     penalty = best_penalty = np.zeros(k)
     best, step, stall = 0.0, 1.0, 0
     while True:
-        if sum(1 for _ in _walk_labels(into, leave, penalty, deadline, labels, links)) < hi:
+        if not _walk_labels(into, leave, penalty, deadline, labels, links):
             return best, best_penalty  # cut off at the deadline
         shut = labels[lo - 1:] + back
         ends = shut.argmin(1).tolist()  # ends[q - lo]: the customer the best q-route closes from
@@ -682,10 +680,9 @@ def _route_sizes(k, m, min_customers, max_customers):
 def _walk_labels(into, leave, penalty, deadline, labels, links):
     """The 2-cycle-free walk labels from the depot, one layer per walk size:
     fills ``labels[q - 1]`` with ``f1`` and ``links[q - 1]`` with ``(p1,
-    p2)`` for q = 1..``len(labels)``, and yields q after each layer. The
-    clock is read before each layer, and the layers stop once it is past
-    ``deadline``, so a caller that gets fewer than ``len(labels)`` was cut
-    off.
+    p2)`` for q = 1..``len(labels)``. The clock is read before each layer:
+    returns True once every layer is filled, and False, with the layers
+    after it unfilled, once the clock is past ``deadline``.
 
     ``into[v, u]`` is the arc from customer u to customer v and
     ``leave[v]`` the depot's arc to v; ``penalty[v]`` is subtracted on
@@ -705,7 +702,7 @@ def _walk_labels(into, leave, penalty, deadline, labels, links):
     k = leave.size
     for q, (f1, (p1, p2)) in enumerate(zip(labels, links), 1):
         if time.perf_counter() > deadline:
-            return
+            return False
         if q == 1:  # set up past the first clock read: a call past its deadline copies nothing
             rows = np.arange(k)
             starts = rows * k  # the flat index of row v's first entry
@@ -728,7 +725,7 @@ def _walk_labels(into, leave, penalty, deadline, labels, links):
             np.subtract(cheapest, penalty, out=f1)
             f2 = flat[starts + p2] - penalty
         last, came = f1, p1
-        yield q
+    return True
 
 
 def _cover_table(k, lo, hi):
@@ -834,8 +831,7 @@ def _route_pool(instance, m, min_customers, max_customers, penalty, budget, slac
     lo, hi = _route_sizes(k, m, min_customers, max_customers)
     # tails[j - 1, v]: the cheapest walk of j customers from v to the depot
     tails, links = np.empty((hi, k)), np.empty((hi, 2, k), dtype=np.intp)
-    walks = _walk_labels(matrix[1:, 1:], matrix[1:, 0], penalty, deadline, tails, links)
-    if sum(1 for _ in walks) < hi:
+    if not _walk_labels(matrix[1:, 1:], matrix[1:, 0], penalty, deadline, tails, links):
         return None
     closing = np.full(hi + 1, np.inf)
     closing[lo:] = (tails[lo - 1:] + matrix[0, 1:]).min(1)
@@ -1000,7 +996,7 @@ def _polish(matrix, routes, min_customers, max_customers, deadline):
     return [(1, *[v + 1 for v in s], 1) for s in seqs]
 
 
-def _iterate(instance, routes, min_customers, max_customers, deadline, bound=-np.inf):
+def _iterate(instance, routes, min_customers, max_customers, deadline, bound):
     """Iterated local search from ``routes``, a local optimum of
     :func:`_polish` (1-based, depot first and last); returns the best plan
     it saw as the ``RoutePlan`` it priced.
@@ -1014,7 +1010,7 @@ def _iterate(instance, routes, min_customers, max_customers, deadline, bound=-np
     repeat. The search stops after ``_STALL_ROUNDS`` rounds without a new
     best, when no kick exists, once the best plan is within ``_EPS`` of
     ``bound`` (a valid lower bound of the run, which proves that plan
-    optimal; the default proves nothing), or when the clock, read before
+    optimal; -inf proves nothing), or when the clock, read before
     each round, is past ``deadline``; the round's polish also stops at it.
     Each is checked before the first round too.
     """
@@ -1198,7 +1194,7 @@ def _finish(model, backend, routes, bound, nodes, start_time, time_limit) -> Exa
     instance, m, window = model.instance, model.m, (model.min_customers, model.max_customers)
     plan = evaluate_plan(instance, routes) if routes else nearest_node(instance, m)
     if bound is not None:
-        dual, penalty = _qroute_dual(instance, m, *window,
+        dual, penalty = qroute_bound(instance, m, *window,
                                      start_time + _BOUND_SHARE * time_limit)
         bound = max(bound, _root_bound(instance.matrix, m), dual)
         deadline = start_time + time_limit

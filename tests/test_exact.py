@@ -1196,7 +1196,7 @@ def test_iterated_polish_is_locked(monkeypatch):
         return real_polish(*args)
 
     monkeypatch.setattr(exact, "_polish", polish)
-    best = exact._iterate(inst, once, 4, 8, time.perf_counter() + 60.0)
+    best = exact._iterate(inst, once, 4, 8, time.perf_counter() + 60.0, -np.inf)
     assert evaluate_plan(inst, once).total_distance == 2635.0
     assert best.total_distance == 2603.0  # the published optimum
     record = (len(rounds), best.total_distance, best.routes)
@@ -1228,7 +1228,7 @@ def test_iterated_polish_keeps_the_window_and_never_costs_more(case, seed):
         assert check_solution(model, evaluate_plan(inst, kicked)) == (True, [])
     once = evaluate_plan(inst, exact._polish(inst.matrix, plan.routes, lo, hi, _soon()))
     # a short deadline keeps the example fast; the stall rule ends most earlier
-    best = exact._iterate(inst, once.routes, lo, hi, time.perf_counter() + 0.02)
+    best = exact._iterate(inst, once.routes, lo, hi, time.perf_counter() + 0.02, -np.inf)
     assert check_solution(model, best) == (True, [])
     assert all(lo <= len(r) - 2 <= hi for r in best.routes)
     assert best.total_distance <= once.total_distance
@@ -1242,7 +1242,7 @@ def test_iterated_polish_without_a_kick_returns_at_once(monkeypatch):
     assert exact._kick(once, rng_from_seed(0)) is None
     calls = []
     monkeypatch.setattr(exact, "_polish", lambda *args: calls.append(args))
-    assert list(exact._iterate(inst, once, 7, 7, np.inf).routes) == once
+    assert list(exact._iterate(inst, once, 7, 7, np.inf, -np.inf).routes) == once
     assert not calls
 
 
@@ -1300,7 +1300,7 @@ def _locked_bound_cases():
 
 @functools.cache
 def _locked_bounds():
-    return [exact.qroute_bound(inst, m, *window, np.inf)
+    return [exact.qroute_bound(inst, m, *window, np.inf)[0]
             for inst, m, window in _locked_bound_cases()]
 
 
@@ -1404,12 +1404,12 @@ def test_qroute_bound_holds_two_square_arrays_and_its_layers():
 
     def labels(*args):
         calls.append(1)
-        return iter(()) if len(calls) > 3 else real_labels(*args)
+        return False if len(calls) > 3 else real_labels(*args)
 
     tracemalloc.start()
     try:
         with mock.patch.object(exact, "_walk_labels", labels):
-            bound = exact.qroute_bound(inst, 3, *window, np.inf)
+            bound, _ = exact.qroute_bound(inst, 3, *window, np.inf)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1424,7 +1424,7 @@ def test_qroute_bound_meets_the_optimum_where_the_gap_closes(seed):
     # (300 steps left it 0.0009 and 0.0054 below)
     inst = generate_uniform_instance(GridSpec(12, 100, seed))
     window = default_window(inst.n, 3)
-    bound = exact.qroute_bound(inst, 3, *window, np.inf)
+    bound, _ = exact.qroute_bound(inst, 3, *window, np.inf)
     assert bound == pytest.approx(brute_force_oracle(inst, 3, *window).objective,
                                   rel=0, abs=exact._EPS)
 
@@ -1476,7 +1476,7 @@ def test_the_nearest_node_plan_fits_every_admitted_window(n, seed, kind):
 @given(_bound_cases())
 def test_qroute_bound_is_admissible(case):
     inst, m, window = case
-    bound = exact.qroute_bound(inst, m, *window, np.inf)
+    bound, _ = exact.qroute_bound(inst, m, *window, np.inf)
     assert 0.0 <= bound <= brute_force_oracle(inst, m, *window).objective + 1e-9
 
 
@@ -1494,7 +1494,7 @@ def test_qroute_bound_stops_within_a_layer_of_its_deadline(monkeypatch):
     monkeypatch.setattr(exact, "time", SimpleNamespace(perf_counter=clock))
     started = time.perf_counter()
     deadline = started + 0.05
-    bound = exact.qroute_bound(inst, 3, *window, deadline)
+    bound, _ = exact.qroute_bound(inst, 3, *window, deadline)
     returned = time.perf_counter()
     # the first read past the deadline ends the run, with no layer after it
     assert reads[-2] <= deadline < reads[-1]
@@ -1553,10 +1553,10 @@ def test_the_proof_finds_the_optimum_from_any_plan_and_any_penalties(case):
 
         def labels(*args):  # a deadline that falls after `steps` steps, without a clock
             calls.append(1)
-            return iter(()) if lam == "cut" and len(calls) > steps else real_labels(*args)
+            return False if lam == "cut" and len(calls) > steps else real_labels(*args)
 
         with mock.patch.object(exact, "_walk_labels", labels):
-            _, penalty = exact._qroute_dual(inst, m, *window, np.inf)
+            _, penalty = exact.qroute_bound(inst, m, *window, np.inf)
     proven = exact._prove(inst, m, *window, penalty, plan, np.inf)
     assert check_solution(model, proven) == (True, [])
     assert proven.total_distance <= plan.total_distance
@@ -1581,7 +1581,7 @@ def test_the_proof_is_locked(monkeypatch):
     digest = hashlib.sha256()
     for inst, m, window in [(mtspkit.load_bundled("bays29"), 4, (4, 8)),
                             (grid, 5, default_window(grid.n, 5))]:
-        _, penalty = exact._qroute_dual(inst, m, *window, np.inf)
+        _, penalty = exact.qroute_bound(inst, m, *window, np.inf)
         once = evaluate_plan(inst, exact._polish(inst.matrix, nearest_node(inst, m).routes,
                                                  *window, _soon()))
         found = exact._prove(inst, m, *window, penalty, once, np.inf)
@@ -1625,7 +1625,7 @@ def test_a_proven_stopped_run_skips_the_iterated_polish(monkeypatch):
 
 def test_a_proof_past_its_deadline_or_cap_falls_back_to_the_iterated_polish(monkeypatch):
     inst = mtspkit.load_bundled("bays29")
-    _, penalty = exact._qroute_dual(inst, 4, 4, 8, np.inf)
+    _, penalty = exact.qroute_bound(inst, 4, 4, 8, np.inf)
     once = evaluate_plan(inst, exact._polish(inst.matrix, nearest_node(inst, 4).routes,
                                              4, 8, _soon()))
     assert exact._prove(inst, 4, 4, 8, penalty, once, -np.inf) is None
@@ -1652,7 +1652,7 @@ def test_the_proof_gives_up_at_every_clock_read_and_cap(monkeypatch):
     # partition takes more than 32,000 branches, so a stop at its first
     # check, branch 1024, falls inside the search
     inst = mtspkit.load_bundled("bays29")
-    _, penalty = exact._qroute_dual(inst, 4, 4, 8, np.inf)
+    _, penalty = exact.qroute_bound(inst, 4, 4, 8, np.inf)
     once = evaluate_plan(inst, exact._polish(inst.matrix, nearest_node(inst, 4).routes,
                                              4, 8, _soon()))
     assert once.total_distance == 2635.0

@@ -3,13 +3,16 @@
 Covers the full experiment grid (30 samples, sizes 50..500, m 2..7), the
 heuristics' gaps to exact optima on small seeded instances, best-effort
 exact runs (``exact.solve``) on the medium benchmark instances, and the
-subset DP at its size cap. bays29 (m=4) must be proven at its published
-optimum within the budget; eil51 asserts its published optimum only when
-the run is proven, and otherwise verifies that bound and plan bracket it
-and reports the gap.
+subset DP at its size cap. At 0.5, 1 and 2 s the bound and plan of
+bays29 (m=4) and eil51 (m=2) must bracket the published optimum, which
+is asserted only for a proven run, and an unproven one reports its gap.
+bays29 must be proven at its published optimum at a limit no phase
+reaches (1e6 s), where every phase ends on its own count, so that proof
+does not depend on the host's speed.
 
-The exact runs above the subset DP's cap take at most the fixed 2 s
-``TIME_BUDGET``.
+The bracketing runs above the subset DP's cap take at most the fixed
+2 s ``TIME_BUDGET``; bays29's far-limit proof ends when its phases do
+(0.3-0.5 s on a 2-CPU Xeon VM).
 """
 
 import pytest
@@ -18,9 +21,10 @@ import mtspkit as mk
 from mtspkit import exact
 
 
-# a longer budget changes neither medium instance: bays29 (m=4) is proven
-# at 2603 from 0.5 s on, and eil51 (m=2) reads 453.6272 over a bound of
-# ~432.3 at 0.5, 1 and 2 s alike
+# the longest bracketing limit: on a quick host bays29 (m=4) is proven at
+# 2603 from 0.5 s on, and eil51 (m=2) reads 453.6272 over a bound of ~432.3
+# at 0.5, 1 and 2 s alike, but a slow one may stop bays29 short of its
+# proof, which is therefore asserted at a limit no phase reaches
 TIME_BUDGET = 2.0
 
 
@@ -113,9 +117,12 @@ def test_exact_medium_instances(
         # at least the q-route bound, where the branch-and-bound's own reads
         # ~1880-1960 on bays29 and ~367-373 on eil51
         assert result.lower_bound > bound_floor
-    if name == "bays29" and time_limit == TIME_BUDGET:  # the proof step proves it
-        assert result.status is mk.SolveStatus.OPTIMAL
-        assert result.objective == published
+    if name == "bays29" and time_limit == TIME_BUDGET:
+        # the proof step proves it once every phase ends on its own count,
+        # whatever the host's speed
+        proven = exact.solve(inst, m, *window, time_limit=1e6)
+        assert proven.status is mk.SolveStatus.OPTIMAL
+        assert proven.objective == proven.lower_bound == published
     if result.status is mk.SolveStatus.OPTIMAL:
         assert result.objective == pytest.approx(published, rel=0.01)
     else:
