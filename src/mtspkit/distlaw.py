@@ -12,8 +12,11 @@ runtime:
   ``0.4158 * n**-0.949``
 
 Monte Carlo runs are chunked; chunk ``c`` draws from
-``rng_from_seed(SeedSequence(seed, spawn_key=(c,)))``, so the result is a
-pure function of the seed no matter how many workers process the chunks.
+``rng_from_seed(SeedSequence(seed, spawn_key=(c,)))`` and writes its
+minima into its own slice of one result buffer, so the result is a pure
+function of the seed no matter how many workers process the chunks. A run
+holds 4 bytes per repetition on int32 draws and 8 otherwise, plus one draw
+block per thread.
 """
 
 from __future__ import annotations
@@ -353,24 +356,36 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_chunks(reps, seed, workers, draw):
+def _run_chunks(values, seed, workers, draw):
+    """Fill ``values`` chunk by chunk: chunk c draws into its own slice."""
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    spans = [(i, min(_CHUNK, reps - i * _CHUNK)) for i in range((reps + _CHUNK - 1) // _CHUNK)]
+    chunks = range((len(values) + _CHUNK - 1) // _CHUNK)
+
+    def fill(c):
+        draw(_chunk_rng(seed, c), values[c * _CHUNK:(c + 1) * _CHUNK])
+
     # results never depend on the worker count, so threads beyond the chunk
     # or CPU count would only add start-up cost
-    workers = min(workers, len(spans), _usable_cpus())
+    workers = min(workers, len(chunks), _usable_cpus())
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda s: draw(_chunk_rng(seed, s[0]), s[1]), spans))
+            list(pool.map(fill, chunks))
     else:
-        parts = [draw(_chunk_rng(seed, i), count) for i, count in spans]
-    return np.concatenate(parts)
+        for c in chunks:
+            fill(c)
 
 
 def _histogram_result(values, reps, seed):
-    top = float(values.max()) if values.size and values.max() > 0 else 1.0
-    counts, edges = np.histogram(values, bins=_BINS, range=(0.0, top))
+    top = float(values.max())
+    span = (0.0, top if top > 0 else 1.0)
+    # binned a chunk at a time, since np.histogram's temporaries take ~2 MB
+    # per 65,536 values; every slice gets the same edges, and int32 minima
+    # are cast to them exactly
+    counts = 0
+    for lo in range(0, len(values), _CHUNK):
+        part, edges = np.histogram(values[lo:lo + _CHUNK], _BINS, span)
+        counts += part
     return MonteCarloResult(float(values.mean()), edges, counts, reps, seed)
 
 
@@ -394,24 +409,38 @@ def simulate_min_dist(
     Each block's differences are taken in place in its own buffer. A
     ``Rectangle``'s are squared there and summed into the x plane as
     ``dx**2 + dy**2``, and only each repetition's least sum is rooted. On
-    an ``IntegerRange`` they stay integers, where they are exact, and only
-    the per-repetition minimum is converted to float64. For every
-    ``high <= 2**53`` this equals converting the draws first; above that,
-    converting first would round the draws before subtracting. Draws are
+    an ``IntegerRange`` they stay integers, where they are exact. Draws are
     int32 for ``high < 2**31``, which is faster than int64, and int64
     above; numpy draws both from one 32-bit sampler for ranges up to
     ``2**32``, so the stream does not depend on the dtype.
+
+    All ``reps`` minima go into one buffer allocated before the first
+    draw; chunk c fills its own slice ``[c * 16384, c * 16384 + count)``
+    on whichever thread runs it, so the result does not depend on the
+    thread count. A run holds 4 bytes per repetition on int32 draws, whose
+    minima stay int32, and 8 otherwise (float64), plus one draw block per
+    thread. Int64 minima are converted to float64 once each; for every
+    ``high <= 2**53`` this equals converting the draws first, and above
+    that, converting first would round the draws before subtracting.
+
+    The histogram casts the minima to its float64 edges exactly. The mean
+    sums them in float64, so on int32 minima it is bit-identical to the
+    float64 buffer's mean wherever that sum is exact: while the minima
+    total at most ``2**53``. Beyond that (``high`` near ``2**31`` and
+    millions of repetitions) the two sums round in a different order, and
+    the means may differ in the last few bits.
     """
     if n < 1:
         raise ValueError("need at least one target point")
     if reps < 1:
         raise ValueError("need at least one repetition")
     rect = isinstance(domain, Rectangle)
+    minima = np.float64  # dtype of the result buffer
     if isinstance(domain, UnitInterval):
         def sample(rng, shape):
             return rng.random(shape)
     elif isinstance(domain, IntegerRange):
-        dtype = np.int32 if domain.high < 2**31 else np.int64
+        dtype, minima = (np.int32, np.int32) if domain.high < 2**31 else (np.int64, np.float64)
 
         def sample(rng, shape):
             return rng.integers(1, domain.high + 1, shape, dtype=dtype)
@@ -439,13 +468,13 @@ def simulate_min_dist(
 
     rows = max(1, _BLOCK // n)
 
-    def draw(rng, count):
-        x = sample(rng, (count,))
-        out = np.empty(count)
-        for lo in range(0, count, rows):
+    def draw(rng, out):
+        x = sample(rng, out.shape)
+        for lo in range(0, len(out), rows):
             here = x[lo:lo + rows]
             # no name holds the block, so it is freed before the next draw
             out[lo:lo + rows] = least(sample(rng, (len(here), n)), here)
-        return out
 
-    return _histogram_result(_run_chunks(reps, seed, workers, draw), reps, seed)
+    values = np.empty(reps, minima)
+    _run_chunks(values, seed, workers, draw)
+    return _histogram_result(values, reps, seed)

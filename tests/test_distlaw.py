@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -565,6 +566,37 @@ def test_monte_carlo_memory_does_not_grow_with_n(n):
     assert peak <= 24e6
 
 
+@pytest.mark.parametrize("n, domain", [(50, IntegerRange(100)), (1, UnitInterval())],
+                         ids=["law-int100", "unit-pair"])
+def test_monte_carlo_holds_one_result_buffer(n, domain):
+    # 2**20 minima fill one int32 (4.2 MB) or float64 (8.4 MB) buffer; per-chunk
+    # float64 parts plus their concatenated copy peaked at 16.79 MB in both cases
+    tracemalloc.start()
+    try:
+        simulate_min_dist(n, 2**20, domain, seed=1, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
+
+
+def test_threads_fill_their_own_slices(monkeypatch):
+    # nine threads on fewer cores, switching every microsecond, write nine
+    # chunks into one shared buffer; a chunk in a wrong slice would leave
+    # another slice unwritten
+    reps = 8 * distlaw._CHUNK + 17
+    serial = simulate_min_dist(3, reps, IntegerRange(1000), seed=25)
+    monkeypatch.setattr(distlaw, "_usable_cpus", lambda: 9)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = simulate_min_dist(3, reps, IntegerRange(1000), seed=25, workers=9)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded.mean == serial.mean
+    assert threaded.to_csv() == serial.to_csv()
+
+
 def _float_min_dist(n, reps, high, seed):
     # reference: the draws converted to float64 before subtracting, with
     # the estimator's chunking and per-chunk seeds
@@ -585,6 +617,27 @@ def test_integer_min_dist_matches_float_formula_up_to_2_53():
         old = _float_min_dist(3, reps, high, seed=21)
         assert new.mean == old.mean
         assert new.to_csv() == old.to_csv()
+
+
+@pytest.mark.parametrize("high", [100, 2**31 - 1])
+def test_int32_minima_keep_the_float64_mean(monkeypatch, high):
+    # 40,000 repetitions span three chunks and several of numpy's
+    # 8192-element cast buffers, so the int32 minima are summed in float64
+    # piece by piece; every partial sum stays below 2**53, where it is exact
+    buffers = []
+    histogram = distlaw._histogram_result
+
+    def recording(values, reps, seed):
+        buffers.append(values.dtype)
+        return histogram(values, reps, seed)
+
+    monkeypatch.setattr(distlaw, "_histogram_result", recording)
+    result = simulate_min_dist(1, 40_000, IntegerRange(high), seed=24)
+    monkeypatch.undo()
+    assert buffers == [np.dtype(np.int32)]
+    old = _float_min_dist(1, 40_000, high, seed=24)
+    assert result.mean == old.mean
+    assert result.to_csv() == old.to_csv()
 
 
 @pytest.mark.parametrize("high,dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
