@@ -25,7 +25,9 @@ Each rule is stated once, in the docstring of the function that owns it:
   (:func:`_route_pool`), partitioned (:func:`_partition`).
 * :func:`_polish` (moves priced by :func:`_best_move`) and :func:`_iterate`
   (kicks by :func:`_kick`) are the local search and the iterated local
-  search.
+  search. Every phase of a stopped run's ending hands the next a priced
+  ``RoutePlan``: the polish returns one, and the proof and the iterated
+  polish start from it.
 * :func:`solve_exact` is the best-first tree search, which only direct
   calls at up to ``ORACLE_MAX_N`` nodes reach; above that it is
   :func:`_finish` alone.
@@ -496,8 +498,8 @@ def brute_force_oracle(
     The clock starts before the tables are built and is read on every
     (size, t) label step and on every subset a split round works on. Once
     ``time_limit`` (:func:`check_time_limit`) has passed, the run hands
-    :func:`_finish` no plan and a bound of 0.0, with no time left for the
-    ending's phases.
+    :func:`_finish` no plan, a bound of 0.0 and the labels of the layers it
+    finished, with no time left for the ending's phases.
     """
     n = instance.n
     if n > ORACLE_MAX_N:
@@ -516,15 +518,15 @@ def brute_force_oracle(
         size = np.concatenate([size, size + 1])
     path = np.full((full + 1, k), np.inf)
     path[1 << np.arange(k), np.arange(k)] = d[0, 1:]
+    labels = k  # the path labels of the finished layers
     for s in range(2, hi + 1):
         layer = masks[size == s]
         for t in range(k):
             if time.perf_counter() > deadline:
-                labels = int(size[size < s].sum())
                 return _finish(model, "subset_dp", None, 0.0, labels, start_time, time_limit)
             sets = layer[layer & 1 << t > 0]
             path[sets, t] = (path[sets ^ 1 << t] + d[1:, t + 1]).min(1)
-    labels = int(size[size <= hi].sum())
+        labels += s * layer.size
     route = np.where((lo <= size) & (size <= hi), (path + d[1:, 0]).min(1), np.inf)
     closable = masks[np.isfinite(route)][::-1]  # descending: ties keep the largest
     owns = {1 << j: closable[closable & -closable == 1 << j] for j in range(k)}
@@ -978,9 +980,10 @@ _ACCEPT_WORSE = 0.05  # chance that a round's worse plan becomes the current one
 _STALL_ROUNDS = 300  # rounds without a new best plan that end the iterated polish
 
 
-def _polish(matrix, routes, min_customers, max_customers, deadline):
+def _polish(instance, routes, min_customers, max_customers, deadline):
     """Best-improvement local search of ``routes`` (1-based, depot first and
-    last), returned in the same form.
+    last) on ``instance``; returns the local optimum as the ``RoutePlan``
+    ``evaluate_plan`` prices.
 
     Each pass prices every move of three kinds (:func:`_best_move`) and
     applies the single best one that gains. Every route keeps
@@ -990,7 +993,7 @@ def _polish(matrix, routes, min_customers, max_customers, deadline):
     """
     seqs = [[v - 1 for v in r[1:-1]] for r in routes]
     while True:
-        move = _best_move(matrix, seqs, min_customers, max_customers, deadline)
+        move = _best_move(instance.matrix, seqs, min_customers, max_customers, deadline)
         if move is None:
             break
         kind, ra, i, rb, j = move
@@ -1000,37 +1003,37 @@ def _polish(matrix, routes, min_customers, max_customers, deadline):
             seqs[rb].insert(j, seqs[ra].pop(i))
         else:
             seqs[ra][i], seqs[rb][j] = seqs[rb][j], seqs[ra][i]
-    return [(1, *[v + 1 for v in s], 1) for s in seqs]
+    return evaluate_plan(instance, [(1, *[v + 1 for v in s], 1) for s in seqs])
 
 
-def _iterate(instance, routes, min_customers, max_customers, deadline, bound):
-    """Iterated local search from ``routes``, a local optimum of
-    :func:`_polish` (1-based, depot first and last); returns the best plan
-    it saw as the ``RoutePlan`` it priced.
+def _iterate(instance, start, min_customers, max_customers, deadline, bound):
+    """Iterated local search from ``start``, a ``RoutePlan`` that
+    :func:`_polish` returned; returns the best plan it saw, a ``RoutePlan``
+    as ``_polish`` priced it (``start`` itself if no round found a cheaper
+    one).
 
     Each round kicks the current plan (:func:`_kick`) and polishes the
-    result with ``_polish`` to a local optimum. A plan priced by
-    ``evaluate_plan`` below the best by more than ``_EPS`` times its total
-    is the new best. A plan no dearer than the current one replaces it, and
-    a dearer one does with probability ``_ACCEPT_WORSE``. The kicks and the
-    acceptance draws come from one generator on ``_KICKS``, so the rounds
-    repeat. The search stops after ``_STALL_ROUNDS`` rounds without a new
-    best, when no kick exists, once the best plan is within ``_EPS`` of
-    ``bound`` (a valid lower bound of the run, which proves that plan
-    optimal; -inf proves nothing), or when the clock, read before
-    each round, is past ``deadline``; the round's polish also stops at it.
-    Each is checked before the first round too.
+    result with ``_polish`` to a local optimum. A polished plan below the
+    best by more than ``_EPS`` times its total is the new best. A plan no
+    dearer than the current one replaces it, and a dearer one does with
+    probability ``_ACCEPT_WORSE``. The kicks and the acceptance draws come
+    from one generator on ``_KICKS``, so the rounds repeat. The search
+    stops after ``_STALL_ROUNDS`` rounds without a new best, when no kick
+    exists, once the best plan is within ``_EPS`` of ``bound`` (a valid
+    lower bound of the run, which proves that plan optimal; -inf proves
+    nothing), or when the clock, read before each round, is past
+    ``deadline``; the round's polish also stops at it. Each is checked
+    before the first round too.
     """
     rng = rng_from_seed(_KICKS)
-    best = current = evaluate_plan(instance, routes)
+    best = current = start
     stall = 0
     while (stall < _STALL_ROUNDS and best.total_distance > bound + _EPS
            and time.perf_counter() <= deadline):
         kicked = _kick(current.routes, rng)
         if kicked is None:
             break
-        plan = evaluate_plan(instance, _polish(instance.matrix, kicked, min_customers,
-                                               max_customers, deadline))
+        plan = _polish(instance, kicked, min_customers, max_customers, deadline)
         cost = plan.total_distance
         if cost < best.total_distance - _EPS * max(1.0, best.total_distance):
             best, stall = plan, 0
@@ -1176,16 +1179,18 @@ def _finish(model, backend, routes, bound, nodes, start_time, time_limit) -> Exa
     * The lower bound is the largest of ``bound``, :func:`_root_bound` and
       :func:`qroute_bound` toward the start plan's total, run until half
       the limit (``_BOUND_SHARE``).
-    * :func:`_polish` takes the plan to a local optimum, until the limit;
-      the polished plan replaces the held one unless that prices lower.
+    * :func:`_polish` takes the plan to a local optimum, until the limit,
+      and returns it priced; the polished plan replaces the held one unless
+      that prices lower.
     * If that plan is still above the bound, :func:`_prove` runs on the
       bound's penalties until three quarters of the limit
       (``_PROOF_SHARE``). A proof that finishes makes the run ``optimal``
-      with the plan it returns, and nothing runs after it.
-    * A proof that gives up, at its deadline or its cap, hands the rest of
-      the limit to :func:`_iterate`, from the polished plan and with the
-      bound, at which it stops. Its plan replaces the held one unless that
-      prices lower.
+      with the plan it returns, and nothing runs after it. A plan that
+      meets the bound runs neither the proof nor the iterated polish.
+    * Only a proof that gives up, at its deadline or its cap, hands the
+      rest of the limit to :func:`_iterate`, from the priced polished plan
+      and with the bound, at which it stops. Its plan replaces the held
+      one unless that prices lower.
 
     Each phase stops at its share or on its own count, whichever comes
     first. Every phase reads the clock often (each one's docstring says
@@ -1210,20 +1215,18 @@ def _finish(model, backend, routes, bound, nodes, start_time, time_limit) -> Exa
                                      start_time + _BOUND_SHARE * time_limit)
         bound = max(bound, _root_bound(instance.matrix, m), dual)
         deadline = start_time + time_limit
-        polished = _polish(instance.matrix, plan.routes, *window, deadline)
-        once = evaluate_plan(instance, polished)
+        once = _polish(instance, plan.routes, *window, deadline)
         if once.total_distance <= plan.total_distance:  # never above the incumbent
             plan = once
-        proven = None
         if plan.total_distance > bound + _EPS:
             proven = _prove(instance, m, *window, penalty, plan,
                             start_time + _PROOF_SHARE * time_limit)
-        if proven is not None:
-            plan, bound = proven, None
-        else:
-            polished = _iterate(instance, polished, *window, deadline, bound)
-            if polished.total_distance <= plan.total_distance:
-                plan = polished
+            if proven is not None:
+                plan, bound = proven, None
+            else:
+                polished = _iterate(instance, once, *window, deadline, bound)
+                if polished.total_distance <= plan.total_distance:
+                    plan = polished
     if bound is None or plan.total_distance <= bound + _EPS:
         status, bound = SolveStatus.OPTIMAL, plan.total_distance
     else:

@@ -2,6 +2,7 @@ import functools
 import gc
 import hashlib
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -766,6 +767,38 @@ def test_oracle_time_limit_holds():
             brute_force_oracle(inst, 7, 1, 8, time_limit=limit)
 
 
+def test_oracle_stopped_at_its_first_label_step_reports_the_singletons():
+    # a limit already past at the first (size, t) step: only the 11 singleton
+    # labels are built, and the ending, past its limit too, keeps the
+    # nearest-node plan over the root bound
+    inst = generate_uniform_instance(GridSpec(12, 100, 1))
+    m = 2
+    result = brute_force_oracle(inst, m, *default_window(inst.n, m), time_limit=1e-9)
+    assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
+    assert result.nodes_explored == 11
+    assert result.lower_bound == exact._root_bound(inst.matrix, m)
+    assert result.best == nearest_node(inst, m)
+
+
+@pytest.mark.parametrize("stop", [(3, 4), (4, 10)])
+def test_oracle_stopped_inside_a_label_layer_counts_its_finished_layers(monkeypatch, stop):
+    # the clock passes the deadline at step t of layer s: the run reports the
+    # labels of layers 1..s - 1, s labels per subset of size s
+    s, t = stop
+    inst = generate_uniform_instance(GridSpec(12, 100, 1))
+    k = inst.n - 1
+    reads = []
+
+    def clock():  # the start read, then one read per (size, t) label step
+        reads.append(len(reads))
+        return 0.0 if len(reads) <= 1 + (s - 2) * k + t else 2.0
+
+    monkeypatch.setattr(exact, "time", SimpleNamespace(perf_counter=clock))
+    result = brute_force_oracle(inst, 2, 1, 10, time_limit=1.0)
+    assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
+    assert result.nodes_explored == sum(j * math.comb(k, j) for j in range(s))
+
+
 def test_oracle_single_hamiltonian_tour():
     mat = np.array(
         [
@@ -1029,12 +1062,18 @@ def test_polish_is_locked():
     for inst, m in _lock_cases():
         warm = nearest_node(inst, m)
         for window in (default_window(inst.n, m), (1, inst.n - m)):
-            routes = exact._polish(inst.matrix, warm.routes, *window, _soon())
-            plan = evaluate_plan(inst, routes)
+            plan = exact._polish(inst, warm.routes, *window, _soon())
             digest.update(repr((plan.total_distance, plan.routes)).encode())
     assert digest.hexdigest() == (
         "e24eaa736e937b81fed29a30b66d615b94dbe7b8b96b4623dc4b557ca65a9ffe"
     )
+
+
+def test_polish_returns_the_plan_it_priced():
+    inst = mtspkit.load_bundled("bays29")
+    polished = exact._polish(inst, nearest_node(inst, 4).routes, 4, 8, _soon())
+    assert isinstance(polished, RoutePlan)
+    assert polished == evaluate_plan(inst, polished.routes)
 
 
 def _neighbours(routes, lo, hi):
@@ -1085,7 +1124,7 @@ def _polish_cases(draw):
 @given(_polish_cases())
 def test_polish_keeps_the_window_and_never_costs_more(case):
     inst, m, lo, hi, plan = case
-    polished = evaluate_plan(inst, exact._polish(inst.matrix, plan.routes, lo, hi, _soon()))
+    polished = exact._polish(inst, plan.routes, lo, hi, _soon())
     assert check_solution(build_model(inst, m, lo, hi), polished) == (True, [])
     assert polished.total_distance <= plan.total_distance
     # it stops at a local optimum: no neighbour, priced by evaluate_plan, is cheaper
@@ -1093,7 +1132,7 @@ def test_polish_keeps_the_window_and_never_costs_more(case):
         other = evaluate_plan(inst, [(1, *s, 1) for s in seqs])
         assert other.total_distance >= polished.total_distance - 1e-9, seqs
     # one pass takes the best neighbour, at the cost evaluate_plan gives it
-    first = evaluate_plan(inst, exact._polish(inst.matrix, plan.routes, lo, hi, -np.inf))
+    first = exact._polish(inst, plan.routes, lo, hi, -np.inf)
     assert first == plan  # a deadline already past allows no pass
     best = min(evaluate_plan(inst, [(1, *s, 1) for s in seqs]).total_distance
                for seqs in _neighbours(plan.routes, lo, hi))
@@ -1148,7 +1187,7 @@ def test_polish_prices_a_directed_reversal_by_its_reversed_arcs():
     turned = evaluate_plan(inst, [(1, 4, 3, 2, 5, 1)])
     assert mat[0, 3] + mat[1, 4] - mat[0, 1] - mat[3, 4] == -18.0
     assert turned.total_distance == 50.0 + 162.0
-    assert exact._polish(mat, route, 4, 4, _soon()) == route
+    assert exact._polish(inst, route, 4, 4, _soon()) == evaluate_plan(inst, route)
     assert solve_exact(build_model(inst, 1, 4, 4)).objective == 50.0
 
 
@@ -1191,6 +1230,23 @@ def test_finish_reports_a_polished_plan_at_its_bound_as_optimal(monkeypatch):
     assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
     assert result.best == optimum.best
     assert result.lower_bound == bound < result.objective
+
+
+def test_finish_at_its_bound_runs_neither_the_proof_nor_the_iterated_polish(monkeypatch):
+    inst = generate_uniform_instance(GridSpec(10, 100, 3))
+    model = build_model(inst, 2, 4, 5)
+    optimum = brute_force_oracle(inst, 2, 4, 5)
+
+    def refuse(*args):
+        raise AssertionError("a plan at its bound is proven already")
+
+    monkeypatch.setattr(exact, "_prove", refuse)
+    monkeypatch.setattr(exact, "_iterate", refuse)
+    result = exact._finish(model, "branch_and_bound", optimum.best.routes, optimum.objective,
+                           7, time.perf_counter(), 60.0)
+    assert result.status is SolveStatus.OPTIMAL
+    assert result.best == optimum.best
+    assert result.lower_bound == result.objective == optimum.objective
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -1236,7 +1292,7 @@ def test_iterated_polish_is_locked(monkeypatch):
     # acceptance rule or the stall rule moves the round count or a route, and
     # this digest. The deadline is far, so the stall rule ends the run (~1 s)
     inst = mtspkit.load_bundled("bays29")
-    once = exact._polish(inst.matrix, nearest_node(inst, 4).routes, 4, 8, _soon())
+    once = exact._polish(inst, nearest_node(inst, 4).routes, 4, 8, _soon())
     rounds = []
     real_polish = exact._polish
 
@@ -1246,7 +1302,7 @@ def test_iterated_polish_is_locked(monkeypatch):
 
     monkeypatch.setattr(exact, "_polish", polish)
     best = exact._iterate(inst, once, 4, 8, time.perf_counter() + 60.0, -np.inf)
-    assert evaluate_plan(inst, once).total_distance == 2635.0
+    assert once.total_distance == 2635.0
     assert best.total_distance == 2603.0  # the published optimum
     record = (len(rounds), best.total_distance, best.routes)
     assert hashlib.sha256(repr(record).encode()).hexdigest() == (
@@ -1275,9 +1331,9 @@ def test_iterated_polish_keeps_the_window_and_never_costs_more(case, seed):
     if kicked is not None:  # a kick keeps every route's size and every customer
         assert [len(r) for r in kicked] == [len(r) for r in plan.routes]
         assert check_solution(model, evaluate_plan(inst, kicked)) == (True, [])
-    once = evaluate_plan(inst, exact._polish(inst.matrix, plan.routes, lo, hi, _soon()))
+    once = exact._polish(inst, plan.routes, lo, hi, _soon())
     # a short deadline keeps the example fast; the stall rule ends most earlier
-    best = exact._iterate(inst, once.routes, lo, hi, time.perf_counter() + 0.02, -np.inf)
+    best = exact._iterate(inst, once, lo, hi, time.perf_counter() + 0.02, -np.inf)
     assert check_solution(model, best) == (True, [])
     assert all(lo <= len(r) - 2 <= hi for r in best.routes)
     assert best.total_distance <= once.total_distance
@@ -1287,22 +1343,22 @@ def test_iterated_polish_without_a_kick_returns_at_once(monkeypatch):
     # one route of 7 customers: no second route to swap with and none long
     # enough for a double bridge, so there is no round to run
     inst = generate_uniform_instance(GridSpec(8, 100, 5))
-    once = exact._polish(inst.matrix, nearest_node(inst, 1).routes, 7, 7, _soon())
-    assert exact._kick(once, rng_from_seed(0)) is None
+    once = exact._polish(inst, nearest_node(inst, 1).routes, 7, 7, _soon())
+    assert exact._kick(once.routes, rng_from_seed(0)) is None
     calls = []
     monkeypatch.setattr(exact, "_polish", lambda *args: calls.append(args))
-    assert list(exact._iterate(inst, once, 7, 7, np.inf, -np.inf).routes) == once
+    assert exact._iterate(inst, once, 7, 7, np.inf, -np.inf) == once
     assert not calls
 
 
 def test_iterated_polish_stops_at_a_bound_its_plan_meets(monkeypatch):
     # a plan that reaches the run's bound is proven: no round can improve it
     inst = mtspkit.load_bundled("bays29")
-    once = exact._polish(inst.matrix, nearest_node(inst, 4).routes, 4, 8, _soon())
-    bound = evaluate_plan(inst, once).total_distance
+    once = exact._polish(inst, nearest_node(inst, 4).routes, 4, 8, _soon())
+    bound = once.total_distance
     calls = []
     monkeypatch.setattr(exact, "_polish", lambda *args: calls.append(args))
-    assert list(exact._iterate(inst, once, 4, 8, np.inf, bound).routes) == once
+    assert exact._iterate(inst, once, 4, 8, np.inf, bound) == once
     assert not calls
 
 
@@ -1327,9 +1383,9 @@ def test_gap_is_the_certified_relative_gap(garn9, monkeypatch):
     model = build_model(garn9, 2, 2, 5)
     warm = nearest_node(garn9, 2)
     monkeypatch.setattr(exact, "_prove", lambda *args: None)
-    monkeypatch.setattr(exact, "_polish", lambda matrix, routes, *args: routes)
-    monkeypatch.setattr(exact, "_iterate",
+    monkeypatch.setattr(exact, "_polish",
                         lambda inst, routes, *args: evaluate_plan(inst, routes))
+    monkeypatch.setattr(exact, "_iterate", lambda inst, start, *args: start)
     bound = warm.total_distance - 5.0  # 39.82, above the root bound's 36.26
     # started 31 s ago: the q-route bound's half of the 60 s limit has passed,
     # so it finishes no step and the bound handed in stands
@@ -1595,7 +1651,7 @@ def test_the_proof_finds_the_optimum_from_any_plan_and_any_penalties(case):
     if start != "optimum":  # the nearest-node plan fits every admitted window
         plan = nearest_node(inst, m)
         if start == "polished":
-            plan = evaluate_plan(inst, exact._polish(inst.matrix, plan.routes, *window, _soon()))
+            plan = exact._polish(inst, plan.routes, *window, _soon())
     if lam == "zero":
         penalty = np.zeros(inst.n - 1)
     else:
@@ -1634,8 +1690,7 @@ def test_the_proof_is_locked(monkeypatch):
                             (grid, 5, default_window(grid.n, 5))]:
         _, penalty = exact.qroute_bound(inst, m, *window,
                                         nearest_node(inst, m).total_distance, np.inf)
-        once = evaluate_plan(inst, exact._polish(inst.matrix, nearest_node(inst, m).routes,
-                                                 *window, _soon()))
+        once = exact._polish(inst, nearest_node(inst, m).routes, *window, _soon())
         found = exact._prove(inst, m, *window, penalty, once, np.inf)
         assert exact._prove(inst, m, *window, penalty, found, np.inf) is found
         sizes = [len(held[0]) for held in pools[-2:]]
@@ -1678,8 +1733,7 @@ def test_a_proven_stopped_run_skips_the_iterated_polish(monkeypatch):
 def test_a_proof_past_its_deadline_or_cap_falls_back_to_the_iterated_polish(monkeypatch):
     inst = mtspkit.load_bundled("bays29")
     _, penalty = exact.qroute_bound(inst, 4, 4, 8, nearest_node(inst, 4).total_distance, np.inf)
-    once = evaluate_plan(inst, exact._polish(inst.matrix, nearest_node(inst, 4).routes,
-                                             4, 8, _soon()))
+    once = exact._polish(inst, nearest_node(inst, 4).routes, 4, 8, _soon())
     assert exact._prove(inst, 4, 4, 8, penalty, once, -np.inf) is None
     monkeypatch.setattr(exact, "_POOL_CAP", 1000)  # bays29's pool needs ~13,000 labels
     assert exact._prove(inst, 4, 4, 8, penalty, once, np.inf) is None
@@ -1705,8 +1759,7 @@ def test_the_proof_gives_up_at_every_clock_read_and_cap(monkeypatch):
     # check, branch 1024, falls inside the search
     inst = mtspkit.load_bundled("bays29")
     _, penalty = exact.qroute_bound(inst, 4, 4, 8, nearest_node(inst, 4).total_distance, np.inf)
-    once = evaluate_plan(inst, exact._polish(inst.matrix, nearest_node(inst, 4).routes,
-                                             4, 8, _soon()))
+    once = exact._polish(inst, nearest_node(inst, 4).routes, 4, 8, _soon())
     assert once.total_distance == 2635.0
     budget = once.total_distance - exact.left_fold(penalty.tolist())
     slack = 1e-7 * once.total_distance
