@@ -46,7 +46,7 @@ import numpy as np
 
 from .heuristics import InfeasibleModelError, nearest_node
 from .instance import (
-    Instance, RoutePlan, _block_rows, evaluate_plan, left_fold, rng_from_seed,
+    Instance, RoutePlan, _block_rows, evaluate_plan, left_fold, plan_tour, rng_from_seed,
 )
 
 _EPS = 1e-9
@@ -211,7 +211,7 @@ def check_solution(model: ExactModel, plan: RoutePlan):
     """
     plan = evaluate_plan(model.instance, plan.routes)  # structural rejection
     n, upper, lower = model.instance.n, model.max_customers, model.min_customers
-    tour = np.concatenate([r[:-1] for r in plan.routes] + [(1,)]) - 1  # 0-based
+    tour = plan_tour(plan.routes)
     x = np.zeros((n, n), dtype=np.int64)
     x[tour[:-1], tour[1:]] = 1
     route = np.cumsum(tour == 0)  # 1-based route index along the tour

@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import operator
 from dataclasses import dataclass
 from pathlib import Path
@@ -227,51 +228,91 @@ def evaluate_plan(instance: Instance, routes) -> RoutePlan:
     mid-route, or fail to start and end every route at node 1.
 
     Node labels must be integers (Python or numpy); a float such as 2.7 is
-    rejected, never truncated. Each route's customers are checked as a set;
-    only a route that fails that check is walked node by node, so the error
-    names its first offending node.
+    rejected, never truncated. The whole plan is checked at once, on its
+    :func:`plan_tour`: one ``np.bincount`` shows every customer once and
+    the depot only where the routes start. One gather then takes every arc
+    of the tour, and a route's cost is the numpy sum of its contiguous run
+    of arcs. Only a plan that fails the check is walked route by route,
+    node by node, so the error names its first defect in route order.
 
     The total is the :func:`left_fold` of the route costs in route order.
     """
     n = instance.n
-    seen = set()
     clean = []
-    for idx, route in enumerate(routes, start=1):
+    for route in routes:
         try:
-            route = tuple(map(operator.index, route))
+            clean.append(tuple(map(operator.index, route)))
         except TypeError:
-            raise PlanError(f"route {idx} holds a non-integer node label") from None
+            _walk(n, clean)  # a defect of an earlier route comes first
+            raise PlanError(
+                f"route {len(clean) + 1} holds a non-integer node label"
+            ) from None
+    tour = _checked_tour(n, clean)
+    if tour is None:
+        missing = sorted(set(range(2, n + 1)) - _walk(n, clean))
+        raise PlanError(f"nodes never visited: {missing}")
+    arcs = instance.matrix[tour[:-1], tour[1:]]
+    per = []
+    start = 0
+    for route in clean:
+        stop = start + len(route) - 1
+        per.append(float(arcs[start:stop].sum()))
+        start = stop
+    return RoutePlan(tuple(clean), tuple(per), left_fold(per))
+
+
+def plan_tour(routes) -> np.ndarray:
+    """The plan's one 0-based int64 tour: each route without its closing
+    depot, then one final depot. Route k's arcs are a contiguous run of
+    the tour's, since the next route starts at the depot it closes at."""
+    nodes = itertools.chain.from_iterable(route[:-1] for route in routes)
+    tour = np.fromiter(itertools.chain(nodes, (1,)), np.int64)
+    tour -= 1
+    return tour
+
+
+def _checked_tour(n: int, routes) -> np.ndarray | None:
+    """The :func:`plan_tour` of ``routes`` if they form a plan on nodes
+    1..n, else None.
+
+    Every route must start and end at the depot around a customer. The
+    tour of m such routes holds the depot at least m + 1 times: the route
+    starts and the final depot. If it holds n + m labels, each a node, and
+    one bincount finds all n nodes among them, the n - 1 customers fill
+    the other n - 1 places once each.
+    """
+    if not all(len(route) > 2 and route[0] == 1 == route[-1] for route in routes):
+        return None
+    try:
+        tour = plan_tour(routes)
+    except OverflowError:  # a label int64 cannot hold is no node
+        return None
+    # a negative index reads as a huge unsigned one
+    if tour.size != n + len(routes) or tour.view(np.uint64).max() >= n:
+        return None
+    if np.count_nonzero(np.bincount(tour, minlength=n)) != n:
+        return None
+    return tour
+
+
+def _walk(n: int, routes) -> set:
+    """Walk ``routes`` in order, node by node, and raise :class:`PlanError`
+    at the first defect; return the customers visited if there is none."""
+    seen = set()
+    for idx, route in enumerate(routes, start=1):
         if len(route) < 3 or route[0] != 1 or route[-1] != 1:
             raise PlanError(
                 f"route {idx} must start and end at depot 1 and visit a customer"
             )
-        customers = route[1:-1]
-        visits = set(customers)
-        if (
-            len(visits) != len(customers)
-            or min(customers) < 2
-            or max(customers) > n
-            or not visits.isdisjoint(seen)
-        ):
-            # a defect is certain; walk the route to name its first node
-            for v in customers:
-                if v == 1:
-                    raise PlanError(f"route {idx} revisits the depot")
-                if not 2 <= v <= n:
-                    raise PlanError(f"route {idx} contains unknown node {v}")
-                if v in seen:
-                    raise PlanError(f"node {v} visited more than once")
-                seen.add(v)
-        seen |= visits
-        clean.append(route)
-    if len(seen) < n - 1:
-        missing = sorted(set(range(2, n + 1)) - seen)
-        raise PlanError(f"nodes never visited: {missing}")
-    per = []
-    for route in clean:
-        hops = np.asarray(route, dtype=np.int64) - 1
-        per.append(float(instance.matrix[hops[:-1], hops[1:]].sum()))
-    return RoutePlan(tuple(clean), tuple(per), left_fold(per))
+        for v in route[1:-1]:
+            if v == 1:
+                raise PlanError(f"route {idx} revisits the depot")
+            if not 2 <= v <= n:
+                raise PlanError(f"route {idx} contains unknown node {v}")
+            if v in seen:
+                raise PlanError(f"node {v} visited more than once")
+            seen.add(v)
+    return seen
 
 
 def left_fold(values) -> float:

@@ -1,6 +1,7 @@
 import functools
 import gc
 import hashlib
+import inspect
 import itertools
 import math
 import os
@@ -1584,6 +1585,36 @@ def test_qroute_bound_is_admissible(case):
     inst, m, window = case
     bound, _ = exact.qroute_bound(inst, m, *window, nearest_node(inst, m).total_distance, np.inf)
     assert 0.0 <= bound <= brute_force_oracle(inst, m, *window).objective + 1e-9
+
+
+def test_qroute_bound_returns_once_a_step_leaves_lambda_unchanged():
+    # coordinates scaled by 1e6: λ grows to ~1e8, where a step shorter than
+    # its last bits leaves it unchanged bit for bit, and the bound returns
+    # there (unscaled, the stop rule always comes first at these sizes)
+    coords = generate_uniform_instance(GridSpec(9, 100, 1)).coords * 1e6
+    inst = Instance("u9g100s1-scaled", coords=coords)
+    window = default_window(inst.n, 2)
+    lines, first = inspect.getsourcelines(exact.qroute_bound)
+    exit_line = first + 1 + next(i for i, line in enumerate(lines) if "moved == penalty" in line)
+    assert lines[exit_line - first].strip() == "return best, best_penalty"
+    code, exits = exact.qroute_bound.__code__, []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line" and frame.f_lineno == exit_line:
+            exits.append(exit_line)
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        bound, _ = exact.qroute_bound(inst, 2, *window,
+                                      nearest_node(inst, 2).total_distance, np.inf)
+    finally:
+        sys.settrace(previous)
+    assert exits == [exit_line]
+    assert bound <= brute_force_oracle(inst, 2, *window).objective
 
 
 def test_qroute_bound_stops_within_a_layer_of_its_deadline(monkeypatch):

@@ -20,7 +20,9 @@ from mtspkit import (
     parse_coords_csv,
     parse_tsplib,
 )
-from mtspkit.instance import _SAFE_SPAN, RoutePlan, _block_rows, dumps_coords_csv
+from mtspkit.instance import (
+    _SAFE_SPAN, RoutePlan, _block_rows, dumps_coords_csv, rng_from_seed,
+)
 
 TRIANGLE = """\
 NAME : tri
@@ -805,7 +807,11 @@ def _reference_evaluate(instance, routes):
     for route in clean:
         hops = np.asarray(route, dtype=np.int64) - 1
         per.append(float(instance.matrix[hops[:-1], hops[1:]].sum()))
-    return RoutePlan(tuple(clean), tuple(per), float(sum(per)))
+    # a left fold: sum() compensates its rounding from Python 3.12 on
+    total = 0.0
+    for cost in per:
+        total += cost
+    return RoutePlan(tuple(clean), tuple(per), total)
 
 
 def _outcome(evaluate, instance, routes):
@@ -818,6 +824,8 @@ def _outcome(evaluate, instance, routes):
 def _assert_matches_reference(instance, routes):
     expected = _outcome(_reference_evaluate, instance, routes)
     assert _outcome(evaluate_plan, instance, routes) == expected
+    # a generator of route iterators is read once, on either path
+    assert _outcome(evaluate_plan, instance, (iter(r) for r in routes)) == expected
     return expected
 
 
@@ -842,6 +850,13 @@ _DEFECTIVE = {
     "cross-route duplicate before in-route one": [
         [1, 6, 7, 8, 9, 1], [1, 5, 7, 5, 4, 3, 2, 1]
     ],
+    "route closing at a customer": [[1, 6, 7, 8, 9, 5], _VALID[1]],
+    "node beyond int64": [[1, 6, 7, 2**70, 8, 9, 1], _VALID[1]],
+    "depot revisit before node beyond int64": [[1, 6, 1, 7, 8, 9, 1], [1, 5, 2**70, 1]],
+    "non-integer node": [_VALID[0], [1, 5, 4.0, 3, 2, 1]],
+    "unknown node before non-integer node": [[1, 6, 12, 7, 8, 9, 1], [1, 5, 4.5, 3, 2, 1]],
+    "non-integer node before unknown node": [[1, 6, 7.5, 12, 8, 9, 1], _VALID[1]],
+    "non-integer node in a plan missing a customer": [[1, 6, 7, 8, 1], [1, 5, 4, 3, 2, 1], [1.0]],
 }
 
 
@@ -885,9 +900,34 @@ def _plans(draw):
     return n, routes
 
 
-@settings(max_examples=300, deadline=None)
-@given(_plans())
-def test_evaluate_plan_matches_reference(case):
+@settings(max_examples=600, deadline=None)
+@given(_plans(), st.booleans())
+def test_evaluate_plan_matches_reference(case, asymmetric):
     n, routes = case
-    inst = generate_uniform_instance(GridSpec(n, 100, n))
+    if asymmetric:  # an explicit matrix, read by its own arcs
+        matrix = rng_from_seed(n).random((n, n)) * 100
+        np.fill_diagonal(matrix, np.inf)
+        inst = Instance(f"asym{n}", matrix)
+    else:
+        inst = generate_uniform_instance(GridSpec(n, 100, n))
     _assert_matches_reference(inst, routes)
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_evaluate_plan_matches_reference_at_law_sizes(m):
+    # n = 300, as on the law grid: each route's cost must equal its own
+    # gather's sum bit for bit, and each defect must be named as the walk
+    # names it
+    inst = generate_uniform_instance(GridSpec(300, 100, m))
+    rng = rng_from_seed(m)
+    for _ in range(10):
+        customers = (rng.permutation(299) + 2).tolist()
+        cuts = sorted((rng.choice(298, m - 1, replace=False) + 1).tolist())
+        bounds = [0, *cuts, 299]
+        routes = [[1, *customers[a:b], 1] for a, b in zip(bounds, bounds[1:])]
+        assert isinstance(_assert_matches_reference(inst, routes), RoutePlan)
+        # one customer overwritten by the next: a repeat and a missing node
+        route = routes[rng.integers(m)]
+        i = rng.integers(1, len(route) - 2)
+        route[i] = route[i + 1]
+        assert isinstance(_assert_matches_reference(inst, routes), str)
