@@ -7,7 +7,8 @@ Each rule is stated once, in the docstring of the function that owns it:
   instance size alone (``ORACLE_MAX_N``).
 * :func:`build_model`, :func:`check_window` and :func:`check_time_limit`
   say which windows and limits a run accepts; ``check_time_limit`` returns
-  the one float a run reads its limit as.
+  the one float a run reads its limit as, and :func:`solve_exact` refuses
+  no limit above ``ORACLE_MAX_N``.
 * :func:`check_solution` is the one statement of the model, the
   node-balanced MTZ program of Kara & Bektas (2006) with the route-size
   window [K, L] = [``min_customers``, ``max_customers``].
@@ -36,7 +37,6 @@ Each rule is stated once, in the docstring of the function that owns it:
 from __future__ import annotations
 
 import gc
-import itertools
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -112,27 +112,15 @@ def check_window(min_customers: int, max_customers: int) -> None:
         raise ValueError("min_customers exceeds max_customers")
 
 
-def check_time_limit(time_limit: float | None, n: int = 0) -> float:
+def check_time_limit(time_limit: float | None) -> float:
     """Return the limit a run reads, ``inf`` for no limit (``None`` or
     ``inf``), and reject one that is not positive, NaN included. Every run
     that takes a limit checks it here, and an exact run works out its
     deadlines from the returned float by arithmetic alone: under ``inf``
-    each one is ``inf``.
-
-    An exact run passes its instance's ``n`` nodes, and above
-    ``ORACLE_MAX_N`` it must have a finite limit: the run there is the
-    ending of :func:`_finish`, whose phases run until shares of the limit.
-    Under ``inf`` every share is ``inf`` and every phase still ends on its
-    own count (the bound's ``_EPS``/2 stop, the polish's local optimum,
-    ``_POOL_CAP``, ``_STALL_ROUNDS``); the refusal is for cost: the q-route
-    bound alone would run 0.79-10.7 s at n = 100-200
-    (BENCH_qroute_step.json, ``no_deadline_s``). A heuristic run, which
-    reads no limit, passes no ``n``."""
+    each one is ``inf``."""
     limit = np.inf if time_limit is None else time_limit
     if not limit > 0:
         raise ValueError("time_limit must be positive")
-    if n > ORACLE_MAX_N and limit == np.inf:
-        raise ValueError(f"time_limit must be finite above {ORACLE_MAX_N} nodes")
     return limit
 
 
@@ -188,8 +176,8 @@ def solve(
     alone: it builds the nearest-node plan inside the run's clock, so the
     limit covers all of the run's work. ``result.backend`` names the one
     that ran. Both backends check the window (:func:`build_model`) before
-    the limit (:func:`check_time_limit`, :func:`solve_exact`'s first
-    statement), and both before any work.
+    the limit (:func:`check_time_limit`, and above the cap
+    :func:`solve_exact`'s refusal of no limit), and both before any work.
     """
     window = (min_customers, max_customers)
     if instance.n <= ORACLE_MAX_N:
@@ -325,6 +313,15 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     and 0 nodes as soon as its clock starts. :func:`solve` calls it only
     there, with no warm start; a direct call reaches the search.
 
+    Above ``ORACLE_MAX_N`` nodes the run must have a finite limit, and
+    one of ``None`` or ``inf`` is refused as soon as it is read: the
+    ending's phases run until shares of the limit. Under ``inf`` every
+    share is ``inf`` and every phase still ends on its own count (the
+    bound's ``_EPS``/2 stop, the polish's local optimum, ``_POOL_CAP``,
+    ``_STALL_ROUNDS``); the refusal is for cost: the q-route bound alone
+    would run 0.79-10.7 s at n = 100-200 (BENCH_qroute_step.json,
+    ``no_deadline_s``).
+
     Up to the cap, a search state is ``(cost, seqs, closed, unvisited)``:
     the fixed arcs' cost, m partially built customer sequences, their
     closed flags and the unvisited customers as an int bitmask. A route
@@ -363,7 +360,9 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     the customers, and every arc is finite.
     """
     n = model.instance.n
-    time_limit = check_time_limit(time_limit, n)
+    time_limit = check_time_limit(time_limit)
+    if n > ORACLE_MAX_N and time_limit == np.inf:
+        raise ValueError(f"time_limit must be finite above {ORACLE_MAX_N} nodes")
     m = model.m
     kmin, kmax = model.min_customers, model.max_customers
 
@@ -505,7 +504,7 @@ def brute_force_oracle(
     if n > ORACLE_MAX_N:
         raise ValueError(f"the subset DP oracle is limited to n <= {ORACLE_MAX_N}")
     model = build_model(instance, m, min_customers, max_customers)  # window check
-    time_limit = check_time_limit(time_limit, n)
+    time_limit = check_time_limit(time_limit)
     lo, hi = min_customers, max_customers
     start_time = time.perf_counter()
     deadline = start_time + time_limit
@@ -985,25 +984,28 @@ def _polish(instance, routes, min_customers, max_customers, deadline):
     last) on ``instance``; returns the local optimum as the ``RoutePlan``
     ``evaluate_plan`` prices.
 
-    Each pass prices every move of three kinds (:func:`_best_move`) and
-    applies the single best one that gains. Every route keeps
-    ``min_customers`` to ``max_customers`` customers. The polish stops when
-    no move gains or when ``_best_move`` finds the clock past ``deadline``,
-    and keeps the plan it holds.
+    The plan is held as one list, its :func:`plan_tour`. Each pass prices
+    every move of three kinds on that tour (:func:`_best_move`) and applies
+    the single best one that gains; the final tour is split at its depots
+    into routes. Every route keeps ``min_customers`` to ``max_customers``
+    customers. The polish stops when no move gains or when ``_best_move``
+    finds the clock past ``deadline``, and keeps the plan it holds.
     """
-    seqs = [[v - 1 for v in r[1:-1]] for r in routes]
+    tour = plan_tour(routes).tolist()
     while True:
-        move = _best_move(instance.matrix, seqs, min_customers, max_customers, deadline)
+        move = _best_move(instance.matrix, tour, min_customers, max_customers, deadline)
         if move is None:
             break
-        kind, ra, i, rb, j = move
-        if kind == "reverse":  # ra == rb, i < j
-            seqs[ra][i : j + 1] = reversed(seqs[ra][i : j + 1])
-        elif kind == "move":
-            seqs[rb].insert(j, seqs[ra].pop(i))
+        kind, p, q = move
+        if kind == "reverse":  # p < q, on one route
+            tour[p : q + 1] = reversed(tour[p : q + 1])
+        elif kind == "move":  # the customer at p goes after the node at q
+            tour.insert(q + (q < p), tour.pop(p))
         else:
-            seqs[ra][i], seqs[rb][j] = seqs[rb][j], seqs[ra][i]
-    return evaluate_plan(instance, [(1, *[v + 1 for v in s], 1) for s in seqs])
+            tour[p], tour[q] = tour[q], tour[p]
+    depots = [p for p, v in enumerate(tour) if v == 0]
+    return evaluate_plan(instance, [[v + 1 for v in tour[a : b + 1]]
+                                    for a, b in zip(depots, depots[1:])])
 
 
 def _iterate(instance, start, min_customers, max_customers, deadline, bound):
@@ -1067,14 +1069,14 @@ def _kick(routes, rng):
     return [(1, *seq, 1) for seq in seqs]
 
 
-def _best_move(d, seqs, min_customers, max_customers, deadline):
-    """The best gaining move on 0-based customer sequences, or ``None``:
-    also once the clock, read before the tour-order gather and before each
-    row block, is past ``deadline``.
+def _best_move(d, tour, min_customers, max_customers, deadline):
+    """The best gaining move on a plan's 0-based :func:`plan_tour`, or
+    ``None``: also once the clock, read before the tour-order gather and
+    before each row block, is past ``deadline``.
 
-    The plan is read as one tour through every route, a depot copy between
-    two routes, and the matrix is gathered once into tour order, so every
-    node's neighbours are the next rows and columns. Three kinds of move
+    The tour runs through every route, a depot copy between two routes,
+    and the matrix is gathered once into tour order, so every node's
+    neighbours are the next rows and columns. Three kinds of move
     are priced as whole arrays, one row per interior tour position, in
     blocks of rows of at most ``_BLOCK_BYTES`` per array:
 
@@ -1090,12 +1092,13 @@ def _best_move(d, seqs, min_customers, max_customers, deadline):
     tour order; the first maximum gain wins. A move gains when it saves
     more than ``_EPS`` times the plan's total (at least ``_EPS``), so
     rounding in the priced sums never counts as a gain. Returns ``(kind,
-    route, index, route, index)``; a ``move`` names the customer's index
-    and the index it is inserted at.
+    p, q)`` in tour positions: a ``reverse`` turns positions p..q around, a
+    ``move`` puts the customer at p after the node at q, and a ``swap``
+    exchanges the customers at p and q.
     """
     if time.perf_counter() > deadline:
         return None
-    tour = np.array([0, *itertools.chain.from_iterable([*s, 0] for s in seqs)])
+    tour = np.array(tour)
     depot = tour == 0
     route = np.cumsum(depot) - 1  # of each position, and of the arc leaving it
     starts = np.flatnonzero(depot)
@@ -1111,7 +1114,7 @@ def _best_move(d, seqs, min_customers, max_customers, deadline):
     into, out = arc[:-1], arc[1:]
     # turn[j] - turn[i]: the change in cost of reading arcs i..j backwards
     turn = np.concatenate(([0.0], np.cumsum(np.diagonal(e, -1) - arc)))[1:-1]
-    sizes = np.array([len(s) for s in seqs])
+    sizes = np.diff(starts) - 1
     held = into + out
     removal = held - np.diagonal(e, 2)
     leave = cust & (sizes[r] > min_customers)
@@ -1151,12 +1154,8 @@ def _best_move(d, seqs, min_customers, max_customers, deadline):
                 best, found = gain.flat[k], (kind, first + k // cols, k % cols)
     if found is None:
         return None
-    kind, i, j = found
-    ra, ki = int(r[i]), i - int(starts[r[i]])  # position i + 1, after the depot
-    if kind == "move":  # j is an arc: insert after its tail
-        rb = int(route[j])
-        return kind, ra, ki, rb, j - int(starts[rb])
-    return kind, ra, ki, int(r[j]), j - int(starts[r[j]])
+    kind, i, j = found  # row i is tour position i + 1, and so is column j
+    return kind, i + 1, j + (kind != "move")  # but a move's column is the arc leaving j
 
 
 # ---------------------------------------------------------------------------

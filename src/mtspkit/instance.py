@@ -32,8 +32,6 @@ from pathlib import Path
 
 import numpy as np
 
-INFINITY = float("inf")
-
 _WEIGHT_FORMATS = (
     "FULL_MATRIX",
     "UPPER_ROW",
@@ -109,7 +107,7 @@ def euclidean_matrix(coords, rounding: str = "none") -> np.ndarray:
         if rounding == "integer":
             block += 0.5
             np.floor(block, out=block)
-    np.fill_diagonal(dist, INFINITY)
+    np.fill_diagonal(dist, np.inf)
     return dist
 
 
@@ -544,7 +542,7 @@ def _weight_matrix(fmt: str, n: int, numbers) -> np.ndarray:
         weights = np.zeros((n, n))
         weights[rows, cols] = numbers
         weights[cols, rows] = numbers  # triangular formats are mirrored
-    np.fill_diagonal(weights, INFINITY)
+    np.fill_diagonal(weights, np.inf)
     return weights
 
 

@@ -8,7 +8,6 @@ from mtspkit import (
     SummaryRow,
     compare_instances,
     law_pipeline,
-    load_bundled,
     load_reference_grid,
     nearest_node,
     parse_tsplib,

@@ -44,7 +44,7 @@ from mtspkit.exact import (
     neighbour_table,
     solve_exact,
 )
-from mtspkit.instance import PlanError, rng_from_seed
+from mtspkit.instance import PlanError, plan_tour, rng_from_seed
 
 
 def _window(inst, m, widen=0):
@@ -387,7 +387,6 @@ def test_exact_backends_take_an_infinite_time_limit(garn9):
 @pytest.mark.parametrize("limit, read", [(None, np.inf), (np.inf, np.inf), (0.5, 0.5), (2, 2)])
 def test_check_time_limit_returns_the_limit_a_run_reads(limit, read):
     assert exact.check_time_limit(limit) == read
-    assert exact.check_time_limit(limit, ORACLE_MAX_N) == read
 
 
 def test_no_limit_runs_as_an_infinite_one(garn9):
@@ -1137,19 +1136,21 @@ def test_polish_keeps_the_window_and_never_costs_more(case):
     assert first == plan  # a deadline already past allows no pass
     best = min(evaluate_plan(inst, [(1, *s, 1) for s in seqs]).total_distance
                for seqs in _neighbours(plan.routes, lo, hi))
-    seqs = [list(r[1:-1]) for r in plan.routes]
-    move = exact._best_move(inst.matrix, [[v - 1 for v in s] for s in seqs], lo, hi, np.inf)
+    tour = plan_tour(plan.routes).tolist()
+    move = exact._best_move(inst.matrix, tour, lo, hi, np.inf)
     if move is None:
         assert best >= plan.total_distance - 1e-9 * max(1.0, plan.total_distance)
         return
-    kind, a, i, b, j = move
+    kind, p, q = move
     if kind == "reverse":
-        seqs[a][i:j + 1] = seqs[a][i:j + 1][::-1]
+        tour[p:q + 1] = tour[p:q + 1][::-1]
     elif kind == "move":
-        seqs[b].insert(j, seqs[a].pop(i))
+        tour.insert(q + (q < p), tour.pop(p))
     else:
-        seqs[a][i], seqs[b][j] = seqs[b][j], seqs[a][i]
-    moved = evaluate_plan(inst, [(1, *s, 1) for s in seqs])
+        tour[p], tour[q] = tour[q], tour[p]
+    depots = [k for k, v in enumerate(tour) if v == 0]
+    moved = evaluate_plan(inst, [[v + 1 for v in tour[a:b + 1]]
+                                 for a, b in zip(depots, depots[1:])])
     assert moved.total_distance == pytest.approx(best, abs=1e-9)
 
 
@@ -1157,8 +1158,8 @@ def test_best_move_past_its_deadline_returns_none_without_pricing(monkeypatch, e
     # the clock is read before the tour-order gather and before each row
     # block: a deadline already past stops at the first read, one that passes
     # after the gather at the second, and no block is priced in either case
-    seqs = [[v - 1 for v in r[1:-1]] for r in nearest_node(eil51, 2).routes]
-    assert exact._best_move(eil51.matrix, seqs, 24, 25, np.inf) is not None
+    tour = plan_tour(nearest_node(eil51, 2).routes).tolist()
+    assert exact._best_move(eil51.matrix, tour, 24, 25, np.inf) is not None
     reads = []
 
     def clock():  # one second per read
@@ -1166,10 +1167,10 @@ def test_best_move_past_its_deadline_returns_none_without_pricing(monkeypatch, e
         return reads[-1]
 
     monkeypatch.setattr(exact, "time", SimpleNamespace(perf_counter=clock))
-    assert exact._best_move(eil51.matrix, seqs, 24, 25, 0.5) is None
+    assert exact._best_move(eil51.matrix, tour, 24, 25, 0.5) is None
     assert reads == [1]
     reads.clear()
-    assert exact._best_move(eil51.matrix, seqs, 24, 25, 1.5) is None
+    assert exact._best_move(eil51.matrix, tour, 24, 25, 1.5) is None
     assert reads == [1, 2]
 
 
