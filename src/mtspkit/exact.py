@@ -22,8 +22,10 @@ Each rule is stated once, in the docstring of the function that owns it:
   stepping toward the target its caller passes; it returns the bound and
   its λ. :func:`_covers` is the knapsack it and the proof share, over one
   closing cost per route size.
-* :func:`_prove` is the proof: the routes inside the gap
-  (:func:`_route_pool`), partitioned (:func:`_partition`).
+* :func:`_prove` is the proof: it steps an upper bound up the gap from
+  the lower bound, and at each step the routes inside it
+  (:func:`_route_pools`) are partitioned, rarest customer first
+  (:func:`_partition`); a step that finds no partition raises the bound.
 * :func:`_polish` (moves priced by :func:`_best_move`) and :func:`_iterate`
   (kicks by :func:`_kick`) are the local search and the iterated local
   search. Every phase of a stopped run's ending hands the next a priced
@@ -38,9 +40,11 @@ from __future__ import annotations
 
 import gc
 import time
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappush, heappop
+from itertools import chain
 
 import numpy as np
 
@@ -624,8 +628,24 @@ def qroute_bound(instance, m, min_customers, max_customers, target,
     The clock is read once per label layer. Past ``deadline`` the bound
     returns the best value of its finished steps, 0.0 before the first.
 
+    The returned bound is the best value lowered by a margin for its
+    rounding; the gain test and the stop rule read the unlowered value.
+    A value is float sums of one relaxed optimum's terms (its k + m arcs
+    and k penalties, through the labels and the knapsack) plus Σλ's k.
+    Every min is exact and float addition is monotone, so the value is at
+    most the float sum of these 3k + m terms for the exact relaxed optimum
+    S*, which errs by at most γ(3k + m) = (3k + m)u / (1 − (3k + m)u)
+    times their absolute sum (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, §4.2; u = 2⁻⁵³). That sum is at most T + 4kΛ, with
+    Λ = max |λ|: the arcs are non-negative and S*'s reduced cost is at most
+    T − Σλ, since its exact value, a valid bound, is at most T. The margin
+    n · 2⁻⁵⁰ · (T + 4kΛ) is over twice that, which also covers the rounding
+    of the margin and of the lowering, so the lowered value stays below
+    every plan's total. The bound keeps the largest lowered value, 0.0
+    before the first.
+
     Returns ``(bound, penalty)``: a float and the λ of the step that gave
-    the bound's value (all zero before the first step's value rises above
+    the best value (all zero before the first step's value rises above
     0.0).
     """
     matrix = instance.matrix
@@ -639,7 +659,8 @@ def qroute_bound(instance, m, min_customers, max_customers, target,
     link = memoryview(links)  # link[q - 1, i, v]: links' entries as Python ints
     table = _cover_table(k, lo, hi)
     penalty = best_penalty = np.zeros(k)
-    best, step, stall = 0.0, 1.0, 0
+    best = top = 0.0  # the lowered bound, and the unlowered best value the rules read
+    step, stall = 1.0, 0
     while True:
         if not _walk_labels(into, leave, penalty, deadline, labels, links):
             return best, best_penalty  # cut off at the deadline
@@ -648,15 +669,17 @@ def qroute_bound(instance, m, min_customers, max_customers, target,
         closing = shut.min(1)  # closing[q - lo]: the best q-route
         covers = _covers(closing, table, m)
         value = float(covers[-1, k]) + left_fold(penalty.tolist())
-        if value > best + _EPS * max(1.0, best):
+        if value > top + _EPS * max(1.0, top):
             stall = 0
         else:
             stall += 1
             if stall == _BOUND_STALL:
                 step, stall = step * _BOUND_SHRINK, 0
-        if value > best:
-            best, best_penalty = value, penalty
-        if _BOUND_STALL / (1 - _BOUND_SHRINK) * step * (target - best) <= _EPS / 2:
+        if value > top:
+            top, best_penalty = value, penalty
+            margin = (k + 1) * 2.0 ** -50 * (target + 4 * k * float(np.abs(penalty).max()))
+            best = max(best, top - margin)
+        if _BOUND_STALL / (1 - _BOUND_SHRINK) * step * (target - top) <= _EPS / 2:
             return best, best_penalty  # no later step can raise it by _EPS / 2
         # read the relaxed optimum back: its route sizes, then each walk
         visits, close = [0] * k, closing.tolist()
@@ -709,7 +732,7 @@ def _walk_labels(into, leave, penalty, deadline, labels, links):
     A layer is one pass over a k × k scratch array plus whole-vector
     gathers and scatters on flat indices into it and into ``into``, which
     are raveled once per call, after the first clock read (a copy when
-    ``into`` is not contiguous, as ``_route_pool``'s view is)."""
+    ``into`` is not contiguous, as ``_route_pools``' view is)."""
     k = leave.size
     for q, (f1, (p1, p2)) in enumerate(zip(labels, links), 1):
         if time.perf_counter() > deadline:
@@ -765,77 +788,101 @@ def _covers(closing, table, m):
 
 
 # ---------------------------------------------------------------------------
-# the proof of a stopped run: every route inside the q-route gap, then a partition
+# the proof of a stopped run: the routes inside steps of the q-route gap, each partitioned
 
 _POOL_CAP = 1 << 19  # entries the proof's labels, arc lists or failure memo hold before it gives up
+_STEPS = tuple(2.0 ** (e / 2) for e in range(-12, 1))  # the proof's steps: 2⁻⁶ to 1 of the gap, ratio √2
 
 
-def _prove(instance, m, min_customers, max_customers, penalty, plan, deadline):
-    """Prove ``plan`` optimal, or find the optimum below it, by the bounding
-    and enumeration of Baldacci, Christofides & Mingozzi (2008) on q-route
-    penalties ``penalty``. Any λ is valid: a converged one, one cut off by
-    its deadline, or zeros; the closer its bound to UB, the smaller the pool.
-    Returns the optimal ``RoutePlan``, ``plan`` itself unless the partition
-    finds one that prices below it, or ``None`` once the clock passes
-    ``deadline`` or the enumeration or the partition passes ``_POOL_CAP``.
+def _prove(instance, m, min_customers, max_customers, penalty, plan, bound, deadline):
+    """Prove ``plan`` optimal, find the optimum below it, or raise the lower
+    bound toward it, by the bounding and enumeration of Baldacci,
+    Christofides & Mingozzi (2008) on q-route penalties ``penalty``. Any λ
+    is valid: a converged one, one cut off by its deadline, or zeros; the
+    closer its bound to UB = ``plan.total_distance``, the smaller the pools.
+    ``bound`` is a valid lower bound LB below UB.
+
+    Returns ``(proven, raised)``. ``proven`` is the optimal ``RoutePlan``,
+    ``plan`` itself unless a partition prices below it, or ``None`` once a
+    step gives up: the clock passes ``deadline``, or a step's enumeration
+    or partition passes ``_POOL_CAP``. ``raised`` is the largest lower bound
+    the finished steps certified, ``bound`` if none did.
 
     A route R of q customers has the reduced cost rc(R) = c(R) − λ(R), and
     a plan's total is its routes' reduced costs plus Σλ. The other m − 1
     routes of a plan are 2-cycle-free walks over the other k − q
     customers, so their reduced costs sum to at least G(k − q), the
     knapsack (:func:`_covers`) over the cheapest such q-route of each size.
-    A plan of total at most UB = ``plan.total_distance`` therefore holds
-    only routes with rc(R) ≤ T(q) = UB − Σλ − G(k − q) + slack, and
-    :func:`_route_pool` enumerates every one of them. The slack, 1e-7 · UB,
+    A plan of total at most U therefore holds only routes with rc(R) ≤
+    T(q) = U − Σλ − G(k − q) + slack, and the pool at U
+    (:func:`_route_pools`) holds every one of them. The slack, 1e-7 · UB,
     is the proof margin: it covers the rounding of the float sums (a
     relative error near n · 2⁻⁵³ each) many times over, and it only lets
-    more routes and branches through. So no plan prices below the one
-    returned by more than that rounding. Every plan cheaper than UB is then
-    a partition of the pool's customer sets, each in its cheapest order,
-    and :func:`_partition` finds the cheapest one below UB, if any.
+    more routes and branches through. Every plan cheaper than U is then a
+    partition of the pool's customer sets, each in its cheapest order, and
+    :func:`_partition` finds the cheapest one below U, if any.
+
+    The steps take U = LB + f · (UB − LB) for each f of ``_STEPS``, the
+    last U = UB. The pool grows steeply with U, so the early steps cost
+    little. A step that finds a partition has found the optimum: no plan
+    outside its pool prices below it by more than the rounding. A step that finds none refutes U. Its pool
+    and partition admitted everything up to the slack, so no plan prices
+    below U − slack, a valid lower bound; at U = UB that proves ``plan``.
+    The first step that gives up ends the proof. The steps share one λ, so
+    they share its backward labels, knapsack and successor lists.
     """
     k = instance.n - 1
     upper = plan.total_distance
     slack = 1e-7 * upper
-    budget = upper - left_fold(penalty.tolist())  # UB − Σλ: what the routes' rc may sum to
-    held = _route_pool(instance, m, min_customers, max_customers, penalty, budget, slack,
-                       deadline)
-    if held is None:
-        return None
-    pool, covers = held
-    paths = _partition(pool, covers, k, m, budget, slack, deadline)
-    if paths is None:
-        return None
-    if not paths:
-        return plan
-    cheaper = evaluate_plan(instance, [(1, *[v + 2 for v in path], 1) for path in paths])
-    return cheaper if cheaper.total_distance < upper else plan
+    total = left_fold(penalty.tolist())  # Σλ
+    raised = bound
+    pools = _route_pools(instance, m, min_customers, max_customers, penalty, deadline)
+    if pools is None:
+        return None, raised
+    covers, pool_at = pools
+    for f in _STEPS:
+        top = bound + f * (upper - bound) if f < 1 else upper
+        budget = top - total  # U − Σλ: what the routes' rc may sum to
+        pool = pool_at(budget, slack)
+        paths = None if pool is None else _partition(pool, covers, k, m, budget, slack, deadline)
+        if paths is None:
+            return None, raised
+        if paths:
+            cheaper = evaluate_plan(instance, [(1, *[v + 2 for v in path], 1) for path in paths])
+            return (cheaper if cheaper.total_distance < upper else plan), raised
+        raised = max(raised, top - slack)
+    return plan, raised
 
 
-def _route_pool(instance, m, min_customers, max_customers, penalty, budget, slack, deadline):
-    """Every elementary route R of q customers with rc(R) ≤ T(q) = ``budget``
-    − G(k − q) + ``slack``, in its cheapest order (:func:`_prove`), as
-    ``(pool, covers)``: ``pool`` maps a customer set (bit v: 0-based
-    customer v, node v + 1) to ``(rc, customers in order)`` and ``covers``
-    is the q-route knapsack G reads, as lists. ``None`` once the clock
-    passes ``deadline`` or the labels and arc lists pass ``_POOL_CAP``.
+def _route_pools(instance, m, min_customers, max_customers, penalty, deadline):
+    """The route pools of :func:`_prove`'s steps under one λ, ``penalty``:
+    ``(covers, pool_at)``, or ``None`` once the clock passes ``deadline``
+    while the backward labels are built. ``covers`` is the q-route knapsack
+    G reads, as lists. ``pool_at(budget, slack)`` is every elementary route
+    R of q customers with rc(R) ≤ T(q) = ``budget`` − G(k − q) + ``slack``,
+    in its cheapest order: a dict from its customer set (bit v: 0-based
+    customer v, node v + 1) to ``(rc, customers in order)``, or ``None``
+    once the clock passes ``deadline`` or the labels and arc lists pass
+    ``_POOL_CAP``.
 
     :func:`_walk_labels` on the transposed arcs gives, for every customer
     v and size j, the cheapest reduced 2-cycle-free walk of j customers
-    from v to the depot; its closing q-routes give G. A depth-first search
-    from the depot then extends partial routes one customer at a time,
-    each customer's successors in ascending reduced arc cost (a list built
-    on its first use), and drops a partial route whose cost plus its
-    cheapest completion passes T(q) at every size q it could close at. A
-    label is pushed only when it is cheaper than every earlier label with
-    its (customer set, last customer), and per customer set the pool keeps
-    the cheapest order that closes under T. The stack is last in, first
-    out, so the labels popped between a label's push and its pop descend
-    from its younger siblings, whose customer sets each hold a customer
-    its set lacks: no label with its key is pushed in between, and no
-    popped label is beaten by a later one. The clock is
-    read once per backward layer, once per size while the completion
-    bounds are tabled, and every 1024 popped labels."""
+    from v to the depot; its closing q-routes give G. These, and the
+    successor lists below, depend on λ alone, so every pool reads the same
+    ones. A pool is a depth-first search from the depot that extends
+    partial routes one customer at a time, each customer's successors in
+    ascending reduced arc cost (a list built on its first use), and drops a
+    partial route whose cost plus its cheapest completion passes T(q) at
+    every size q it could close at. A label is pushed only when it is
+    cheaper than every earlier label with its (customer set, last
+    customer), and per customer set the pool keeps the cheapest order that
+    closes under T. The stack is last in, first out, so the labels popped
+    between a label's push and its pop descend from its younger siblings,
+    whose customer sets each hold a customer its set lacks: no label with
+    its key is pushed in between, and no popped label is beaten by a later
+    one. The clock is read once per backward layer, then per pool once per
+    size while the completion bounds are tabled and every 1024 popped
+    labels."""
     clock = time.perf_counter
     matrix = instance.matrix
     k = instance.n - 1
@@ -845,88 +892,106 @@ def _route_pool(instance, m, min_customers, max_customers, penalty, budget, slac
     if not _walk_labels(matrix[1:, 1:], matrix[1:, 0], penalty, deadline, tails, links):
         return None
     covers = _covers((tails[lo - 1:] + matrix[0, 1:]).min(1), _cover_table(k, lo, hi), m)
-    cap = budget - covers[m - 1][k - np.arange(lo, hi + 1)] + slack  # cap[q - lo]: T(q)
-    # need[s][v]: a partial route of s customers ending at v survives while
-    # its cost plus need[s][v] is at most 0, the best over the sizes q >= s
-    # it may close at; v's penalty is added back, as the partial cost holds it
-    need, floors = [None], [None]
-    for s in range(1, hi + 1):
-        if clock() > deadline:
-            return None
-        q = np.arange(max(s, lo), hi + 1)
-        row = (tails[q - s] - cap[q - lo, None]).min(0) + penalty
-        need.append(row.tolist())
-        floors.append(float(row.min()))
-    cap, back = cap.tolist(), matrix[1:, 0].tolist()
+    rest = covers[m - 1][k - np.arange(lo, hi + 1)]  # rest[q - lo]: G(k − q)
+    first, back = (matrix[0, 1:] - penalty).tolist(), matrix[1:, 0].tolist()
     reduced = matrix[1:, 1:] - penalty  # reduced[v, w]: v to w, less w's penalty
     succ = {}  # v -> [(reduced arc, w)] in ascending order
     shift = k.bit_length()  # a label's key: its customer set, then its last customer
-    seen = {}
-    stack = []  # (cost, customer set, last customer, customers in order)
-    for w, cost in enumerate((matrix[0, 1:] - penalty).tolist()):
-        if cost + need[1][w] <= 0:
-            seen[1 << w << shift | w] = cost
-            stack.append((cost, 1 << w, w, (w,)))
-    pool = {}
-    popped = 0
-    while stack:
-        popped += 1
-        if not popped & 1023 and clock() > deadline:
-            return None
-        cost, mask, v, path = stack.pop()
-        size = len(path)
-        if size >= lo and cost + back[v] <= cap[size - lo]:
-            kept = pool.get(mask)
-            if kept is None or cost + back[v] < kept[0]:
-                pool[mask] = (cost + back[v], path)
-        if size == hi:
-            continue
-        row = succ.get(v)
-        if row is None:
-            order = np.argsort(reduced[v], kind="stable")
-            row = succ[v] = list(zip(reduced[v, order].tolist(), order.tolist()))
-        row_need, most = need[size + 1], -cost - floors[size + 1]
-        for arc, w in row:  # v's own entry is inf - λ_v, so it ends the scan
-            if arc > most:
-                break
-            bit = 1 << w
-            if mask & bit:
+
+    def pool_at(budget, slack):
+        cap = budget - rest + slack  # cap[q - lo]: T(q)
+        # need[s][v]: a partial route of s customers ending at v survives while
+        # its cost plus need[s][v] is at most 0, the best over the sizes q >= s
+        # it may close at; v's penalty is added back, as the partial cost holds it
+        need, floors = [None], [None]
+        for s in range(1, hi + 1):
+            if clock() > deadline:
+                return None
+            q = np.arange(max(s, lo), hi + 1)
+            row = (tails[q - s] - cap[q - lo, None]).min(0) + penalty
+            need.append(row.tolist())
+            floors.append(float(row.min()))
+        cap = cap.tolist()
+        seen = {}
+        stack = []  # (cost, customer set, last customer, customers in order)
+        for w, cost in enumerate(first):
+            if cost + need[1][w] <= 0:
+                seen[1 << w << shift | w] = cost
+                stack.append((cost, 1 << w, w, (w,)))
+        pool = {}
+        popped = 0
+        while stack:
+            popped += 1
+            if not popped & 1023 and clock() > deadline:
+                return None
+            cost, mask, v, path = stack.pop()
+            size = len(path)
+            if size >= lo and cost + back[v] <= cap[size - lo]:
+                kept = pool.get(mask)
+                if kept is None or cost + back[v] < kept[0]:
+                    pool[mask] = (cost + back[v], path)
+            if size == hi:
                 continue
-            extended = cost + arc
-            if extended + row_need[w] > 0:
-                continue
-            key = (mask | bit) << shift | w
-            old = seen.get(key)
-            if old is None or extended < old:
-                seen[key] = extended
-                stack.append((extended, mask | bit, w, path + (w,)))
-        if len(seen) + k * len(succ) > _POOL_CAP:
-            return None
-    return pool, [cover.tolist() for cover in covers]
+            row = succ.get(v)
+            if row is None:
+                order = np.argsort(reduced[v], kind="stable")
+                row = succ[v] = list(zip(reduced[v, order].tolist(), order.tolist()))
+            row_need, most = need[size + 1], -cost - floors[size + 1]
+            for arc, w in row:  # v's own entry is inf - λ_v, so it ends the scan
+                if arc > most:
+                    break
+                bit = 1 << w
+                if mask & bit:
+                    continue
+                extended = cost + arc
+                if extended + row_need[w] > 0:
+                    continue
+                key = (mask | bit) << shift | w
+                old = seen.get(key)
+                if old is None or extended < old:
+                    seen[key] = extended
+                    stack.append((extended, mask | bit, w, path + (w,)))
+            if len(seen) + k * len(succ) > _POOL_CAP:
+                return None
+        return pool
+
+    return [cover.tolist() for cover in covers], pool_at
 
 
 def _partition(pool, covers, k, m, budget, slack, deadline):
-    """The cheapest m routes of ``pool`` (:func:`_route_pool`'s) that
-    partition the k customers with reduced costs summing below ``budget``:
-    their customer orders, ``[]`` if there are none, ``None`` once the
-    clock passes ``deadline`` or the memo holds more than ``_POOL_CAP``
-    entries.
+    """The cheapest m routes of ``pool`` (a pool of :func:`_route_pools`)
+    that partition the k customers with reduced costs summing below
+    ``budget``: their customer orders, ``[]`` if there are none, ``None``
+    once the clock passes ``deadline`` or the memo holds more than
+    ``_POOL_CAP`` entries.
 
-    A depth-first search covers the lowest uncovered customer with each
-    pool route that holds it and no covered one, in ascending reduced
-    cost. A branch is cut when its cost, plus the cheapest q-route cover
-    (``covers``) of the rest by the routes left, reaches the cheapest sum
-    so far (``budget`` at first) plus ``slack``; the last route is looked
-    up by its customer set. A memo records each (uncovered customers,
-    routes left) whose search found nothing, with the largest budget it
-    failed under, and a branch that meets it with no more is cut. The
-    clock and the memo's size are read every 1024 branches."""
+    The customers are first relabelled by ascending count of the pool
+    routes that hold them (ties by customer), and the routes' customer
+    sets with them. A depth-first search covers the lowest uncovered label,
+    so the rarest customer first: the minimum-remaining-values rule of
+    Knuth's Algorithm X ("Dancing links", 2000), fixed once per pool. It
+    covers it with each pool route that holds it and no covered one, in
+    ascending reduced cost. A branch is cut when its cost, plus the
+    cheapest q-route cover (``covers``) of the rest by the routes left,
+    reaches the cheapest sum so far (``budget`` at first) plus ``slack``;
+    the last route is looked up by its customer set. A memo records each
+    (uncovered customers, routes left) whose search found nothing, with the
+    largest budget it failed under, and a branch that meets it with no more
+    is cut. The orders returned keep the customers' own labels. The clock
+    and the memo's size are read every 1024 branches."""
     clock = time.perf_counter
-    by_low = [[] for _ in range(k)]  # the pool's routes by their lowest customer
-    for mask, (rc, path) in pool.items():
+    count = Counter(chain.from_iterable(path for _, path in pool.values()))
+    bit = [0] * k  # bit[v]: customer v's relabelled bit
+    for rank, v in enumerate(sorted(range(k), key=count.__getitem__)):
+        bit[v] = 1 << rank
+    routes = {}  # the pool by relabelled customer set
+    by_low = [[] for _ in range(k)]  # the pool's routes by their lowest relabelled customer
+    for rc, path in pool.values():
+        mask = sum(map(bit.__getitem__, path))
+        routes[mask] = (rc, path)
         by_low[(mask & -mask).bit_length() - 1].append((rc, mask, path))
-    for routes in by_low:
-        routes.sort()
+    for held in by_low:
+        held.sort()
     floors = [min(cover) for cover in covers]
     cheapest, paths = budget, []  # the cheapest sum below budget, and its routes' orders
     failed = {}
@@ -936,7 +1001,7 @@ def _partition(pool, covers, k, m, budget, slack, deadline):
     def search(uncovered, left, spent):
         nonlocal branches, cheapest, paths
         if left == 1:  # the one route that covers the rest, if the pool holds it
-            last = pool.get(uncovered)
+            last = routes.get(uncovered)
             if last is not None and spent + last[0] < cheapest:
                 cheapest, paths = spent + last[0], [*chosen, last[1]]
             return True
@@ -1181,14 +1246,16 @@ def _finish(model, backend, routes, bound, nodes, start_time, time_limit) -> Exa
     * :func:`_polish` takes the plan to a local optimum, until the limit,
       and returns it priced; the polished plan replaces the held one unless
       that prices lower.
-    * If that plan is still above the bound, :func:`_prove` runs on the
-      bound's penalties until three quarters of the limit
-      (``_PROOF_SHARE``). A proof that finishes makes the run ``optimal``
-      with the plan it returns, and nothing runs after it. A plan that
-      meets the bound runs neither the proof nor the iterated polish.
+    * If that plan is still above the bound, :func:`_prove` steps up the
+      gap between them on the bound's penalties until three quarters of
+      the limit (``_PROOF_SHARE``). A proof that finishes makes the run
+      ``optimal`` with the plan it returns, and nothing runs after it. A
+      plan that meets the bound runs neither the proof nor the iterated
+      polish.
     * Only a proof that gives up, at its deadline or its cap, hands the
       rest of the limit to :func:`_iterate`, from the priced polished plan
-      and with the bound, at which it stops. Its plan replaces the held
+      and with the bound, at which it stops: the larger of the bound and
+      the one the proof's refuted steps raised. Its plan replaces the held
       one unless that prices lower.
 
     Each phase stops at its share or on its own count, whichever comes
@@ -1218,11 +1285,12 @@ def _finish(model, backend, routes, bound, nodes, start_time, time_limit) -> Exa
         if once.total_distance <= plan.total_distance:  # never above the incumbent
             plan = once
         if plan.total_distance > bound + _EPS:
-            proven = _prove(instance, m, *window, penalty, plan,
-                            start_time + _PROOF_SHARE * time_limit)
+            proven, raised = _prove(instance, m, *window, penalty, plan, bound,
+                                    start_time + _PROOF_SHARE * time_limit)
             if proven is not None:
                 plan, bound = proven, None
             else:
+                bound = max(bound, raised)
                 polished = _iterate(instance, once, *window, deadline, bound)
                 if polished.total_distance <= plan.total_distance:
                     plan = polished

@@ -1216,9 +1216,10 @@ def test_finish_reports_a_polished_plan_at_its_bound_as_optimal(monkeypatch):
     optimum = brute_force_oracle(inst, 2, 4, 5)
     warm = nearest_node(inst, 2)
     assert warm.total_distance > optimum.objective
-    # the proof step would prove both plans below; with it left unfinished,
-    # the limit is far, so the iterated polish ends once it reaches the bound
-    monkeypatch.setattr(exact, "_prove", lambda *args: None)
+    # the proof step would prove both plans below; with it left unfinished
+    # and raising nothing, the limit is far, so the iterated polish ends once
+    # it reaches the bound
+    monkeypatch.setattr(exact, "_prove", lambda *args: (None, -np.inf))
     result = exact._finish(model, "branch_and_bound", warm.routes, optimum.objective,
                            7, time.perf_counter(), 60.0)
     assert result.status is SolveStatus.OPTIMAL
@@ -1382,9 +1383,10 @@ def test_gap_is_the_certified_relative_gap(garn9, monkeypatch):
     assert exact.solve(garn9, 2, 2, 5).gap == 0.0
     # a stopped run whose plan stays above its bound: the polishes keep it,
     # and the proof step, which would prove the optimum, is left unfinished
+    # and raises nothing
     model = build_model(garn9, 2, 2, 5)
     warm = nearest_node(garn9, 2)
-    monkeypatch.setattr(exact, "_prove", lambda *args: None)
+    monkeypatch.setattr(exact, "_prove", lambda *args: (None, -np.inf))
     monkeypatch.setattr(exact, "_polish",
                         lambda inst, routes, *args: evaluate_plan(inst, routes))
     monkeypatch.setattr(exact, "_iterate", lambda inst, start, *args: start)
@@ -1413,14 +1415,14 @@ def _locked_bounds():
 
 def test_qroute_bound_is_locked():
     # Locks the q-route bound: a change to the labels, the 2-cycle rule, the
-    # knapsack, the read-back, the step rule, the stop rule or the step
-    # count moves a float, and this digest. No deadline, so no run depends
-    # on the clock.
+    # knapsack, the read-back, the step rule, the stop rule, the step count
+    # or the rounding margin moves a float, and this digest. No deadline, so
+    # no run depends on the clock.
     digest = hashlib.sha256()
     for bound in _locked_bounds():
         digest.update(float.hex(bound).encode())
     assert digest.hexdigest() == (
-        "62c593b5081921b2cd4f814967d4847ea1e5a4ed7f954d01cb2dc13c284fb46c"
+        "4159eb5e590fad8b6231014234f879ccf7deff10215c14bd3903e304e71b5af5"
     )
 
 
@@ -1618,6 +1620,21 @@ def test_qroute_bound_returns_once_a_step_leaves_lambda_unchanged():
     assert bound <= brute_force_oracle(inst, 2, *window).objective
 
 
+@pytest.mark.parametrize("n", range(8, 15))
+def test_qroute_bound_stays_below_the_optimum_on_scaled_coordinates(n):
+    # coordinates scaled by 1e6, where the unlowered best value read 1-2
+    # ulps above the subset DP's objective in 14 of these 70 cases: the
+    # rounding margin keeps every bound at or below it, with no tolerance
+    for seed in range(1, 6):
+        coords = generate_uniform_instance(GridSpec(n, 100, seed)).coords * 1e6
+        inst = Instance(f"u{n}g100s{seed}-scaled", coords=coords)
+        for m in (2, 3):
+            window = default_window(n, m)
+            bound, _ = exact.qroute_bound(inst, m, *window,
+                                          nearest_node(inst, m).total_distance, np.inf)
+            assert bound <= brute_force_oracle(inst, m, *window).objective, (seed, m)
+
+
 def test_qroute_bound_stops_within_a_layer_of_its_deadline(monkeypatch):
     # n = 300: one subgradient step takes ~100 label layers of ~0.3 ms, so
     # a 0.05 s deadline falls inside the first steps
@@ -1684,8 +1701,8 @@ def test_the_proof_finds_the_optimum_from_any_plan_and_any_penalties(case):
         plan = nearest_node(inst, m)
         if start == "polished":
             plan = exact._polish(inst, plan.routes, *window, _soon())
-    if lam == "zero":
-        penalty = np.zeros(inst.n - 1)
+    if lam == "zero":  # the proof's steps start from the root bound
+        bound, penalty = exact._root_bound(inst.matrix, m), np.zeros(inst.n - 1)
     else:
         real_labels, calls = exact._walk_labels, []
 
@@ -1694,46 +1711,127 @@ def test_the_proof_finds_the_optimum_from_any_plan_and_any_penalties(case):
             return False if lam == "cut" and len(calls) > steps else real_labels(*args)
 
         with mock.patch.object(exact, "_walk_labels", labels):
-            _, penalty = exact.qroute_bound(inst, m, *window,
-                                            nearest_node(inst, m).total_distance, np.inf)
-    proven = exact._prove(inst, m, *window, penalty, plan, np.inf)
+            bound, penalty = exact.qroute_bound(inst, m, *window,
+                                                nearest_node(inst, m).total_distance, np.inf)
+    proven, raised = exact._prove(inst, m, *window, penalty, plan, bound, np.inf)
+    assert raised <= optimum.objective
     assert check_solution(model, proven) == (True, [])
     assert proven.total_distance <= plan.total_distance
     assert proven.total_distance == pytest.approx(optimum.objective, rel=0, abs=1e-9)
 
 
 def test_the_proof_is_locked(monkeypatch):
-    # Locks the proof: a change to the threshold, the backward labels, the
-    # dominance rule, the pool's orders or the partition's search moves a
-    # pool size or a route, and this digest. Each case starts from its
-    # polished nearest-node plan under the converged λ, and the second proof
-    # starts from the optimum the first returns. No deadline.
-    pools = []
-    real_pool = exact._route_pool
+    # Locks the proof: a change to the steps, the threshold, the backward
+    # labels, the dominance rule, the pool's orders or the partition's
+    # search moves a pool size, a bound or a route, and this digest. Each
+    # case starts from its polished nearest-node plan under the converged
+    # λ and bound, and the second proof starts from the optimum the first
+    # returns. No deadline.
+    sizes = []  # every step's pool size, in order
+    real_pools = exact._route_pools
 
-    def pool(*args):
-        pools.append(real_pool(*args))
-        return pools[-1]
+    def pools(*args):
+        covers, pool_at = real_pools(*args)
 
-    monkeypatch.setattr(exact, "_route_pool", pool)
+        def at(*args):
+            held = pool_at(*args)
+            sizes.append(len(held))
+            return held
+
+        return covers, at
+
+    monkeypatch.setattr(exact, "_route_pools", pools)
     grid = generate_uniform_instance(GridSpec(20, 100, 301))
     digest = hashlib.sha256()
     for inst, m, window in [(mtspkit.load_bundled("bays29"), 4, (4, 8)),
                             (grid, 5, default_window(grid.n, 5))]:
-        _, penalty = exact.qroute_bound(inst, m, *window,
-                                        nearest_node(inst, m).total_distance, np.inf)
+        bound, penalty = exact.qroute_bound(inst, m, *window,
+                                            nearest_node(inst, m).total_distance, np.inf)
         once = exact._polish(inst, nearest_node(inst, m).routes, *window, _soon())
-        found = exact._prove(inst, m, *window, penalty, once, np.inf)
-        assert exact._prove(inst, m, *window, penalty, found, np.inf) is found
-        sizes = [len(held[0]) for held in pools[-2:]]
-        record = (once.total_distance, found.total_distance, found.routes, sizes)
+        del sizes[:]
+        found, raised = exact._prove(inst, m, *window, penalty, once, bound, np.inf)
+        first = sizes[:]
+        again, _ = exact._prove(inst, m, *window, penalty, found, bound, np.inf)
+        assert again is found
+        record = (once.total_distance, found.total_distance, found.routes, raised, sizes)
         digest.update(repr(record).encode())
         if inst.name == "bays29":
             assert (once.total_distance, found.total_distance) == (2635.0, 2603.0)
-            assert sizes == [2461, 444]  # routes inside the gap at UB 2635, then 2603
+            # the pools of steps 1-12 from 2569.31 toward 2635: step 12, at
+            # U = 2615.76, finds 2603, which the second proof's step 13 proves
+            assert first == [14, 17, 20, 34, 41, 48, 60, 79, 140, 221, 431, 912]
     assert digest.hexdigest() == (
-        "ec05bee3dba6f51e0486209e4a83254ba48a02359d7398cb60538c7f8d2f3339"
+        "3cb18dd7f0020010432a7281edb75e5b4de3e0d9e40502bf41c4de93836a9145"
     )
+
+
+def _stepped_case(n, seed, m, kind):
+    """A default-window case at n, the subset DP's optimum, and the
+    nearest-node plan, the converged q-route bound and its λ; ``asym``
+    scales the grid's matrix by U[1, 1.5] per arc."""
+    inst = generate_uniform_instance(GridSpec(n, 100, seed))
+    if kind == "asym":
+        inst = Instance(f"{inst.name}-asym",
+                        inst.matrix * rng_from_seed(seed).uniform(1.0, 1.5, (n, n)))
+    window = default_window(n, m)
+    start = nearest_node(inst, m)
+    bound, penalty = exact.qroute_bound(inst, m, *window, start.total_distance, np.inf)
+    optimum = brute_force_oracle(inst, m, *window).objective
+    return inst, window, optimum, start, bound, penalty
+
+
+@pytest.mark.parametrize("n", [12, 14, 16])
+def test_the_proofs_steps_agree_with_the_subset_dp(n, monkeypatch):
+    # 18 cases at n (seeds 1-3, m 2-4, symmetric and directed), each from its
+    # nearest-node plan: with no cap the proof returns the DP optimum, and
+    # no bound it raises lies above it, also where a proof gives up on a
+    # forced _POOL_CAP (16 of the 99 give-ups under the caps raise a bound)
+    caps, raised_by_give_ups = (exact._POOL_CAP, 50, 200, 1000), 0
+    for seed, m, kind in itertools.product([1, 2, 3], [2, 3, 4], ["sym", "asym"]):
+        inst, window, optimum, start, bound, penalty = _stepped_case(n, seed, m, kind)
+        assert bound < start.total_distance
+        for cap in caps:
+            monkeypatch.setattr(exact, "_POOL_CAP", cap)
+            proven, raised = exact._prove(inst, m, *window, penalty, start, bound, np.inf)
+            assert bound <= raised <= optimum
+            if proven is not None:
+                assert check_solution(build_model(inst, m, *window), proven) == (True, [])
+                assert proven.total_distance == pytest.approx(optimum, rel=1e-12)
+            else:
+                assert cap < caps[0]  # only a forced cap stops a proof with no deadline
+                raised_by_give_ups += raised > bound
+    assert raised_by_give_ups == {12: 7, 14: 4, 16: 5}[n]
+
+
+def test_finish_reports_the_bound_a_proof_raised_before_its_cap(monkeypatch):
+    # bays29 (m=4) under a cap of 2,000 labels and arc-list entries: the
+    # proof's first nine steps refute their upper bounds, from 2570.33 to
+    # 2585.73, and the tenth passes the cap. The run reports the bound they
+    # raised, not the q-route bound, and the iterated polish stops at it
+    inst = mtspkit.load_bundled("bays29")
+    model = build_model(inst, 4, 4, 8)
+    proofs, iterated = [], []
+    real_prove = exact._prove
+
+    def prove(*args):
+        proofs.append((args[-2], real_prove(*args)))
+        return proofs[-1][1]
+
+    def iterate(inst, start, lo, hi, deadline, bound):
+        iterated.append(bound)
+        return start
+
+    monkeypatch.setattr(exact, "_POOL_CAP", 2000)
+    monkeypatch.setattr(exact, "_prove", prove)
+    monkeypatch.setattr(exact, "_iterate", iterate)
+    result = exact._finish(model, "branch_and_bound", None, 0.0, 0, time.perf_counter(), 60.0)
+    [(qroute, (proven, raised))] = proofs
+    assert proven is None
+    assert qroute == pytest.approx(2569.3085, abs=1e-4)
+    assert raised == pytest.approx(2585.7311, abs=1e-4)
+    assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
+    assert result.lower_bound == raised == iterated[0]
+    assert result.objective == 2635.0
 
 
 def test_a_proven_stopped_run_skips_the_iterated_polish(monkeypatch):
@@ -1764,11 +1862,14 @@ def test_a_proven_stopped_run_skips_the_iterated_polish(monkeypatch):
 
 def test_a_proof_past_its_deadline_or_cap_falls_back_to_the_iterated_polish(monkeypatch):
     inst = mtspkit.load_bundled("bays29")
-    _, penalty = exact.qroute_bound(inst, 4, 4, 8, nearest_node(inst, 4).total_distance, np.inf)
+    bound, penalty = exact.qroute_bound(inst, 4, 4, 8, nearest_node(inst, 4).total_distance,
+                                        np.inf)
     once = exact._polish(inst, nearest_node(inst, 4).routes, 4, 8, _soon())
-    assert exact._prove(inst, 4, 4, 8, penalty, once, -np.inf) is None
-    monkeypatch.setattr(exact, "_POOL_CAP", 1000)  # bays29's pool needs ~13,000 labels
-    assert exact._prove(inst, 4, 4, 8, penalty, once, np.inf) is None
+    assert exact._prove(inst, 4, 4, 8, penalty, once, bound, -np.inf) == (None, bound)
+    # bays29's step that finds 2603 needs over 5,000 labels and arc-list
+    # entries; under 1,000 only its first step finishes
+    monkeypatch.setattr(exact, "_POOL_CAP", 1000)
+    assert exact._prove(inst, 4, 4, 8, penalty, once, bound, np.inf)[0] is None
     iterated = []
     real_iterate = exact._iterate
 
@@ -1787,26 +1888,27 @@ def test_a_proof_past_its_deadline_or_cap_falls_back_to_the_iterated_polish(monk
 
 def test_the_proof_gives_up_at_every_clock_read_and_cap(monkeypatch):
     # bays29 (m=4) at its polished 2635: the pool holds 2,461 routes and the
-    # partition takes more than 32,000 branches, so a stop at its first
-    # check, branch 1024, falls inside the search
+    # partition, rarest customer first, takes more than 2,048 branches, so a
+    # stop at its first check, branch 1024, falls inside the search
     inst = mtspkit.load_bundled("bays29")
     _, penalty = exact.qroute_bound(inst, 4, 4, 8, nearest_node(inst, 4).total_distance, np.inf)
     once = exact._polish(inst, nearest_node(inst, 4).routes, 4, 8, _soon())
     assert once.total_distance == 2635.0
     budget = once.total_distance - exact.left_fold(penalty.tolist())
     slack = 1e-7 * once.total_distance
-    pool, covers = exact._route_pool(inst, 4, 4, 8, penalty, budget, slack, np.inf)
+    covers, pool_at = exact._route_pools(inst, 4, 4, 8, penalty, np.inf)
+    pool = pool_at(budget, slack)
     assert len(pool) == 2461
     # the partition at its deadline, then at its memo cap
     assert exact._partition(pool, covers, 28, 4, budget, slack, -np.inf) is None
     with monkeypatch.context() as patch:
         patch.setattr(exact, "_POOL_CAP", 0)
         assert exact._partition(pool, covers, 28, 4, budget, slack, np.inf) is None
-    # the proof passes a partition's stop on
-    real_partition = exact._partition
+    # the proof passes a partition's stop on, at its first step, with the
+    # bound it was given
     with monkeypatch.context() as patch:
-        patch.setattr(exact, "_partition", lambda *args: real_partition(*args[:-1], -np.inf))
-        assert exact._prove(inst, 4, 4, 8, penalty, once, np.inf) is None
+        patch.setattr(exact, "_partition", lambda *args: None)
+        assert exact._prove(inst, 4, 4, 8, penalty, once, 2569.0, np.inf) == (None, 2569.0)
     # the pool past its deadline right after its backward label layers, one
     # read each, at its first read while it tables the completions
     _, hi = exact._route_sizes(inst.n - 1, 4, 4, 8)
@@ -1817,7 +1919,9 @@ def test_the_proof_gives_up_at_every_clock_read_and_cap(monkeypatch):
         return 0.0 if len(reads) <= hi else 1.0
 
     monkeypatch.setattr(exact, "time", SimpleNamespace(perf_counter=clock))
-    assert exact._route_pool(inst, 4, 4, 8, penalty, budget, slack, 0.5) is None
+    _, pool_at = exact._route_pools(inst, 4, 4, 8, penalty, 0.5)
+    assert len(reads) == hi
+    assert pool_at(budget, slack) is None
     assert len(reads) == hi + 1
 
 
@@ -1827,7 +1931,8 @@ def test_the_proof_stops_near_its_deadline():
     # every 1024 labels, a few ms apart
     inst = mtspkit.load_bundled("eil51")
     plan = nearest_node(inst, 2)
+    bound = exact._root_bound(inst.matrix, 2)
     started = time.perf_counter()
-    assert exact._prove(inst, 2, 24, 25, np.zeros(50), plan, started + 0.05) is None
+    assert exact._prove(inst, 2, 24, 25, np.zeros(50), plan, bound, started + 0.05)[0] is None
     # the margin of the time-limit tests above, for a slow host
     assert time.perf_counter() - started <= 0.05 + 0.1

@@ -2,8 +2,9 @@
 
 Covers the full experiment grid (30 samples, sizes 50..500, m 2..7), the
 heuristics' gaps to exact optima on small seeded instances, best-effort
-exact runs (``exact.solve``) on the medium benchmark instances, and the
-subset DP at its size cap. At 0.5, 1 and 2 s the bound and plan of
+exact runs (``exact.solve``) on the medium benchmark instances, the
+subset DP at its size cap, and an independent certificate above that cap:
+HiGHS on the model's rows (skipped without scipy). At 0.5, 1 and 2 s the bound and plan of
 bays29 (m=4) and eil51 (m=2) must bracket the published optimum, which
 is asserted only for a proven run, and an unproven one reports its gap.
 bays29 must be proven at its published optimum at a limit no phase
@@ -15,15 +16,20 @@ The bracketing runs above the subset DP's cap take at most the fixed
 (0.3-0.5 s on a 2-CPU Xeon VM).
 """
 
+import itertools
+
+import numpy as np
 import pytest
 
 import mtspkit as mk
 from mtspkit import exact
+from mtspkit.bench import default_window
 
 
 # the longest bracketing limit: on a quick host bays29 (m=4) is proven at
-# 2603 from 0.5 s on, and eil51 (m=2) reads 453.6272 over a bound of ~432.3
-# at 0.5, 1 and 2 s alike, but a slow one may stop bays29 short of its
+# 2603 from 0.5 s on, and eil51 (m=2) reads 453.6272 over a bound the
+# proof's refuted steps raise, ~434.9 at 0.5 s, ~436.0 at 1 s and 436.0-437.4
+# at 2 s (BENCH_steps.json), but a slow host may stop bays29 short of its
 # proof, which is therefore asserted at a limit no phase reaches
 TIME_BUDGET = 2.0
 
@@ -148,3 +154,77 @@ def test_subset_dp_at_its_cap(long_enabled, window, time_limit, status):
     result = exact.solve(inst, 7, *window, time_limit)
     assert result.backend == "subset_dp"
     assert result.status is status
+
+
+def _kara_bektas(inst, m, lo, hi, time_limit):
+    """HiGHS (``scipy.optimize.milp``) on the node-balanced MTZ program of
+    Kara & Bektaş (2006), stated here as rows of its own, apart from the
+    package: ``(status, cost)`` with the cost of the 0/1-rounded arcs.
+
+    Columns are x[i, j] for every ordered pair i != j (node 0 the depot),
+    then u[i] for every customer i, its position on its route, in [1, L].
+    Rows: m arcs leave and m enter the depot; every customer is entered
+    and left once; u_i + (L − 2) x[0, i] − x[i, 0] ≤ L − 1 and u_i +
+    x[0, i] + (2 − K) x[i, 0] ≥ 2 bound a route's size; u_i − u_j + L x[i,
+    j] + (L − 2) x[j, i] ≤ L − 1 orders every customer pair; and for K ≥ 2
+    x[0, i] + x[i, 0] ≤ 1 forbids a two-node tour."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    n = inst.n
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    col = {pair: c for c, pair in enumerate(pairs)}
+    u = {i: len(pairs) + i - 1 for i in range(1, n)}
+    width = len(pairs) + n - 1
+    rows, lower, upper = [], [], []
+
+    def row(terms, low, high):
+        line = np.zeros(width)
+        for c, a in terms:
+            line[c] += a
+        rows.append(line)
+        lower.append(low)
+        upper.append(high)
+
+    row([(col[0, j], 1) for j in range(1, n)], m, m)
+    row([(col[i, 0], 1) for i in range(1, n)], m, m)
+    for v in range(1, n):
+        row([(col[i, v], 1) for i in range(n) if i != v], 1, 1)
+        row([(col[v, j], 1) for j in range(n) if j != v], 1, 1)
+        row([(u[v], 1), (col[0, v], hi - 2), (col[v, 0], -1)], -np.inf, hi - 1)
+        row([(u[v], 1), (col[0, v], 1), (col[v, 0], 2 - lo)], 2, np.inf)
+        if lo >= 2:
+            row([(col[0, v], 1), (col[v, 0], 1)], -np.inf, 1)
+    for i, j in itertools.permutations(range(1, n), 2):
+        row([(u[i], 1), (u[j], -1), (col[i, j], hi), (col[j, i], hi - 2)], -np.inf, hi - 1)
+    cost = np.zeros(width)
+    cost[:len(pairs)] = [inst.matrix[i, j] for i, j in pairs]
+    integral = np.zeros(width)
+    integral[:len(pairs)] = 1
+    res = milp(cost, constraints=LinearConstraint(np.array(rows), lower, upper),
+               integrality=integral,
+               bounds=Bounds(np.r_[np.zeros(len(pairs)), np.ones(n - 1)],
+                             np.r_[np.ones(len(pairs)), np.full(n - 1, hi)]),
+               options={"mip_rel_gap": 0.0, "time_limit": time_limit})
+    if res.x is None:
+        return res.status, None
+    arcs = np.round(res.x[:len(pairs)]) == 1
+    return res.status, float(cost[:len(pairs)][arcs].sum())
+
+
+# g20s1m2 and g20s1m3, then the cases of a timing run of HiGHS on twelve
+# more (n 20-25, seeds 1-3), picked at under 2 s each before any objective
+# was read: gNsSmM is GridSpec(N, 100, S) at m = M on its default window
+@pytest.mark.parametrize("n,seed,m", [(20, 1, 2), (20, 1, 3), (20, 3, 2), (22, 1, 2)],
+                         ids=["g20s1m2", "g20s1m3", "g20s3m2", "g22s1m2"])
+def test_the_ending_proves_the_optimum_highs_finds(long_enabled, n, seed, m):
+    # an independent certificate above the subset DP's cap: the ending, at a
+    # limit no phase reaches, proves the optimum HiGHS proves on the model's
+    # rows, stated apart from exact.check_solution
+    pytest.importorskip("scipy")
+    inst = mk.generate_uniform_instance(mk.GridSpec(n, 100, seed))
+    window = default_window(n, m)
+    status, cost = _kara_bektas(inst, m, *window, time_limit=120.0)
+    assert status == 0  # HiGHS proved its optimum
+    result = exact.solve(inst, m, *window, time_limit=1e6)
+    assert result.status is mk.SolveStatus.OPTIMAL
+    assert result.objective == pytest.approx(cost, rel=1e-9)
