@@ -50,7 +50,8 @@ import numpy as np
 
 from .heuristics import InfeasibleModelError, nearest_node
 from .instance import (
-    Instance, RoutePlan, _block_rows, evaluate_plan, left_fold, plan_tour, rng_from_seed,
+    _BLOCK_BYTES, Instance, RoutePlan, _block_rows, evaluate_plan, left_fold, plan_tour,
+    rng_from_seed,
 )
 
 _EPS = 1e-9
@@ -790,7 +791,7 @@ def _covers(closing, table, m):
 # ---------------------------------------------------------------------------
 # the proof of a stopped run: the routes inside steps of the q-route gap, each partitioned
 
-_POOL_CAP = 1 << 19  # entries the proof's labels, arc lists or failure memo hold before it gives up
+_POOL_CAP = 1 << 19  # entries a pool's labels and successor rows or a partition's memo may hold
 _STEPS = tuple(2.0 ** (e / 2) for e in range(-12, 1))  # the proof's steps: 2⁻⁶ to 1 of the gap, ratio √2
 
 
@@ -854,6 +855,26 @@ def _prove(instance, m, min_customers, max_customers, penalty, plan, bound, dead
     return plan, raised
 
 
+def _last_minima(values, head):
+    """The index of the last minimum of each run of ``values``: the runs
+    start where the bool array ``head`` is True, and its first entry is."""
+    if not values.size:
+        return np.empty(0, np.intp)
+    starts = np.flatnonzero(head)
+    low = np.minimum.reduceat(values, starts)[np.cumsum(head) - 1]
+    return np.maximum.reduceat(np.where(values == low, np.arange(values.size), -1), starts)
+
+
+def _cheapest(key, cost):
+    """The index of the cheapest entry of each key, the last of equal ones,
+    in ascending key order."""
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    head = np.empty(key.size, bool)
+    head[:1], head[1:] = True, key[1:] != key[:-1]
+    return order[_last_minima(cost[order], head)]
+
+
 def _route_pools(instance, m, min_customers, max_customers, penalty, deadline):
     """The route pools of :func:`_prove`'s steps under one λ, ``penalty``:
     ``(covers, pool_at)``, or ``None`` once the clock passes ``deadline``
@@ -862,27 +883,69 @@ def _route_pools(instance, m, min_customers, max_customers, penalty, deadline):
     R of q customers with rc(R) ≤ T(q) = ``budget`` − G(k − q) + ``slack``,
     in its cheapest order: a dict from its customer set (bit v: 0-based
     customer v, node v + 1) to ``(rc, customers in order)``, or ``None``
-    once the clock passes ``deadline`` or the labels and arc lists pass
-    ``_POOL_CAP``.
+    once the clock passes ``deadline`` or its count passes ``_POOL_CAP``.
 
     :func:`_walk_labels` on the transposed arcs gives, for every customer
     v and size j, the cheapest reduced 2-cycle-free walk of j customers
     from v to the depot; its closing q-routes give G. These, and the
-    successor lists below, depend on λ alone, so every pool reads the same
-    ones. A pool is a depth-first search from the depot that extends
-    partial routes one customer at a time, each customer's successors in
-    ascending reduced arc cost (a list built on its first use), and drops a
-    partial route whose cost plus its cheapest completion passes T(q) at
-    every size q it could close at. A label is pushed only when it is
-    cheaper than every earlier label with its (customer set, last
-    customer), and per customer set the pool keeps the cheapest order that
-    closes under T. The stack is last in, first out, so the labels popped
-    between a label's push and its pop descend from its younger siblings,
-    whose customer sets each hold a customer its set lacks: no label with
-    its key is pushed in between, and no popped label is beaten by a later
-    one. The clock is read once per backward layer, then per pool once per
-    size while the completion bounds are tabled and every 1024 popped
-    labels."""
+    successor rows below, depend on λ alone, so every pool reads the same
+    ones.
+
+    A pool grows partial routes from the depot one size at a time. Layer s
+    holds one label per (customer set, last customer) of s customers, as
+    arrays: the set as ⌈k/64⌉ uint64 words, the last customer, the
+    reduced cost and the index of its parent in layer s − 1. A label of
+    cost c at v takes each successor w whose reduced arc a passes three
+    tests: a ≤ −c − min(need), w is not in its set, and c + a + need(w) ≤
+    0, where need(w) is the cheapest completion from w less T, the best
+    over the sizes the route may still close at. Layer s + 1 keeps the
+    cheapest candidate per (set, last customer). Float addition is
+    monotone, so whatever passes the tests from a label passes them from
+    every cheaper label of its key, and the cheapest label of a key
+    extends the cheapest label of its parent's key. So one label per key
+    loses no route, and its cost is the least left-to-right float sum of
+    its key's orders. A label of q ≥ lo customers at v
+    closes into the pool when c + back(v) ≤ T(q), and each set keeps its
+    cheapest close. The routes are read back by walking the parent
+    indices, as whole arrays.
+
+    Of equal costs, a label keeps the candidate from its lowest-numbered
+    predecessor, and a set the close from its lowest-numbered last
+    customer. This holds because a layer is sorted by its sets as numbers
+    and, within a set S, by descending last customer w, since S − 2^w
+    falls as w rises; every sort is stable, and of equal minima the last
+    is kept.
+
+    A customer's successors are its row of reduced arcs sorted ascending
+    and padded with inf to the next power of two above k, built on its
+    first use, in blocks of ``_block_rows(k)`` rows. Binary lifting per
+    label counts the successors within the first test, a prefix of the
+    row. A layer's candidates are made in blocks of whole
+    sets, each of about ``_BLOCK_BYTES`` / 8 candidates, so that a
+    candidate array is about 256 kB. All labels of a key come from one
+    parent set, so a block keeps the cheapest per key on its own, and
+    the blocks' survivors wait, at most ``_POOL_CAP`` of them, until the
+    layer ends.
+
+    The count is the labels plus k per built successor row: one row for
+    each customer that ends a label below the largest size, over all the
+    pools so far. The count only grows, and a pool gives up once it passes
+    ``_POOL_CAP``, so it gives up exactly when a full enumeration's count
+    would. The clock is read once per backward layer; then, per pool, once
+    per size while the completion bounds are tabled, once per layer, once
+    per block of sorted rows, of candidates and of routes read back. So
+    the longest step between reads is one whole-layer pass: the layer's
+    sort, its binary lifting or its closes.
+
+    A pool's peak memory, with the successor rows it sorts, is at most
+    8 · (2⌈k/64⌉ + 20) · ``_POOL_CAP`` bytes: 92 MB for k ≤ 64 and 352 MB
+    at k = 1999. On top of that come its completion table, hi · k floats,
+    one block's arrays and the pool it returns. The count bounds the
+    labels and the row entries together by ``_POOL_CAP``. The walk back
+    holds two words per label. The current layer holds about ⌈k/64⌉ + 12
+    words per label, and its next layer ⌈k/64⌉ + 3, twice while it is
+    sorted. A sorted row holds two words per entry, under 2k entries,
+    twice while the rows grow."""
     clock = time.perf_counter
     matrix = instance.matrix
     k = instance.n - 1
@@ -893,12 +956,18 @@ def _route_pools(instance, m, min_customers, max_customers, penalty, deadline):
         return None
     covers = _covers((tails[lo - 1:] + matrix[0, 1:]).min(1), _cover_table(k, lo, hi), m)
     rest = covers[m - 1][k - np.arange(lo, hi + 1)]  # rest[q - lo]: G(k − q)
-    first, back = (matrix[0, 1:] - penalty).tolist(), matrix[1:, 0].tolist()
+    first, back = matrix[0, 1:] - penalty, matrix[1:, 0]
     reduced = matrix[1:, 1:] - penalty  # reduced[v, w]: v to w, less w's penalty
-    succ = {}  # v -> [(reduced arc, w)] in ascending order
-    shift = k.bit_length()  # a label's key: its customer set, then its last customer
+    words = -(-k // 64)  # a customer set's uint64 words, customer v at bit v % 64 of word v // 64
+    bit = np.uint64(1) << (np.arange(k) % 64).astype(np.uint64)
+    slot = np.full(k, -1)  # slot[v]: v's row of arcs and succ, -1 until built
+    width = 1 << k.bit_length()  # a sorted row's entries: k, then at least one padding
+    # the sorted successor rows built so far, and their customers
+    arcs, succ = np.empty((0, width)), np.empty((0, width), dtype=np.intp)
+    block = _BLOCK_BYTES // 8  # the entries of a 256 kB float array: a block's candidates
 
     def pool_at(budget, slack):
+        nonlocal arcs, succ
         cap = budget - rest + slack  # cap[q - lo]: T(q)
         # need[s][v]: a partial route of s customers ending at v survives while
         # its cost plus need[s][v] is at most 0, the best over the sizes q >= s
@@ -909,50 +978,99 @@ def _route_pools(instance, m, min_customers, max_customers, penalty, deadline):
                 return None
             q = np.arange(max(s, lo), hi + 1)
             row = (tails[q - s] - cap[q - lo, None]).min(0) + penalty
-            need.append(row.tolist())
-            floors.append(float(row.min()))
-        cap = cap.tolist()
-        seen = {}
-        stack = []  # (cost, customer set, last customer, customers in order)
-        for w, cost in enumerate(first):
-            if cost + need[1][w] <= 0:
-                seen[1 << w << shift | w] = cost
-                stack.append((cost, 1 << w, w, (w,)))
-        pool = {}
-        popped = 0
-        while stack:
-            popped += 1
-            if not popped & 1023 and clock() > deadline:
+            need.append(row)
+            floors.append(row.min())
+        ends = np.flatnonzero(first + need[1] <= 0)  # the layer's last customers
+        costs = first[ends]
+        sets = np.zeros((ends.size, words), np.uint64)
+        sets[np.arange(ends.size), ends >> 6] = bit[ends]
+        head = np.ones(ends.size, bool)  # where a customer set starts in the layer
+        parents, trail = None, []  # trail[s - 1]: layer s's last customers and parents
+        labels, pool = ends.size, {}
+        for s in range(1, hi + 1):
+            if clock() > deadline:
                 return None
-            cost, mask, v, path = stack.pop()
-            size = len(path)
-            if size >= lo and cost + back[v] <= cap[size - lo]:
-                kept = pool.get(mask)
-                if kept is None or cost + back[v] < kept[0]:
-                    pool[mask] = (cost + back[v], path)
-            if size == hi:
-                continue
-            row = succ.get(v)
-            if row is None:
-                order = np.argsort(reduced[v], kind="stable")
-                row = succ[v] = list(zip(reduced[v, order].tolist(), order.tolist()))
-            row_need, most = need[size + 1], -cost - floors[size + 1]
-            for arc, w in row:  # v's own entry is inf - λ_v, so it ends the scan
-                if arc > most:
-                    break
-                bit = 1 << w
-                if mask & bit:
-                    continue
-                extended = cost + arc
-                if extended + row_need[w] > 0:
-                    continue
-                key = (mask | bit) << shift | w
-                old = seen.get(key)
-                if old is None or extended < old:
-                    seen[key] = extended
-                    stack.append((extended, mask | bit, w, path + (w,)))
-            if len(seen) + k * len(succ) > _POOL_CAP:
+            if not ends.size:
+                break
+            trail.append((ends, parents))
+            if s >= lo:  # each set's cheapest close, if it fits under T(s)
+                rc = costs + back[ends]
+                shut = _last_minima(rc, head)
+                shut = shut[rc[shut] <= cap[s - lo]]
+                step = max(1, block // s)  # routes per block read back
+                for i in range(0, shut.size, step):
+                    if clock() > deadline:
+                        return None
+                    at = shut[i:i + step]
+                    data, closed = sets[at].astype("<u8", copy=False).tobytes(), rc[at].tolist()
+                    path = np.empty((at.size, s), np.intp)
+                    for t in range(s - 1, -1, -1):  # walk the parents back
+                        last, up = trail[t]
+                        path[:, t] = last[at]
+                        at = at if up is None else up[at]
+                    keys = [int.from_bytes(data[j:j + 8 * words], "little")
+                            for j in range(0, len(data), 8 * words)]
+                    pool.update(zip(keys, zip(closed, map(tuple, path.tolist()))))
+            if s == hi:
+                break
+            # the sorted successor rows of the customers new to this size
+            fresh = np.flatnonzero((np.bincount(ends, minlength=k) > 0) & (slot < 0))
+            if labels + k * (len(arcs) + fresh.size) > _POOL_CAP:
                 return None
+            if fresh.size:
+                chunk, built = _block_rows(k), [(arcs, succ)]
+                for i in range(0, fresh.size, chunk):
+                    if clock() > deadline:
+                        return None
+                    rows = reduced[fresh[i:i + chunk]]
+                    order = np.tile(fresh[i:i + chunk, None], width)  # padded by its customer
+                    order[:, :k] = rows.argsort(1)
+                    sorted_rows = np.full(order.shape, np.inf)  # padded by inf
+                    sorted_rows[:, :k] = np.take_along_axis(rows, order[:, :k], 1)
+                    built.append((sorted_rows, order))
+                slot[fresh] = np.arange(len(arcs), len(arcs) + fresh.size)
+                arcs, succ = (np.concatenate(part) for part in zip(*built))
+            flat_arcs, flat_succ, flat_sets = arcs.ravel(), succ.ravel(), sets.ravel()
+            # each label's successors with arcs <= most, a prefix of its sorted row
+            # at flat index base: binary lifting, which ends with low its length
+            most, base = -costs - floors[s + 1], slot[ends] * width
+            low, jump = np.zeros(ends.size, np.intp), width >> 1
+            while jump:
+                np.add(low, jump, out=low, where=flat_arcs[base + low + (jump - 1)] <= most)
+                jump >>= 1
+            group = np.cumsum(head) - 1  # each label's set, numbered in ascending order
+            cuts, upto = np.append(np.flatnonzero(head), ends.size), np.cumsum(low)
+            parts, held, start = [], 0, 0  # the next layer, block by block
+            while start < ends.size:  # blocks of whole sets, of about `block` candidates
+                if clock() > deadline:
+                    return None
+                stop = np.searchsorted(upto, upto[start] - low[start] + block, "right")
+                stop = int(cuts[np.searchsorted(cuts, max(stop, start + 1))])
+                count = low[start:stop]
+                rep = np.repeat(np.arange(start, stop), count)  # each candidate's label
+                at = np.arange(count.sum()) + np.repeat(
+                    base[start:stop] + count - np.cumsum(count), count)
+                w = flat_succ[at]
+                extended = costs[rep] + flat_arcs[at]
+                keep = np.flatnonzero(extended + need[s + 1][w] <= 0)
+                rep, w, extended = rep[keep], w[keep], extended[keep]
+                keep = np.flatnonzero(flat_sets[rep * words + (w >> 6)] & bit[w] == 0)
+                rep, w, extended = rep[keep], w[keep], extended[keep]
+                keep = _cheapest(group[rep] * k + w, extended)  # a key's labels share a block
+                rep, w = rep[keep], w[keep]
+                grown = sets[rep]
+                grown[np.arange(rep.size), w >> 6] |= bit[w]
+                parts.append((grown, w, extended[keep], rep))
+                held += rep.size
+                if labels + held + k * len(arcs) > _POOL_CAP:
+                    return None
+                start = stop
+            sets, ends, costs, parents = (np.concatenate(part) for part in zip(*parts))
+            del parts
+            order = np.lexsort(sets.T)  # ascending sets, stable: the last word is the primary key
+            sets, ends, costs, parents = sets[order], ends[order], costs[order], parents[order]
+            head = np.append(True, (sets[1:] != sets[:-1]).any(1))[:ends.size]
+            labels += ends.size
         return pool
 
     return [cover.tolist() for cover in covers], pool_at

@@ -459,7 +459,9 @@ def test_time_limit_before_a_first_plan_polishes_the_nearest_node_plan():
 
 def test_a_search_stopped_before_a_first_plan_improves_the_nearest_node_plan(monkeypatch):
     # above the cap the same n = 30 run hands the ending no plan; its 0.2 s
-    # limit goes to the q-route bound and the polishes of the nearest-node plan
+    # limit goes to the q-route bound and the polishes of the nearest-node plan.
+    # The proof gives up at its first pool's count, on any host: one that
+    # finishes inside its 0.15 s share proves 644.53
     inst = generate_uniform_instance(GridSpec(30, 100, 3))
     model = build_model(inst, 3, *default_window(inst.n, 3))
     held = []
@@ -470,6 +472,7 @@ def test_a_search_stopped_before_a_first_plan_improves_the_nearest_node_plan(mon
         return real_finish(model, backend, routes, *args)
 
     monkeypatch.setattr(exact, "_finish", finish)
+    monkeypatch.setattr(exact, "_POOL_CAP", 0)
     result = solve_exact(model, time_limit=0.2)
     assert held == [None]
     assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
@@ -1804,7 +1807,7 @@ def test_the_proofs_steps_agree_with_the_subset_dp(n, monkeypatch):
 
 
 def test_finish_reports_the_bound_a_proof_raised_before_its_cap(monkeypatch):
-    # bays29 (m=4) under a cap of 2,000 labels and arc-list entries: the
+    # bays29 (m=4) under a cap of 2,000 labels and successor-row entries: the
     # proof's first nine steps refute their upper bounds, from 2570.33 to
     # 2585.73, and the tenth passes the cap. The run reports the bound they
     # raised, not the q-route bound, and the iterated polish stops at it
@@ -1866,7 +1869,7 @@ def test_a_proof_past_its_deadline_or_cap_falls_back_to_the_iterated_polish(monk
                                         np.inf)
     once = exact._polish(inst, nearest_node(inst, 4).routes, 4, 8, _soon())
     assert exact._prove(inst, 4, 4, 8, penalty, once, bound, -np.inf) == (None, bound)
-    # bays29's step that finds 2603 needs over 5,000 labels and arc-list
+    # bays29's step that finds 2603 needs over 5,000 labels and successor-row
     # entries; under 1,000 only its first step finishes
     monkeypatch.setattr(exact, "_POOL_CAP", 1000)
     assert exact._prove(inst, 4, 4, 8, penalty, once, bound, np.inf)[0] is None
@@ -1909,26 +1912,36 @@ def test_the_proof_gives_up_at_every_clock_read_and_cap(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(exact, "_partition", lambda *args: None)
         assert exact._prove(inst, 4, 4, 8, penalty, once, 2569.0, np.inf) == (None, 2569.0)
-    # the pool past its deadline right after its backward label layers, one
-    # read each, at its first read while it tables the completions
+    # the pool past its deadline at each of its clock reads, on the spot.
+    # _route_pools reads once per backward label layer; a pool that finishes
+    # then reads 30 times: once per size while it tables the completions (8),
+    # once per label layer (8), and once per block of sorted rows (1), of
+    # candidates (8) and of routes read back (5, one per size from 4 to 8)
     _, hi = exact._route_sizes(inst.n - 1, 4, 4, 8)
-    reads = []
+    reads, late = [], np.inf
 
     def clock():
         reads.append(len(reads) + 1)
-        return 0.0 if len(reads) <= hi else 1.0
+        return 0.0 if len(reads) < late else 1.0
 
     monkeypatch.setattr(exact, "time", SimpleNamespace(perf_counter=clock))
     _, pool_at = exact._route_pools(inst, 4, 4, 8, penalty, 0.5)
     assert len(reads) == hi
-    assert pool_at(budget, slack) is None
-    assert len(reads) == hi + 1
+    assert len(pool_at(budget, slack)) == 2461
+    assert len(reads) == hi + 30
+    for late in range(hi + 1, hi + 31):
+        del reads[:]
+        _, pool_at = exact._route_pools(inst, 4, 4, 8, penalty, 0.5)
+        assert len(reads) == hi
+        assert pool_at(budget, slack) is None
+        assert len(reads) == late
 
 
 def test_the_proof_stops_near_its_deadline():
     # eil51 (m=2) from its nearest-node plan without penalties: far too wide
-    # a gap to enumerate, so the deadline ends the proof; the clock is read
-    # every 1024 labels, a few ms apart
+    # a gap to enumerate, so the deadline ends the proof; the pool reads the
+    # clock once per label layer and per block of about 32,000 candidates, a
+    # few ms apart
     inst = mtspkit.load_bundled("eil51")
     plan = nearest_node(inst, 2)
     bound = exact._root_bound(inst.matrix, 2)
@@ -1936,3 +1949,94 @@ def test_the_proof_stops_near_its_deadline():
     assert exact._prove(inst, 2, 24, 25, np.zeros(50), plan, bound, started + 0.05)[0] is None
     # the margin of the time-limit tests above, for a slow host
     assert time.perf_counter() - started <= 0.05 + 0.1
+
+
+def _brute_force_pool(inst, m, window, penalty, budget, slack, covers):
+    """Every elementary route of the window's sizes, by permutation: per
+    customer set the cheapest order's reduced cost, a left fold of its
+    reduced arcs as a pool's labels sum them, kept when it is at most T(q),
+    read as ``_route_pools`` reads it."""
+    d, k = inst.matrix, inst.n - 1
+    lo, hi = exact._route_sizes(k, m, *window)
+    first, back = (d[0, 1:] - penalty).tolist(), d[1:, 0].tolist()
+    reduced = (d[1:, 1:] - penalty).tolist()
+    cheapest = {}
+    for q in range(lo, hi + 1):
+        for order in itertools.permutations(range(k), q):
+            cost = first[order[0]]
+            for u, v in zip(order, order[1:]):
+                cost += reduced[u][v]
+            mask = sum(1 << v for v in order)
+            rc = cost + back[order[-1]]
+            if rc < cheapest.get(mask, np.inf):
+                cheapest[mask] = rc
+    return {mask: rc for mask, rc in cheapest.items()
+            if rc <= budget - covers[m - 1][k - mask.bit_count()] + slack}
+
+
+@pytest.mark.parametrize("n,m,wide,kind", [
+    (7, 2, False, "sym"), (7, 3, True, "asym"), (8, 2, True, "sym"), (8, 3, False, "asym"),
+    (9, 2, False, "sym"), (9, 2, True, "asym"), (9, 3, False, "sym"), (9, 4, True, "asym"),
+])
+def test_the_pool_holds_every_route_a_brute_force_admits(n, m, wide, kind):
+    # Random penalties, and a budget that admits about half the customer
+    # sets: the pool holds exactly the sets whose cheapest order fits under
+    # T(q), each at that order's reduced cost bit for bit, in an order that
+    # sums to it. Both symmetric and directed matrices.
+    rng = rng_from_seed(n * 100 + m)
+    inst = generate_uniform_instance(GridSpec(n, 100, n + m))
+    if kind == "asym":
+        inst = Instance(f"{inst.name}-asym", inst.matrix * rng.uniform(1.0, 1.5, (n, n)))
+    window = (1, n - m) if wide else default_window(n, m)
+    penalty = rng.uniform(-20.0, 40.0, n - 1)
+    covers, pool_at = exact._route_pools(inst, m, *window, penalty, np.inf)
+    everything = _brute_force_pool(inst, m, window, penalty, np.inf, 0.0, covers)
+    needs = sorted(rc + covers[m - 1][n - 1 - mask.bit_count()] for mask, rc in everything.items())
+    budget = needs[len(needs) // 2]
+    slack = 1e-7 * budget
+    expected = _brute_force_pool(inst, m, window, penalty, budget, slack, covers)
+    assert 0 < len(expected) < len(everything)
+    pool = pool_at(budget, slack)
+    assert {mask: rc for mask, (rc, _) in pool.items()} == expected
+    first, back = inst.matrix[0, 1:] - penalty, inst.matrix[1:, 0]
+    for mask, (rc, order) in pool.items():
+        assert sum(1 << v for v in order) == mask and len(set(order)) == len(order)
+        cost = float(first[order[0]])
+        for u, v in zip(order, order[1:]):
+            cost += float(inst.matrix[u + 1, v + 1] - penalty[v])
+        assert cost + float(back[order[-1]]) == rc
+
+
+def test_the_layered_pool_keeps_its_clock_and_memory(monkeypatch):
+    # Zero penalties and the nearest-node plan's total as the budget: pools
+    # far too large to enumerate. The clock stands still while the backward
+    # labels are built, then each pool gets 0.05 s, or no limit, and gives
+    # up, at its deadline or at its count, within the margin of the
+    # time-limit tests above. Its tracemalloc peak stays under the bound
+    # the _route_pools docstring states: 8 (2 ceil(k/64) + 20) _POOL_CAP
+    # bytes, plus its completion table, one block's arrays and the pool it
+    # returns (about 10 MB together here)
+    eil51 = mtspkit.load_bundled("eil51")
+    grid = generate_uniform_instance(GridSpec(2000, 100, 1))
+    started = []
+
+    def clock():
+        return time.perf_counter() - started[0] if started else 0.0
+
+    monkeypatch.setattr(exact, "time", SimpleNamespace(perf_counter=clock))
+    for inst, m, limit in [(eil51, 2, 0.05), (eil51, 2, np.inf), (grid, 200, 0.05)]:
+        k, window = inst.n - 1, default_window(inst.n, m)
+        budget = nearest_node(inst, m).total_distance
+        del started[:]
+        _, pool_at = exact._route_pools(inst, m, *window, np.zeros(k), limit)
+        tracemalloc.start()
+        started.append(time.perf_counter())
+        try:
+            assert pool_at(budget, 1e-7 * budget) is None
+            elapsed = clock()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed <= limit + 0.1
+        hi = exact._route_sizes(k, m, *window)[1]
+        assert peak <= 8 * (2 * -(-k // 64) + 20) * exact._POOL_CAP + 8 * hi * k + 10e6

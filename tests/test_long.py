@@ -7,13 +7,14 @@ subset DP at its size cap, and an independent certificate above that cap:
 HiGHS on the model's rows (skipped without scipy). At 0.5, 1 and 2 s the bound and plan of
 bays29 (m=4) and eil51 (m=2) must bracket the published optimum, which
 is asserted only for a proven run, and an unproven one reports its gap.
-bays29 must be proven at its published optimum at a limit no phase
-reaches (1e6 s), where every phase ends on its own count, so that proof
-does not depend on the host's speed.
+bays29 must be proven at its published optimum, and eil51 must read
+453.6272 over its converged bound 437.4498, at a limit no phase reaches
+(1e6 s), where every phase ends on its own count, so neither depends on
+the host's speed.
 
 The bracketing runs above the subset DP's cap take at most the fixed
-2 s ``TIME_BUDGET``; bays29's far-limit proof ends when its phases do
-(0.3-0.5 s on a 2-CPU Xeon VM).
+2 s ``TIME_BUDGET``; the far-limit runs end when their phases do (bays29
+in 0.3-0.5 s and eil51 in 1.6-2.2 s on a 2-CPU Xeon VM).
 """
 
 import itertools
@@ -28,9 +29,10 @@ from mtspkit.bench import default_window
 
 # the longest bracketing limit: on a quick host bays29 (m=4) is proven at
 # 2603 from 0.5 s on, and eil51 (m=2) reads 453.6272 over a bound the
-# proof's refuted steps raise, ~434.9 at 0.5 s, ~436.0 at 1 s and 436.0-437.4
-# at 2 s (BENCH_steps.json), but a slow host may stop bays29 short of its
-# proof, which is therefore asserted at a limit no phase reaches
+# proof's refuted steps raise, ~436.0 at 0.5 s, 436.0-437.4 at 1 s and
+# 437.4498 at 2 s, its converged bound (BENCH_layers.json), but a slow host
+# may stop bays29 short of its proof and eil51 short of that bound, so both
+# are asserted at a limit no phase reaches
 TIME_BUDGET = 2.0
 
 
@@ -137,6 +139,16 @@ def test_exact_medium_instances(
             f"(incumbent {result.objective:.1f}, bound {result.lower_bound:.1f}, "
             f"published optimum {published})"
         )
+
+
+def test_eil51_reads_its_converged_gap_at_a_limit_no_phase_reaches(long_enabled):
+    # eil51 (m=2, (24, 25)) once every phase ends on its own count: the
+    # proof's steps refute every upper bound up to 437.4498, the next step's
+    # pool passes _POOL_CAP, and the iterated polish stalls at 453.6272, a
+    # 3.57% gap whatever the host's speed (1.6-2.2 s on a 2-CPU Xeon VM)
+    result = exact.solve(mk.load_bundled("eil51"), 2, 24, 25, time_limit=1e6)
+    assert result.status is mk.SolveStatus.FEASIBLE_TIME_LIMIT
+    assert (round(result.objective, 4), round(result.lower_bound, 4)) == (453.6272, 437.4498)
 
 
 @pytest.mark.parametrize(
