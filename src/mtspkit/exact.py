@@ -791,7 +791,7 @@ def _covers(closing, table, m):
 # ---------------------------------------------------------------------------
 # the proof of a stopped run: the routes inside steps of the q-route gap, each partitioned
 
-_POOL_CAP = 1 << 19  # entries a pool's labels and successor rows or a partition's memo may hold
+_POOL_CAP = 1 << 19  # entries a pool's labels and successor rows may hold
 _STEPS = tuple(2.0 ** (e / 2) for e in range(-12, 1))  # the proof's steps: 2⁻⁶ to 1 of the gap, ratio √2
 
 
@@ -806,8 +806,8 @@ def _prove(instance, m, min_customers, max_customers, penalty, plan, bound, dead
     Returns ``(proven, raised)``. ``proven`` is the optimal ``RoutePlan``,
     ``plan`` itself unless a partition prices below it, or ``None`` once a
     step gives up: the clock passes ``deadline``, or a step's enumeration
-    or partition passes ``_POOL_CAP``. ``raised`` is the largest lower bound
-    the finished steps certified, ``bound`` if none did.
+    passes ``_POOL_CAP``. ``raised`` is the largest lower bound the
+    finished steps certified, ``bound`` if none did.
 
     A route R of q customers has the reduced cost rc(R) = c(R) − λ(R), and
     a plan's total is its routes' reduced costs plus Σλ. The other m − 1
@@ -881,9 +881,10 @@ def _route_pools(instance, m, min_customers, max_customers, penalty, deadline):
     while the backward labels are built. ``covers`` is the q-route knapsack
     G reads, as lists. ``pool_at(budget, slack)`` is every elementary route
     R of q customers with rc(R) ≤ T(q) = ``budget`` − G(k − q) + ``slack``,
-    in its cheapest order: a dict from its customer set (bit v: 0-based
-    customer v, node v + 1) to ``(rc, customers in order)``, or ``None``
-    once the clock passes ``deadline`` or its count passes ``_POOL_CAP``.
+    in its cheapest order: a list of ``(rc, customers in order)``, one per
+    customer set, by size and then ascending set (0-based customer v is
+    node v + 1), or ``None`` once the clock passes ``deadline`` or its
+    count passes ``_POOL_CAP``.
 
     :func:`_walk_labels` on the transposed arcs gives, for every customer
     v and size j, the cheapest reduced 2-cycle-free walk of j customers
@@ -986,7 +987,7 @@ def _route_pools(instance, m, min_customers, max_customers, penalty, deadline):
         sets[np.arange(ends.size), ends >> 6] = bit[ends]
         head = np.ones(ends.size, bool)  # where a customer set starts in the layer
         parents, trail = None, []  # trail[s - 1]: layer s's last customers and parents
-        labels, pool = ends.size, {}
+        labels, pool = ends.size, []
         for s in range(1, hi + 1):
             if clock() > deadline:
                 return None
@@ -1002,15 +1003,13 @@ def _route_pools(instance, m, min_customers, max_customers, penalty, deadline):
                     if clock() > deadline:
                         return None
                     at = shut[i:i + step]
-                    data, closed = sets[at].astype("<u8", copy=False).tobytes(), rc[at].tolist()
+                    closed = rc[at].tolist()
                     path = np.empty((at.size, s), np.intp)
                     for t in range(s - 1, -1, -1):  # walk the parents back
                         last, up = trail[t]
                         path[:, t] = last[at]
                         at = at if up is None else up[at]
-                    keys = [int.from_bytes(data[j:j + 8 * words], "little")
-                            for j in range(0, len(data), 8 * words)]
-                    pool.update(zip(keys, zip(closed, map(tuple, path.tolist()))))
+                    pool.extend(zip(closed, map(tuple, path.tolist())))
             if s == hi:
                 break
             # the sorted successor rows of the customers new to this size
@@ -1080,8 +1079,7 @@ def _partition(pool, covers, k, m, budget, slack, deadline):
     """The cheapest m routes of ``pool`` (a pool of :func:`_route_pools`)
     that partition the k customers with reduced costs summing below
     ``budget``: their customer orders, ``[]`` if there are none, ``None``
-    once the clock passes ``deadline`` or the memo holds more than
-    ``_POOL_CAP`` entries.
+    once the clock passes ``deadline``.
 
     The customers are first relabelled by ascending count of the pool
     routes that hold them (ties by customer), and the routes' customer
@@ -1092,19 +1090,23 @@ def _partition(pool, covers, k, m, budget, slack, deadline):
     ascending reduced cost. A branch is cut when its cost, plus the
     cheapest q-route cover (``covers``) of the rest by the routes left,
     reaches the cheapest sum so far (``budget`` at first) plus ``slack``;
-    the last route is looked up by its customer set. A memo records each
-    (uncovered customers, routes left) whose search found nothing, with the
-    largest budget it failed under, and a branch that meets it with no more
-    is cut. The orders returned keep the customers' own labels. The clock
-    and the memo's size are read every 1024 branches."""
+    the last route is looked up by its customer set. The orders returned
+    keep the customers' own labels. The clock is read every 1024 branches.
+
+    The search keeps no memo of the subtrees it searched in vain. One,
+    keyed by (uncovered customers, routes left), would skip only a subtree
+    already searched under at least as much room, where no strictly
+    cheaper sum was found, and the search accepts only strictly cheaper
+    sums. So a memo cannot move the answer: short of a give-up, the search
+    finds the same partitions in the same order with or without one."""
     clock = time.perf_counter
-    count = Counter(chain.from_iterable(path for _, path in pool.values()))
+    count = Counter(chain.from_iterable(path for _, path in pool))
     bit = [0] * k  # bit[v]: customer v's relabelled bit
     for rank, v in enumerate(sorted(range(k), key=count.__getitem__)):
         bit[v] = 1 << rank
     routes = {}  # the pool by relabelled customer set
     by_low = [[] for _ in range(k)]  # the pool's routes by their lowest relabelled customer
-    for rc, path in pool.values():
+    for rc, path in pool:
         mask = sum(map(bit.__getitem__, path))
         routes[mask] = (rc, path)
         by_low[(mask & -mask).bit_length() - 1].append((rc, mask, path))
@@ -1112,7 +1114,6 @@ def _partition(pool, covers, k, m, budget, slack, deadline):
         held.sort()
     floors = [min(cover) for cover in covers]
     cheapest, paths = budget, []  # the cheapest sum below budget, and its routes' orders
-    failed = {}
     chosen = []
     branches = 0
 
@@ -1123,9 +1124,6 @@ def _partition(pool, covers, k, m, budget, slack, deadline):
             if last is not None and spent + last[0] < cheapest:
                 cheapest, paths = spent + last[0], [*chosen, last[1]]
             return True
-        key, found, room = (uncovered, left), cheapest, cheapest - spent
-        if failed.get(key, -np.inf) >= room:
-            return True
         size = uncovered.bit_count()
         for rc, mask, path in by_low[(uncovered & -uncovered).bit_length() - 1]:
             if rc + floors[left - 1] >= cheapest - spent + slack:
@@ -1133,7 +1131,7 @@ def _partition(pool, covers, k, m, budget, slack, deadline):
             if mask & ~uncovered:
                 continue
             branches += 1
-            if not branches & 1023 and (clock() > deadline or len(failed) > _POOL_CAP):
+            if not branches & 1023 and clock() > deadline:
                 return False
             if rc + covers[left - 1][size - mask.bit_count()] >= cheapest - spent + slack:
                 continue
@@ -1141,8 +1139,6 @@ def _partition(pool, covers, k, m, budget, slack, deadline):
             if not search(uncovered ^ mask, left - 1, spent + rc):
                 return False
             chosen.pop()
-        if cheapest == found:  # nothing below room: a failure at this budget
-            failed[key] = max(failed.get(key, -np.inf), room)
         return True
 
     if not search((1 << k) - 1, m, 0.0):

@@ -377,6 +377,7 @@ _KEYWORDS = {
     "DIMENSION": (),
     "EDGE_WEIGHT_TYPE": ("EUC_2D", "EXPLICIT"),
     "EDGE_WEIGHT_FORMAT": _WEIGHT_FORMATS,
+    "DISPLAY_DATA_TYPE": ("COORD_DISPLAY", "TWOD_DISPLAY", "NO_DISPLAY"),
     "NODE_COORD_SECTION": (),
     "EDGE_WEIGHT_SECTION": (),
     "DISPLAY_DATA_SECTION": (),
@@ -395,11 +396,12 @@ def parse_tsplib(text: str, rounding: str = "none") -> Instance:
     value the keyword does not admit, a repeated keyword other than
     COMMENT, a section before DIMENSION, a missing NAME, DIMENSION or
     EDGE_WEIGHT_TYPE, and an EDGE_WEIGHT_SECTION in an EUC_2D file each
-    raise :class:`ParseError`; DISPLAY_DATA_SECTION rows are read past.
-    An EXPLICIT file's distances are its weights: a NODE_COORD_SECTION
-    there holds display coordinates, which are checked like any other
-    coordinate rows and then dropped (``coords`` is None), even where they
-    disagree with the weights.
+    raise :class:`ParseError`. An EXPLICIT file's distances are its
+    weights: a NODE_COORD_SECTION there holds display coordinates, which
+    are checked like any other coordinate rows and then dropped (``coords``
+    is None), even where they disagree with the weights. The rows of a
+    DISPLAY_DATA_SECTION, in either file type, are checked and dropped the
+    same way.
     """
     lines = text.splitlines()
     values = {}  # keyword -> its value
@@ -445,7 +447,7 @@ def parse_tsplib(text: str, rounding: str = "none") -> Instance:
             numbers, i = _read_numbers(lines, i, _weight_count(weight_format, dim))
             weights = _weight_matrix(weight_format, dim, numbers)
         elif key == "DISPLAY_DATA_SECTION":
-            i += dim  # plotting helper rows; read past them, never interpreted
+            _, i = _read_coords(lines, i, dim)  # plotting rows: checked, then dropped
 
     for key in _REQUIRED:
         if key not in values:

@@ -1902,11 +1902,14 @@ def test_the_proof_gives_up_at_every_clock_read_and_cap(monkeypatch):
     covers, pool_at = exact._route_pools(inst, 4, 4, 8, penalty, np.inf)
     pool = pool_at(budget, slack)
     assert len(pool) == 2461
-    # the partition at its deadline, then at its memo cap
+    # the partition at its deadline; it has no cap, so under a cap of 0 it
+    # still returns the optimum's routes
     assert exact._partition(pool, covers, 28, 4, budget, slack, -np.inf) is None
     with monkeypatch.context() as patch:
         patch.setattr(exact, "_POOL_CAP", 0)
-        assert exact._partition(pool, covers, 28, 4, budget, slack, np.inf) is None
+        paths = exact._partition(pool, covers, 28, 4, budget, slack, np.inf)
+    routes = [(1, *[v + 2 for v in path], 1) for path in paths]
+    assert evaluate_plan(inst, routes).total_distance == 2603.0
     # the proof passes a partition's stop on, at its first step, with the
     # bound it was given
     with monkeypatch.context() as patch:
@@ -1981,8 +1984,8 @@ def _brute_force_pool(inst, m, window, penalty, budget, slack, covers):
 def test_the_pool_holds_every_route_a_brute_force_admits(n, m, wide, kind):
     # Random penalties, and a budget that admits about half the customer
     # sets: the pool holds exactly the sets whose cheapest order fits under
-    # T(q), each at that order's reduced cost bit for bit, in an order that
-    # sums to it. Both symmetric and directed matrices.
+    # T(q), each once, at that order's reduced cost bit for bit, in an order
+    # that sums to it. Both symmetric and directed matrices.
     rng = rng_from_seed(n * 100 + m)
     inst = generate_uniform_instance(GridSpec(n, 100, n + m))
     if kind == "asym":
@@ -1996,11 +1999,13 @@ def test_the_pool_holds_every_route_a_brute_force_admits(n, m, wide, kind):
     slack = 1e-7 * budget
     expected = _brute_force_pool(inst, m, window, penalty, budget, slack, covers)
     assert 0 < len(expected) < len(everything)
-    pool = pool_at(budget, slack)
+    listed = pool_at(budget, slack)
+    pool = {sum(1 << v for v in order): (rc, order) for rc, order in listed}
+    assert len(pool) == len(listed)  # no customer set repeats
     assert {mask: rc for mask, (rc, _) in pool.items()} == expected
     first, back = inst.matrix[0, 1:] - penalty, inst.matrix[1:, 0]
     for mask, (rc, order) in pool.items():
-        assert sum(1 << v for v in order) == mask and len(set(order)) == len(order)
+        assert len(set(order)) == len(order)
         cost = float(first[order[0]])
         for u, v in zip(order, order[1:]):
             cost += float(inst.matrix[u + 1, v + 1] - penalty[v])

@@ -21,7 +21,7 @@ from mtspkit import (
     parse_tsplib,
 )
 from mtspkit.instance import (
-    _SAFE_SPAN, RoutePlan, _block_rows, dumps_coords_csv, rng_from_seed,
+    _SAFE_SPAN, RoutePlan, _block_rows, bundled_path, dumps_coords_csv, rng_from_seed,
 )
 
 TRIANGLE = """\
@@ -166,6 +166,33 @@ def test_parse_skips_display_data_section():
     assert inst.n == 3
     assert inst.coords is None
     assert inst.matrix[1, 2] == 23
+
+
+def test_display_data_rows_are_checked_then_dropped():
+    # bays29 with the display header and section of its TSPLIB 95 file
+    text = bundled_path("bays29").read_text()
+    rows = "".join(f"{v} {10 * v}.0 {20 * v}.0\n" for v in range(1, 30))
+    text = text.replace("EDGE_WEIGHT_SECTION",
+                        "DISPLAY_DATA_TYPE : TWOD_DISPLAY\nEDGE_WEIGHT_SECTION")
+    text = text.replace("EOF", f"DISPLAY_DATA_SECTION\n{rows}EOF")
+    inst = parse_tsplib(text)
+    assert inst.coords is None
+    assert np.array_equal(inst.matrix, load_bundled("bays29").matrix)
+    small = (
+        "NAME : small\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EXPLICIT\n"
+        "EDGE_WEIGHT_FORMAT : UPPER_ROW\nEDGE_WEIGHT_SECTION\n12 13\n23\n"
+        "DISPLAY_DATA_SECTION\nfoo\nbar baz\nqux\nEOF\n"
+    )
+    with pytest.raises(ParseError, match="^line 9: coordinate row needs 'index x y'$"):
+        parse_tsplib(small)
+    # a one-row section ends at its second row's line, the weights' keyword
+    short = (
+        "NAME : small\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EXPLICIT\n"
+        "EDGE_WEIGHT_FORMAT : UPPER_ROW\nDISPLAY_DATA_SECTION\n1 0 0\n"
+        "EDGE_WEIGHT_SECTION\n1 2\n3\nEOF\n"
+    )
+    with pytest.raises(ParseError, match="^line 7: coordinate row needs 'index x y'$"):
+        parse_tsplib(short)
 
 
 def test_parse_asymmetric_explicit_accepted():

@@ -14,7 +14,9 @@ the host's speed.
 
 The bracketing runs above the subset DP's cap take at most the fixed
 2 s ``TIME_BUDGET``; the far-limit runs end when their phases do (bays29
-in 0.3-0.5 s and eil51 in 1.6-2.2 s on a 2-CPU Xeon VM).
+in 0.3-0.5 s and eil51 in 1.6-2.2 s on a 2-CPU Xeon VM). So do 27 proofs
+on widened windows, which must read their recorded optima, at most 0.33 s
+each.
 """
 
 import itertools
@@ -149,6 +151,35 @@ def test_eil51_reads_its_converged_gap_at_a_limit_no_phase_reaches(long_enabled)
     result = exact.solve(mk.load_bundled("eil51"), 2, 24, 25, time_limit=1e6)
     assert result.status is mk.SolveStatus.FEASIBLE_TIME_LIMIT
     assert (round(result.objective, 4), round(result.lower_bound, 4)) == (453.6272, 437.4498)
+
+
+# gNsSmM on the window (1, ceil((N - 1) / M) + 2): the optima the proof
+# reads (BENCH_partition.json), among them g24s2m6, whose partition once
+# gave up at 10 s without a failure memo
+WIDE_OPTIMA = {
+    "g20s1m4": 496.7165, "g20s2m4": 560.0056, "g20s3m4": 589.0318,
+    "g20s1m5": 531.0084, "g20s2m5": 585.2809, "g20s3m5": 646.0111,
+    "g20s1m6": 566.2074, "g20s2m6": 619.6014, "g20s3m6": 714.2327,
+    "g22s1m4": 534.6462, "g22s2m4": 562.1182, "g22s3m4": 611.2825,
+    "g22s1m5": 575.2117, "g22s2m5": 587.3935, "g22s3m5": 660.6987,
+    "g22s1m6": 621.3907, "g22s2m6": 640.1351, "g22s3m6": 716.0968,
+    "g24s1m4": 540.8636, "g24s2m4": 581.2126, "g24s3m4": 632.1803,
+    "g24s1m5": 568.9124, "g24s2m5": 604.4034, "g24s3m5": 687.2103,
+    "g24s1m6": 616.0406, "g24s2m6": 685.6527, "g24s3m6": 768.7361,
+}
+
+
+def test_the_proof_reads_the_widened_window_optima(long_enabled):
+    # at a limit no phase reaches, every one of the 27 cases is proven, the
+    # partition being exhaustive (4-7 s in all on a 2-CPU Xeon VM)
+    for name, objective in WIDE_OPTIMA.items():
+        n, seed, m = map(int, name[1:].replace("s", " ").replace("m", " ").split())
+        window = (1, -(-(n - 1) // m) + 2)
+        result = exact.solve(mk.generate_uniform_instance(mk.GridSpec(n, 100, seed)), m,
+                             *window, time_limit=1e6)
+        assert result.status is mk.SolveStatus.OPTIMAL, name
+        assert result.lower_bound == result.objective, name
+        assert round(result.objective, 4) == objective, name
 
 
 @pytest.mark.parametrize(
