@@ -791,7 +791,7 @@ def _covers(closing, table, m):
 # ---------------------------------------------------------------------------
 # the proof of a stopped run: the routes inside steps of the q-route gap, each partitioned
 
-_POOL_CAP = 1 << 19  # entries a pool's labels and successor rows may hold
+_POOL_CAP = 1 << 19  # entries a pool's labels and λ's k² successor-row entries may hold together
 _STEPS = tuple(2.0 ** (e / 2) for e in range(-12, 1))  # the proof's steps: 2⁻⁶ to 1 of the gap, ratio √2
 
 
@@ -830,7 +830,7 @@ def _prove(instance, m, min_customers, max_customers, penalty, plan, bound, dead
     and partition admitted everything up to the slack, so no plan prices
     below U − slack, a valid lower bound; at U = UB that proves ``plan``.
     The first step that gives up ends the proof. The steps share one λ, so
-    they share its backward labels, knapsack and successor lists.
+    they share its backward labels, knapsack and sorted successor rows.
     """
     k = instance.n - 1
     upper = plan.total_distance
@@ -877,14 +877,15 @@ def _cheapest(key, cost):
 
 def _route_pools(instance, m, min_customers, max_customers, penalty, deadline):
     """The route pools of :func:`_prove`'s steps under one λ, ``penalty``:
-    ``(covers, pool_at)``, or ``None`` once the clock passes ``deadline``
-    while the backward labels are built. ``covers`` is the q-route knapsack
-    G reads, as lists. ``pool_at(budget, slack)`` is every elementary route
-    R of q customers with rc(R) ≤ T(q) = ``budget`` − G(k − q) + ``slack``,
-    in its cheapest order: a list of ``(rc, customers in order)``, one per
-    customer set, by size and then ascending set (0-based customer v is
-    node v + 1), or ``None`` once the clock passes ``deadline`` or its
-    count passes ``_POOL_CAP``.
+    ``(covers, pool_at)``, or ``None``: at once when the k² successor-row
+    entries alone pass ``_POOL_CAP`` (k > 724), and once the clock passes
+    ``deadline`` while the backward labels are built. ``covers`` is the
+    q-route knapsack G reads, as lists. ``pool_at(budget, slack)`` is every
+    elementary route R of q customers with rc(R) ≤ T(q) = ``budget`` −
+    G(k − q) + ``slack``, in its cheapest order: a list of ``(rc,
+    customers in order)``, one per customer set, by size and then ascending
+    set (0-based customer v is node v + 1), or ``None`` once the clock
+    passes ``deadline`` or its count passes ``_POOL_CAP``.
 
     :func:`_walk_labels` on the transposed arcs gives, for every customer
     v and size j, the cheapest reduced 2-cycle-free walk of j customers
@@ -918,38 +919,40 @@ def _route_pools(instance, m, min_customers, max_customers, penalty, deadline):
     is kept.
 
     A customer's successors are its row of reduced arcs sorted ascending
-    and padded with inf to the next power of two above k, built on its
-    first use, in blocks of ``_block_rows(k)`` rows. Binary lifting per
+    and padded with inf to the next power of two above k, all k rows
+    sorted at once, right after the backward labels. Binary lifting per
     label counts the successors within the first test, a prefix of the
-    row. A layer's candidates are made in blocks of whole
-    sets, each of about ``_BLOCK_BYTES`` / 8 candidates, so that a
-    candidate array is about 256 kB. All labels of a key come from one
-    parent set, so a block keeps the cheapest per key on its own, and
-    the blocks' survivors wait, at most ``_POOL_CAP`` of them, until the
-    layer ends.
+    row. A layer's candidates are made in blocks of whole sets, each of
+    about ``_BLOCK_BYTES`` / 8 candidates, so that a candidate array is
+    about 256 kB. All labels of a key come from one parent set, so a block
+    keeps the cheapest per key on its own, and the blocks' survivors wait,
+    at most ``_POOL_CAP`` of them, until the layer ends.
 
-    The count is the labels plus k per built successor row: one row for
-    each customer that ends a label below the largest size, over all the
-    pools so far. The count only grows, and a pool gives up once it passes
-    ``_POOL_CAP``, so it gives up exactly when a full enumeration's count
-    would. The clock is read once per backward layer; then, per pool, once
-    per size while the completion bounds are tabled, once per layer, once
-    per block of sorted rows, of candidates and of routes read back. So
-    the longest step between reads is one whole-layer pass: the layer's
-    sort, its binary lifting or its closes.
+    A pool's count is its own labels plus the k² entries of the successor
+    rows, whatever pools ran before it. It only grows, and a pool gives up
+    once it passes ``_POOL_CAP`` at a block of candidates, so it gives up
+    exactly when a full enumeration's count would. The clock is read once
+    per backward layer; then, per pool, once per size while the completion
+    bounds are tabled, once per layer, once per block of candidates and of
+    routes read back. So the longest step between reads is one whole-layer
+    pass: the layer's sort, its binary lifting or its closes. The rows'
+    sort, of at most ``_POOL_CAP`` entries, is no longer than one layer's
+    sort, and reads no clock of its own.
 
-    A pool's peak memory, with the successor rows it sorts, is at most
-    8 · (2⌈k/64⌉ + 20) · ``_POOL_CAP`` bytes: 92 MB for k ≤ 64 and 352 MB
-    at k = 1999. On top of that come its completion table, hi · k floats,
-    one block's arrays and the pool it returns. The count bounds the
-    labels and the row entries together by ``_POOL_CAP``. The walk back
-    holds two words per label. The current layer holds about ⌈k/64⌉ + 12
-    words per label, and its next layer ⌈k/64⌉ + 3, twice while it is
-    sorted. A sorted row holds two words per entry, under 2k entries,
-    twice while the rows grow."""
+    A pool's peak memory, with the successor rows, is at most
+    8 · (2⌈k/64⌉ + 20) · ``_POOL_CAP`` bytes for k ≤ 724: 92 MB for k ≤ 64.
+    On top of that come its completion table, hi · k floats, one block's
+    arrays and the pool it returns. The count bounds the labels and the k²
+    row entries together by ``_POOL_CAP``. The walk back holds two words
+    per label. The current layer holds about ⌈k/64⌉ + 12 words per label,
+    and its next layer ⌈k/64⌉ + 3, twice while it is sorted. The sorted
+    rows hold two words per entry, under 2k entries a row, and their sort
+    two more per arc while it runs."""
     clock = time.perf_counter
     matrix = instance.matrix
     k = instance.n - 1
+    if k * k > _POOL_CAP:  # the successor rows alone pass the cap
+        return None
     lo, hi = _route_sizes(k, m, min_customers, max_customers)
     # tails[j - 1, v]: the cheapest walk of j customers from v to the depot
     tails, links = np.empty((hi, k)), np.empty((hi, 2, k), dtype=np.intp)
@@ -961,14 +964,16 @@ def _route_pools(instance, m, min_customers, max_customers, penalty, deadline):
     reduced = matrix[1:, 1:] - penalty  # reduced[v, w]: v to w, less w's penalty
     words = -(-k // 64)  # a customer set's uint64 words, customer v at bit v % 64 of word v // 64
     bit = np.uint64(1) << (np.arange(k) % 64).astype(np.uint64)
-    slot = np.full(k, -1)  # slot[v]: v's row of arcs and succ, -1 until built
     width = 1 << k.bit_length()  # a sorted row's entries: k, then at least one padding
-    # the sorted successor rows built so far, and their customers
-    arcs, succ = np.empty((0, width)), np.empty((0, width), dtype=np.intp)
+    # succ[v]: v's successors by ascending reduced arc, and arcs[v] those arcs
+    succ = np.tile(np.arange(k)[:, None], width)  # padded by its customer
+    succ[:, :k] = reduced.argsort(1)
+    arcs = np.full((k, width), np.inf)  # padded by inf
+    arcs[:, :k] = np.take_along_axis(reduced, succ[:, :k], 1)
+    flat_arcs, flat_succ = arcs.ravel(), succ.ravel()
     block = _BLOCK_BYTES // 8  # the entries of a 256 kB float array: a block's candidates
 
     def pool_at(budget, slack):
-        nonlocal arcs, succ
         cap = budget - rest + slack  # cap[q - lo]: T(q)
         # need[s][v]: a partial route of s customers ending at v survives while
         # its cost plus need[s][v] is at most 0, the best over the sizes q >= s
@@ -1012,27 +1017,10 @@ def _route_pools(instance, m, min_customers, max_customers, penalty, deadline):
                     pool.extend(zip(closed, map(tuple, path.tolist())))
             if s == hi:
                 break
-            # the sorted successor rows of the customers new to this size
-            fresh = np.flatnonzero((np.bincount(ends, minlength=k) > 0) & (slot < 0))
-            if labels + k * (len(arcs) + fresh.size) > _POOL_CAP:
-                return None
-            if fresh.size:
-                chunk, built = _block_rows(k), [(arcs, succ)]
-                for i in range(0, fresh.size, chunk):
-                    if clock() > deadline:
-                        return None
-                    rows = reduced[fresh[i:i + chunk]]
-                    order = np.tile(fresh[i:i + chunk, None], width)  # padded by its customer
-                    order[:, :k] = rows.argsort(1)
-                    sorted_rows = np.full(order.shape, np.inf)  # padded by inf
-                    sorted_rows[:, :k] = np.take_along_axis(rows, order[:, :k], 1)
-                    built.append((sorted_rows, order))
-                slot[fresh] = np.arange(len(arcs), len(arcs) + fresh.size)
-                arcs, succ = (np.concatenate(part) for part in zip(*built))
-            flat_arcs, flat_succ, flat_sets = arcs.ravel(), succ.ravel(), sets.ravel()
+            flat_sets = sets.ravel()
             # each label's successors with arcs <= most, a prefix of its sorted row
             # at flat index base: binary lifting, which ends with low its length
-            most, base = -costs - floors[s + 1], slot[ends] * width
+            most, base = -costs - floors[s + 1], ends * width
             low, jump = np.zeros(ends.size, np.intp), width >> 1
             while jump:
                 np.add(low, jump, out=low, where=flat_arcs[base + low + (jump - 1)] <= most)
@@ -1061,7 +1049,7 @@ def _route_pools(instance, m, min_customers, max_customers, penalty, deadline):
                 grown[np.arange(rep.size), w >> 6] |= bit[w]
                 parts.append((grown, w, extended[keep], rep))
                 held += rep.size
-                if labels + held + k * len(arcs) > _POOL_CAP:
+                if labels + held + k * k > _POOL_CAP:
                     return None
                 start = stop
             sets, ends, costs, parents = (np.concatenate(part) for part in zip(*parts))
@@ -1358,8 +1346,8 @@ def _finish(model, backend, routes, bound, nodes, start_time, time_limit) -> Exa
       :func:`qroute_bound` toward the start plan's total, run until half
       the limit (``_BOUND_SHARE``).
     * :func:`_polish` takes the plan to a local optimum, until the limit,
-      and returns it priced; the polished plan replaces the held one unless
-      that prices lower.
+      and returns it priced: the run's plan from then on. It applies only
+      moves that gain, so it never prices above the plan it started from.
     * If that plan is still above the bound, :func:`_prove` steps up the
       gap between them on the bound's penalties until three quarters of
       the limit (``_PROOF_SHARE``). A proof that finishes makes the run
@@ -1367,10 +1355,10 @@ def _finish(model, backend, routes, bound, nodes, start_time, time_limit) -> Exa
       plan that meets the bound runs neither the proof nor the iterated
       polish.
     * Only a proof that gives up, at its deadline or its cap, hands the
-      rest of the limit to :func:`_iterate`, from the priced polished plan
-      and with the bound, at which it stops: the larger of the bound and
-      the one the proof's refuted steps raised. Its plan replaces the held
-      one unless that prices lower.
+      rest of the limit to :func:`_iterate`, from the polished plan and
+      with the bound, at which it stops: the larger of the bound and the
+      one the proof's refuted steps raised. Its plan is the run's: it
+      returns its start unless a round priced strictly lower.
 
     Each phase stops at its share or on its own count, whichever comes
     first. Every phase reads the clock often (each one's docstring says
@@ -1388,16 +1376,15 @@ def _finish(model, backend, routes, bound, nodes, start_time, time_limit) -> Exa
     (:class:`ExactResult` says what each means). The clock is read once,
     after pricing."""
     instance, m, window = model.instance, model.m, (model.min_customers, model.max_customers)
-    start = None if bound is None else nearest_node(instance, m)
-    plan = evaluate_plan(instance, routes) if routes else start
-    if bound is not None:
+    if bound is None:
+        plan = evaluate_plan(instance, routes)
+    else:
+        start = nearest_node(instance, m)
         dual, penalty = qroute_bound(instance, m, *window, start.total_distance,
                                      start_time + _BOUND_SHARE * time_limit)
         bound = max(bound, _root_bound(instance.matrix, m), dual)
         deadline = start_time + time_limit
-        once = _polish(instance, plan.routes, *window, deadline)
-        if once.total_distance <= plan.total_distance:  # never above the incumbent
-            plan = once
+        plan = _polish(instance, routes or start.routes, *window, deadline)
         if plan.total_distance > bound + _EPS:
             proven, raised = _prove(instance, m, *window, penalty, plan, bound,
                                     start_time + _PROOF_SHARE * time_limit)
@@ -1405,9 +1392,7 @@ def _finish(model, backend, routes, bound, nodes, start_time, time_limit) -> Exa
                 plan, bound = proven, None
             else:
                 bound = max(bound, raised)
-                polished = _iterate(instance, once, *window, deadline, bound)
-                if polished.total_distance <= plan.total_distance:
-                    plan = polished
+                plan = _iterate(instance, plan, *window, deadline, bound)
     if bound is None or plan.total_distance <= bound + _EPS:
         status, bound = SolveStatus.OPTIMAL, plan.total_distance
     else:

@@ -1228,14 +1228,20 @@ def test_finish_reports_a_polished_plan_at_its_bound_as_optimal(monkeypatch):
     assert result.status is SolveStatus.OPTIMAL
     assert check_solution(model, result.best) == (True, [])
     assert result.lower_bound == result.objective == optimum.objective
-    # an improved plan that prices higher gives way to the incumbent
-    monkeypatch.setattr(exact, "_iterate", lambda *args: warm)
-    bound = optimum.objective - 1.0
-    result = exact._finish(model, "branch_and_bound", optimum.best.routes, bound,
-                           7, time.perf_counter(), 60.0)
-    assert result.status is SolveStatus.FEASIBLE_TIME_LIMIT
-    assert result.best == optimum.best
-    assert result.lower_bound == bound < result.objective
+    # _finish takes each polish's plan as returned: the polish applies only
+    # moves that gain, and the iterated polish returns its start unless a
+    # round priced strictly lower, so neither prices above its start. On
+    # bays29 and a 40-node grid, stopped early or ending on their own counts
+    grid = generate_uniform_instance(GridSpec(40, 100, 1))
+    for inst, m, window in [(mtspkit.load_bundled("bays29"), 4, (4, 8)),
+                            (grid, 3, default_window(grid.n, 3))]:
+        start = nearest_node(inst, m)
+        for later in (0.005, np.inf):
+            deadline = time.perf_counter() + later
+            once = exact._polish(inst, start.routes, *window, deadline)
+            assert once.total_distance <= start.total_distance
+            again = exact._iterate(inst, once, *window, deadline, -np.inf)
+            assert again.total_distance <= once.total_distance
 
 
 def test_finish_at_its_bound_runs_neither_the_proof_nor_the_iterated_polish(monkeypatch):
@@ -1917,9 +1923,9 @@ def test_the_proof_gives_up_at_every_clock_read_and_cap(monkeypatch):
         assert exact._prove(inst, 4, 4, 8, penalty, once, 2569.0, np.inf) == (None, 2569.0)
     # the pool past its deadline at each of its clock reads, on the spot.
     # _route_pools reads once per backward label layer; a pool that finishes
-    # then reads 30 times: once per size while it tables the completions (8),
-    # once per label layer (8), and once per block of sorted rows (1), of
-    # candidates (8) and of routes read back (5, one per size from 4 to 8)
+    # then reads 29 times: once per size while it tables the completions (8),
+    # once per label layer (8), and once per block of candidates (8) and of
+    # routes read back (5, one per size from 4 to 8)
     _, hi = exact._route_sizes(inst.n - 1, 4, 4, 8)
     reads, late = [], np.inf
 
@@ -1931,8 +1937,8 @@ def test_the_proof_gives_up_at_every_clock_read_and_cap(monkeypatch):
     _, pool_at = exact._route_pools(inst, 4, 4, 8, penalty, 0.5)
     assert len(reads) == hi
     assert len(pool_at(budget, slack)) == 2461
-    assert len(reads) == hi + 30
-    for late in range(hi + 1, hi + 31):
+    assert len(reads) == hi + 29
+    for late in range(hi + 1, hi + 30):
         del reads[:]
         _, pool_at = exact._route_pools(inst, 4, 4, 8, penalty, 0.5)
         assert len(reads) == hi
@@ -2017,26 +2023,35 @@ def test_the_layered_pool_keeps_its_clock_and_memory(monkeypatch):
     # far too large to enumerate. The clock stands still while the backward
     # labels are built, then each pool gets 0.05 s, or no limit, and gives
     # up, at its deadline or at its count, within the margin of the
-    # time-limit tests above. Its tracemalloc peak stays under the bound
-    # the _route_pools docstring states: 8 (2 ceil(k/64) + 20) _POOL_CAP
-    # bytes, plus its completion table, one block's arrays and the pool it
-    # returns (about 10 MB together here)
+    # time-limit tests above. Its tracemalloc peak, with the backward labels
+    # and the successor rows, stays under the bound the _route_pools
+    # docstring states: 8 (2 ceil(k/64) + 20) _POOL_CAP bytes, plus its
+    # completion table, one block's arrays and the pool it returns (about
+    # 10 MB together here). The grid's sets take 7 words.
+    # At 725 customers the k² successor-row entries alone pass the cap, so
+    # no pool starts and no clock is read. At 724 the backward labels start
+    # and give up at their first clock read, past a deadline already gone
     eil51 = mtspkit.load_bundled("eil51")
-    grid = generate_uniform_instance(GridSpec(2000, 100, 1))
-    started = []
+    grid = generate_uniform_instance(GridSpec(400, 100, 1))
+    started, reads = [], []
 
     def clock():
+        reads.append(len(reads))
         return time.perf_counter() - started[0] if started else 0.0
 
     monkeypatch.setattr(exact, "time", SimpleNamespace(perf_counter=clock))
-    for inst, m, limit in [(eil51, 2, 0.05), (eil51, 2, np.inf), (grid, 200, 0.05)]:
+    for n, read in [(726, []), (725, [0])]:
+        edge = generate_uniform_instance(GridSpec(n, 100, 1))
+        assert exact._route_pools(edge, 4, *default_window(n, 4), np.zeros(n - 1), -1.0) is None
+        assert reads == read
+    for inst, m, limit in [(eil51, 2, 0.05), (eil51, 2, np.inf), (grid, 40, 0.05)]:
         k, window = inst.n - 1, default_window(inst.n, m)
         budget = nearest_node(inst, m).total_distance
         del started[:]
-        _, pool_at = exact._route_pools(inst, m, *window, np.zeros(k), limit)
         tracemalloc.start()
-        started.append(time.perf_counter())
         try:
+            _, pool_at = exact._route_pools(inst, m, *window, np.zeros(k), limit)
+            started.append(time.perf_counter())
             assert pool_at(budget, 1e-7 * budget) is None
             elapsed = clock()
             _, peak = tracemalloc.get_traced_memory()

@@ -16,7 +16,7 @@ The bracketing runs above the subset DP's cap take at most the fixed
 2 s ``TIME_BUDGET``; the far-limit runs end when their phases do (bays29
 in 0.3-0.5 s and eil51 in 1.6-2.2 s on a 2-CPU Xeon VM). So do 27 proofs
 on widened windows, which must read their recorded optima, at most 0.33 s
-each.
+each, and 37 on default windows, 0.09-1.7 s each.
 """
 
 import itertools
@@ -169,17 +169,40 @@ WIDE_OPTIMA = {
 }
 
 
+# gNsSmM on the default window (default_window(N, M)): the 37 of the 60
+# cases N 20, 25, 30, 40 and 50, M 2-5 and seeds 1-3 that the proof closes
+# (BENCH_rows.json); the other 23 give up at the pool's cap
+DEFAULT_OPTIMA = {
+    "g20s1m2": 431.0141, "g20s2m2": 473.2863, "g20s3m2": 445.7740,
+    "g20s1m3": 470.3176, "g20s2m3": 547.2158, "g20s3m3": 563.4355,
+    "g20s1m4": 542.6498, "g20s2m4": 628.3465, "g20s3m4": 660.6393,
+    "g20s1m5": 607.4114, "g20s2m5": 707.2826, "g20s3m5": 758.9819,
+    "g25s1m2": 475.6216, "g25s2m2": 495.2461, "g25s1m3": 535.1658,
+    "g25s2m3": 570.8777, "g25s3m3": 634.5349, "g25s1m4": 586.9494,
+    "g25s2m4": 654.2754, "g25s3m4": 759.6676, "g25s1m5": 646.5768,
+    "g25s2m5": 724.7971, "g25s3m5": 827.8106, "g30s2m2": 502.3953,
+    "g30s1m3": 555.1405, "g30s2m3": 585.0634, "g30s3m3": 644.5345,
+    "g30s1m4": 607.7621, "g30s2m4": 679.1364, "g30s3m4": 774.1732,
+    "g30s1m5": 677.3820, "g30s2m5": 752.9712, "g30s3m5": 881.7745,
+    "g40s2m2": 523.3290, "g40s1m4": 643.6510, "g40s1m5": 713.2486,
+    "g40s2m5": 789.1458,
+}
+
+
 def test_the_proof_reads_the_widened_window_optima(long_enabled):
-    # at a limit no phase reaches, every one of the 27 cases is proven, the
-    # partition being exhaustive (4-7 s in all on a 2-CPU Xeon VM)
-    for name, objective in WIDE_OPTIMA.items():
-        n, seed, m = map(int, name[1:].replace("s", " ").replace("m", " ").split())
-        window = (1, -(-(n - 1) // m) + 2)
-        result = exact.solve(mk.generate_uniform_instance(mk.GridSpec(n, 100, seed)), m,
-                             *window, time_limit=1e6)
-        assert result.status is mk.SolveStatus.OPTIMAL, name
-        assert result.lower_bound == result.objective, name
-        assert round(result.objective, 4) == objective, name
+    # at a limit no phase reaches, every one of the 27 widened-window cases
+    # and the 37 default-window ones is proven, the partition being
+    # exhaustive (about 15 s in all on a 2-CPU Xeon VM, 9-10 s of it on the
+    # default windows)
+    for optima, widened in ((WIDE_OPTIMA, True), (DEFAULT_OPTIMA, False)):
+        for name, objective in optima.items():
+            n, seed, m = map(int, name[1:].replace("s", " ").replace("m", " ").split())
+            window = (1, -(-(n - 1) // m) + 2) if widened else default_window(n, m)
+            result = exact.solve(mk.generate_uniform_instance(mk.GridSpec(n, 100, seed)), m,
+                                 *window, time_limit=1e6)
+            assert result.status is mk.SolveStatus.OPTIMAL, name
+            assert result.lower_bound == result.objective, name
+            assert round(result.objective, 4) == objective, name
 
 
 @pytest.mark.parametrize(
