@@ -26,7 +26,7 @@ from .instance import (
     parse_tsplib,
     rng_from_seed,
 )
-from .heuristics import BalancePlan, balance_plan, closest_vehicle, nearest_node
+from .heuristics import balance_plan, closest_vehicle, nearest_node
 from .exact import (
     ExactResult,
     InfeasibleModelError,

@@ -24,7 +24,8 @@ from .distlaw import (
 )
 from .exact import ExactResult, InfeasibleModelError
 from .instance import (
-    _DATA_DIR, GridSpec, Instance, RoutePlan, derive_seed, generate_uniform_instance, write_csv,
+    _DATA_DIR, GridSpec, Instance, RoutePlan, _integer, derive_seed, generate_uniform_instance,
+    write_csv,
 )
 
 REFERENCE_GRID_CSV = _DATA_DIR / "heuristic_grid_means.csv"
@@ -42,6 +43,11 @@ class ExperimentConfig:
     algorithms: tuple[str, ...] = ("nearest", "closest")
 
     def __post_init__(self):
+        for name in ("samples", "grid_max", "base_seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name in ("sizes", "m_values"):
+            values = tuple(_integer(v, f"{name} value") for v in getattr(self, name))
+            object.__setattr__(self, name, values)
         if self.samples < 2:
             raise ValueError("need at least 2 samples per cell")
         if not self.sizes:
@@ -166,10 +172,10 @@ class ComparisonRow:
 
 def default_window(n: int, m: int) -> tuple[int, int]:
     """Route-size window used for exact runs unless overridden: the tightest
-    one around the balanced split, ``L = ceil((n-1)/m)`` and ``K = max(L-1, 1)``.
-    :func:`heuristics.balance_plan` rejects ``m < 1`` and more routes than
-    customers."""
-    upper = heuristics.balance_plan(n, m).quota_upper
+    one around the balanced split. ``L`` is the first, largest quota of
+    :func:`heuristics.balance_plan`, ``ceil((n-1)/m)``, and ``K = max(L-1, 1)``;
+    ``balance_plan`` rejects ``m < 1`` and more routes than customers."""
+    upper = int(heuristics.balance_plan(n, m)[0])
     return max(upper - 1, 1), upper
 
 

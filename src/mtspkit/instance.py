@@ -320,23 +320,38 @@ def left_fold(values) -> float:
     return functools.reduce(operator.add, values, 0.0)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int through ``operator.index``, so numpy
+    integers pass and floats, even integral ones, do not; the error names
+    the field."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # seeded generation
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform instance spec: n nodes i.i.d. on the integer grid {1..grid_max}^2."""
+    """Uniform instance spec: n nodes i.i.d. on the integer grid {1..grid_max}^2.
+
+    Each field is read through ``operator.index`` and kept as a Python int.
+    """
 
     n: int
     grid_max: int
     seed: int
 
     def __post_init__(self):
+        for name in ("n", "grid_max", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n < 3:
             raise ValueError("n must be at least 3")
         if self.grid_max < 2:
             raise ValueError("grid_max must be at least 2")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
@@ -402,6 +417,10 @@ def parse_tsplib(text: str, rounding: str = "none") -> Instance:
     is None), even where they disagree with the weights. The rows of a
     DISPLAY_DATA_SECTION, in either file type, are checked and dropped the
     same way.
+
+    ``rounding`` must be ``"none"`` or ``"integer"`` for either file type,
+    else :class:`ValueError`. It rounds EUC_2D distances; an EXPLICIT
+    file's weights are kept as given under either mode.
     """
     lines = text.splitlines()
     values = {}  # keyword -> its value
@@ -461,7 +480,7 @@ def parse_tsplib(text: str, rounding: str = "none") -> Instance:
         return Instance(values["NAME"], coords=coords, rounding=rounding)
     if weights is None:
         raise ParseError("EXPLICIT file has no EDGE_WEIGHT_SECTION")
-    return Instance(values["NAME"], weights)
+    return Instance(values["NAME"], weights, rounding=rounding)
 
 
 def _parse_int(token: str, lineno: int) -> int:

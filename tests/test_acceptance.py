@@ -97,14 +97,15 @@ def test_criterion_1_reference_instance(garn9):
 def test_criterion_2_balance_arithmetic():
     with criterion(2, "balance quotas cover every customer exactly"):
         start = time.perf_counter()
-        assert mk.balance_plan(9, 2).quota(1) == 4
+        assert mk.balance_plan(9, 2)[0] == 4
         for n in range(3, 201):
             for m in range(1, n):
-                bp = mk.balance_plan(n, m)
-                covered = bp.larger_count * bp.quota_upper + (
-                    m - bp.larger_count
-                ) * bp.quota_lower
-                assert covered == n - 1
+                # the quotas sum to n - 1 and differ by at most one, larger first
+                quotas = mk.balance_plan(n, m)
+                assert len(quotas) == m
+                assert quotas.sum() == n - 1
+                assert quotas[0] - quotas[-1] in (0, 1)
+                assert np.all(np.diff(quotas) <= 0)
         assert time.perf_counter() - start < 1.0
 
 
@@ -150,10 +151,7 @@ def test_criterion_4_oracle_equivalence():
             n = 6 + seed % 3
             m = 1 + seed % 2
             inst = mk.generate_uniform_instance(mk.GridSpec(n, 100, 1000 + seed))
-            bp = mk.balance_plan(n, m)
-            lo, hi = bp.quota_lower, bp.quota_upper
-            if lo == hi:
-                lo = max(1, lo - 1)
+            lo, hi = mk.bench.default_window(n, m)
             if seed % 4 >= 2:  # alternate tight and widened windows
                 lo, hi = max(1, lo - 1), min(n - 1, hi + 1)
             model = mk.exact.build_model(inst, m, lo, hi, warm_start=mk.nearest_node(inst, m))
@@ -289,10 +287,10 @@ def test_criterion_9_property_suites(garn9):
         for seed in (1, 2, 3):
             small = mk.generate_uniform_instance(mk.GridSpec(8, 100, seed))
             warm = mk.nearest_node(small, 2)
-            bp = mk.balance_plan(small.n, 2)
+            q = mk.balance_plan(small.n, 2)
             result = mk.exact.solve_exact(
-                mk.exact.build_model(small, 2, max(1, bp.quota_lower - 1),
-                               bp.quota_upper + 1, warm_start=warm)
+                mk.exact.build_model(small, 2, max(1, q.min() - 1),
+                               q.max() + 1, warm_start=warm)
             )
             assert result.objective <= warm.total_distance + 1e-9
 

@@ -54,6 +54,35 @@ def test_config_rejects_repeated_axis_values(axis):
         ExperimentConfig(**{"samples": 3, "algorithms": ("nearest",), **axis})
 
 
+@pytest.mark.parametrize(
+    "fields,name",
+    [
+        ({"samples": 2.5}, "samples"),
+        ({"samples": 3.0}, "samples"),
+        ({"grid_max": 100.5}, "grid_max"),
+        ({"base_seed": 1.5}, "base_seed"),
+        ({"sizes": (10.5,)}, "sizes value"),
+        ({"sizes": (10, 20.0)}, "sizes value"),
+        ({"m_values": (2.0,)}, "m_values value"),
+    ],
+)
+def test_config_reads_integers(fields, name):
+    # each would otherwise fail mid-run, or run a whole grid on a float
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+        ExperimentConfig(**{"sizes": (10,), "m_values": (2,), "samples": 2, **fields})
+
+
+def test_config_takes_numpy_integers():
+    config = ExperimentConfig(
+        sizes=(np.int64(20),), m_values=[np.int32(2)], samples=np.int64(2),
+        grid_max=np.uint16(100), base_seed=np.int64(9),
+    )
+    assert config == TINY
+    assert all(type(v) is int for v in (*config.sizes, *config.m_values, config.samples,
+                                        config.grid_max, config.base_seed))
+    assert run_experiment(config) == run_experiment(TINY)
+
+
 def test_experiment_solve_count(monkeypatch):
     calls = {"nearest": 0, "closest": 0}
 

@@ -26,7 +26,6 @@ from mtspkit import (
     Instance,
     RoutePlan,
     SolveStatus,
-    balance_plan,
     brute_force_oracle,
     check_solution,
     evaluate_plan,
@@ -48,10 +47,7 @@ from mtspkit.instance import PlanError, plan_tour, rng_from_seed
 
 
 def _window(inst, m, widen=0):
-    bp = balance_plan(inst.n, m)
-    lo, hi = bp.quota_lower, bp.quota_upper
-    if lo == hi:
-        lo = max(1, lo - 1)
+    lo, hi = default_window(inst.n, m)
     return max(1, lo - widen), min(inst.n - 1, hi + widen)
 
 

@@ -11,37 +11,33 @@ from mtspkit import (
     nearest_node,
 )
 from mtspkit import heuristics, kernels
-from mtspkit.heuristics import BalancePlan
 
 
 def test_balance_even_split():
-    bp = balance_plan(9, 2)
-    assert (bp.larger_count, bp.quota_upper, bp.quota_lower) == (0, 4, 4)
-    assert bp.quota(1) == bp.quota(2) == 4
+    quotas = balance_plan(9, 2)
+    assert quotas.dtype == np.int64
+    assert quotas.tolist() == [4, 4]
 
 
 def test_balance_single_salesman():
-    bp = balance_plan(9, 1)
-    assert bp.larger_count == 0
-    assert bp.quota(1) == 8
+    assert balance_plan(9, 1).tolist() == [8]
 
 
 def test_balance_uneven_split():
-    bp = balance_plan(14, 3)
-    assert (bp.larger_count, bp.quota_upper, bp.quota_lower) == (1, 5, 4)
     assert 1 * 5 + 2 * 4 == 13
-    assert list(bp.quotas()) == [5, 4, 4]
+    assert balance_plan(14, 3).tolist() == [5, 4, 4]
+    assert balance_plan(np.int64(14), np.uint8(3)).tolist() == [5, 4, 4]
 
 
 def test_balance_covers_all_customers_exactly():
     for n in range(3, 201):
         for m in range(1, n):
-            bp = balance_plan(n, m)
-            assert bp.larger_count * bp.quota_upper + (
-                m - bp.larger_count
-            ) * bp.quota_lower == n - 1
-            assert 0 <= bp.larger_count < m
-            assert bp.quota_upper - bp.quota_lower in (0, 1)
+            q = balance_plan(n, m)
+            assert len(q) == m
+            assert q.sum() == n - 1
+            assert q.max() - q.min() in (0, 1)
+            assert np.all(np.diff(q) <= 0)  # larger quotas first
+            assert q[0] == -((n - 1) // -m) and q[-1] == (n - 1) // m
 
 
 def test_balance_errors():
@@ -49,8 +45,9 @@ def test_balance_errors():
         balance_plan(9, 9)
     with pytest.raises(ValueError):
         balance_plan(9, 0)
-    with pytest.raises(ValueError):
-        BalancePlan(2, 0, 4, 4).quota(3)
+    for n, m, name in ((9.0, 2, "n"), (9, 2.0, "m"), (9, 2.5, "m"), ("9", 2, "n")):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+            balance_plan(n, m)
 
 
 def test_nearest_node_reference_routes(garn9):
@@ -92,15 +89,31 @@ def test_star_tie_breaks_are_canonical():
     assert close.routes == ((1, 2, 4, 1), (1, 3, 5, 1))
 
 
+def _asymmetric_instance(n, seed):
+    rng = np.random.default_rng(seed)
+    mat = rng.integers(1, 50, size=(n, n)).astype(np.float64)
+    np.fill_diagonal(mat, np.inf)
+    return Instance(f"asym{n}", mat)
+
+
 def test_quota_counts_and_coverage():
-    inst = generate_uniform_instance(GridSpec(23, 100, 11))
-    for m in (1, 2, 3, 5):
-        quotas = balance_plan(inst.n, m).quotas()
-        for plan in (nearest_node(inst, m), closest_vehicle(inst, m)):
-            assert list(plan.customer_counts()) == list(quotas)
-            assert plan.total_distance == pytest.approx(
-                sum(plan.per_route_distance), rel=1e-9
-            )
+    instances = [
+        generate_uniform_instance(GridSpec(23, 100, 11)),
+        # a 3 x 3 grid for 23 nodes: many coincident nodes, many tied scans
+        *(generate_uniform_instance(GridSpec(23, 3, s)) for s in range(3)),
+        _asymmetric_instance(23, 5),
+    ]
+    for inst in instances:
+        for m in (1, 2, 3, 5, 7, inst.n - 1):  # m = n - 1: every quota is 1
+            quotas = balance_plan(inst.n, m)
+            assert np.all(np.diff(quotas) <= 0)  # larger quotas first
+            for plan in (nearest_node(inst, m), closest_vehicle(inst, m)):
+                assert list(plan.customer_counts()) == quotas.tolist()
+                visited = sorted(v for r in plan.routes for v in r[1:-1])
+                assert visited == list(range(2, inst.n + 1))
+                assert plan.total_distance == pytest.approx(
+                    sum(plan.per_route_distance), rel=1e-9
+                )
 
 
 def test_runs_are_deterministic():
@@ -130,7 +143,7 @@ def test_asymmetric_matrix_uses_row_of_current_node():
 def test_scan_work_stays_quadratic():
     inst = generate_uniform_instance(GridSpec(500, 100, 1))
     n = inst.n
-    quotas = balance_plan(n, 7).quotas()
+    quotas = balance_plan(n, 7)
     _, scans = kernels.nearest_order(inst.matrix, quotas)
     assert scans <= n * n
     _, _, scans = kernels.closest_order(inst.matrix, quotas)
@@ -141,8 +154,8 @@ def test_heuristics_never_beat_the_oracle():
     for seed in range(6):
         inst = generate_uniform_instance(GridSpec(8, 100, seed + 100))
         for m in (1, 2):
-            bp = balance_plan(inst.n, m)
-            best = brute_force_oracle(inst, m, bp.quota_lower, bp.quota_upper)
+            q = balance_plan(inst.n, m)
+            best = brute_force_oracle(inst, m, q.min(), q.max())
             assert nearest_node(inst, m).total_distance >= best.objective - 1e-9
             assert closest_vehicle(inst, m).total_distance >= best.objective - 1e-9
 

@@ -455,6 +455,41 @@ def test_csv_round_trip(garn9):
 
 
 
+EXPLICIT_HALVES = """\
+NAME : halves
+TYPE : TSP
+DIMENSION : 3
+EDGE_WEIGHT_TYPE : EXPLICIT
+EDGE_WEIGHT_FORMAT : UPPER_ROW
+EDGE_WEIGHT_SECTION
+1.5 2.5
+3.5
+EOF
+"""
+
+
+def test_explicit_files_check_the_rounding_and_keep_their_weights(tmp_path):
+    # an unknown mode fails for EXPLICIT files as for EUC_2D ones
+    bays29 = bundled_path("bays29").read_text()
+    for parse in (
+        lambda: parse_tsplib(bays29, rounding="foo"),
+        lambda: load_instance(bundled_path("bays29"), rounding="foo"),
+        lambda: parse_tsplib(EXPLICIT_HALVES, rounding="foo"),
+        lambda: parse_tsplib(TRIANGLE, rounding="foo"),
+    ):
+        with pytest.raises(ValueError, match="^unknown rounding mode 'foo'$"):
+            parse()
+    # "integer" rounds distances built from coordinates, never given weights
+    path = tmp_path / "halves.tsp"
+    path.write_text(EXPLICIT_HALVES)
+    for rounding in ("none", "integer"):
+        for inst in (parse_tsplib(EXPLICIT_HALVES, rounding=rounding),
+                     load_instance(path, rounding=rounding)):
+            assert inst.coords is None
+            assert inst.matrix[0, 1] == inst.matrix[1, 0] == 1.5
+            assert inst.matrix[0, 2] == 2.5 and inst.matrix[1, 2] == 3.5
+
+
 def test_csv_load_keeps_the_rounding(tmp_path):
     # the same coordinates as CSV and as TSPLIB give the same rounded matrix
     gen = generate_uniform_instance(GridSpec(12, 100, 3))
@@ -512,6 +547,30 @@ def test_dumping_needs_coordinates(dump):
 def test_grid_spec_rejects_bad_fields(fields, fragment):
     with pytest.raises(ValueError, match=fragment):
         GridSpec(*fields)
+
+
+@pytest.mark.parametrize(
+    "fields,name",
+    [
+        ((5.0, 10, 1), "n"),
+        ((5, 10.5, 1), "grid_max"),
+        ((5, 10, -0.5), "seed"),  # int(-0.5) == 0 would pass the range check
+        ((5, 10, 1.0), "seed"),
+        ((5, "10", 1), "grid_max"),
+    ],
+)
+def test_grid_spec_reads_integers(fields, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+        GridSpec(*fields)
+
+
+def test_grid_spec_takes_numpy_integers():
+    spec = GridSpec(np.int64(12), np.int32(100), np.uint64(3))
+    assert spec == GridSpec(12, 100, 3)
+    assert all(type(v) is int for v in (spec.n, spec.grid_max, spec.seed))
+    a = generate_uniform_instance(spec)
+    b = generate_uniform_instance(GridSpec(12, 100, 3))
+    assert a.name == b.name and np.array_equal(a.coords, b.coords)
 
 
 def test_unknown_bundled_name_is_named():
