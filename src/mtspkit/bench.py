@@ -63,6 +63,22 @@ class ExperimentConfig:
         unknown = set(self.algorithms) - set(heuristics.ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
+        # the rules each cell's seed, GridSpec and balance_plan apply, checked
+        # before the first instance is drawn; an m at or above a size keeps
+        # balance_plan's InfeasibleModelError and message (it names the
+        # salesmen and customers), which the CLI reports with exit code 2
+        for name, check, *args in (
+            ("grid_max", GridSpec, 3, self.grid_max, 0),
+            ("base_seed", derive_seed, self.base_seed),
+            *(("sizes", GridSpec, t, self.grid_max, 0) for t in self.sizes),
+            *(("m_values", heuristics.balance_plan, min(self.sizes), m) for m in self.m_values),
+        ):
+            try:
+                check(*args)
+            except InfeasibleModelError:
+                raise
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
 
 
 def run_experiment(config: ExperimentConfig) -> list[SummaryRow]:

@@ -83,9 +83,9 @@ class ExactResult:
     ``lower_bound == objective``. ``FEASIBLE_TIME_LIMIT`` means not proven,
     with a valid ``lower_bound`` below ``objective`` (:func:`_finish` sets
     it). Despite the name, the limit need not have stopped the run: either
-    it did, or every phase of the ending stopped on its own count first
-    (the q-route bound's stop rule, the proof's ``_POOL_CAP``, the iterated
-    polish's ``_STALL_ROUNDS``) and the run returned before its limit. A
+    it did, or every phase of the ending ended before it (the q-route
+    bound at its stop rule, the proof at ``_POOL_CAP``, the iterated polish
+    at ``_STALL_ROUNDS``) and the run returned before its limit. A
     window that cannot cover the customers raises ``InfeasibleModelError``
     before any work, so no result is infeasible."""
 
@@ -321,9 +321,11 @@ def solve_exact(model: ExactModel, time_limit: float | None = None) -> ExactResu
     Above ``ORACLE_MAX_N`` nodes the run must have a finite limit, and
     one of ``None`` or ``inf`` is refused as soon as it is read: the
     ending's phases run until shares of the limit. Under ``inf`` every
-    share is ``inf`` and every phase still ends on its own count (the
-    bound's ``_EPS``/2 stop, the polish's local optimum, ``_POOL_CAP``,
-    ``_STALL_ROUNDS``); the refusal is for cost: the q-route bound alone
+    share is ``inf`` and every phase still ends without the clock: the
+    bound at its ``_EPS``/2 stop, the polish at a local optimum, a proof
+    step's pool at ``_POOL_CAP``, the iterated polish at ``_STALL_ROUNDS``,
+    and the proof's partition, which has no count of its own, when its
+    search completes. The refusal is for cost: the q-route bound alone
     would run 0.79-10.7 s at n = 100-200 (BENCH_qroute_step.json,
     ``no_deadline_s``).
 
@@ -1361,11 +1363,12 @@ def _finish(model, backend, routes, bound, nodes, start_time, time_limit) -> Exa
       returns its start unless a round priced strictly lower.
 
     Each phase stops at its share or on its own count, whichever comes
-    first. Every phase reads the clock often (each one's docstring says
-    where); the last to run, a polish, reads it before its tour-order
-    gather and each row block (:func:`_best_move`). So a run ends at most
-    one gather plus one row block past its limit (BENCH_ending.json,
-    ``overshoot_parts_n2000``).
+    first; the proof's partition has no count of its own, and completes
+    its search or gives up at its clock. Every phase reads the clock often
+    (each one's docstring says where); the last to run, a polish, reads it
+    before its tour-order gather and each row block (:func:`_best_move`).
+    So a run ends at most one gather plus one row block past its limit
+    (BENCH_ending.json, ``overshoot_parts_n2000``).
     A run that reaches this point past its limit, as a stopped subset DP
     does, finds every phase's first clock read past its share: it reports
     :func:`_root_bound` and returns its plan as it is.

@@ -38,31 +38,23 @@ def balance_plan(n: int, m: int) -> np.ndarray:
     return quotas
 
 
+def _plan(instance: Instance, kernel, m: int) -> RoutePlan:
+    """Evaluate the routes ``kernel`` builds on the balanced quotas, each
+    closed at the depot at both ends."""
+    routes, _ = kernel(instance.matrix, balance_plan(instance.n, m))
+    return evaluate_plan(instance, [[1, *r, 1] for r in routes])
+
+
 def nearest_node(instance: Instance, m: int) -> RoutePlan:
     """Build routes one salesman at a time, always hopping to the nearest
     unvisited node, closing each route at the depot once its quota is met."""
-    quotas = balance_plan(instance.n, m)
-    order, _ = kernels.nearest_order(instance.matrix, quotas)
-    nodes = (order + 1).tolist()
-    routes = []
-    start = 0
-    for quota in quotas.tolist():
-        routes.append([1, *nodes[start : start + quota], 1])
-        start += quota
-    return evaluate_plan(instance, routes)
+    return _plan(instance, kernels.nearest_order, m)
 
 
 def closest_vehicle(instance: Instance, m: int) -> RoutePlan:
     """Grow all routes at once: each step assigns the globally cheapest
     (vehicle, unvisited node) pair, skipping vehicles already at quota."""
-    quotas = balance_plan(instance.n, m)
-    order, vehicle, _ = kernels.closest_order(instance.matrix, quotas)
-    routes = [[1] for _ in range(m)]
-    for t, k in zip(order, vehicle):
-        routes[k].append(t + 1)
-    for r in routes:
-        r.append(1)
-    return evaluate_plan(instance, routes)
+    return _plan(instance, kernels.closest_order, m)
 
 
 ALGORITHMS = {

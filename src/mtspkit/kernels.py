@@ -24,11 +24,13 @@ finite candidate is left.
 Both kernels take a float64 distance matrix whose diagonal holds ``inf``
 (the never-selectable sentinel), whose other entries are neither NaN nor
 ``-inf`` (``Instance`` guarantees both), and an int64 quota vector summing
-to ``n - 1``. Besides the visit order they return, last, the number of
-candidate (position, node) pairs a full scan would examine, which the tests
-use to bound the scan work. A scan set that stays in play for j steps
-examines ``j(n-1) - j(j-1)/2`` pairs, so the count is a closed form, not a
-per-step sum.
+to ``n - 1``. Both return ``(routes, scans)``: ``routes[k]`` is route k's
+customers as node labels (matrix index + 1) in visit order, depot left out,
+and ``scans`` is the number of candidate (position, node) pairs a full scan
+would examine, which the tests use to bound the scan work. A scan set that
+stays in play for j steps examines ``j(n-1) - j(j-1)/2`` pairs, so the count
+is a closed form, not a per-step sum. The tests compare both kernels' routes,
+tie-breaks and scan counts with plain loop oracles.
 """
 
 import numpy as np
@@ -42,9 +44,9 @@ def _scans(n, steps):
 def nearest_order(dist, quotas):
     """Sequential route building: always hop to the nearest unvisited node.
 
-    Ties break to the smallest node index. Returns ``(order, scans)`` where
-    ``order`` is an int64 array of the 0-based customers in visit order;
-    route k owns the slice of length ``quotas[k]``.
+    Ties break to the smallest node index. Route k takes the next
+    ``quotas[k]`` customers; the whole order is shifted to labels in one
+    numpy add and cut at the route ends the walk records.
     """
     n = dist.shape[0]
     inf = np.inf
@@ -54,6 +56,7 @@ def nearest_order(dist, quotas):
     row = np.empty(n)
     argmin = row.argmin
     order = []
+    ends = [0]
     for quota in quotas.tolist():
         here = dist[0]
         for _ in range(quota):
@@ -64,16 +67,18 @@ def nearest_order(dist, quotas):
             penalty[t] = inf
             order.append(t)
             here = dist[t]
-    return np.array(order, np.int64), _scans(n, len(order))
+        ends.append(len(order))
+    labels = (np.array(order, np.int64) + 1).tolist()
+    routes = [labels[a:b] for a, b in zip(ends, ends[1:])]
+    return routes, _scans(n, len(order))
 
 
 def closest_order(dist, quotas):
     """Simultaneous route building: globally cheapest (vehicle, node) next.
 
     Vehicles at quota drop out of the scan. Ties break to the smallest
-    vehicle index, then the smallest node index. Returns
-    ``(order, vehicle, scans)``, where ``order`` and ``vehicle`` are lists
-    of ints: step i moves vehicle ``vehicle[i]`` to customer ``order[i]``.
+    vehicle index, then the smallest node index. The step that moves
+    vehicle k to a customer appends the customer's label to ``routes[k]``.
     """
     n = dist.shape[0]
     inf = np.inf
@@ -89,14 +94,12 @@ def closest_order(dist, quotas):
     argmin = cand.argmin
     # steps each vehicle stays in the scan: until it fills, or to the end
     steps = [n - 1 if r > 0 else 0 for r in room]
-    order = []
-    vehicle = []
+    routes = [[] for _ in room]
     for step in range(n - 1):
         k, t = divmod(int(argmin()), n)  # row-major: vehicle first, then node
         if not t:
             raise ValueError("argmin scan found no selectable node")
-        order.append(t)
-        vehicle.append(k)
+        routes[k].append(t + 1)
         penalty[t] = inf
         cols[t].fill(inf)
         room[k] -= 1
@@ -105,4 +108,4 @@ def closest_order(dist, quotas):
         else:
             rows[k].fill(inf)
             steps[k] = step + 1
-    return order, vehicle, sum(_scans(n, s) for s in steps)
+    return routes, sum(_scans(n, s) for s in steps)

@@ -13,7 +13,7 @@ from mtspkit import (
     parse_tsplib,
     run_experiment,
 )
-from mtspkit import InfeasibleModelError, brute_force_oracle, heuristics
+from mtspkit import InfeasibleModelError, bench, brute_force_oracle, heuristics
 from mtspkit.bench import (
     ALGORITHMS,
     comparison_to_csv,
@@ -70,6 +70,27 @@ def test_config_reads_integers(fields, name):
     # each would otherwise fail mid-run, or run a whole grid on a float
     with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
         ExperimentConfig(**{"sizes": (10,), "m_values": (2,), "samples": 2, **fields})
+
+
+@pytest.mark.parametrize(
+    "fields,error,message",
+    [
+        ({"sizes": (300, 2)}, ValueError, "sizes: n must be at least 3"),
+        ({"m_values": (2, 0)}, ValueError, "m_values: need at least one salesman"),
+        ({"sizes": (300, 5), "m_values": (2, 5)}, InfeasibleModelError,
+         "5 salesmen but only 4 customers"),
+        ({"grid_max": 1}, ValueError, "grid_max: grid_max must be at least 2"),
+        ({"base_seed": -1}, ValueError, "base_seed: expected non-negative integer"),
+    ],
+)
+def test_config_rejects_a_bad_cell_before_any_instance(monkeypatch, fields, error, message):
+    # a bad last cell used to fail only after every earlier cell had run
+    drawn = []
+    monkeypatch.setattr(bench, "generate_uniform_instance", drawn.append)
+    with pytest.raises(error, match=f"^{message}$"):
+        run_experiment(ExperimentConfig(**{"sizes": (300,), "m_values": (2,), "samples": 2,
+                                           **fields}))
+    assert drawn == []
 
 
 def test_config_takes_numpy_integers():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mtspkit import SolveStatus, load_instance, parse_tsplib
-from mtspkit import cli, distlaw
+from mtspkit import bench, cli, distlaw
 from mtspkit.bench import default_window
 from mtspkit.cli import main
 from mtspkit.exact import ORACLE_MAX_N, build_model, solve_exact
@@ -109,6 +109,12 @@ def test_experiment_rejects_a_repeated_axis_value(capsys):
     assert code == 1
     assert out == ""
     assert "m_values repeats a value: [2, 2]" in err
+
+
+def test_experiment_rejects_a_bad_last_size_before_any_cell_runs(capsys, monkeypatch):
+    monkeypatch.setattr(bench, "run_experiment", lambda config: pytest.fail("grid ran"))
+    code, out, err = run(capsys, "experiment", "--sizes", "300,2", "--m", "2", "--samples", "2")
+    assert (code, out, err) == (1, "", "error: sizes: n must be at least 3\n")
 
 
 def test_compare_outputs(capsys, tmp_path):

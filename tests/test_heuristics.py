@@ -144,10 +144,10 @@ def test_scan_work_stays_quadratic():
     inst = generate_uniform_instance(GridSpec(500, 100, 1))
     n = inst.n
     quotas = balance_plan(n, 7)
-    _, scans = kernels.nearest_order(inst.matrix, quotas)
-    assert scans <= n * n
-    _, _, scans = kernels.closest_order(inst.matrix, quotas)
-    assert scans <= 2 * 7 * n * n
+    for kernel, cap in ((kernels.nearest_order, n * n), (kernels.closest_order, 2 * 7 * n * n)):
+        routes, scans = kernel(inst.matrix, quotas)
+        assert [len(r) for r in routes] == quotas.tolist()
+        assert scans <= cap
 
 
 def test_heuristics_never_beat_the_oracle():

@@ -104,20 +104,35 @@ def _outcome(build, mat, quotas):
         return None
 
 
+def _nearest_routes(quotas, order, scans):
+    """The nearest-node oracle's order cut into labelled routes by the quotas."""
+    ends = np.cumsum(quotas)
+    return [(seg + 1).tolist() for seg in np.split(order, ends[:-1])], scans
+
+
+def _closest_routes(quotas, order, vehicle, scans):
+    """The closest-vehicle oracle's steps grouped into labelled routes by vehicle."""
+    routes = [[] for _ in range(quotas.shape[0])]
+    for t, k in zip(order.tolist(), vehicle.tolist()):
+        routes[k].append(t + 1)
+    return routes, scans
+
+
 def _assert_kernels_match_oracle(mat, quotas):
-    """Each kernel returns what its loop oracle returns, ``scans`` included,
-    or both raise "no selectable node"."""
-    for kernel, oracle in (
-        (kernels.nearest_order, _nearest_loops),
-        (kernels.closest_order, _closest_loops),
+    """Each kernel returns what its loop oracle returns once the oracle's
+    output is grouped into labelled routes, ``scans`` included, or both
+    raise "no selectable node"."""
+    for kernel, oracle, group in (
+        (kernels.nearest_order, _nearest_loops, _nearest_routes),
+        (kernels.closest_order, _closest_loops, _closest_routes),
     ):
         got = _outcome(kernel, mat, quotas)
         want = _outcome(oracle, mat, quotas)
         assert (got is None) == (want is None)
         if want is not None:
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w)
+            routes, scans = got
+            assert all(type(v) is int for r in routes for v in r)
+            assert (routes, scans) == group(quotas, *want)
 
 
 @pytest.mark.parametrize("symmetric", [True, False])

@@ -9,7 +9,8 @@ bays29 (m=4) and eil51 (m=2) must bracket the published optimum, which
 is asserted only for a proven run, and an unproven one reports its gap.
 bays29 must be proven at its published optimum, and eil51 must read
 453.6272 over its converged bound 437.4498, at a limit no phase reaches
-(1e6 s), where every phase ends on its own count, so neither depends on
+(1e6 s), where every phase ends without the clock (on its own count, or
+the proof's partition when its search completes), so neither depends on
 the host's speed.
 
 The bracketing runs above the subset DP's cap take at most the fixed
@@ -128,7 +129,7 @@ def test_exact_medium_instances(
         # ~1880-1960 on bays29 and ~367-373 on eil51
         assert result.lower_bound > bound_floor
     if name == "bays29" and time_limit == TIME_BUDGET:
-        # the proof step proves it once every phase ends on its own count,
+        # the proof step proves it once no phase stops at the clock,
         # whatever the host's speed
         proven = exact.solve(inst, m, *window, time_limit=1e6)
         assert proven.status is mk.SolveStatus.OPTIMAL
@@ -144,7 +145,7 @@ def test_exact_medium_instances(
 
 
 def test_eil51_reads_its_converged_gap_at_a_limit_no_phase_reaches(long_enabled):
-    # eil51 (m=2, (24, 25)) once every phase ends on its own count: the
+    # eil51 (m=2, (24, 25)) once no phase stops at the clock: the
     # proof's steps refute every upper bound up to 437.4498, the next step's
     # pool passes _POOL_CAP, and the iterated polish stalls at 453.6272, a
     # 3.57% gap whatever the host's speed (1.6-2.2 s on a 2-CPU Xeon VM)
