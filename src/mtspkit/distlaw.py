@@ -15,8 +15,10 @@ Monte Carlo runs are chunked; chunk ``c`` draws from
 ``rng_from_seed(SeedSequence(seed, spawn_key=(c,)))`` and writes its
 minima into its own slice of one result buffer, so the result is a pure
 function of the seed no matter how many workers process the chunks. A run
-holds 4 bytes per repetition on int32 draws and 8 otherwise, plus one draw
-block per thread.
+holds the minima in the narrowest unsigned type that holds ``high - 1`` on
+an ``IntegerRange`` below ``2**31`` (one byte per repetition on the
+100-grid) and in float64 otherwise, plus one draw block of at most 4 MiB
+per thread.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ MIN_DIST_EXP = -0.949
 _REFERENCE_GRID = 100  # the constants above belong to the {1..100}^2 grid
 
 _CHUNK = 1 << 14
-_BLOCK = 1 << 20  # cloud points drawn at once
+_BLOCK = 1 << 22  # bytes of cloud points drawn at once
 _BINS = 100
 
 
@@ -380,8 +382,8 @@ def _histogram_result(values, reps, seed):
     top = float(values.max())
     span = (0.0, top if top > 0 else 1.0)
     # binned a chunk at a time, since np.histogram's temporaries take ~2 MB
-    # per 65,536 values; every slice gets the same edges, and int32 minima
-    # are cast to them exactly
+    # per 65,536 values; every slice gets the same edges, and unsigned
+    # minima are cast to them exactly
     counts = 0
     for lo in range(0, len(values), _CHUNK):
         part, edges = np.histogram(values[lo:lo + _CHUNK], _BINS, span)
@@ -401,10 +403,12 @@ def simulate_min_dist(
     ``random`` scaled by the sides: ``(count, 2)`` single points, then
     ``(count, n, 2)`` clouds.
 
-    The clouds are drawn in blocks of whole rows, at most ``2**20`` points
-    (one row when n is larger), so no buffer grows with n or with the
-    thread count. numpy fills an array in C order from one stream, so the
-    blocks hold exactly the values of one ``(count, n)`` draw.
+    The clouds are drawn in blocks of whole rows, at most 4 MiB of points
+    (one row when n is larger): ``2**20`` int32 points, ``2**19`` float64
+    or int64 points, ``2**18`` ``Rectangle`` pairs. So no buffer grows with
+    n or with the thread count. numpy fills an array in C order from one
+    stream, so the blocks hold exactly the values of one ``(count, n)``
+    draw.
 
     Each block's differences are taken in place in its own buffer. A
     ``Rectangle``'s are squared there and summed into the x plane as
@@ -417,14 +421,18 @@ def simulate_min_dist(
     All ``reps`` minima go into one buffer allocated before the first
     draw; chunk c fills its own slice ``[c * 16384, c * 16384 + count)``
     on whichever thread runs it, so the result does not depend on the
-    thread count. A run holds 4 bytes per repetition on int32 draws, whose
-    minima stay int32, and 8 otherwise (float64), plus one draw block per
-    thread. Int64 minima are converted to float64 once each; for every
-    ``high <= 2**53`` this equals converting the draws first, and above
-    that, converting first would round the draws before subtracting.
+    thread count. On int32 draws every minimum is an integer in
+    ``[0, high)``, so the buffer takes the narrowest unsigned type that
+    holds ``high - 1``: uint8 up to ``high = 256`` (the 100-grid's one byte
+    per repetition), uint16 up to ``65536`` and uint32 above. On int64
+    draws and real domains it is float64, 8 bytes per repetition. A run
+    holds that buffer plus one draw block per thread. Int64 minima are
+    converted to float64 once each; for every ``high <= 2**53`` this
+    equals converting the draws first, and above that, converting first
+    would round the draws before subtracting.
 
     The histogram casts the minima to its float64 edges exactly. The mean
-    sums them in float64, so on int32 minima it is bit-identical to the
+    sums them in float64, so on unsigned minima it is bit-identical to the
     float64 buffer's mean wherever that sum is exact: while the minima
     total at most ``2**53``. Beyond that (``high`` near ``2**31`` and
     millions of repetitions) the two sums round in a different order, and
@@ -440,7 +448,10 @@ def simulate_min_dist(
         def sample(rng, shape):
             return rng.random(shape)
     elif isinstance(domain, IntegerRange):
-        dtype, minima = (np.int32, np.int32) if domain.high < 2**31 else (np.int64, np.float64)
+        if domain.high < 2**31:
+            dtype, minima = np.int32, np.min_scalar_type(domain.high - 1)
+        else:
+            dtype = np.int64
 
         def sample(rng, shape):
             return rng.integers(1, domain.high + 1, shape, dtype=dtype)
@@ -466,10 +477,10 @@ def simulate_min_dist(
         np.abs(ys, out=ys)
         return ys.min(axis=1)
 
-    rows = max(1, _BLOCK // n)
-
     def draw(rng, out):
         x = sample(rng, out.shape)
+        # a cloud point takes as many bytes as one of the single points
+        rows = max(1, _BLOCK // (x.nbytes // len(x) * n))
         for lo in range(0, len(out), rows):
             here = x[lo:lo + rows]
             # no name holds the block, so it is freed before the next draw

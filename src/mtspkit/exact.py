@@ -1271,9 +1271,9 @@ def _best_move(d, tour, min_customers, max_customers, deadline):
     depot = tour == 0
     route = np.cumsum(depot) - 1  # of each position, and of the arc leaving it
     starts = np.flatnonzero(depot)
-    e = d[np.ix_(tour, tour)]  # e[p, q] = d[tour[p], tour[q]]
+    e = d[tour[:, None], tour]  # e[p, q] = d[tour[p], tour[q]]
     # a node to itself: read by masked-out moves only, so zeroed to keep them finite
-    e[np.ix_(starts, starts)] = 0.0
+    e[starts[:, None], starts] = 0.0
     np.fill_diagonal(e, 0.0)
     et = e.T.copy()  # so that columns of e are read as rows
     arc = np.diagonal(e, 1)  # arc[p]: position p to p + 1

@@ -199,8 +199,9 @@ class Instance:
 
     @property
     def is_symmetric(self) -> bool:
-        finite = np.where(np.isfinite(self.matrix), self.matrix, 0.0)
-        return bool(np.array_equal(finite, finite.T))
+        # the constructor leaves an inf diagonal, which equals itself, and
+        # finite entries off it
+        return bool(np.array_equal(self.matrix, self.matrix.T))
 
 
 @dataclass(frozen=True)
